@@ -23,7 +23,6 @@ from .compiler import (
 )
 from .config import FLOAT_REFERENCE, ConfigError, ExecConfig, load_config, parse_config
 from .engine import (
-    CouplePlan,
     EngineError,
     FixedState,
     FloatState,
@@ -35,7 +34,6 @@ from .engine import (
     load_dump,
     run,
     sample_counts,
-    select_couples,
 )
 from .fixedpoint import (
     FixedPointFormat,

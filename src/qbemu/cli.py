@@ -135,10 +135,6 @@ def _backend_config(config: ExecConfig, backend: str) -> ExecConfig:
     return config
 
 
-def _float_variant(config: ExecConfig) -> ExecConfig:
-    return replace(config, rounding=FLOAT_REFERENCE)
-
-
 def _write_text(path: Path | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -192,21 +188,18 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _quality_row(circuit_path: Path, config: ExecConfig):
-    circuit = parse_file(circuit_path)
-    model_program = compile_circuit(circuit, config)
-    model_state = run(model_program, config)
-    ref_config = _float_variant(config)
-    ref_program = compile_circuit(circuit, ref_config)
-    ref_state = run(ref_program, ref_config)
-    quality = metrics.report(model_state, ref_state)
-    return circuit, quality
+def _float_reference(circuit, config: ExecConfig):
+    """The circuit's float-reference state: independent of bits, rounding and window."""
+    ref_config = replace(config, rounding=FLOAT_REFERENCE)
+    return run(compile_circuit(circuit, ref_config), ref_config)
 
 
 def cmd_compare(args) -> int:
     manifest = _manifest(args, args.qasm)
     config = _backend_config(manifest.config, manifest.backend)
-    circuit, quality = _quality_row(manifest.inputs[0], config)
+    circuit = parse_file(manifest.inputs[0])
+    model_state = run(compile_circuit(circuit, config), config)
+    quality = metrics.report(model_state, _float_reference(circuit, config))
     lines = [",".join(COMPARE_COLUMNS)]
     lines.append(
         f"{manifest.inputs[0].stem},{circuit.qubit_count},{len(circuit.gates)},"
@@ -249,12 +242,14 @@ def cmd_sweep(args) -> int:
     manifest = _manifest(args, *circuit_paths)
     base = _backend_config(manifest.config, "fixed")
     values = _sweep_values(args.axis, args.values)
+    configs = [_sweep_config(base, args.axis, value) for value in values]
     lines = [",".join(SWEEP_COLUMNS)]
     for path in circuit_paths:
-        for value in values:
-            config = _sweep_config(base, args.axis, value)
-            circuit, quality = _quality_row(path, config)
+        circuit = parse_file(path)
+        reference = _float_reference(circuit, base)
+        for value, config in zip(values, configs):
             program = compile_circuit(circuit, config)
+            quality = metrics.report(run(program, config), reference)
             resources = hwmodel.estimate_resources(config)
             latency = hwmodel.program_latency(program, config)
             lines.append(

@@ -17,6 +17,10 @@ FLOAT_REFERENCE = "float_reference"
 
 ROUNDING_CHOICES = ("truncation", "nearest", "nearest_even", FLOAT_REFERENCE)
 
+# Widest data word: the engine's int64 arrays hold products of two such words
+# (at most 2**62) with room for rounding.
+MAX_DATA_BITS = 32
+
 
 class ConfigError(ValueError):
     pass
@@ -40,8 +44,8 @@ class ExecConfig:
             raise ConfigError("Q must be at least 1")
         if self.cu_sharing < 0:
             raise ConfigError("S must be non-negative")
-        if not 8 <= self.data_bits <= 32:
-            raise ConfigError("data_bits must be in [8, 32]")
+        if not 8 <= self.data_bits <= MAX_DATA_BITS:
+            raise ConfigError(f"data_bits must be in [8, {MAX_DATA_BITS}]")
         if self.rounding not in ROUNDING_CHOICES:
             raise ConfigError(f"rounding must be one of {ROUNDING_CHOICES}, got {self.rounding!r}")
 

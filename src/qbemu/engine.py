@@ -1,10 +1,11 @@
-"""State-vector execution engine over butterfly-selected amplitude couples.
+"""State-vector execution engine: a strided walk over amplitude couples.
 
-A single-qubit gate on target ``t`` touches the ``2**(n-1)`` index pairs
-``(i, i + 2**t)`` with bit ``t`` of ``i`` clear; a controlled gate skips the
-pairs whose control bit is 0.  Couples are data-independent within one gate,
-so kernels are applied to all selected pairs from a snapshot of the pre-gate
-amplitudes and the result cannot depend on evaluation order.
+A gate on target ``t`` couples the pairs ``(i, i + 2**t)`` with bit ``t`` of
+``i`` clear; a control keeps the pairs whose control bit is 1.  Reshaping the
+state so that target and control bits are axes of length 2 makes the low and
+high amplitudes of all couples two basic-slice views: no index arrays.  Each
+kernel computes its outputs from the pre-gate amplitudes and writes them
+back through the views, so the couple order cannot affect the result.
 
 Two interchangeable backends execute the same instruction streams:
 
@@ -14,19 +15,18 @@ Two interchangeable backends execute the same instruction streams:
   two-multiplier rotational) and round every multiplier output individually;
   no kernel performs a general 2x2 complex multiply.
 
-A dense tensor-product oracle provides an independent check of the butterfly
-path, and measurement statistics can be sampled from either backend.
+A dense tensor-product oracle provides an independent check of the couple
+walk, and measurement statistics can be sampled from either backend.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 
 from .compiler import AngleTable, CompiledProgram, Instruction
-from .config import ExecConfig
+from .config import MAX_DATA_BITS, ExecConfig
 from .fixedpoint import FixedPointFormat, Rounding, from_real
 from .gates import (
     INV_SQRT2,
@@ -41,42 +41,6 @@ DENSE_ORACLE_MAX_QUBITS = 10
 
 class EngineError(Exception):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Couple selection
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CouplePlan:
-    """Interacting amplitude pairs for one gate, ascending in the low index."""
-
-    target: int
-    control: int | None
-    pairs: tuple[tuple[int, int], ...]
-
-
-def couple_indices(n: int, target: int, control: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized couple selection: arrays of low and high pair indices."""
-    if not 0 <= target < n:
-        raise EngineError(f"target {target} out of range for {n} qubits")
-    if control is not None:
-        if not 0 <= control < n:
-            raise EngineError(f"control {control} out of range for {n} qubits")
-        if control == target:
-            raise EngineError("control equals target")
-    idx = np.arange(1 << n, dtype=np.int64)
-    mask = (idx >> target) & 1 == 0
-    if control is not None:
-        mask &= ((idx >> control) & 1) == 1
-    low = idx[mask]
-    return low, low | (1 << target)
-
-
-def select_couples(n: int, target: int, control: int | None = None) -> CouplePlan:
-    low, high = couple_indices(n, target, control)
-    return CouplePlan(target, control, tuple(zip(low.tolist(), high.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +94,8 @@ class FixedState:
         im: np.ndarray | None = None,
         overflow: bool = False,
     ):
+        if fmt.total_bits > MAX_DATA_BITS:
+            raise EngineError(f"{fmt.total_bits}-bit words exceed the {MAX_DATA_BITS}-bit array core")
         self.n_qubits = n_qubits
         self.fmt = fmt
         size = 1 << n_qubits
@@ -174,22 +140,27 @@ def initial_state(n_qubits: int, config: ExecConfig) -> State:
 # ---------------------------------------------------------------------------
 
 
-def _vec_round(wide: np.ndarray, shift: int, mode: Rounding) -> np.ndarray:
-    if shift == 0:
-        return wide
-    if mode is Rounding.TRUNCATION:
-        return wide >> shift
-    half = np.int64(1) << (shift - 1)
+def _round_in_place(wide: np.ndarray, shift: int, mode: Rounding) -> None:
+    """Drop the low ``shift`` (>= 1) bits of exact products, overwriting ``wide``.
+
+    Each mode is one bias added before the arithmetic shift: none for
+    truncation, ``half - [wide < 0]`` for nearest (ties away from zero), and
+    ``half - 1 + lsb(quotient)`` for nearest-even.
+    """
     if mode is Rounding.NEAREST:
-        return np.where(wide >= 0, (wide + half) >> shift, -((-wide + half) >> shift))
-    q = wide >> shift
-    rem = wide - (q << shift)
-    bump = (rem > half) | ((rem == half) & ((q & 1) == 1))
-    return q + bump
+        wide -= wide < 0
+        wide += 1 << (shift - 1)
+    elif mode is Rounding.NEAREST_EVEN:
+        wide += (wide >> shift) & 1
+        wide += (1 << (shift - 1)) - 1
+    wide >>= shift
 
 
 class _FixedAlu:
-    """Saturating kernel arithmetic over raw arrays, with a sticky flag."""
+    """Saturating kernel arithmetic over raw arrays, with a sticky flag.
+
+    Every operation returns a new array, never a view of its operands.
+    """
 
     def __init__(self, fmt: FixedPointFormat):
         self.fmt = fmt
@@ -197,9 +168,9 @@ class _FixedAlu:
 
     def _saturate(self, raw: np.ndarray) -> np.ndarray:
         lo, hi = self.fmt.min_raw, self.fmt.max_raw
-        if np.any(raw > hi) or np.any(raw < lo):
+        if raw.max() > hi or raw.min() < lo:
             self.overflow = True
-            raw = np.clip(raw, lo, hi)
+            np.clip(raw, lo, hi, out=raw)
         return raw
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -211,9 +182,10 @@ class _FixedAlu:
     def neg(self, a: np.ndarray) -> np.ndarray:
         return self._saturate(-a)
 
-    def mul(self, a: np.ndarray, b) -> np.ndarray:
-        wide = a * np.int64(b) if np.isscalar(b) else a * b
-        return self._saturate(_vec_round(wide, self.fmt.fractional_bits, self.fmt.rounding))
+    def mul(self, a: np.ndarray, b: int) -> np.ndarray:
+        wide = a * np.int64(b)
+        _round_in_place(wide, self.fmt.fractional_bits, self.fmt.rounding)
+        return self._saturate(wide)
 
 
 @lru_cache(maxsize=None)
@@ -225,103 +197,114 @@ def _inv_sqrt2_raw(fmt: FixedPointFormat) -> int:
 # ---------------------------------------------------------------------------
 # Gate application
 # ---------------------------------------------------------------------------
+# Kernels get views ``a``/``b`` of the low/high couple amplitudes (``ra ia rb ib``
+# for raw parts).  Outputs are new arrays computed before any view is written;
+# tuple targets are assigned left to right, so a bare view on the right-hand
+# side is only written later in the same statement, after it has been read.
 
 
-def _apply_float(state: FloatState, kind: GateKind, i: np.ndarray, j: np.ndarray, sincos) -> None:
-    amp = state.amp
-    a = amp[i].copy()
-    b = amp[j].copy()
+def _couple_views(amp: np.ndarray, n: int, target: int, control: int | None):
+    """Low and high couple views: the state reshaped to ``(2**(n-1-t), 2, 2**t)``,
+    or ``(2**(n-1-hi), 2, 2**(hi-1-lo), 2, 2**lo)`` over the higher and lower of
+    target and control, split on the target axis with the control axis at 1."""
+    if control is None:
+        v = amp.reshape(-1, 2, 1 << target)
+        return v[:, 0], v[:, 1]
+    hi, lo = max(target, control), min(target, control)
+    v = amp.reshape(-1, 2, 1 << (hi - 1 - lo), 2, 1 << lo)
+    if target == hi:
+        return v[:, 0, :, 1], v[:, 1, :, 1]
+    return v[:, 1, :, 0], v[:, 1, :, 1]
+
+
+def _swap(a: np.ndarray, b: np.ndarray) -> None:
+    t = a.copy()
+    a[...] = b
+    b[...] = t
+
+
+def _apply_float(state: FloatState, kind: GateKind, target: int, control: int | None, sincos) -> None:
+    a, b = _couple_views(state.amp, state.n_qubits, target, control)
     k = INV_SQRT2
     if kind is GateKind.X:
-        amp[i], amp[j] = b, a
+        _swap(a, b)
     elif kind is GateKind.Y:
-        amp[i], amp[j] = -1j * b, 1j * a
+        a[...], b[...] = -1j * b, 1j * a
     elif kind is GateKind.Z:
-        amp[j] = -b
+        np.negative(b, out=b)
     elif kind is GateKind.S:
-        amp[j] = 1j * b
+        b *= 1j
     elif kind is GateKind.SDG:
-        amp[j] = -1j * b
+        b *= -1j
     elif kind is GateKind.H:
-        amp[i] = (a + b) * k
-        amp[j] = (a - b) * k
+        a[...], b[...] = (a + b) * k, (a - b) * k
     elif kind is GateKind.T:
-        amp[j] = (b.real - b.imag) * k + 1j * ((b.real + b.imag) * k)
+        b[...] = (b.real - b.imag) * k + 1j * ((b.real + b.imag) * k)
     elif kind is GateKind.TDG:
-        amp[j] = (b.real + b.imag) * k + 1j * ((b.imag - b.real) * k)
+        b[...] = (b.real + b.imag) * k + 1j * ((b.imag - b.real) * k)
     else:
         s, c = sincos
         if kind is GateKind.RX:
-            amp[i] = c * a - 1j * (s * b)
-            amp[j] = c * b - 1j * (s * a)
+            a[...], b[...] = c * a - 1j * (s * b), c * b - 1j * (s * a)
         elif kind is GateKind.RY:
-            amp[i] = c * a - s * b
-            amp[j] = c * b + s * a
+            a[...], b[...] = c * a - s * b, c * b + s * a
         elif kind is GateKind.RZ:
-            amp[i] = (c - 1j * s) * a
-            amp[j] = (c + 1j * s) * b
+            a[...], b[...] = (c - 1j * s) * a, (c + 1j * s) * b
         else:  # U1
-            amp[j] = (c + 1j * s) * b
+            b[...] = (c + 1j * s) * b
 
 
-def _apply_fixed(state: FixedState, kind: GateKind, i: np.ndarray, j: np.ndarray, sincos) -> None:
+def _apply_fixed(state: FixedState, kind: GateKind, target: int, control: int | None, sincos) -> None:
     alu = _FixedAlu(state.fmt)
-    re, im = state.re, state.im
-    re_a, im_a = re[i].copy(), im[i].copy()
-    re_b, im_b = re[j].copy(), im[j].copy()
+    add, sub, mul, neg = alu.add, alu.sub, alu.mul, alu.neg
+    ra, rb = _couple_views(state.re, state.n_qubits, target, control)
+    ia, ib = _couple_views(state.im, state.n_qubits, target, control)
     if kind is GateKind.X:
-        re[i], im[i] = re_b, im_b
-        re[j], im[j] = re_a, im_a
+        _swap(ra, rb)
+        _swap(ia, ib)
     elif kind is GateKind.Y:
-        re[i], im[i] = im_b, alu.neg(re_b)
-        re[j], im[j] = alu.neg(im_a), re_a
+        _swap(ra, ib)
+        ia[...], rb[...] = neg(rb), neg(ia)
     elif kind is GateKind.Z:
-        re[j], im[j] = alu.neg(re_b), alu.neg(im_b)
+        rb[...], ib[...] = neg(rb), neg(ib)
     elif kind is GateKind.S:
-        re[j], im[j] = alu.neg(im_b), re_b
+        ib[...], rb[...] = rb, neg(ib)
     elif kind is GateKind.SDG:
-        re[j], im[j] = im_b, alu.neg(re_b)
+        rb[...], ib[...] = ib, neg(rb)
     elif kind is GateKind.H:
         k = _inv_sqrt2_raw(state.fmt)
-        re[i] = alu.mul(alu.add(re_a, re_b), k)
-        im[i] = alu.mul(alu.add(im_a, im_b), k)
-        re[j] = alu.mul(alu.sub(re_a, re_b), k)
-        im[j] = alu.mul(alu.sub(im_a, im_b), k)
+        ra[...], ia[...], rb[...], ib[...] = (
+            mul(add(ra, rb), k), mul(add(ia, ib), k), mul(sub(ra, rb), k), mul(sub(ia, ib), k))
     elif kind is GateKind.T:
         k = _inv_sqrt2_raw(state.fmt)
-        re[j] = alu.mul(alu.sub(re_b, im_b), k)
-        im[j] = alu.mul(alu.add(re_b, im_b), k)
+        rb[...], ib[...] = mul(sub(rb, ib), k), mul(add(rb, ib), k)
     elif kind is GateKind.TDG:
         k = _inv_sqrt2_raw(state.fmt)
-        re[j] = alu.mul(alu.add(re_b, im_b), k)
-        im[j] = alu.mul(alu.sub(im_b, re_b), k)
+        rb[...], ib[...] = mul(add(rb, ib), k), mul(sub(ib, rb), k)
     else:
         s, c = sincos
         if kind is GateKind.RX:
-            re[i] = alu.add(alu.mul(re_a, c), alu.mul(im_b, s))
-            im[i] = alu.sub(alu.mul(im_a, c), alu.mul(re_b, s))
-            re[j] = alu.add(alu.mul(re_b, c), alu.mul(im_a, s))
-            im[j] = alu.sub(alu.mul(im_b, c), alu.mul(re_a, s))
+            ra[...], ia[...], rb[...], ib[...] = (
+                add(mul(ra, c), mul(ib, s)), sub(mul(ia, c), mul(rb, s)),
+                add(mul(rb, c), mul(ia, s)), sub(mul(ib, c), mul(ra, s)))
         elif kind is GateKind.RY:
-            re[i] = alu.sub(alu.mul(re_a, c), alu.mul(re_b, s))
-            im[i] = alu.sub(alu.mul(im_a, c), alu.mul(im_b, s))
-            re[j] = alu.add(alu.mul(re_b, c), alu.mul(re_a, s))
-            im[j] = alu.add(alu.mul(im_b, c), alu.mul(im_a, s))
+            ra[...], ia[...], rb[...], ib[...] = (
+                sub(mul(ra, c), mul(rb, s)), sub(mul(ia, c), mul(ib, s)),
+                add(mul(rb, c), mul(ra, s)), add(mul(ib, c), mul(ia, s)))
         elif kind is GateKind.RZ:
-            re[i] = alu.add(alu.mul(re_a, c), alu.mul(im_a, s))
-            im[i] = alu.sub(alu.mul(im_a, c), alu.mul(re_a, s))
-            re[j] = alu.sub(alu.mul(re_b, c), alu.mul(im_b, s))
-            im[j] = alu.add(alu.mul(im_b, c), alu.mul(re_b, s))
+            ra[...], ia[...], rb[...], ib[...] = (
+                add(mul(ra, c), mul(ia, s)), sub(mul(ia, c), mul(ra, s)),
+                sub(mul(rb, c), mul(ib, s)), add(mul(ib, c), mul(rb, s)))
         else:  # U1
-            re[j] = alu.sub(alu.mul(re_b, c), alu.mul(im_b, s))
-            im[j] = alu.add(alu.mul(im_b, c), alu.mul(re_b, s))
+            rb[...], ib[...] = sub(mul(rb, c), mul(ib, s)), add(mul(ib, c), mul(rb, s))
     state.overflow = state.overflow or alu.overflow
 
 
 def apply_gate(state: State, instr: Instruction, table: AngleTable | None = None) -> State:
     """Apply one decoded instruction in place and return the state."""
     n = state.n_qubits
-    control = None if instr.control == instr.target else instr.control
+    target = instr.target
+    control = None if instr.control == target else instr.control
     sincos = None
     if instr.opcode in ROTATIONAL:
         if table is None:
@@ -330,11 +313,14 @@ def apply_gate(state: State, instr: Instruction, table: AngleTable | None = None
             raise EngineError(
                 f"immediate {instr.imm} out of range for angle table of length {len(table)}"
             )
-    i, j = couple_indices(n, instr.target, control)
+    if not 0 <= target < n:
+        raise EngineError(f"target {target} out of range for {n} qubits")
+    if control is not None and not 0 <= control < n:
+        raise EngineError(f"control {control} out of range for {n} qubits")
     if isinstance(state, FloatState):
         if instr.opcode in ROTATIONAL:
             sincos = table.sin_cos(instr.imm)
-        _apply_float(state, instr.opcode, i, j, sincos)
+        _apply_float(state, instr.opcode, target, control, sincos)
     else:
         if instr.opcode in ROTATIONAL:
             if table.fmt is None:
@@ -342,7 +328,7 @@ def apply_gate(state: State, instr: Instruction, table: AngleTable | None = None
             if table.fmt != state.fmt:
                 raise EngineError("angle table format does not match state format")
             sincos = table.raw_pair(instr.imm)
-        _apply_fixed(state, instr.opcode, i, j, sincos)
+        _apply_fixed(state, instr.opcode, target, control, sincos)
     return state
 
 
@@ -412,7 +398,7 @@ def dense_unitary(gates, n: int) -> np.ndarray:
 
 
 def dense_oracle(circuit) -> np.ndarray:
-    """Brute-force unitary of a parsed circuit (independent of the couple path)."""
+    """Brute-force unitary of a parsed circuit (independent of the couple walk)."""
     return dense_unitary(circuit.gates, circuit.qubit_count)
 
 

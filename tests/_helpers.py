@@ -47,6 +47,62 @@ def exact_product_value(a_raw: int, b_raw: int, fmt: FixedPointFormat) -> Fracti
     return Fraction(a_raw, 1 << fmt.fractional_bits) * Fraction(b_raw, 1 << fmt.fractional_bits)
 
 
+class OracleAlu:
+    """Scalar saturating kernel arithmetic on raw ints, with a sticky flag.
+
+    Products come from :func:`oracle_mul_raw`; every result saturates to the
+    format's raw range, as the hardware datapath does.
+    """
+
+    def __init__(self, fmt: FixedPointFormat):
+        self.fmt = fmt
+        self.overflow = False
+
+    def sat(self, raw: int) -> int:
+        clipped = min(max(raw, self.fmt.min_raw), self.fmt.max_raw)
+        self.overflow |= clipped != raw
+        return clipped
+
+    def add(self, a: int, b: int) -> int:
+        return self.sat(a + b)
+
+    def sub(self, a: int, b: int) -> int:
+        return self.sat(a - b)
+
+    def neg(self, a: int) -> int:
+        return self.sat(-a)
+
+    def mul(self, a: int, b: int) -> int:
+        return self.sat(oracle_mul_raw(a, b, self.fmt))
+
+
+def tie_operand(m: int, fmt: FixedPointFormat) -> int:
+    """A raw operand whose exact product with ``m`` lies halfway between two
+    representable values, so it exercises the tie rule.  ``m`` must not be a
+    whole number (a multiple of ``2**fractional_bits``): those never round."""
+    f = fmt.fractional_bits
+    zeros = (m & -m).bit_length() - 1
+    t = 1 << (f - 1 - zeros)
+    assert (t * m) % (1 << f) == 1 << (f - 1)
+    return t
+
+
+# ---------------------------------------------------------------------------
+# Couple enumeration (independent of the engine's strided walk)
+# ---------------------------------------------------------------------------
+
+
+def couple_pairs(n: int, target: int, control: int | None = None) -> list[tuple[int, int]]:
+    """Pairs ``(i, i + 2**target)`` with bit ``target`` of ``i`` clear and, for a
+    controlled gate, bit ``control`` set; ascending in ``i``."""
+    step = 1 << target
+    return [
+        (i, i + step)
+        for i in range(1 << n)
+        if not i & step and (control is None or (i >> control) & 1)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Unitary comparison helpers
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import shutil
 
 import numpy as np
@@ -248,6 +249,43 @@ class TestSweep:
 
     def test_bad_axis_usage_error(self, bell_qasm):
         assert main(["sweep", str(bell_qasm), "volume", "1,2"]) == 1
+
+    def test_each_circuit_parsed_and_referenced_once(self, tmp_path, config_file, capsys, monkeypatch):
+        # one parse and one float reference per circuit, one compile and one
+        # model run per row; the figures of merit equal compare's, row by row
+        from qbemu import cli
+
+        circuits = tmp_path / "circuits"
+        circuits.mkdir()
+        for name in ("bell.qasm", "ghz4.qasm"):
+            shutil.copy(qbemu.fixture_path(name), circuits / name)
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                label = name(*args) if callable(name) else name
+                calls[label] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "parse_file", counted("parse", cli.parse_file))
+            patch.setattr(cli, "compile_circuit", counted("compile", cli.compile_circuit))
+            backend = lambda program, config, *rest: f"run.{'float' if config.is_float_reference else 'fixed'}"  # noqa: E731
+            patch.setattr(cli, "run", counted(backend, cli.run))
+            rc = main(["sweep", str(circuits), "bits", "8,12,16", "--config", str(config_file)])
+        assert rc == 0
+        assert calls == {"parse": 2, "compile": 2 * (3 + 1), "run.fixed": 2 * 3, "run.float": 2}
+        header, *rows = capsys.readouterr().out.strip().splitlines()
+        foms = ("fidelity", "kld", "mcd", "acd")
+        for row in rows:
+            cols = dict(zip(header.split(","), row.split(",")))
+            path = circuits / f"{cols['circuit']}.qasm"
+            assert main(["compare", str(path), "--config", str(config_file), "--bits", cols["value"]]) == 0
+            cmp_header, cmp_row = capsys.readouterr().out.strip().splitlines()
+            expected = dict(zip(cmp_header.split(","), cmp_row.split(",")))
+            assert [cols[k] for k in foms] == [expected[k] for k in foms]
 
 
 class TestTranscript:

@@ -1,7 +1,8 @@
-"""Butterfly selection, kernels in both backends, oracle equivalence, sampling."""
+"""Couple walk, kernels in both backends, oracle equivalence, sampling."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from qbemu.engine import (
     FixedState,
     FloatState,
     apply_gate,
-    couple_indices,
     dense_oracle,
     dense_unitary,
     dump_state,
@@ -22,10 +22,8 @@ from qbemu.engine import (
     load_dump,
     run,
     sample_counts,
-    select_couples,
 )
-from qbemu.fixedpoint import FixedPointFormat, FixedPointValue, add, from_real, mul, negate
-from qbemu.fixedpoint import sub as fxsub
+from qbemu.fixedpoint import FixedPointFormat
 from qbemu.gates import (
     INV_SQRT2,
     ROTATIONAL,
@@ -33,7 +31,14 @@ from qbemu.gates import (
     GateApplication,
     GateKind,
 )
-from _helpers import gates_as_circuit, random_gates
+from _helpers import (
+    OracleAlu,
+    couple_pairs,
+    gates_as_circuit,
+    oracle_quantize,
+    random_gates,
+    tie_operand,
+)
 
 BELL_GATES = [
     GateApplication(GateKind.H, 2),
@@ -52,48 +57,88 @@ def random_float_state(rng: np.random.Generator, n: int) -> FloatState:
     return FloatState(n, amp)
 
 
+def engine_couples(n: int, target: int, control: int | None = None) -> list[tuple[int, int]]:
+    """The pairs the engine couples, read off an X gate on amplitudes 0..2**n-1."""
+    state = FloatState(n, np.arange(1 << n, dtype=complex))
+    apply_gate(state, Instruction(GateKind.X, target, target if control is None else control))
+    partner = state.amp.real.astype(int).tolist()
+    return [(i, p) for i, p in enumerate(partner) if p > i]
+
+
+def random_fixed_state(rng: np.random.Generator, n: int, fmt: FixedPointFormat) -> FixedState:
+    one = 1 << fmt.fractional_bits
+    re = rng.integers(-one, one, size=1 << n).astype(np.int64)
+    im = rng.integers(-one, one, size=1 << n).astype(np.int64)
+    return FixedState(n, fmt, re, im)
+
+
 class TestCoupleSelection:
     def test_three_qubit_target_zero(self):
-        plan = select_couples(3, 0)
-        assert plan.pairs == ((0, 1), (2, 3), (4, 5), (6, 7))
+        assert couple_pairs(3, 0) == [(0, 1), (2, 3), (4, 5), (6, 7)]
+        assert engine_couples(3, 0) == couple_pairs(3, 0)
 
     def test_three_qubit_target_two(self):
-        plan = select_couples(3, 2)
-        assert plan.pairs == ((0, 4), (1, 5), (2, 6), (3, 7))
+        assert couple_pairs(3, 2) == [(0, 4), (1, 5), (2, 6), (3, 7)]
+        assert engine_couples(3, 2) == couple_pairs(3, 2)
 
     def test_controlled_skips_control_zero(self):
-        plan = select_couples(2, 0, control=1)
-        assert plan.pairs == ((2, 3),)
+        assert couple_pairs(2, 0, control=1) == [(2, 3)]
+        assert engine_couples(2, 0, control=1) == couple_pairs(2, 0, control=1)
 
     def test_invariants_all_combinations(self):
         for n in range(1, 6):
             for target in range(n):
-                plan = select_couples(n, target)
-                assert len(plan.pairs) == 1 << (n - 1)
+                pairs = couple_pairs(n, target)
+                assert engine_couples(n, target) == pairs
+                assert len(pairs) == 1 << (n - 1)
                 seen = set()
-                for i, j in plan.pairs:
+                for i, j in pairs:
                     assert j == i + (1 << target)
                     assert (i >> target) & 1 == 0
                     assert (j >> target) & 1 == 1
                     seen.update((i, j))
                 assert seen == set(range(1 << n))
-                assert [p[0] for p in plan.pairs] == sorted(p[0] for p in plan.pairs)
+                assert [p[0] for p in pairs] == sorted(p[0] for p in pairs)
                 for control in range(n):
                     if control == target:
                         continue
-                    cplan = select_couples(n, target, control)
-                    assert len(cplan.pairs) == 1 << (n - 2)
-                    for i, j in cplan.pairs:
+                    cpairs = couple_pairs(n, target, control)
+                    assert engine_couples(n, target, control) == cpairs
+                    assert len(cpairs) == 1 << (n - 2)
+                    for i, j in cpairs:
                         assert (i >> control) & 1 == 1
                         assert (j >> control) & 1 == 1
 
     def test_range_errors(self):
-        with pytest.raises(EngineError):
-            couple_indices(3, 3)
-        with pytest.raises(EngineError):
-            couple_indices(3, 0, control=5)
-        with pytest.raises(EngineError):
-            couple_indices(3, 1, control=1)
+        for state in (FloatState(3), FixedState(3, FixedPointFormat(16))):
+            for target, control in ((3, 3), (-1, -1), (0, 5), (1, -1)):
+                with pytest.raises(EngineError, match="out of range"):
+                    apply_gate(state, Instruction(GateKind.X, target, control))
+        assert engine_couples(3, 1, control=1) == couple_pairs(3, 1)  # control == target: uncontrolled
+
+    @pytest.mark.parametrize("backend", ["float", "fixed"])
+    @pytest.mark.parametrize("kind", list(GateKind))
+    def test_gate_changes_only_enumerated_pairs(self, kind, backend):
+        rng = np.random.default_rng(14)
+        fmt = FixedPointFormat(16, "nearest")
+        table = AngleTable(None if backend == "float" else fmt)
+        imm = table.intern(0.9) if kind in ROTATIONAL else 0
+        for n in range(1, 6):
+            for target in range(n):
+                for control in [None] + [c for c in range(n) if c != target]:
+                    if backend == "float":
+                        state = random_float_state(rng, n)
+                        parts = (state.amp,)
+                    else:
+                        state = random_fixed_state(rng, n, fmt)
+                        parts = (state.re, state.im)
+                    before = [p.copy() for p in parts]
+                    instr = Instruction(kind, target, target if control is None else control, imm)
+                    apply_gate(state, instr, table)
+                    coupled = {i for pair in couple_pairs(n, target, control) for i in pair}
+                    untouched = [i for i in range(1 << n) if i not in coupled]
+                    for old, new in zip(before, parts):  # updated in place
+                        assert np.array_equal(new[untouched], old[untouched]), (n, target, control)
 
 
 class TestApplyGateFloat:
@@ -162,82 +207,105 @@ class TestApplyGateFloat:
             assert np.max(np.abs(state.amp - expected)) < 1e-12
 
 
-def scalar_fixed_kernel(kind, a, b, k, sincos):
-    """Category-form kernel over scalar fixed-point values (test-side oracle).
+def scalar_fixed_kernel(kind, a, b, k, sincos, alu):
+    """Category-form kernel over scalar raw values (test-side oracle).
 
-    a and b are (re, im) pairs; k is the 1/sqrt(2) constant; sincos the table
-    pair for rotational kinds.  Products are rounded one multiplier at a time.
+    a and b are (re, im) raw pairs; k is the raw 1/sqrt(2) constant; sincos
+    the raw table pair for rotational kinds; alu an :class:`OracleAlu`, which
+    rounds one multiplier at a time and records saturation.
     """
+    add, sub, mul, neg = alu.add, alu.sub, alu.mul, alu.neg
     (ar, ai), (br, bi) = a, b
     if kind is GateKind.X:
         return (br, bi), (ar, ai)
     if kind is GateKind.Y:
-        return (bi, negate(br)), (negate(ai), ar)
+        return (bi, neg(br)), (neg(ai), ar)
     if kind is GateKind.Z:
-        return (ar, ai), (negate(br), negate(bi))
+        return (ar, ai), (neg(br), neg(bi))
     if kind is GateKind.S:
-        return (ar, ai), (negate(bi), br)
+        return (ar, ai), (neg(bi), br)
     if kind is GateKind.SDG:
-        return (ar, ai), (bi, negate(br))
+        return (ar, ai), (bi, neg(br))
     if kind is GateKind.H:
         return (
             (mul(add(ar, br), k), mul(add(ai, bi), k)),
-            (mul(fxsub(ar, br), k), mul(fxsub(ai, bi), k)),
+            (mul(sub(ar, br), k), mul(sub(ai, bi), k)),
         )
     if kind is GateKind.T:
-        return (ar, ai), (mul(fxsub(br, bi), k), mul(add(br, bi), k))
+        return (ar, ai), (mul(sub(br, bi), k), mul(add(br, bi), k))
     if kind is GateKind.TDG:
-        return (ar, ai), (mul(add(br, bi), k), mul(fxsub(bi, br), k))
+        return (ar, ai), (mul(add(br, bi), k), mul(sub(bi, br), k))
     s, c = sincos
     if kind is GateKind.RX:
         return (
-            (add(mul(ar, c), mul(bi, s)), fxsub(mul(ai, c), mul(br, s))),
-            (add(mul(br, c), mul(ai, s)), fxsub(mul(bi, c), mul(ar, s))),
+            (add(mul(ar, c), mul(bi, s)), sub(mul(ai, c), mul(br, s))),
+            (add(mul(br, c), mul(ai, s)), sub(mul(bi, c), mul(ar, s))),
         )
     if kind is GateKind.RY:
         return (
-            (fxsub(mul(ar, c), mul(br, s)), fxsub(mul(ai, c), mul(bi, s))),
+            (sub(mul(ar, c), mul(br, s)), sub(mul(ai, c), mul(bi, s))),
             (add(mul(br, c), mul(ar, s)), add(mul(bi, c), mul(ai, s))),
         )
     if kind is GateKind.RZ:
         return (
-            (add(mul(ar, c), mul(ai, s)), fxsub(mul(ai, c), mul(ar, s))),
-            (fxsub(mul(br, c), mul(bi, s)), add(mul(bi, c), mul(br, s))),
+            (add(mul(ar, c), mul(ai, s)), sub(mul(ai, c), mul(ar, s))),
+            (sub(mul(br, c), mul(bi, s)), add(mul(bi, c), mul(br, s))),
         )
-    return (ar, ai), (fxsub(mul(br, c), mul(bi, s)), add(mul(bi, c), mul(br, s)))
+    return (ar, ai), (sub(mul(br, c), mul(bi, s)), add(mul(bi, c), mul(br, s)))
+
+
+def kernel_inputs(rng, fmt, multipliers):
+    """(ar, ai, br, bi) raw inputs: random values, every mix of min_raw /
+    max_raw / 0, and operands whose products with each multiplier are exact
+    rounding ties, with both signs."""
+    one = 1 << fmt.fractional_bits
+    inputs = [tuple(int(v) for v in rng.integers(-one, one, size=4)) for _ in range(10)]
+    inputs += itertools.product((fmt.min_raw, fmt.max_raw, 0), repeat=4)
+    for m in multipliers:
+        t = tie_operand(m, fmt)
+        inputs += itertools.product((t, -t), repeat=4)
+        inputs += [(t, 0, 3 * t, 0), (0, -3 * t, 0, t)]
+    return inputs
 
 
 class TestApplyGateFixed:
-    def _random_fixed_state(self, rng, n, fmt):
-        one = 1 << fmt.fractional_bits
-        re = rng.integers(-one, one, size=1 << n).astype(np.int64)
-        im = rng.integers(-one, one, size=1 << n).astype(np.int64)
-        return FixedState(n, fmt, re, im)
-
     def test_vector_kernels_match_scalar_ops(self):
-        # bridges the vectorized backend to the scalar fixed-point module
+        # bridges the vectorized backend to the exact-Fraction oracle: every
+        # kernel, every rounding mode, edge and tie inputs, and the sticky flag
         rng = np.random.default_rng(4)
-        for mode in ("truncation", "nearest", "nearest_even"):
-            fmt = FixedPointFormat(16, mode)
-            k = from_real(INV_SQRT2, fmt)
+        for bits, mode in itertools.product((16, 32), ("truncation", "nearest", "nearest_even")):
+            fmt = FixedPointFormat(bits, mode)
+            k = oracle_quantize(INV_SQRT2, fmt)
             table = AngleTable(fmt)
-            imm = table.intern(1.1)
-            s_raw, c_raw = table.raw_pair(imm)
-            s = FixedPointValue(s_raw, fmt)
-            c = FixedPointValue(c_raw, fmt)
+            pairs = [table.raw_pair(table.intern(angle)) for angle in (1.1, -2.3)]
+            table.entries.append((fmt.max_raw, fmt.min_raw))
+            pairs.append(table.entries[-1])
+            # multipliers that are whole numbers (e.g. min_raw = -2.0) never round
+            frac = (1 << fmt.fractional_bits) - 1
+            multipliers = {m for m in (k, *itertools.chain(*pairs)) if m & frac}
+            inputs = kernel_inputs(rng, fmt, sorted(multipliers))
             for kind in GateKind:
-                state = self._random_fixed_state(rng, 1, fmt)
-                expect_a, expect_b = scalar_fixed_kernel(
-                    kind,
-                    (FixedPointValue(int(state.re[0]), fmt), FixedPointValue(int(state.im[0]), fmt)),
-                    (FixedPointValue(int(state.re[1]), fmt), FixedPointValue(int(state.im[1]), fmt)),
-                    k,
-                    (s, c),
-                )
-                instr = Instruction(kind, 0, 0, imm if kind in ROTATIONAL else 0)
-                apply_gate(state, instr, table)
-                assert (state.re[0], state.im[0]) == (expect_a[0].raw, expect_a[1].raw), kind
-                assert (state.re[1], state.im[1]) == (expect_b[0].raw, expect_b[1].raw), kind
+                for imm, (s, c) in enumerate(pairs if kind in ROTATIONAL else [(0, 0)]):
+                    for ar, ai, br, bi in inputs:
+                        alu = OracleAlu(fmt)
+                        expect_a, expect_b = scalar_fixed_kernel(kind, (ar, ai), (br, bi), k, (s, c), alu)
+                        state = FixedState(1, fmt, np.array([ar, br]), np.array([ai, bi]))
+                        apply_gate(state, Instruction(kind, 0, 0, imm), table)
+                        where = (mode, kind, imm, ar, ai, br, bi)
+                        assert (state.re[0], state.im[0]) == expect_a, where
+                        assert (state.re[1], state.im[1]) == expect_b, where
+                        assert state.overflow == alu.overflow, where
+
+    def test_word_wider_than_array_core_rejected(self):
+        # a 40-bit word's products overflow int64; the state refuses it
+        # instead of returning wrapped amplitudes with the flag clear
+        with pytest.raises(EngineError, match="40-bit"):
+            FixedState(1, FixedPointFormat(40))
+        with pytest.raises(EngineError, match="40-bit"):
+            load_dump("0 0\n0 0\n", fmt=FixedPointFormat(40))
+        state = apply_gate(FixedState(1, FixedPointFormat(32)), Instruction(GateKind.H, 0, 0))
+        assert np.allclose(state.to_complex(), [INV_SQRT2, INV_SQRT2], atol=1e-9)
+        assert not state.overflow
 
     def test_sign_exchange_zero_arithmetic_error(self):
         # X,Y,Z,S,Sdg only permute and negate raw values: results must equal
@@ -252,10 +320,10 @@ class TestApplyGateFixed:
             GateKind.SDG: lambda a, b: (a, (b[1], -b[0])),
         }
         for kind in SIGN_EXCHANGE:
-            state = self._random_fixed_state(rng, 3, fmt)
+            state = random_fixed_state(rng, 3, fmt)
             before_re, before_im = state.re.copy(), state.im.copy()
             apply_gate(state, Instruction(kind, 1, 1))
-            for i, j in select_couples(3, 1).pairs:
+            for i, j in couple_pairs(3, 1):
                 a = (int(before_re[i]), int(before_im[i]))
                 b = (int(before_re[j]), int(before_im[j]))
                 (ea, eb) = signs[kind](a, b)
@@ -269,7 +337,7 @@ class TestApplyGateFixed:
         table = AngleTable(fmt)
         imm = table.intern(0.7)
         for kind in GateKind:
-            state = self._random_fixed_state(rng, 3, fmt)
+            state = random_fixed_state(rng, 3, fmt)
             before_re, before_im = state.re.copy(), state.im.copy()
             instr = Instruction(kind, 0, 2, imm if kind in ROTATIONAL else 0)
             apply_gate(state, instr, table)
@@ -322,21 +390,22 @@ class TestApplyGateFixed:
         # shuffled scalar walk
         rng = np.random.default_rng(10)
         fmt = FixedPointFormat(16, "nearest")
-        k = from_real(INV_SQRT2, fmt)
-        state = self._random_fixed_state(rng, 4, fmt)
-        shuffled = list(select_couples(4, 2).pairs)
+        k = oracle_quantize(INV_SQRT2, fmt)
+        state = random_fixed_state(rng, 4, fmt)
+        shuffled = couple_pairs(4, 2)
         rng.shuffle(shuffled)
         expect_re, expect_im = state.re.copy(), state.im.copy()
         for i, j in shuffled:
             (ea, eb) = scalar_fixed_kernel(
                 GateKind.H,
-                (FixedPointValue(int(state.re[i]), fmt), FixedPointValue(int(state.im[i]), fmt)),
-                (FixedPointValue(int(state.re[j]), fmt), FixedPointValue(int(state.im[j]), fmt)),
+                (int(state.re[i]), int(state.im[i])),
+                (int(state.re[j]), int(state.im[j])),
                 k,
                 None,
+                OracleAlu(fmt),
             )
-            expect_re[i], expect_im[i] = ea[0].raw, ea[1].raw
-            expect_re[j], expect_im[j] = eb[0].raw, eb[1].raw
+            expect_re[i], expect_im[i] = ea
+            expect_re[j], expect_im[j] = eb
         apply_gate(state, Instruction(GateKind.H, 2, 2))
         assert np.array_equal(state.re, expect_re)
         assert np.array_equal(state.im, expect_im)
