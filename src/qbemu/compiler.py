@@ -52,6 +52,7 @@ class AngleTable:
     fmt: FixedPointFormat | None
     entries: list[tuple] = field(default_factory=list)
     _index: dict = field(default_factory=dict, repr=False, compare=False)
+    _by_angle: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._index = {pair: i for i, pair in enumerate(self.entries)}
@@ -60,7 +61,17 @@ class AngleTable:
         return len(self.entries)
 
     def intern(self, angle: float) -> int:
-        """Index of the quantized (sin, cos) pair for ``angle``, adding it if new."""
+        """Index of the quantized (sin, cos) pair for ``angle``, adding it if new.
+
+        Each distinct angle is quantized once.  Angles equal as floats give
+        equal pairs (``-0.0`` and ``0.0`` give pairs that compare equal), so
+        the memo returns what quantizing again would.
+        """
+        idx = self._by_angle.get(angle)
+        if idx is not None:
+            return idx
+        if not math.isfinite(angle):
+            raise CompileError(f"rotation angle {angle!r} is not finite")
         if self.fmt is None:
             pair = (math.sin(angle), math.cos(angle))
         else:
@@ -70,6 +81,7 @@ class AngleTable:
             idx = len(self.entries)
             self.entries.append(pair)
             self._index[pair] = idx
+        self._by_angle[angle] = idx
         return idx
 
     def sin_cos(self, idx: int) -> tuple[float, float]:
@@ -117,41 +129,54 @@ def compile_circuit(circuit: SourceCircuit, config: ExecConfig) -> CompiledProgr
     return CompiledProgram(tuple(instructions), table, circuit.qubit_count)
 
 
+def encode_words(instructions, config: ExecConfig) -> list[int]:
+    """Pack instructions into words: MSB-first [opcode|control|target|imm].
+
+    The field layout is worked out once for the whole stream.
+    """
+    fbits, ibits = config.qubit_field_bits, config.imm_bits
+    fmask, ilimit = (1 << fbits) - 1, 1 << ibits
+    words = []
+    for instr in instructions:
+        if not 0 <= instr.target <= fmask:
+            raise CompileError(f"field overflow: target {instr.target} needs more than {fbits} bits")
+        if not 0 <= instr.control <= fmask:
+            raise CompileError(f"field overflow: control {instr.control} needs more than {fbits} bits")
+        if not 0 <= instr.imm < ilimit:
+            raise CompileError(f"field overflow: imm {instr.imm} needs more than {ibits} bits")
+        words.append((((instr.opcode << fbits | instr.control) << fbits | instr.target) << ibits) | instr.imm)
+    return words
+
+
 def encode_instruction(instr: Instruction, config: ExecConfig) -> int:
-    """Pack an instruction into its word: MSB-first [opcode|control|target|imm]."""
-    fbits = config.qubit_field_bits
-    fmask = (1 << fbits) - 1
-    if not 0 <= instr.target <= fmask:
-        raise CompileError(f"field overflow: target {instr.target} needs more than {fbits} bits")
-    if not 0 <= instr.control <= fmask:
-        raise CompileError(f"field overflow: control {instr.control} needs more than {fbits} bits")
-    if not 0 <= instr.imm < (1 << config.imm_bits):
-        raise CompileError(f"field overflow: imm {instr.imm} needs more than {config.imm_bits} bits")
-    word = int(instr.opcode)
-    word = (word << fbits) | instr.control
-    word = (word << fbits) | instr.target
-    word = (word << config.imm_bits) | instr.imm
-    return word
+    """Pack one instruction into its word (see :func:`encode_words`)."""
+    return encode_words((instr,), config)[0]
+
+
+_OPCODES = {int(kind): kind for kind in GateKind}
+
+
+def decode_words(words, config: ExecConfig) -> list[Instruction]:
+    """Exact inverse of :func:`encode_words`; ``words`` is consumed in order."""
+    width = config.instruction_bits
+    fbits, ibits = config.qubit_field_bits, config.imm_bits
+    fmask, imask, limit = (1 << fbits) - 1, (1 << ibits) - 1, 1 << width
+    control_shift, opcode_shift = ibits + fbits, ibits + 2 * fbits
+    instructions = []
+    for word in words:
+        if not 0 <= word < limit:
+            raise DecodeError(f"word width mismatch: {word:#x} does not fit {width} bits")
+        opcode = _OPCODES.get(word >> opcode_shift)
+        if opcode is None:
+            raise DecodeError(f"invalid opcode {word >> opcode_shift:#06b}")
+        target, control = (word >> ibits) & fmask, (word >> control_shift) & fmask
+        instructions.append(Instruction(opcode, target, control, word & imask))
+    return instructions
 
 
 def decode_instruction(word: int, config: ExecConfig) -> Instruction:
     """Exact inverse of :func:`encode_instruction`."""
-    width = config.instruction_bits
-    if not 0 <= word < (1 << width):
-        raise DecodeError(f"word width mismatch: {word:#x} does not fit {width} bits")
-    fbits = config.qubit_field_bits
-    fmask = (1 << fbits) - 1
-    imm = word & ((1 << config.imm_bits) - 1)
-    word >>= config.imm_bits
-    target = word & fmask
-    word >>= fbits
-    control = word & fmask
-    word >>= fbits
-    try:
-        opcode = GateKind(word)
-    except ValueError:
-        raise DecodeError(f"invalid opcode {word:#06b}") from None
-    return Instruction(opcode, target, control, imm)
+    return decode_words((word,), config)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +203,7 @@ def write_program_files(
     """
     if file_format not in PROGRAM_FORMATS:
         raise ValueError(f"file_format must be one of {PROGRAM_FORMATS}")
-    words = [encode_instruction(i, config) for i in program.instructions]
+    words = encode_words(program.instructions, config)
     hexw = (config.instruction_bits + 3) // 4
     if file_format == "integer_text":
         with open(program_path, "w", encoding="ascii") as fh:
@@ -216,6 +241,18 @@ def _read_count_line(data: bytes, path) -> tuple[int, bytes]:
     return count, data[newline + 1 :]
 
 
+def _hex_words(body: bytes, path):
+    """Instruction words of a text program body, one hex word per non-blank line."""
+    for lineno, line in enumerate(body.decode("ascii").splitlines(), start=2):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            yield int(line, 16)
+        except ValueError:
+            raise DecodeError(f"{path}:{lineno}: bad instruction word {line!r}") from None
+
+
 def load_program_files(
     program_path,
     table_path,
@@ -228,24 +265,15 @@ def load_program_files(
     with open(program_path, "rb") as fh:
         pdata = fh.read()
     used_qubits, body = _read_count_line(pdata, program_path)
-    instructions = []
     if file_format == "integer_text":
-        for lineno, line in enumerate(body.decode("ascii").splitlines(), start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                word = int(line, 16)
-            except ValueError:
-                raise DecodeError(f"{program_path}:{lineno}: bad instruction word {line!r}") from None
-            instructions.append(decode_instruction(word, config))
+        instructions = decode_words(_hex_words(body, program_path), config)
     else:
         wbytes = _instruction_word_bytes(config)
         if len(body) % wbytes:
             raise DecodeError(f"{program_path}: truncated instruction stream")
-        for k in range(0, len(body), wbytes):
-            word = int.from_bytes(body[k : k + wbytes], "little")
-            instructions.append(decode_instruction(word, config))
+        instructions = decode_words(
+            (int.from_bytes(body[k : k + wbytes], "little") for k in range(0, len(body), wbytes)), config
+        )
 
     with open(table_path, "rb") as fh:
         tdata = fh.read()

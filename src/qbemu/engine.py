@@ -77,11 +77,16 @@ class FloatState:
         return float(np.sum(np.abs(self.amp) ** 2))
 
 
+def _word_range_error(fmt: FixedPointFormat) -> EngineError:
+    return EngineError(f"raw values outside the {fmt.total_bits}-bit word range [{fmt.min_raw}, {fmt.max_raw}]")
+
+
 class FixedState:
     """Fixed-point state vector: raw integer real/imaginary parts.
 
     ``overflow`` is the sticky saturation flag aggregated over all kernel
-    arithmetic applied to this state.
+    arithmetic applied to this state.  Caller-supplied raw values must lie in
+    the word's range ``[fmt.min_raw, fmt.max_raw]``.
     """
 
     __slots__ = ("n_qubits", "fmt", "re", "im", "overflow")
@@ -104,16 +109,26 @@ class FixedState:
             re[0] = 1 << fmt.fractional_bits
             im = np.zeros(size, dtype=np.int64)
         else:
-            re = np.asarray(re, dtype=np.int64)
-            im = np.asarray(im, dtype=np.int64)
+            try:
+                re = np.asarray(re, dtype=np.int64)
+                im = np.asarray(im, dtype=np.int64)
+            except OverflowError:
+                raise _word_range_error(fmt) from None
             if re.shape != (size,) or im.shape != (size,):
                 raise ValueError("amplitude count does not match qubit count")
+            # The kernels' int64 headroom holds only for in-range words.
+            if min(re.min(), im.min()) < fmt.min_raw or max(re.max(), im.max()) > fmt.max_raw:
+                raise _word_range_error(fmt)
         self.re = re
         self.im = im
         self.overflow = overflow
 
     def copy(self) -> "FixedState":
-        return FixedState(self.n_qubits, self.fmt, self.re.copy(), self.im.copy(), self.overflow)
+        """Independent copy; the range check is not repeated, since this state passed it."""
+        clone = object.__new__(FixedState)
+        clone.n_qubits, clone.fmt, clone.overflow = self.n_qubits, self.fmt, self.overflow
+        clone.re, clone.im = self.re.copy(), self.im.copy()
+        return clone
 
     def to_complex(self) -> np.ndarray:
         scale = self.fmt.lsb

@@ -22,12 +22,13 @@ hardware attached.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .compiler import AngleTable, CompiledProgram, decode_instruction, encode_instruction
+from .compiler import AngleTable, CompiledProgram, decode_words, encode_words
 from .config import ExecConfig
 from .engine import FixedState, run
 from .fixedpoint import FixedPointFormat
@@ -61,6 +62,8 @@ _START_BYTES = {
 }
 
 _HEX_DIGITS = frozenset(b"0123456789ABCDEF")
+_HEX_RUN = re.compile(rb"[0-9A-F]+")
+_END, _TERMINATOR, _SIGN = b"!#-"
 
 
 @dataclass(frozen=True)
@@ -75,13 +78,16 @@ class HostMessage:
             raise ValueError(f"{self.kind.name} payload must be non-negative")
 
 
+def _frame(start: str, value: int) -> str:
+    """One framed value: start symbol, hex magnitude, ``-`` if negative, ``#``."""
+    return f"{start}{-value:X}-#" if value < 0 else f"{start}{value:X}#"
+
+
 def encode_message(msg: HostMessage) -> bytes:
     """Frame one message as ASCII bytes."""
     if msg.kind is MessageKind.END_OF_EMULATION:
         return b"!"
-    body = format(abs(msg.value), "X")
-    sign = "-" if msg.value < 0 else ""
-    return f"{msg.kind.value}{body}{sign}#".encode("ascii")
+    return _frame(msg.kind.value, msg.value).encode("ascii")
 
 
 class StreamDecoder:
@@ -103,41 +109,54 @@ class StreamDecoder:
         return self._kind is not None
 
     def feed(self, data: bytes) -> list[HostMessage]:
-        """Consume bytes, returning every message completed by them."""
+        """Consume bytes, returning every message completed by them.
+
+        A run of payload digits is taken in one step; every other byte is
+        examined on its own, so errors name the first offending byte.
+        """
         messages = []
-        for byte in data:
-            pos = self._offset
-            self._offset += 1
+        base = self._offset
+        i, end = 0, len(data)
+        while i < end:
+            byte = data[i]
             if self._kind is None:
-                if byte == ord("!"):
+                if byte == _END:
                     messages.append(HostMessage(MessageKind.END_OF_EMULATION))
                 elif byte in _START_BYTES:
                     self._kind = _START_BYTES[byte]
                     self._digits.clear()
                     self._negative = False
                 else:
-                    raise FramingError(f"unknown start symbol {chr(byte)!r}", pos)
-            elif byte == ord("#"):
-                if not self._digits:
-                    raise FramingError("frame has no payload digits", pos)
-                value = int(self._digits.decode("ascii"), 16)
-                if self._negative:
-                    value = -value
-                messages.append(HostMessage(self._kind, value))
-                self._kind = None
-            elif byte == ord("-"):
-                if self._kind is not MessageKind.ANGLE_VALUE:
-                    raise FramingError("sign flag is only valid in a value frame", pos)
-                if self._negative or not self._digits:
-                    raise FramingError("misplaced sign flag", pos)
-                self._negative = True
+                    raise self._error(f"unknown start symbol {chr(byte)!r}", base + i)
             elif byte in _HEX_DIGITS:
                 if self._negative:
-                    raise FramingError("digit after sign flag", pos)
-                self._digits.append(byte)
+                    raise self._error("digit after sign flag", base + i)
+                run_end = _HEX_RUN.match(data, i).end()
+                self._digits += data[i:run_end]
+                i = run_end
+                continue
+            elif byte == _TERMINATOR:
+                if not self._digits:
+                    raise self._error("frame has no payload digits", base + i)
+                value = int(self._digits, 16)
+                messages.append(HostMessage(self._kind, -value if self._negative else value))
+                self._kind = None
+            elif byte == _SIGN:
+                if self._kind is not MessageKind.ANGLE_VALUE:
+                    raise self._error("sign flag is only valid in a value frame", base + i)
+                if self._negative or not self._digits:
+                    raise self._error("misplaced sign flag", base + i)
+                self._negative = True
             else:
-                raise FramingError(f"non-hex digit {chr(byte)!r} in frame", pos)
+                raise self._error(f"non-hex digit {chr(byte)!r} in frame", base + i)
+            i += 1
+        self._offset = base + end
         return messages
+
+    def _error(self, message: str, pos: int) -> FramingError:
+        """The error at byte ``pos``; the stream offset stops just past that byte."""
+        self._offset = pos + 1
+        return FramingError(message, pos)
 
 
 def decode_stream(data: bytes) -> list[HostMessage]:
@@ -162,13 +181,12 @@ def encode_session(program: CompiledProgram, config: ExecConfig) -> bytes:
         encode_message(HostMessage(MessageKind.ANGLE_COUNT, len(program.table))),
         encode_message(HostMessage(MessageKind.QUBIT_COUNT, program.used_qubits)),
     ]
-    for k in range(len(program.table)):
-        s, c = program.table.raw_pair(k)
-        parts.append(encode_message(HostMessage(MessageKind.ANGLE_VALUE, s)))
-        parts.append(encode_message(HostMessage(MessageKind.ANGLE_VALUE, c)))
-    for instr in program.instructions:
-        word = encode_instruction(instr, config)
-        parts.append(encode_message(HostMessage(MessageKind.INSTRUCTION, word)))
+    # Table values and words are framed directly: both are valid payloads by
+    # construction, so the per-message checks of HostMessage are skipped.
+    value, instruction = MessageKind.ANGLE_VALUE.value, MessageKind.INSTRUCTION.value
+    body = [_frame(value, raw) for pair in program.table.entries for raw in pair]
+    body += [_frame(instruction, word) for word in encode_words(program.instructions, config)]
+    parts.append("".join(body).encode("ascii"))
     parts.append(encode_message(HostMessage(MessageKind.END_OF_EMULATION)))
     return b"".join(parts)
 
@@ -190,9 +208,13 @@ def decode_readback(data: bytes, fmt: FixedPointFormat, n_qubits: int) -> FixedS
         values = [int(line) for line in lines]
     except ValueError as exc:
         raise ProtocolError(f"bad readback line: {exc}") from None
-    re = np.array(values[0::2], dtype=np.int64)
-    im = np.array(values[1::2], dtype=np.int64)
-    return FixedState(n_qubits, fmt, re, im)
+    if min(values) < fmt.min_raw or max(values) > fmt.max_raw:
+        lineno, value = next((k, v) for k, v in enumerate(values, 1) if not fmt.min_raw <= v <= fmt.max_raw)
+        raise ProtocolError(
+            f"readback line {lineno}: value {value} outside the {fmt.total_bits}-bit range "
+            f"[{fmt.min_raw}, {fmt.max_raw}]"
+        )
+    return FixedState(n_qubits, fmt, values[0::2], values[1::2])
 
 
 class VirtualBoard:
@@ -256,7 +278,7 @@ class VirtualBoard:
         fmt = self.config.fixed_format
         pairs = list(zip(self._angle_values[0::2], self._angle_values[1::2]))
         table = AngleTable(fmt, pairs)
-        instructions = tuple(decode_instruction(w, self.config) for w in self._words)
+        instructions = tuple(decode_words(self._words, self.config))
         program = CompiledProgram(instructions, table, self._used_qubits)
         self._result = run(program, self.config)
 

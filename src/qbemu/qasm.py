@@ -50,8 +50,7 @@ class _BodyOp:
     name: str
     angle_exprs: tuple
     qubit_args: tuple[str, ...]
-    line: int
-    col: int
+    pos: int  # character offset of the op's name in the source
 
 
 @dataclass(frozen=True)
@@ -68,52 +67,46 @@ class GateDefinition:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
+# Whitespace and comments are one skipped alternative with no named group; it
+# comes before the punctuation so that ``//`` never reads as two slashes.  The
+# final catch-all makes every character part of some match.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>//[^\n]*)
-  | (?P<nl>\n)
+    (?:[ \t\r\n]+|//[^\n]*)+
   | (?P<real>(\d+\.\d*|\.\d+)([eE][+-]?\d+)?)
   | (?P<int>\d+)
   | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<string>"[^"\n]*")
-  | (?P<arrow>->)
-  | (?P<eq>==)
-  | (?P<punct>[;,(){}\[\]+\-*/^])
+  | (?P<punct>->|==|[;,(){}\[\]+\-*/^])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+def _line_col(text: str, pos: int) -> tuple[int, int]:
+    """1-based line and column of character offset ``pos``."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
-def _tokenize(text: str, filename: str) -> list[_Token]:
+def _tokenize(text: str, filename: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, offset)`` per token, ending with an ``eof`` token.
+
+    Punctuation tokens use their own text as the kind.
+    """
     tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise QasmError(f"unexpected character {text[pos]!r}", filename, line, col)
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        if kind is None:
+            continue
         tok = m.group()
-        if kind == "nl":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(tok)
-        else:
-            if kind == "punct" or kind in ("arrow", "eq"):
-                kind = tok
-            tokens.append(_Token(kind, tok, line, col))
-            col += len(tok)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+        if kind == "punct":
+            kind = tok
+        elif kind == "bad":
+            raise QasmError(f"unexpected character {tok!r}", filename, *_line_col(text, m.start()))
+        append((kind, tok, m.start()))
+    append(("eof", "", len(text)))
     return tokens
 
 
@@ -247,6 +240,7 @@ _UNARY_FUNCS = {
 
 class _Parser:
     def __init__(self, text: str, filename: str):
+        self.text = text
         self.filename = filename
         self.tokens = _tokenize(text, filename)
         self.pos = 0
@@ -258,30 +252,44 @@ class _Parser:
 
     # -- token helpers ----------------------------------------------------
 
-    def _peek(self) -> _Token:
+    def _peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
 
-    def _next(self) -> _Token:
+    def _at(self, kind: str) -> bool:
+        return self.tokens[self.pos][0] == kind
+
+    def _next(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
-    def _error(self, message: str, tok: _Token | None = None):
-        tok = tok or self._peek()
-        raise QasmError(message, self.filename, tok.line, tok.col)
+    def _accept(self, kind: str) -> bool:
+        """Consume the next token if it is of ``kind``."""
+        if self.tokens[self.pos][0] == kind:
+            self.pos += 1
+            return True
+        return False
 
-    def _expect(self, kind: str, what: str | None = None) -> _Token:
-        tok = self._peek()
-        if tok.kind != kind:
-            self._error(f"expected {what or kind}, found {tok.text!r}" if tok.text else f"expected {what or kind}", tok)
-        return self._next()
+    def _error(self, message: str, pos: int | None = None):
+        """Raise at source offset ``pos``, by default the next token's."""
+        if pos is None:
+            pos = self.tokens[self.pos][2]
+        raise QasmError(message, self.filename, *_line_col(self.text, pos))
+
+    def _expect(self, kind: str, what: str | None = None) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            text = tok[1]
+            self._error(f"expected {what or kind}, found {text!r}" if text else f"expected {what or kind}", tok[2])
+        self.pos += 1
+        return tok
 
     # -- top level ---------------------------------------------------------
 
     def parse(self) -> SourceCircuit:
         self._parse_header()
-        while self._peek().kind != "eof":
+        while not self._at("eof"):
             self._parse_statement()
         names = {}
         for reg, (base, size) in self.qregs.items():
@@ -290,20 +298,19 @@ class _Parser:
         return SourceCircuit(self.qubit_count, names, self.gates, dict(self.cregs))
 
     def _parse_header(self) -> None:
-        tok = self._peek()
-        if tok.kind != "id" or tok.text != "OPENQASM":
-            self._error("expected 'OPENQASM 2.0;' header", tok)
+        kind, text, _ = self._peek()
+        if kind != "id" or text != "OPENQASM":
+            self._error("expected 'OPENQASM 2.0;' header")
         self._next()
-        ver = self._expect("real", "version number")
-        if ver.text != "2.0":
-            self._error(f"unsupported OpenQASM version {ver.text}", ver)
+        _, version, pos = self._expect("real", "version number")
+        if version != "2.0":
+            self._error(f"unsupported OpenQASM version {version}", pos)
         self._expect(";")
 
     def _parse_statement(self) -> None:
-        tok = self._peek()
-        if tok.kind != "id":
-            self._error(f"expected a statement, found {tok.text!r}", tok)
-        name = tok.text
+        kind, name, _ = self._peek()
+        if kind != "id":
+            self._error(f"expected a statement, found {name!r}")
         if name == "include":
             self._parse_include()
         elif name in ("qreg", "creg"):
@@ -311,11 +318,11 @@ class _Parser:
         elif name == "gate":
             self._parse_gate_definition()
         elif name == "opaque":
-            self._error("opaque gates are not supported (no semantics to emulate)", tok)
+            self._error("opaque gates are not supported (no semantics to emulate)")
         elif name == "if":
-            self._error("unsupported: conditional execution", tok)
+            self._error("unsupported: conditional execution")
         elif name == "reset":
-            self._error("unsupported: reset", tok)
+            self._error("unsupported: reset")
         elif name == "measure":
             self._parse_measure()
         elif name == "barrier":
@@ -325,22 +332,21 @@ class _Parser:
 
     def _parse_include(self) -> None:
         self._next()
-        tok = self._expect("string", "include file name")
-        if tok.text.strip('"') != "qelib1.inc":
-            self._error(f"unsupported include {tok.text}; only \"qelib1.inc\" is built in", tok)
+        _, text, pos = self._expect("string", "include file name")
+        if text.strip('"') != "qelib1.inc":
+            self._error(f"unsupported include {text}; only \"qelib1.inc\" is built in", pos)
         self._expect(";")
 
     def _parse_register(self, which: str) -> None:
         self._next()
-        name_tok = self._expect("id", "register name")
-        name = name_tok.text
+        _, name, name_pos = self._expect("id", "register name")
         if name in self.qregs or name in self.cregs:
-            self._error(f"register {name!r} already declared", name_tok)
+            self._error(f"register {name!r} already declared", name_pos)
         self._expect("[")
-        size_tok = self._expect("int", "register size")
-        size = int(size_tok.text)
+        _, size_text, size_pos = self._expect("int", "register size")
+        size = int(size_text)
         if size <= 0:
-            self._error("register size must be positive", size_tok)
+            self._error("register size must be positive", size_pos)
         self._expect("]")
         self._expect(";")
         if which == "qreg":
@@ -351,130 +357,127 @@ class _Parser:
 
     # -- gate definitions ----------------------------------------------------
 
+    def _parse_ids(self, what: str) -> list[str]:
+        """A comma-separated list of at least one identifier."""
+        names = [self._expect("id", what)[1]]
+        while self._accept(","):
+            names.append(self._expect("id", what)[1])
+        return names
+
     def _parse_gate_definition(self) -> None:
         self._next()
-        name_tok = self._expect("id", "gate name")
-        name = name_tok.text
+        _, name, name_pos = self._expect("id", "gate name")
         if name in _BUILTIN_SIGNATURES or name in self.defs:
-            self._error(f"gate {name!r} already defined", name_tok)
+            self._error(f"gate {name!r} already defined", name_pos)
         params: list[str] = []
-        if self._peek().kind == "(":
-            self._next()
-            if self._peek().kind != ")":
-                params.append(self._expect("id", "parameter name").text)
-                while self._peek().kind == ",":
-                    self._next()
-                    params.append(self._expect("id", "parameter name").text)
+        if self._accept("("):
+            if not self._at(")"):
+                params = self._parse_ids("parameter name")
             self._expect(")")
-        qargs = [self._expect("id", "qubit argument").text]
-        while self._peek().kind == ",":
-            self._next()
-            qargs.append(self._expect("id", "qubit argument").text)
+        qargs = self._parse_ids("qubit argument")
         if len(set(params)) != len(params) or len(set(qargs)) != len(qargs):
-            self._error(f"duplicate formal argument in gate {name!r}", name_tok)
+            self._error(f"duplicate formal argument in gate {name!r}", name_pos)
         self._expect("{")
         body: list[_BodyOp] = []
-        while self._peek().kind != "}":
-            op_tok = self._peek()
-            if op_tok.kind != "id":
-                self._error("expected a gate name in gate body", op_tok)
-            if op_tok.text == "barrier":
+        while not self._at("}"):
+            kind, op_name, op_pos = self._peek()
+            if kind != "id":
+                self._error("expected a gate name in gate body")
+            if op_name == "barrier":
                 self._next()
-                while self._peek().kind not in (";", "eof"):
+                while self._peek()[0] not in (";", "eof"):
                     self._next()
                 self._expect(";")
                 continue
-            op_name = self._next().text
+            self._next()
             if op_name == name:
-                self._error(f"recursive gate definition: {name!r} references itself", op_tok)
+                self._error(f"recursive gate definition: {name!r} references itself", op_pos)
             if op_name not in _BUILTIN_SIGNATURES and op_name not in self.defs:
-                self._error(f"unknown gate {op_name!r} in body of {name!r}", op_tok)
+                self._error(f"unknown gate {op_name!r} in body of {name!r}", op_pos)
             angle_exprs: list = []
-            if self._peek().kind == "(":
-                self._next()
-                if self._peek().kind != ")":
+            if self._accept("("):
+                if not self._at(")"):
                     angle_exprs.append(self._parse_expr())
-                    while self._peek().kind == ",":
-                        self._next()
+                    while self._accept(","):
                         angle_exprs.append(self._parse_expr())
                 self._expect(")")
-            op_qargs = [self._expect("id", "qubit argument").text]
-            while self._peek().kind == ",":
-                self._next()
-                op_qargs.append(self._expect("id", "qubit argument").text)
+            op_qargs = self._parse_ids("qubit argument")
             self._expect(";")
             for q in op_qargs:
                 if q not in qargs:
-                    self._error(f"unknown qubit argument {q!r} in body of {name!r}", op_tok)
-            self._check_arity(op_name, len(angle_exprs), len(op_qargs), op_tok)
-            body.append(_BodyOp(op_name, tuple(angle_exprs), tuple(op_qargs), op_tok.line, op_tok.col))
+                    self._error(f"unknown qubit argument {q!r} in body of {name!r}", op_pos)
+            self._check_arity(op_name, len(angle_exprs), len(op_qargs), op_pos)
+            body.append(_BodyOp(op_name, tuple(angle_exprs), tuple(op_qargs), op_pos))
         self._expect("}")
         self.defs[name] = GateDefinition(name, tuple(params), tuple(qargs), tuple(body))
 
-    def _check_arity(self, name: str, n_angles: int, n_qubits: int, tok: _Token) -> None:
+    def _check_arity(self, name: str, n_angles: int, n_qubits: int, pos: int) -> None:
         if name in _BUILTIN_SIGNATURES:
             want_a, want_q = _BUILTIN_SIGNATURES[name]
         else:
             d = self.defs[name]
             want_a, want_q = len(d.params), len(d.qargs)
         if n_angles != want_a:
-            self._error(f"gate {name!r} takes {want_a} parameter(s), got {n_angles}", tok)
+            self._error(f"gate {name!r} takes {want_a} parameter(s), got {n_angles}", pos)
         if n_qubits != want_q:
-            self._error(f"gate {name!r} takes {want_q} qubit argument(s), got {n_qubits}", tok)
+            self._error(f"gate {name!r} takes {want_q} qubit argument(s), got {n_qubits}", pos)
 
     # -- expressions -------------------------------------------------------
 
     def _parse_expr(self):
         node = self._parse_term()
-        while self._peek().kind in ("+", "-"):
-            op = self._next().kind
+        while self._peek()[0] in ("+", "-"):
+            op = self._next()[0]
             node = ("bin", op, node, self._parse_term())
         return node
 
     def _parse_term(self):
         node = self._parse_factor()
-        while self._peek().kind in ("*", "/"):
-            op = self._next().kind
+        while self._peek()[0] in ("*", "/"):
+            op = self._next()[0]
             node = ("bin", op, node, self._parse_factor())
         return node
 
     def _parse_factor(self):
         node = self._parse_atom()
-        if self._peek().kind == "^":
-            self._next()
+        if self._accept("^"):
             node = ("bin", "^", node, self._parse_factor())
         return node
 
     def _parse_atom(self):
-        tok = self._peek()
-        if tok.kind == "-":
+        kind, text, pos = self._peek()
+        if kind == "-":
             self._next()
             return ("neg", self._parse_factor())
-        if tok.kind == "(":
+        if kind == "(":
             self._next()
             node = self._parse_expr()
             self._expect(")")
             return node
-        if tok.kind in ("real", "int"):
+        if kind in ("real", "int"):
             self._next()
-            return ("num", float(tok.text))
-        if tok.kind == "id":
+            return ("num", float(text))
+        if kind == "id":
             self._next()
-            if tok.text == "pi":
+            if text == "pi":
                 return ("num", math.pi)
-            if tok.text in _UNARY_FUNCS:
+            if text in _UNARY_FUNCS:
                 self._expect("(")
                 node = self._parse_expr()
                 self._expect(")")
-                return ("fun", tok.text, node)
-            return ("param", tok.text, tok.line, tok.col)
-        self._error(f"expected an expression, found {tok.text!r}", tok)
+                return ("fun", text, node)
+            return ("param", text, pos)
+        self._error(f"expected an expression, found {text!r}", pos)
 
-    def _eval_angle(self, node, env: dict[str, float], tok: _Token) -> float:
+    def _eval_angle(self, node, env: dict[str, float], pos: int) -> float:
+        """Value of an angle expression; failures are positioned at ``pos``."""
         try:
-            return self._eval_expr(node, env)
-        except (ZeroDivisionError, OverflowError) as exc:
-            self._error(f"cannot evaluate expression: {exc}", tok)
+            value = self._eval_expr(node, env)
+        except (ZeroDivisionError, OverflowError, ValueError) as exc:
+            self._error(f"cannot evaluate expression: {exc}", pos)
+        if not math.isfinite(value):
+            self._error(f"cannot evaluate expression: result is {value}", pos)
+        return value
 
     def _eval_expr(self, node, env: dict[str, float]) -> float:
         tag = node[0]
@@ -485,9 +488,9 @@ class _Parser:
         if tag == "fun":
             return _UNARY_FUNCS[node[1]](self._eval_expr(node[2], env))
         if tag == "param":
-            _, name, line, col = node
+            _, name, pos = node
             if name not in env:
-                raise QasmError(f"undefined parameter {name!r}", self.filename, line, col)
+                self._error(f"undefined parameter {name!r}", pos)
             return env[name]
         _, op, lhs, rhs = node
         a, b = self._eval_expr(lhs, env), self._eval_expr(rhs, env)
@@ -499,39 +502,41 @@ class _Parser:
             return a * b
         if op == "/":
             return a / b
-        return a**b
+        power = a**b
+        if isinstance(power, complex):  # negative base, fractional exponent
+            raise ValueError("math domain error")
+        return power
 
     # -- arguments and broadcast --------------------------------------------
 
-    def _parse_argument(self) -> tuple[str, int | None, _Token]:
-        name_tok = self._expect("id", "register reference")
+    def _parse_argument(self) -> tuple[str, int | None, int]:
+        _, name, pos = self._expect("id", "register reference")
         idx = None
-        if self._peek().kind == "[":
-            self._next()
-            idx = int(self._expect("int", "index").text)
+        if self._accept("["):
+            idx = int(self._expect("int", "index")[1])
             self._expect("]")
-        return name_tok.text, idx, name_tok
+        return name, idx, pos
 
-    def _resolve_qubit_arg(self, name: str, idx: int | None, tok: _Token) -> list[int]:
+    def _resolve_qubit_arg(self, name: str, idx: int | None, pos: int) -> list[int]:
         if name not in self.qregs:
-            self._error(f"unknown quantum register {name!r}", tok)
+            self._error(f"unknown quantum register {name!r}", pos)
         base, size = self.qregs[name]
         if idx is None:
             return [base + k for k in range(size)]
         if not 0 <= idx < size:
-            self._error(f"qubit index {name}[{idx}] out of range (size {size})", tok)
+            self._error(f"qubit index {name}[{idx}] out of range (size {size})", pos)
         return [base + idx]
 
-    def _broadcast(self, operands: list[list[int]], tok: _Token) -> list[list[int]]:
+    def _broadcast(self, operands: list[list[int]], pos: int) -> list[list[int]]:
         lengths = {len(ops) for ops in operands if len(ops) > 1}
         if len(lengths) > 1:
-            self._error("mismatched register sizes in broadcast", tok)
+            self._error("mismatched register sizes in broadcast", pos)
         n = lengths.pop() if lengths else 1
         rows = []
         for k in range(n):
             row = [ops[k] if len(ops) > 1 else ops[0] for ops in operands]
             if len(set(row)) != len(row):
-                self._error("duplicate qubit in gate arguments", tok)
+                self._error("duplicate qubit in gate arguments", pos)
             rows.append(row)
         return rows
 
@@ -539,76 +544,63 @@ class _Parser:
 
     def _parse_measure(self) -> None:
         self._next()
-        qname, qidx, qtok = self._parse_argument()
+        qname, qidx, qpos = self._parse_argument()
         self._expect("->")
-        cname, cidx, ctok = self._parse_argument()
+        cname, cidx, cpos = self._parse_argument()
         self._expect(";")
-        qubits = self._resolve_qubit_arg(qname, qidx, qtok)
+        qubits = self._resolve_qubit_arg(qname, qidx, qpos)
         if cname not in self.cregs:
-            self._error(f"unknown classical register {cname!r}", ctok)
+            self._error(f"unknown classical register {cname!r}", cpos)
         csize = self.cregs[cname]
         if cidx is None:
             if qidx is None and len(qubits) != csize:
-                self._error("measure register size mismatch", ctok)
+                self._error("measure register size mismatch", cpos)
         elif not 0 <= cidx < csize:
-            self._error(f"bit index {cname}[{cidx}] out of range (size {csize})", ctok)
+            self._error(f"bit index {cname}[{cidx}] out of range (size {csize})", cpos)
         # measurement happens off-device; nothing is emitted
 
     def _parse_barrier(self) -> None:
         self._next()
-        name, idx, tok = self._parse_argument()
-        self._resolve_qubit_arg(name, idx, tok)
-        while self._peek().kind == ",":
-            self._next()
-            name, idx, tok = self._parse_argument()
-            self._resolve_qubit_arg(name, idx, tok)
+        self._resolve_qubit_arg(*self._parse_argument())
+        while self._accept(","):
+            self._resolve_qubit_arg(*self._parse_argument())
         self._expect(";")
 
     def _parse_gate_application(self) -> None:
-        name_tok = self._next()
-        name = name_tok.text
+        _, name, name_pos = self._next()
         if name not in _BUILTIN_SIGNATURES and name not in self.defs:
-            self._error(f"unknown gate {name!r}", name_tok)
+            self._error(f"unknown gate {name!r}", name_pos)
         angles: list[float] = []
-        if self._peek().kind == "(":
-            self._next()
-            if self._peek().kind != ")":
-                angles.append(self._eval_angle(self._parse_expr(), {}, name_tok))
-                while self._peek().kind == ",":
-                    self._next()
-                    angles.append(self._eval_angle(self._parse_expr(), {}, name_tok))
+        if self._accept("("):
+            if not self._at(")"):
+                angles.append(self._eval_angle(self._parse_expr(), {}, name_pos))
+                while self._accept(","):
+                    angles.append(self._eval_angle(self._parse_expr(), {}, name_pos))
             self._expect(")")
-        operands: list[list[int]] = []
-        qname, qidx, qtok = self._parse_argument()
-        operands.append(self._resolve_qubit_arg(qname, qidx, qtok))
-        while self._peek().kind == ",":
-            self._next()
-            qname, qidx, qtok = self._parse_argument()
-            operands.append(self._resolve_qubit_arg(qname, qidx, qtok))
+        operands = [self._resolve_qubit_arg(*self._parse_argument())]
+        while self._accept(","):
+            operands.append(self._resolve_qubit_arg(*self._parse_argument()))
         self._expect(";")
-        self._check_arity(name, len(angles), len(operands), name_tok)
-        for row in self._broadcast(operands, name_tok):
-            self._emit(name, angles, row, name_tok)
+        self._check_arity(name, len(angles), len(operands), name_pos)
+        for row in self._broadcast(operands, name_pos):
+            self._emit(name, angles, row, name_pos)
 
-    def _emit(self, name: str, angles: list[float], qubits: list[int], tok: _Token) -> None:
+    def _emit(self, name: str, angles: list[float], qubits: list[int], pos: int) -> None:
         if name in _BUILTIN_SIGNATURES:
             try:
                 _lower_builtin(name, angles, qubits, self.gates)
             except ValueError as exc:
-                self._error(str(exc), tok)
+                self._error(str(exc), pos)
             return
         d = self.defs[name]
         env = dict(zip(d.params, angles))
         qmap = dict(zip(d.qargs, qubits))
         for op in d.body:
-            op_tok = _Token("id", op.name, op.line, op.col)
-            sub_angles = [self._eval_angle(e, env, op_tok) for e in op.angle_exprs]
+            sub_angles = [self._eval_angle(e, env, op.pos) for e in op.angle_exprs]
             sub_qubits = [qmap[q] for q in op.qubit_args]
             if len(set(sub_qubits)) != len(sub_qubits):
-                raise QasmError(
-                    f"duplicate qubit in expansion of {name!r}", self.filename, op.line, op.col
-                )
-            self._emit(op.name, sub_angles, sub_qubits, tok)
+                self._error(f"duplicate qubit in expansion of {name!r}", op.pos)
+            self._emit(op.name, sub_angles, sub_qubits, pos)
 
 
 def parse(source_text: str, filename: str = "<input>") -> SourceCircuit:

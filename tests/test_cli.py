@@ -68,6 +68,14 @@ class TestCompile:
         rc = main(["compile", str(bad), "--config", str(config_file), "--out", str(tmp_path)])
         assert rc == 3
 
+    @pytest.mark.parametrize("expr", ["sqrt(-1)", "ln(0)", "1.0e308*10", "1.0e308*10-1.0e308*10"])
+    def test_bad_angle_exit_3_with_position(self, tmp_path, config_file, capsys, expr):
+        bad = tmp_path / "bad.qasm"
+        bad.write_text(f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nrx({expr}) q[0];\n')
+        rc = main(["compile", str(bad), "--config", str(config_file), "--out", str(tmp_path)])
+        assert rc == 3
+        assert f"{bad}:4:1: cannot evaluate expression" in capsys.readouterr().err
+
     def test_binary_and_text_decode_identically(self, tmp_path, bell_qasm, config_file):
         from qbemu.compiler import load_program_files
         from qbemu.config import load_config

@@ -269,3 +269,11 @@ class TestAngleTable:
         table = AngleTable(None)
         idx = table.intern(-0.25)
         assert table.sin_cos(idx) == (math.sin(-0.25), math.cos(-0.25))
+
+    @pytest.mark.parametrize("fmt", [None, FixedPointFormat(20, "nearest")])
+    @pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle_rejected(self, fmt, angle):
+        table = AngleTable(fmt)
+        with pytest.raises(CompileError, match="not finite"):
+            table.intern(angle)
+        assert len(table) == 0

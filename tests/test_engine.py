@@ -307,6 +307,25 @@ class TestApplyGateFixed:
         assert np.allclose(state.to_complex(), [INV_SQRT2, INV_SQRT2], atol=1e-9)
         assert not state.overflow
 
+    @pytest.mark.parametrize("re0", [128, -129, 1 << 40, 1 << 70])
+    def test_raw_values_outside_word_rejected(self, re0):
+        fmt = FixedPointFormat(8)
+        with pytest.raises(EngineError, match=r"outside the 8-bit word range \[-128, 127\]"):
+            FixedState(1, fmt, [re0, 0], [0, 0])
+        with pytest.raises(EngineError, match="outside the 8-bit word range"):
+            FixedState(1, fmt, [0, 0], [0, re0])
+        state = FixedState(1, fmt, [127, -128], [-128, 127])
+        assert state.re.tolist() == [127, -128]
+
+    def test_copy_does_not_rescan(self):
+        # run(..., initial=...) copies the state on every call; the copy trusts
+        # the state it copies, so a word planted after construction survives it
+        state = FixedState(1, FixedPointFormat(8))
+        state.re[1] = 1 << 40
+        clone = state.copy()
+        assert clone.re.tolist() == state.re.tolist()
+        assert clone.re is not state.re and clone.im is not state.im
+
     def test_sign_exchange_zero_arithmetic_error(self):
         # X,Y,Z,S,Sdg only permute and negate raw values: results must equal
         # the exact permutation/sign action with no rounding at all

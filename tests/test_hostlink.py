@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qbemu.compiler import compile_circuit
+from qbemu.compiler import compile_circuit, encode_instruction
 from qbemu.config import ExecConfig
 from qbemu.engine import FixedState, run
 from qbemu.fixedpoint import FixedPointFormat
@@ -164,6 +164,24 @@ class TestReadback:
         with pytest.raises(ProtocolError):
             decode_readback(b"1\n2\n", fmt, 2)
 
+    @pytest.mark.parametrize(
+        "data, line, value",
+        [
+            (b"1099511627776\n0\n0\n0\n", 1, 1099511627776),
+            (b"0\n0\n0\n-2147483649\n", 4, -2147483649),
+            (b"0\n" + str(1 << 70).encode() + b"\n0\n0\n", 2, 1 << 70),
+        ],
+    )
+    def test_out_of_range_value_rejected(self, data, line, value):
+        # beyond the word, the int64 kernels would wrap instead of saturating
+        with pytest.raises(ProtocolError, match=f"line {line}: value {value} outside the 32-bit range"):
+            decode_readback(data, FixedPointFormat(32), 1)
+
+    def test_word_range_edges_accepted(self):
+        fmt = FixedPointFormat(32)
+        state = decode_readback(b"2147483647\n-2147483648\n0\n0\n", fmt, 1)
+        assert (state.re[0], state.im[0]) == (fmt.max_raw, fmt.min_raw)
+
 
 class TestSession:
     def _bell(self, config):
@@ -195,6 +213,23 @@ class TestSession:
         looped = loopback_session(program, config)
         assert np.array_equal(looped.re, direct.re)
         assert np.array_equal(looped.im, direct.im)
+
+    def test_session_equals_framed_message_sequence(self):
+        # the session is the documented message sequence, each framed by encode_message
+        rng = np.random.default_rng(11)
+        config = ExecConfig(n_qubits=5, data_bits=16, rounding="truncation", imm_bits=7)
+        program = compile_circuit(gates_as_circuit(random_gates(rng, 5, 60), 5), config)
+        assert any(v < 0 for pair in program.table.entries for v in pair)
+        messages = [
+            HostMessage(MessageKind.ANGLE_COUNT, len(program.table)),
+            HostMessage(MessageKind.QUBIT_COUNT, program.used_qubits),
+            *(HostMessage(MessageKind.ANGLE_VALUE, v) for pair in program.table.entries for v in pair),
+            *(HostMessage(MessageKind.INSTRUCTION, encode_instruction(i, config)) for i in program.instructions),
+            HostMessage(MessageKind.END_OF_EMULATION),
+        ]
+        stream = encode_session(program, config)
+        assert stream == b"".join(encode_message(m) for m in messages)
+        assert decode_stream(stream) == messages
 
     def test_empty_program_returns_initial_state(self):
         config = ExecConfig(n_qubits=2)

@@ -167,11 +167,92 @@ class TestParseErrors:
     def test_undefined_parameter(self):
         self.assert_error(HEADER + "qreg q[1];\nrx(alpha) q[0];\n", "undefined parameter")
 
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            ("sqrt(-1)", "math domain error"),
+            ("ln(0)", "math domain error"),
+            ("(-1)^0.5", "math domain error"),
+            ("1.0e308*10", "result is inf"),
+            ("1.0e308*10-1.0e308*10", "result is nan"),
+        ],
+    )
+    def test_bad_angle_is_positioned(self, expr, message):
+        with pytest.raises(QasmError) as err:
+            parse(HEADER + f"qreg q[1];\n  rx({expr}) q[0];\n", filename="f.qasm")
+        assert str(err.value) == f"f.qasm:4:3: cannot evaluate expression: {message}"
+
+    def test_bad_angle_inside_macro_is_positioned_at_body_op(self):
+        src = HEADER + "gate g(t) a {\n  h a;\n  rz(sqrt(t)) a;\n}\nqreg q[1];\ng(-1) q[0];\n"
+        with pytest.raises(QasmError) as err:
+            parse(src, filename="f.qasm")
+        assert str(err.value) == "f.qasm:5:3: cannot evaluate expression: math domain error"
+
     def test_zero_size_register(self):
         self.assert_error(HEADER + "qreg q[0];\n", "positive")
 
     def test_duplicate_register(self):
         self.assert_error(HEADER + "qreg q[1];\nqreg q[2];\n", "already declared")
+
+
+class TestErrorPositions:
+    """Exact ``file:line:col: message`` text; columns count characters from 1,
+    so a tab or a carriage return is one column."""
+
+    CASES = {
+        "character_after_tabs": (
+            HEADER + "qreg q[1];\n\t\th q[0];\t@\n",
+            "f.qasm:4:11: unexpected character '@'",
+        ),
+        "character_after_crlf": (
+            'OPENQASM 2.0;\r\ninclude "qelib1.inc";\r\nqreg q[1];\r\nh q[0];\r\n  $ q[0];\r\n',
+            "f.qasm:5:3: unexpected character '$'",
+        ),
+        "after_comment_with_punctuation": (
+            HEADER + "qreg q[1];\n// see a/b. (c) / 2.0\nh q[0]; // x/y.(z\n  bogus q[0];\n",
+            "f.qasm:6:3: unknown gate 'bogus'",
+        ),
+        "comment_without_newline_at_eof": (
+            HEADER + "qreg q[1];\nh q[0] // trailing, no newline",
+            "f.qasm:4:31: expected ;",
+        ),
+        "unterminated_string": (
+            'OPENQASM 2.0;\ninclude "qelib1.inc;\nqreg q[1];\n',
+            "f.qasm:2:9: unexpected character '\"'",
+        ),
+        "expected_at_eof": (HEADER + "qreg q[1];\nh q[0]", "f.qasm:4:7: expected ;"),
+        "expected_at_eof_after_blank_lines": (HEADER + "qreg q[1];\nh q[0]\n\n", "f.qasm:6:1: expected ;"),
+        "undefined_parameter_in_body": (
+            HEADER + "gate g(t) a {\n  h a;\n  rx(t + u) a;\n}\nqreg q[1];\ng(1.0) q[0];\n",
+            "f.qasm:5:10: undefined parameter 'u'",
+        ),
+        "unknown_qubit_argument_in_body": (
+            HEADER + "gate g a {\n  h a;\n    cx a, b;\n}\n",
+            "f.qasm:5:5: unknown qubit argument 'b' in body of 'g'",
+        ),
+        "recursion_in_macro": (
+            HEADER + "gate rec a {\n  h a; rec a;\n}\n",
+            "f.qasm:4:8: recursive gate definition: 'rec' references itself",
+        ),
+        "math_error_inside_nested_macro": (
+            HEADER + "gate inv(t) a {\n  h a;\n  rz(1/t) a;\n}\ngate outer(t) a { inv(t) a; }\n"
+            "qreg q[1];\nouter(0) q[0];\n",
+            "f.qasm:5:3: cannot evaluate expression: float division by zero",
+        ),
+        "math_range_error": (
+            HEADER + "qreg q[1];\nrx(exp(1000)) q[0];\n",
+            "f.qasm:4:1: cannot evaluate expression: math range error",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_exact_message(self, name):
+        src, expected = self.CASES[name]
+        with pytest.raises(QasmError) as err:
+            parse(src, filename="f.qasm")
+        assert str(err.value) == expected
+        line, col = (int(part) for part in expected.split(":")[1:3])
+        assert (err.value.filename, err.value.line, err.value.col) == ("f.qasm", line, col)
 
 
 # Defining matrices for the lowered equivalences, written directly.
