@@ -363,7 +363,7 @@ def main(argv=None) -> int:
     except (QasmError, CompileError, DecodeError, ConfigError, FramingError, ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPILE
-    except (EngineError, ValueError) as exc:
+    except (EngineError, ValueError, MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -1,9 +1,9 @@
-"""State-vector execution engine: a strided walk over amplitude couples.
+"""State-vector execution engine: gate kernels over amplitude couples.
 
 A gate on target ``t`` couples the pairs ``(i, i + 2**t)`` with bit ``t`` of
 ``i`` clear; a control keeps the pairs whose control bit is 1.  Reshaping the
 state so that target and control bits are axes of length 2 makes the low and
-high amplitudes of all couples two basic-slice views: no index arrays.  Each
+high amplitudes of all couples basic-slice views: no index arrays.  Each
 kernel computes its outputs from the pre-gate amplitudes and writes them
 back through the views, so the couple order cannot affect the result.
 
@@ -13,7 +13,9 @@ Two interchangeable backends execute the same instruction streams:
 * :class:`FixedState` -- bit-accurate two's-complement model whose kernels
   follow the three datapath classes (sign/exchange, one-multiplier,
   two-multiplier rotational) and round every multiplier output individually;
-  no kernel performs a general 2x2 complex multiply.
+  no kernel performs a general 2x2 complex multiply.  Its real and imaginary
+  planes are the two rows of one array, so each kernel step covers both, and
+  large gates run block by block.
 
 A dense tensor-product oracle provides an independent check of the couple
 walk, and measurement statistics can be sampled from either backend.
@@ -38,9 +40,26 @@ from .gates import (
 
 DENSE_ORACLE_MAX_QUBITS = 10
 
+# Largest state either backend allocates: 2**n amplitudes of 16 bytes each
+# (one complex128, or one int64 in each of the two fixed-point planes).
+MAX_STATE_BYTES = 1 << 32
+
+# A fixed-point gate whose couple tensor holds more amplitudes per plane than
+# this runs block by block, so its temporaries stay in the L2 cache.
+_BLOCK = 1 << 14
+
 
 class EngineError(Exception):
     pass
+
+
+def _check_state_size(n_qubits: int) -> None:
+    """Refuse a state larger than :data:`MAX_STATE_BYTES` before allocating it."""
+    if n_qubits >= MAX_STATE_BYTES.bit_length() or 16 << n_qubits > MAX_STATE_BYTES:
+        raise EngineError(
+            f"a {n_qubits}-qubit state needs 2**{n_qubits} x 16 bytes, "
+            f"over the {MAX_STATE_BYTES}-byte state limit"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +73,7 @@ class FloatState:
     __slots__ = ("n_qubits", "amp")
 
     def __init__(self, n_qubits: int, amp: np.ndarray | None = None):
+        _check_state_size(n_qubits)
         self.n_qubits = n_qubits
         if amp is None:
             amp = np.zeros(1 << n_qubits, dtype=complex)
@@ -84,12 +104,15 @@ def _word_range_error(fmt: FixedPointFormat) -> EngineError:
 class FixedState:
     """Fixed-point state vector: raw integer real/imaginary parts.
 
+    ``raw`` is one ``(2, 2**n)`` int64 array holding the real plane in row 0
+    and the imaginary plane in row 1; ``re`` and ``im`` are views of those
+    rows.  The constructor copies caller-supplied parts, whose raw values
+    must lie in the word's range ``[fmt.min_raw, fmt.max_raw]``.
     ``overflow`` is the sticky saturation flag aggregated over all kernel
-    arithmetic applied to this state.  Caller-supplied raw values must lie in
-    the word's range ``[fmt.min_raw, fmt.max_raw]``.
+    arithmetic applied to this state.
     """
 
-    __slots__ = ("n_qubits", "fmt", "re", "im", "overflow")
+    __slots__ = ("n_qubits", "fmt", "raw", "overflow")
 
     def __init__(
         self,
@@ -101,13 +124,13 @@ class FixedState:
     ):
         if fmt.total_bits > MAX_DATA_BITS:
             raise EngineError(f"{fmt.total_bits}-bit words exceed the {MAX_DATA_BITS}-bit array core")
+        _check_state_size(n_qubits)
         self.n_qubits = n_qubits
         self.fmt = fmt
         size = 1 << n_qubits
         if re is None:
-            re = np.zeros(size, dtype=np.int64)
-            re[0] = 1 << fmt.fractional_bits
-            im = np.zeros(size, dtype=np.int64)
+            raw = np.zeros((2, size), dtype=np.int64)
+            raw[0, 0] = 1 << fmt.fractional_bits
         else:
             try:
                 re = np.asarray(re, dtype=np.int64)
@@ -116,18 +139,26 @@ class FixedState:
                 raise _word_range_error(fmt) from None
             if re.shape != (size,) or im.shape != (size,):
                 raise ValueError("amplitude count does not match qubit count")
+            raw = np.stack((re, im))
             # The kernels' int64 headroom holds only for in-range words.
-            if min(re.min(), im.min()) < fmt.min_raw or max(re.max(), im.max()) > fmt.max_raw:
+            if raw.min() < fmt.min_raw or raw.max() > fmt.max_raw:
                 raise _word_range_error(fmt)
-        self.re = re
-        self.im = im
+        self.raw = raw
         self.overflow = overflow
+
+    @property
+    def re(self) -> np.ndarray:
+        return self.raw[0]
+
+    @property
+    def im(self) -> np.ndarray:
+        return self.raw[1]
 
     def copy(self) -> "FixedState":
         """Independent copy; the range check is not repeated, since this state passed it."""
         clone = object.__new__(FixedState)
         clone.n_qubits, clone.fmt, clone.overflow = self.n_qubits, self.fmt, self.overflow
-        clone.re, clone.im = self.re.copy(), self.im.copy()
+        clone.raw = self.raw.copy()
         return clone
 
     def to_complex(self) -> np.ndarray:
@@ -145,6 +176,7 @@ State = FloatState | FixedState
 
 
 def initial_state(n_qubits: int, config: ExecConfig) -> State:
+    """|0...0> on the configured backend; both constructors check the state size."""
     if config.is_float_reference:
         return FloatState(n_qubits)
     return FixedState(n_qubits, config.fixed_format)
@@ -160,10 +192,11 @@ def _round_in_place(wide: np.ndarray, shift: int, mode: Rounding) -> None:
 
     Each mode is one bias added before the arithmetic shift: none for
     truncation, ``half - [wide < 0]`` for nearest (ties away from zero), and
-    ``half - 1 + lsb(quotient)`` for nearest-even.
+    ``half - 1 + lsb(quotient)`` for nearest-even.  ``wide >> 63`` is
+    ``-[wide < 0]`` without a bool-to-int64 cast.
     """
     if mode is Rounding.NEAREST:
-        wide -= wide < 0
+        wide += wide >> 63
         wide += 1 << (shift - 1)
     elif mode is Rounding.NEAREST_EVEN:
         wide += (wide >> shift) & 1
@@ -171,36 +204,59 @@ def _round_in_place(wide: np.ndarray, shift: int, mode: Rounding) -> None:
     wide >>= shift
 
 
+@lru_cache(maxsize=1 << 12)
+def _product_in_range(k: int, fmt: FixedPointFormat) -> bool:
+    """Whether every in-range word times ``k`` rounds into the word's range.
+
+    Rounding is monotone, so the rounded products of ``min_raw`` and
+    ``max_raw`` bound all others.
+    """
+    ends = np.array([fmt.min_raw, fmt.max_raw], dtype=np.int64) * np.int64(k)
+    _round_in_place(ends, fmt.fractional_bits, fmt.rounding)
+    return fmt.min_raw <= ends.min() and ends.max() <= fmt.max_raw
+
+
 class _FixedAlu:
     """Saturating kernel arithmetic over raw arrays, with a sticky flag.
 
-    Every operation returns a new array, never a view of its operands.
+    Kernels add and subtract with numpy into their own temporaries and pass
+    the results through :meth:`sat`; :meth:`neg` and :meth:`mul` saturate
+    themselves.  Operands hold in-range words.
     """
 
     def __init__(self, fmt: FixedPointFormat):
         self.fmt = fmt
         self.overflow = False
+        self._pair: np.ndarray | None = None
 
-    def _saturate(self, raw: np.ndarray) -> np.ndarray:
+    def sat(self, raw: np.ndarray) -> np.ndarray:
+        """Clip ``raw`` to the word's range in place, flagging any clip."""
         lo, hi = self.fmt.min_raw, self.fmt.max_raw
         if raw.max() > hi or raw.min() < lo:
             self.overflow = True
             np.clip(raw, lo, hi, out=raw)
         return raw
 
-    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._saturate(a + b)
+    def neg(self, raw: np.ndarray) -> np.ndarray:
+        """Negate ``raw`` in place (``-min_raw`` saturates)."""
+        return self.sat(np.negative(raw, out=raw))
 
-    def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._saturate(a - b)
-
-    def neg(self, a: np.ndarray) -> np.ndarray:
-        return self._saturate(-a)
-
-    def mul(self, a: np.ndarray, b: int) -> np.ndarray:
-        wide = a * np.int64(b)
+    def mul(self, a: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Rounded products ``a * k``; the range check is skipped where
+        :func:`_product_in_range` proves it cannot fire."""
+        wide = np.multiply(a, np.int64(k), out=out)
         _round_in_place(wide, self.fmt.fractional_bits, self.fmt.rounding)
-        return self._saturate(wide)
+        return wide if _product_in_range(k, self.fmt) else self.sat(wide)
+
+    def mul_pair(self, a: np.ndarray, c: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+        """``mul(a, c)`` and ``mul(a, s)`` in two buffers that every block of
+        one gate reuses: allocating both per block, beside the rounding
+        temporary, makes malloc hand the memory back to the system and
+        page-fault it in again for every block."""
+        if self._pair is None or self._pair.shape[1:] != a.shape:
+            self._pair = np.empty((2, *a.shape), dtype=np.int64)
+        p, q = self._pair
+        return self.mul(a, c, out=p), self.mul(a, s, out=q)
 
 
 @lru_cache(maxsize=None)
@@ -212,10 +268,10 @@ def _inv_sqrt2_raw(fmt: FixedPointFormat) -> int:
 # ---------------------------------------------------------------------------
 # Gate application
 # ---------------------------------------------------------------------------
-# Kernels get views ``a``/``b`` of the low/high couple amplitudes (``ra ia rb ib``
-# for raw parts).  Outputs are new arrays computed before any view is written;
-# tuple targets are assigned left to right, so a bare view on the right-hand
-# side is only written later in the same statement, after it has been read.
+# Float kernels get views ``a``/``b`` of the low/high couple amplitudes.
+# Outputs are new arrays computed before any view is written; tuple targets
+# are assigned left to right, so a bare view on the right-hand side is only
+# written later in the same statement, after it has been read.
 
 
 def _couple_views(amp: np.ndarray, n: int, target: int, control: int | None):
@@ -269,49 +325,105 @@ def _apply_float(state: FloatState, kind: GateKind, target: int, control: int | 
             b[...] = (c + 1j * s) * b
 
 
+def _couple_tensor(raw: np.ndarray, target: int, control: int | None) -> np.ndarray:
+    """Both planes of the couples as one ``(2, ..., 2, inner)`` view: axis 0
+    is the plane, axis -2 the target bit, and a control axis is fixed at 1."""
+    if control is None:
+        return raw.reshape(2, -1, 2, 1 << target)
+    hi, lo = max(target, control), min(target, control)
+    v = raw.reshape(2, -1, 2, 1 << (hi - 1 - lo), 2, 1 << lo)
+    if target == lo:
+        return v[:, :, 1]
+    return v[:, :, :, :, 1].swapaxes(2, 3)
+
+
+def _blocks(v: np.ndarray):
+    """Sub-views of a couple tensor ``v`` larger than ``_BLOCK`` amplitudes per
+    plane, each with at most ``_BLOCK``; the target axis is never split."""
+    row = v.size >> 1
+    for axis, size in enumerate(v.shape[1:-2], 1):
+        row //= size  # amplitudes per plane under one index of ``axis``
+        if row <= _BLOCK:
+            chunk = _BLOCK // row
+            for lead in np.ndindex(v.shape[1:axis]):
+                for start in range(0, size, chunk):
+                    yield v[(slice(None), *lead, slice(start, start + chunk))]
+            return
+    chunk = _BLOCK >> 1  # one couple row is over the block: split the inner axis
+    for lead in np.ndindex(v.shape[1:-2]):
+        for start in range(0, v.shape[-1], chunk):
+            yield v[(slice(None), *lead, Ellipsis, slice(start, start + chunk))]
+
+
+def _fixed_block(v: np.ndarray, kind: GateKind, alu: _FixedAlu, sincos) -> None:
+    """Apply one gate to a block ``v`` of the couple tensor.
+
+    ``v[..., 0, :]``/``v[..., 1, :]`` are the low/high couple amplitudes of
+    both planes (``v[0]`` real, ``v[1]`` imaginary), and flipping axis 0
+    swaps the planes.  Arithmetic runs on contiguous temporaries that are
+    written back once.
+    """
+    if kind is GateKind.X:
+        t = v[..., 0, :].copy()
+        v[..., 0, :] = v[..., 1, :]
+        v[..., 1, :] = t
+    elif kind is GateKind.Y:  # (a, b) -> (-i b, i a)
+        ta, tb = v[::-1, ..., 1, :].copy(), v[::-1, ..., 0, :].copy()
+        alu.neg(ta[1])
+        alu.neg(tb[0])
+        v[..., 0, :], v[..., 1, :] = ta, tb
+    elif kind is GateKind.Z:
+        b = v[..., 1, :]
+        b[...] = alu.neg(b.copy())
+    elif kind in (GateKind.S, GateKind.SDG):  # b -> i b or -i b
+        b = v[..., 1, :]
+        t = b[::-1].copy()
+        alu.neg(t[0] if kind is GateKind.S else t[1])
+        b[...] = t
+    elif kind is GateKind.H:
+        a, b = v[..., 0, :], v[..., 1, :]
+        t = np.empty(v.shape, dtype=np.int64)
+        np.add(a, b, out=t[..., 0, :])
+        np.subtract(a, b, out=t[..., 1, :])
+        v[...] = alu.mul(alu.sat(t), _inv_sqrt2_raw(alu.fmt), out=t)
+    elif kind in (GateKind.T, GateKind.TDG):
+        b = v[..., 1, :]
+        (rb, ib), t = b, np.empty(b.shape, dtype=np.int64)
+        if kind is GateKind.T:  # b' = k (rb - ib) + i k (rb + ib)
+            np.subtract(rb, ib, out=t[0])
+            np.add(rb, ib, out=t[1])
+        else:  # b' = k (rb + ib) + i k (ib - rb)
+            np.add(rb, ib, out=t[0])
+            np.subtract(ib, rb, out=t[1])
+        b[...] = alu.mul(alu.sat(t), _inv_sqrt2_raw(alu.fmt), out=t)
+    else:
+        # Negating a product in ``q`` is exact: only the sums saturate.
+        s, c = sincos
+        if kind is GateKind.U1:
+            v = v[..., 1, :]
+        p, q = alu.mul_pair(v, c, s)
+        if kind is GateKind.RX:  # a' = c a - i s b, b' = c b - i s a
+            np.negative(q[0], out=q[0])
+            p[..., 0, :] += q[::-1, ..., 1, :]
+            p[..., 1, :] += q[::-1, ..., 0, :]
+        elif kind is GateKind.RY:  # a' = c a - s b, b' = c b + s a
+            p[..., 0, :] -= q[..., 1, :]
+            p[..., 1, :] += q[..., 0, :]
+        elif kind is GateKind.RZ:  # a' = (c - i s) a, b' = (c + i s) b
+            np.negative(q[..., 1, :], out=q[..., 1, :])
+            p[0] += q[1]
+            p[1] -= q[0]
+        else:  # U1: b' = (c + i s) b
+            p[0] -= q[1]
+            p[1] += q[0]
+        v[...] = alu.sat(p)
+
+
 def _apply_fixed(state: FixedState, kind: GateKind, target: int, control: int | None, sincos) -> None:
     alu = _FixedAlu(state.fmt)
-    add, sub, mul, neg = alu.add, alu.sub, alu.mul, alu.neg
-    ra, rb = _couple_views(state.re, state.n_qubits, target, control)
-    ia, ib = _couple_views(state.im, state.n_qubits, target, control)
-    if kind is GateKind.X:
-        _swap(ra, rb)
-        _swap(ia, ib)
-    elif kind is GateKind.Y:
-        _swap(ra, ib)
-        ia[...], rb[...] = neg(rb), neg(ia)
-    elif kind is GateKind.Z:
-        rb[...], ib[...] = neg(rb), neg(ib)
-    elif kind is GateKind.S:
-        ib[...], rb[...] = rb, neg(ib)
-    elif kind is GateKind.SDG:
-        rb[...], ib[...] = ib, neg(rb)
-    elif kind is GateKind.H:
-        k = _inv_sqrt2_raw(state.fmt)
-        ra[...], ia[...], rb[...], ib[...] = (
-            mul(add(ra, rb), k), mul(add(ia, ib), k), mul(sub(ra, rb), k), mul(sub(ia, ib), k))
-    elif kind is GateKind.T:
-        k = _inv_sqrt2_raw(state.fmt)
-        rb[...], ib[...] = mul(sub(rb, ib), k), mul(add(rb, ib), k)
-    elif kind is GateKind.TDG:
-        k = _inv_sqrt2_raw(state.fmt)
-        rb[...], ib[...] = mul(add(rb, ib), k), mul(sub(ib, rb), k)
-    else:
-        s, c = sincos
-        if kind is GateKind.RX:
-            ra[...], ia[...], rb[...], ib[...] = (
-                add(mul(ra, c), mul(ib, s)), sub(mul(ia, c), mul(rb, s)),
-                add(mul(rb, c), mul(ia, s)), sub(mul(ib, c), mul(ra, s)))
-        elif kind is GateKind.RY:
-            ra[...], ia[...], rb[...], ib[...] = (
-                sub(mul(ra, c), mul(rb, s)), sub(mul(ia, c), mul(ib, s)),
-                add(mul(rb, c), mul(ra, s)), add(mul(ib, c), mul(ia, s)))
-        elif kind is GateKind.RZ:
-            ra[...], ia[...], rb[...], ib[...] = (
-                add(mul(ra, c), mul(ia, s)), sub(mul(ia, c), mul(ra, s)),
-                sub(mul(rb, c), mul(ib, s)), add(mul(ib, c), mul(rb, s)))
-        else:  # U1
-            rb[...], ib[...] = sub(mul(rb, c), mul(ib, s)), add(mul(ib, c), mul(rb, s))
+    v = _couple_tensor(state.raw, target, control)
+    for block in (v,) if v.size <= 2 * _BLOCK else _blocks(v):
+        _fixed_block(block, kind, alu, sincos)
     state.overflow = state.overflow or alu.overflow
 
 

@@ -18,6 +18,7 @@ index).
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -228,6 +229,17 @@ def _lower_builtin(name: str, angles: list[float], qubits: list[int], out: list[
 # Parser
 # ---------------------------------------------------------------------------
 
+# Parser recursion is bounded far below Python's recursion limit: angle
+# expressions nest at most MAX_EXPR_DEPTH levels (parentheses, unary minus,
+# powers, function calls) and gate definitions at most MAX_GATE_DEPTH.
+MAX_EXPR_DEPTH = 100
+MAX_GATE_DEPTH = 100
+# Largest register size; integer tokens with more digits are never converted.
+MAX_REGISTER_SIZE = 1 << 16
+_MAX_INT_DIGITS = len(str(MAX_REGISTER_SIZE))
+
+_BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
 _UNARY_FUNCS = {
     "sin": math.sin,
     "cos": math.cos,
@@ -247,6 +259,8 @@ class _Parser:
         self.qregs: dict[str, tuple[int, int]] = {}  # name -> (base, size)
         self.cregs: dict[str, int] = {}
         self.defs: dict[str, GateDefinition] = {}
+        self.gate_depth: dict[str, int] = {}  # definition name -> macro nesting depth
+        self.expr_depth = 0
         self.qubit_count = 0
         self.gates: list[GateApplication] = []
 
@@ -343,8 +357,10 @@ class _Parser:
         if name in self.qregs or name in self.cregs:
             self._error(f"register {name!r} already declared", name_pos)
         self._expect("[")
-        _, size_text, size_pos = self._expect("int", "register size")
-        size = int(size_text)
+        _, text, size_pos = self._expect("int", "register size")
+        # the digit count is checked before int() converts the token
+        if len(text.lstrip("0")) > _MAX_INT_DIGITS or (size := int(text)) > MAX_REGISTER_SIZE:
+            self._error(f"register size exceeds the limit of {MAX_REGISTER_SIZE}", size_pos)
         if size <= 0:
             self._error("register size must be positive", size_pos)
         self._expect("]")
@@ -379,6 +395,7 @@ class _Parser:
             self._error(f"duplicate formal argument in gate {name!r}", name_pos)
         self._expect("{")
         body: list[_BodyOp] = []
+        depth = 1
         while not self._at("}"):
             kind, op_name, op_pos = self._peek()
             if kind != "id":
@@ -394,6 +411,9 @@ class _Parser:
                 self._error(f"recursive gate definition: {name!r} references itself", op_pos)
             if op_name not in _BUILTIN_SIGNATURES and op_name not in self.defs:
                 self._error(f"unknown gate {op_name!r} in body of {name!r}", op_pos)
+            depth = max(depth, self.gate_depth.get(op_name, 0) + 1)
+            if depth > MAX_GATE_DEPTH:
+                self._error(f"gate {name!r} nests gate definitions deeper than {MAX_GATE_DEPTH} levels", op_pos)
             angle_exprs: list = []
             if self._accept("("):
                 if not self._at(")"):
@@ -410,6 +430,7 @@ class _Parser:
             body.append(_BodyOp(op_name, tuple(angle_exprs), tuple(op_qargs), op_pos))
         self._expect("}")
         self.defs[name] = GateDefinition(name, tuple(params), tuple(qargs), tuple(body))
+        self.gate_depth[name] = depth
 
     def _check_arity(self, name: str, n_angles: int, n_qubits: int, pos: int) -> None:
         if name in _BUILTIN_SIGNATURES:
@@ -424,24 +445,32 @@ class _Parser:
 
     # -- expressions -------------------------------------------------------
 
+    # Left-associative runs of + - or * / become one flat ("chain", first,
+    # ((op, operand), ...)) node, so no run length deepens the tree.
+
     def _parse_expr(self):
-        node = self._parse_term()
+        first = self._parse_term()
+        rest = []
         while self._peek()[0] in ("+", "-"):
-            op = self._next()[0]
-            node = ("bin", op, node, self._parse_term())
-        return node
+            rest.append((self._next()[0], self._parse_term()))
+        return ("chain", first, tuple(rest)) if rest else first
 
     def _parse_term(self):
-        node = self._parse_factor()
+        first = self._parse_factor()
+        rest = []
         while self._peek()[0] in ("*", "/"):
-            op = self._next()[0]
-            node = ("bin", op, node, self._parse_factor())
-        return node
+            rest.append((self._next()[0], self._parse_factor()))
+        return ("chain", first, tuple(rest)) if rest else first
 
     def _parse_factor(self):
+        """Every nesting level passes through here, so the depth is counted here."""
+        self.expr_depth += 1
+        if self.expr_depth > MAX_EXPR_DEPTH:
+            self._error(f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
         node = self._parse_atom()
         if self._accept("^"):
-            node = ("bin", "^", node, self._parse_factor())
+            node = ("pow", node, self._parse_factor())
+        self.expr_depth -= 1
         return node
 
     def _parse_atom(self):
@@ -492,17 +521,12 @@ class _Parser:
             if name not in env:
                 self._error(f"undefined parameter {name!r}", pos)
             return env[name]
-        _, op, lhs, rhs = node
-        a, b = self._eval_expr(lhs, env), self._eval_expr(rhs, env)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            return a / b
-        power = a**b
+        if tag == "chain":
+            value = self._eval_expr(node[1], env)
+            for op, rhs in node[2]:
+                value = _BINARY_OPS[op](value, self._eval_expr(rhs, env))
+            return value
+        power = self._eval_expr(node[1], env) ** self._eval_expr(node[2], env)
         if isinstance(power, complex):  # negative base, fractional exponent
             raise ValueError("math domain error")
         return power
@@ -513,7 +537,10 @@ class _Parser:
         _, name, pos = self._expect("id", "register reference")
         idx = None
         if self._accept("["):
-            idx = int(self._expect("int", "index")[1])
+            _, text, idx_pos = self._expect("int", "index")
+            if len(text) > _MAX_INT_DIGITS and len(text.lstrip("0")) > _MAX_INT_DIGITS:
+                self._error(f"index exceeds the limit of {MAX_REGISTER_SIZE}", idx_pos)
+            idx = int(text)  # range-checked against its register by _resolve_qubit_arg
             self._expect("]")
         return name, idx, pos
 

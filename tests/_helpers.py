@@ -76,6 +76,53 @@ class OracleAlu:
         return self.sat(oracle_mul_raw(a, b, self.fmt))
 
 
+def scalar_fixed_kernel(kind, a, b, k, sincos, alu):
+    """Category-form kernel over scalar raw values (test-side oracle).
+
+    a and b are (re, im) raw pairs; k is the raw 1/sqrt(2) constant; sincos
+    the raw table pair for rotational kinds; alu an :class:`OracleAlu`, which
+    rounds one multiplier at a time and records saturation.
+    """
+    add, sub, mul, neg = alu.add, alu.sub, alu.mul, alu.neg
+    (ar, ai), (br, bi) = a, b
+    if kind is GateKind.X:
+        return (br, bi), (ar, ai)
+    if kind is GateKind.Y:
+        return (bi, neg(br)), (neg(ai), ar)
+    if kind is GateKind.Z:
+        return (ar, ai), (neg(br), neg(bi))
+    if kind is GateKind.S:
+        return (ar, ai), (neg(bi), br)
+    if kind is GateKind.SDG:
+        return (ar, ai), (bi, neg(br))
+    if kind is GateKind.H:
+        return (
+            (mul(add(ar, br), k), mul(add(ai, bi), k)),
+            (mul(sub(ar, br), k), mul(sub(ai, bi), k)),
+        )
+    if kind is GateKind.T:
+        return (ar, ai), (mul(sub(br, bi), k), mul(add(br, bi), k))
+    if kind is GateKind.TDG:
+        return (ar, ai), (mul(add(br, bi), k), mul(sub(bi, br), k))
+    s, c = sincos
+    if kind is GateKind.RX:
+        return (
+            (add(mul(ar, c), mul(bi, s)), sub(mul(ai, c), mul(br, s))),
+            (add(mul(br, c), mul(ai, s)), sub(mul(bi, c), mul(ar, s))),
+        )
+    if kind is GateKind.RY:
+        return (
+            (sub(mul(ar, c), mul(br, s)), sub(mul(ai, c), mul(bi, s))),
+            (add(mul(br, c), mul(ar, s)), add(mul(bi, c), mul(ai, s))),
+        )
+    if kind is GateKind.RZ:
+        return (
+            (add(mul(ar, c), mul(ai, s)), sub(mul(ai, c), mul(ar, s))),
+            (sub(mul(br, c), mul(bi, s)), add(mul(bi, c), mul(br, s))),
+        )
+    return (ar, ai), (sub(mul(br, c), mul(bi, s)), add(mul(bi, c), mul(br, s)))
+
+
 def tie_operand(m: int, fmt: FixedPointFormat) -> int:
     """A raw operand whose exact product with ``m`` lies halfway between two
     representable values, so it exercises the tie rule.  ``m`` must not be a

@@ -90,6 +90,22 @@ class TestCompile:
     def test_usage_error_exit_1(self):
         assert main(["compile"]) == 1
 
+    @pytest.mark.parametrize(
+        "line, col, message",
+        [
+            ("rx(" + "(" * 2000 + "1" + ")" * 2000 + ") q[0];", 104, "expression nested deeper than 100 levels"),
+            ("qreg r[" + "9" * 5000 + "];", 8, "register size exceeds the limit of 65536"),
+            ("x q[" + "9" * 5000 + "];", 5, "index exceeds the limit of 65536"),
+        ],
+        ids=["deep_parentheses", "long_register_size", "long_index"],
+    )
+    def test_parser_limits_exit_3_with_position(self, tmp_path, config_file, capsys, line, col, message):
+        bad = tmp_path / "bad.qasm"
+        bad.write_text(f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\n{line}\n')
+        rc = main(["compile", str(bad), "--config", str(config_file), "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {bad}:4:{col}: {message}\n"
+
 
 class TestRun:
     def test_bell_float_amplitudes(self, tmp_path, bell_qasm, config_file):
@@ -159,6 +175,30 @@ class TestRun:
         prog, table = compile_bell(tmp_path, bell_qasm, config_file)
         rc = main(["run", str(prog), str(table), "--config", str(config_file), "--seed", "1"])
         assert rc == 1
+
+    def test_oversized_state_exit_4_before_allocation(self, tmp_path, capsys):
+        qasm = tmp_path / "wide.qasm"
+        qasm.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[34];\nh q[33];\n')
+        wide = tmp_path / "wide.cfg"
+        wide.write_text("N = 64\ndata_bits = 20\nrounding = nearest\n")
+        out = tmp_path / "out"
+        assert main(["compile", str(qasm), "--config", str(wide), "--out", str(out)]) == 0
+        prog, table = out / "wide.prog.txt", out / "wide.table.txt"
+        for backend in ("fixed", "float"):
+            rc = main(["run", str(prog), str(table), "--config", str(wide), "--backend", backend])
+            assert rc == 4
+            err = capsys.readouterr().err
+            assert err.startswith("runtime error: a 34-qubit state needs 2**34 x 16 bytes, over the ")
+
+    def test_memory_error_exit_4(self, tmp_path, bell_qasm, config_file, capsys, monkeypatch):
+        prog, table = compile_bell(tmp_path, bell_qasm, config_file)
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 128. GiB")
+
+        monkeypatch.setattr("qbemu.cli.run", exhausted)
+        assert main(["run", str(prog), str(table), "--config", str(config_file)]) == 4
+        assert capsys.readouterr().err == "runtime error: Unable to allocate 128. GiB\n"
 
     def test_capacity_violation_exit_4(self, tmp_path, bell_qasm, config_file):
         prog, table = compile_bell(tmp_path, bell_qasm, config_file)

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from qbemu import engine
 from qbemu.compiler import AngleTable, CompiledProgram, Instruction, compile_circuit
 from qbemu.config import ExecConfig
 from qbemu.engine import (
+    MAX_STATE_BYTES,
     EngineError,
     FixedState,
     FloatState,
@@ -35,8 +38,10 @@ from _helpers import (
     OracleAlu,
     couple_pairs,
     gates_as_circuit,
+    oracle_mul_raw,
     oracle_quantize,
     random_gates,
+    scalar_fixed_kernel,
     tie_operand,
 )
 
@@ -205,53 +210,6 @@ class TestApplyGateFloat:
             state = run(compile_circuit(circuit, config), config)
             expected = dense_oracle(circuit)[:, 0]
             assert np.max(np.abs(state.amp - expected)) < 1e-12
-
-
-def scalar_fixed_kernel(kind, a, b, k, sincos, alu):
-    """Category-form kernel over scalar raw values (test-side oracle).
-
-    a and b are (re, im) raw pairs; k is the raw 1/sqrt(2) constant; sincos
-    the raw table pair for rotational kinds; alu an :class:`OracleAlu`, which
-    rounds one multiplier at a time and records saturation.
-    """
-    add, sub, mul, neg = alu.add, alu.sub, alu.mul, alu.neg
-    (ar, ai), (br, bi) = a, b
-    if kind is GateKind.X:
-        return (br, bi), (ar, ai)
-    if kind is GateKind.Y:
-        return (bi, neg(br)), (neg(ai), ar)
-    if kind is GateKind.Z:
-        return (ar, ai), (neg(br), neg(bi))
-    if kind is GateKind.S:
-        return (ar, ai), (neg(bi), br)
-    if kind is GateKind.SDG:
-        return (ar, ai), (bi, neg(br))
-    if kind is GateKind.H:
-        return (
-            (mul(add(ar, br), k), mul(add(ai, bi), k)),
-            (mul(sub(ar, br), k), mul(sub(ai, bi), k)),
-        )
-    if kind is GateKind.T:
-        return (ar, ai), (mul(sub(br, bi), k), mul(add(br, bi), k))
-    if kind is GateKind.TDG:
-        return (ar, ai), (mul(add(br, bi), k), mul(sub(bi, br), k))
-    s, c = sincos
-    if kind is GateKind.RX:
-        return (
-            (add(mul(ar, c), mul(bi, s)), sub(mul(ai, c), mul(br, s))),
-            (add(mul(br, c), mul(ai, s)), sub(mul(bi, c), mul(ar, s))),
-        )
-    if kind is GateKind.RY:
-        return (
-            (sub(mul(ar, c), mul(br, s)), sub(mul(ai, c), mul(bi, s))),
-            (add(mul(br, c), mul(ar, s)), add(mul(bi, c), mul(ai, s))),
-        )
-    if kind is GateKind.RZ:
-        return (
-            (add(mul(ar, c), mul(ai, s)), sub(mul(ai, c), mul(ar, s))),
-            (sub(mul(br, c), mul(bi, s)), add(mul(bi, c), mul(br, s))),
-        )
-    return (ar, ai), (sub(mul(br, c), mul(bi, s)), add(mul(bi, c), mul(br, s)))
 
 
 def kernel_inputs(rng, fmt, multipliers):
@@ -434,6 +392,203 @@ class TestApplyGateFixed:
         state = initial_state(1, config)
         with pytest.raises(EngineError, match="angle table"):
             apply_gate(state, Instruction(GateKind.RX, 0, 0, imm=0), AngleTable(config.fixed_format))
+
+
+def edge_fixed_state(rng: np.random.Generator, n: int, fmt: FixedPointFormat) -> FixedState:
+    """Raw parts drawn from min_raw, max_raw, 0 and random in-range words."""
+    words = rng.integers(fmt.min_raw, fmt.max_raw + 1, size=(2, 1 << n))
+    pick = rng.integers(0, 4, size=(2, 1 << n))
+    raw = np.select([pick == 0, pick == 1, pick == 2], [fmt.min_raw, fmt.max_raw, 0], words)
+    return FixedState(n, fmt, raw[0], raw[1])
+
+
+@functools.cache
+def couple_pair_array(n: int, target: int, control: int | None) -> np.ndarray:
+    return np.array(couple_pairs(n, target, control))
+
+
+class TestBlockedKernels:
+    """Couple tensors above ``engine._BLOCK`` amplitudes per plane run block by
+    block.  Target and control sit inside (bits < 14) and outside one block's
+    bit span."""
+
+    N = 16
+    CASES = [(0, None), (9, None), (13, None), (14, None), (15, None),
+             (1, 12), (12, 1), (3, 15), (15, 3), (14, 15), (15, 14)]
+
+    @pytest.mark.parametrize("bits, mode", [(24, "nearest_even"), (8, "truncation"), (32, "nearest")])
+    @pytest.mark.parametrize("kind", list(GateKind), ids=lambda kind: kind.name)
+    def test_sampled_couples_match_fraction_oracle(self, kind, bits, mode):
+        n = self.N
+        assert 1 << (n - 1) > engine._BLOCK  # controlled couple tensors are blocked too
+        rng = np.random.default_rng(bits)
+        fmt = FixedPointFormat(bits, mode)
+        k = oracle_quantize(INV_SQRT2, fmt)
+        table = AngleTable(fmt)
+        imm = table.intern(1.1) if kind in ROTATIONAL else 0
+        sincos = table.raw_pair(imm) if kind in ROTATIONAL else None
+        for target, control in self.CASES:
+            state = edge_fixed_state(rng, n, fmt)
+            before_re, before_im = state.re.copy(), state.im.copy()
+            apply_gate(state, Instruction(kind, target, target if control is None else control, imm), table)
+            pairs = couple_pair_array(n, target, control)
+            m = len(pairs)
+            picks = [0, m - 1, *(j * m // 8 + d for j in range(1, 8) for d in (-1, 0))]
+            picks += rng.choice(m, 32, replace=False).tolist()
+            alu = OracleAlu(fmt)
+            for i, j in pairs[picks].tolist():
+                ea, eb = scalar_fixed_kernel(
+                    kind, (int(before_re[i]), int(before_im[i])), (int(before_re[j]), int(before_im[j])), k, sincos, alu
+                )
+                where = (target, control, i, j)
+                assert (state.re[i], state.im[i]) == ea, where
+                assert (state.re[j], state.im[j]) == eb, where
+            assert state.overflow or not alu.overflow
+            untouched = np.ones(1 << n, dtype=bool)
+            untouched[pairs.ravel()] = False
+            assert np.array_equal(state.re[untouched], before_re[untouched]), (target, control)
+            assert np.array_equal(state.im[untouched], before_im[untouched]), (target, control)
+
+    @pytest.mark.parametrize("block", [2, 4, 16])
+    def test_tiny_blocks_equal_one_block(self, monkeypatch, block):
+        # shrinking the block runs the blocked walk at small n, where the
+        # unblocked walk gives the reference: states and the flag after
+        # every gate are identical
+        rng = np.random.default_rng(block)
+        for bits, mode in itertools.product((8, 20, 32), ("truncation", "nearest", "nearest_even")):
+            fmt = FixedPointFormat(bits, mode)
+            table = AngleTable(fmt)
+            for angle in (0.4, -2.9, math.pi):
+                table.intern(angle)
+            table.entries.append((fmt.max_raw, fmt.min_raw))
+            n = int(rng.integers(3, 7))
+            gates = random_gates(rng, n, 25)
+            instrs = [
+                Instruction(g.kind, g.target, g.target if g.control is None else g.control,
+                            int(rng.integers(len(table))) if g.kind in ROTATIONAL else 0)
+                for g in gates
+            ]
+            blocked = edge_fixed_state(rng, n, fmt)
+            whole = blocked.copy()
+            for instr in instrs:
+                monkeypatch.setattr(engine, "_BLOCK", block)
+                apply_gate(blocked, instr, table)
+                monkeypatch.setattr(engine, "_BLOCK", 1 << 30)
+                apply_gate(whole, instr, table)
+                assert np.array_equal(blocked.raw, whole.raw), (bits, mode, instr)
+                assert blocked.overflow == whole.overflow, (bits, mode, instr)
+                blocked.overflow = whole.overflow = False
+
+
+MODES = ("truncation", "nearest", "nearest_even")
+
+
+class TestSaturationShortcut:
+    """A product's range check is skipped only for constants proven safe."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_product_in_range_matches_brute_force(self, mode):
+        fmt = FixedPointFormat(8, mode)
+        words = range(fmt.min_raw, fmt.max_raw + 1)
+        for k in words:
+            expect = all(fmt.min_raw <= oracle_mul_raw(x, k, fmt) <= fmt.max_raw for x in words)
+            assert engine._product_in_range(k, fmt) == expect, k
+
+    @pytest.mark.parametrize("bits", [8, 24, 32])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_ry_2pi_saturates_min_raw(self, bits, mode):
+        # RY(2 pi) consumes cos(pi) = -1, so min_raw * c = 2.0 must clip
+        config = ExecConfig(n_qubits=2, data_bits=bits, rounding=mode)
+        fmt = config.fixed_format
+        gate = GateApplication(GateKind.RY, 1, angle=2 * math.pi)
+        program = compile_circuit(gates_as_circuit([gate], 2), config)
+        s, c = program.table.raw_pair(program.instructions[0].imm)
+        assert (s, c) == (0, -(1 << fmt.fractional_bits))
+        assert not engine._product_in_range(c, fmt)
+        initial = FixedState(2, fmt, np.full(4, fmt.min_raw), np.full(4, fmt.min_raw))
+        state = run(program, config, initial=initial)
+        assert state.re.tolist() == state.im.tolist() == [fmt.max_raw] * 4
+        assert state.overflow
+
+    @pytest.mark.parametrize("bits", [8, 24, 32])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("kind", [GateKind.RY, GateKind.H], ids=lambda kind: kind.name)
+    def test_safe_constant_leaves_flag_clear(self, kind, bits, mode):
+        # with b = 0 no sum can clip, so only a product could set the flag
+        fmt = FixedPointFormat(bits, mode)
+        k = oracle_quantize(INV_SQRT2, fmt)
+        table = AngleTable(fmt)
+        imm = table.intern(1.1) if kind in ROTATIONAL else 0
+        sincos = table.raw_pair(imm) if kind in ROTATIONAL else None
+        for m in sincos or (k,):
+            assert engine._product_in_range(m, fmt)
+        a = (fmt.min_raw, fmt.max_raw)
+        alu = OracleAlu(fmt)
+        expect_a, expect_b = scalar_fixed_kernel(kind, a, (0, 0), k, sincos, alu)
+        state = FixedState(1, fmt, [a[0], 0], [a[1], 0])
+        apply_gate(state, Instruction(kind, 0, 0, imm), table)
+        assert (state.re[0], state.im[0]) == expect_a
+        assert (state.re[1], state.im[1]) == expect_b
+        assert not alu.overflow and not state.overflow
+
+
+class TestFixedStateLayout:
+    def test_planes_are_rows_of_raw(self):
+        fmt = FixedPointFormat(16)
+        state = FixedState(2, fmt, [1, 2, 3, 4], [5, 6, 7, 8])
+        assert state.raw.shape == (2, 4) and state.raw.dtype == np.int64
+        assert state.raw.tolist() == [[1, 2, 3, 4], [5, 6, 7, 8]]
+        state.re[1] = 9
+        state.im[2] = -9
+        assert state.raw[0, 1] == 9 and state.raw[1, 2] == -9
+        ground = FixedState(2, fmt)
+        assert ground.raw.tolist() == [[1 << fmt.fractional_bits, 0, 0, 0], [0, 0, 0, 0]]
+
+    def test_constructor_copies_caller_arrays(self):
+        re = np.arange(4, dtype=np.int64)
+        im = -np.arange(4, dtype=np.int64)
+        state = FixedState(2, FixedPointFormat(16), re, im)
+        assert not np.shares_memory(state.raw, re) and not np.shares_memory(state.raw, im)
+        re[0] = im[1] = 99
+        assert state.re.tolist() == [0, 1, 2, 3] and state.im.tolist() == [0, -1, -2, -3]
+
+    def test_copy_is_independent(self):
+        fmt = FixedPointFormat(16)
+        state = FixedState(2, fmt, [1, 2, 3, 4], [5, 6, 7, 8])
+        clone = state.copy()
+        assert not np.shares_memory(clone.raw, state.raw)
+        apply_gate(clone, Instruction(GateKind.H, 0, 0))
+        clone.overflow = True
+        assert state.raw.tolist() == [[1, 2, 3, 4], [5, 6, 7, 8]] and not state.overflow
+
+
+class TestStateSizeLimit:
+    @pytest.mark.parametrize(
+        "make",
+        [FloatState, lambda n: FixedState(n, FixedPointFormat(16)), lambda n: initial_state(n, ExecConfig(n_qubits=64))],
+        ids=["float", "fixed", "initial_state"],
+    )
+    def test_oversized_state_rejected_before_allocation(self, make):
+        limit = MAX_STATE_BYTES.bit_length() - 5  # 16-byte amplitudes
+        with pytest.raises(EngineError, match=rf"34-qubit state needs 2\*\*34 x 16 bytes, over the {MAX_STATE_BYTES}-byte"):
+            make(34)
+        with pytest.raises(EngineError, match=rf"{limit + 1}-qubit state"):
+            make(limit + 1)
+        with pytest.raises(EngineError, match="10000000-qubit state"):
+            make(10_000_000)
+
+    def test_limit_is_sixteen_bytes_per_amplitude(self):
+        limit = MAX_STATE_BYTES.bit_length() - 5
+        assert 16 << limit == MAX_STATE_BYTES
+        engine._check_state_size(limit)  # checks only; allocates nothing
+        with pytest.raises(EngineError):
+            engine._check_state_size(limit + 1)
+
+    def test_run_checks_before_allocating(self):
+        config = ExecConfig(n_qubits=64)
+        program = CompiledProgram((), AngleTable(config.fixed_format), 34)
+        with pytest.raises(EngineError, match="34-qubit state"):
+            run(program, config)
 
 
 class TestRun:

@@ -1,8 +1,10 @@
-"""Property tests: parser robustness and angle-table interning against oracles."""
+"""Property tests: parser robustness, angle-table interning and the fixed-point
+array kernels against oracles."""
 
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import pytest
 
@@ -10,11 +12,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbemu.compiler import AngleTable
+from qbemu import engine
+from qbemu.compiler import AngleTable, Instruction
+from qbemu.engine import FixedState, apply_gate
 from qbemu.fixedpoint import FixedPointFormat
+from qbemu.gates import INV_SQRT2, ROTATIONAL, GateKind
 from qbemu.qasm import QasmError, parse
 
-from _helpers import oracle_quantize
+from _helpers import OracleAlu, couple_pairs, oracle_quantize, scalar_fixed_kernel
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\ncreg c[3];\n'
 
@@ -138,3 +143,48 @@ def test_memoized_interning_equals_fresh_quantization(fmt, angles):
     assert len(table) == len(want_entries)
     # repr keeps the sign of a float-reference zero visible
     assert [tuple(map(repr, p)) for p in table.entries] == [tuple(map(repr, p)) for p in want_entries]
+
+
+# ---------------------------------------------------------------------------
+# Fixed-point array kernels against the exact-Fraction oracle
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def kernel_cases(draw):
+    """A random gate on a random state of at most 3 qubits, with words biased
+    to the range edges, an arbitrary raw table pair and a block size that
+    sometimes splits the couple tensor."""
+    fmt = FixedPointFormat(draw(st.integers(8, 32)), draw(st.sampled_from(["truncation", "nearest", "nearest_even"])))
+    lo, hi = fmt.min_raw, fmt.max_raw
+    words = st.one_of(st.sampled_from([lo, lo + 1, -1, 0, 1, hi - 1, hi]), st.integers(lo, hi))
+    n = draw(st.integers(1, 3))
+    planes = [draw(st.lists(words, min_size=1 << n, max_size=1 << n)) for _ in range(2)]
+    kind = draw(st.sampled_from(list(GateKind)))
+    target = draw(st.integers(0, n - 1))
+    control = draw(st.sampled_from([None] + [c for c in range(n) if c != target]))
+    pair = (draw(words), draw(words))
+    block = draw(st.sampled_from([2, 4, engine._BLOCK]))
+    return fmt, n, planes, kind, target, control, pair, block
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_cases())
+def test_array_kernels_match_fraction_oracle(case):
+    fmt, n, (re, im), kind, target, control, pair, block = case
+    table = AngleTable(fmt)
+    table.entries.append(pair)
+    state = FixedState(n, fmt, re, im)
+    with mock.patch.object(engine, "_BLOCK", block):
+        apply_gate(state, Instruction(kind, target, target if control is None else control, 0), table)
+    alu = OracleAlu(fmt)
+    k = oracle_quantize(INV_SQRT2, fmt)
+    expect_re, expect_im = list(re), list(im)
+    for i, j in couple_pairs(n, target, control):
+        sincos = pair if kind in ROTATIONAL else None
+        (expect_re[i], expect_im[i]), (expect_re[j], expect_im[j]) = scalar_fixed_kernel(
+            kind, (re[i], im[i]), (re[j], im[j]), k, sincos, alu
+        )
+    assert state.re.tolist() == expect_re
+    assert state.im.tolist() == expect_im
+    assert state.overflow == alu.overflow

@@ -9,7 +9,7 @@ import pytest
 
 from qbemu.engine import dense_oracle, dense_unitary
 from qbemu.gates import GateApplication, GateKind
-from qbemu.qasm import QasmError, emit, parse
+from qbemu.qasm import MAX_EXPR_DEPTH, MAX_GATE_DEPTH, MAX_REGISTER_SIZE, QasmError, emit, parse
 
 from _helpers import max_dev_up_to_global_phase
 
@@ -193,6 +193,85 @@ class TestParseErrors:
 
     def test_duplicate_register(self):
         self.assert_error(HEADER + "qreg q[1];\nqreg q[2];\n", "already declared")
+
+
+class TestParserLimits:
+    """Inputs that would exhaust Python's recursion or integer conversion
+    limits end in positioned errors; inputs within the limits still parse."""
+
+    def error(self, src: str) -> str:
+        with pytest.raises(QasmError) as err:
+            parse(src, filename="f.qasm")
+        return str(err.value)
+
+    def angle(self, expr: str) -> float:
+        (gate,) = parse(HEADER + f"qreg q[1];\nu1({expr}) q[0];\n").gates
+        return gate.angle
+
+    def test_deep_parentheses_positioned_at_first_paren_over_the_limit(self):
+        src = HEADER + "qreg q[1];\nrx(" + "(" * 2000 + "1" + ")" * 2000 + ") q[0];\n"
+        assert self.error(src) == f"f.qasm:4:{4 + MAX_EXPR_DEPTH}: expression nested deeper than {MAX_EXPR_DEPTH} levels"
+
+    def test_nesting_up_to_the_limit_parses(self):
+        depth = MAX_EXPR_DEPTH - 1  # the outermost level is the argument itself
+        assert self.angle("(" * depth + "0.5" + ")" * depth) == 0.5
+        assert self.angle("-" * depth + "0.5") == 0.5 * (-1) ** depth
+
+    @pytest.mark.parametrize("expr", ["-" * 500 + "1", "^".join(["1"] * 500), "sin(" * 500 + "1" + ")" * 500])
+    def test_other_deep_nesting_positioned(self, expr):
+        message = self.error(HEADER + f"qreg q[1];\nrx({expr}) q[0];\n")
+        assert message.startswith("f.qasm:4:") and message.endswith(f"nested deeper than {MAX_EXPR_DEPTH} levels")
+
+    def test_long_operator_runs_evaluate_left_to_right(self):
+        # runs of + - and * / are flat, so their length is not a depth
+        assert self.angle("+".join(["1"] * 5000)) == 5000.0
+        assert self.angle("*".join(["1"] * 5000)) == 1.0
+        assert self.angle("10-3-2") == 5.0
+        assert self.angle("8/2/2") == 2.0
+        assert self.angle("2^3^2") == 512.0
+        assert self.angle("1-2*3+4/2") == -3.0
+        body = "gate g(t) a { u1(" + "+".join(["t"] * 3000) + ") a; }\n"
+        (gate,) = parse(HEADER + body + "qreg q[1];\ng(0.5) q[0];\n").gates
+        assert gate.angle == 1500.0
+
+    def test_gate_definitions_nest_up_to_the_limit(self):
+        defs = "gate g0 a { x a; }\n" + "".join(f"gate g{i} a {{ g{i - 1} a; }}\n" for i in range(1, MAX_GATE_DEPTH))
+        gates = parse(HEADER + defs + f"qreg q[1];\ng{MAX_GATE_DEPTH - 1} q[0];\n").gates
+        assert gates == [GateApplication(GateKind.X, 0)]
+        deeper = defs + f"gate g{MAX_GATE_DEPTH} a {{\n  h a; g{MAX_GATE_DEPTH - 1} a;\n}}\n"
+        line = 3 + MAX_GATE_DEPTH + 1
+        assert self.error(HEADER + deeper) == (
+            f"f.qasm:{line}:8: gate 'g{MAX_GATE_DEPTH}' nests gate definitions deeper than {MAX_GATE_DEPTH} levels"
+        )
+
+    def test_both_limits_at_once_fit_the_stack(self):
+        depth = MAX_EXPR_DEPTH - 1
+        expr = "".join("(0+" if i % 2 else "(t*" for i in range(depth)) + "t" + ")" * depth
+        defs = f"gate g0(t) a {{ u1({expr}) a; }}\n" + "".join(
+            f"gate g{i}(t) a {{ g{i - 1}({expr}) a; }}\n" for i in range(1, MAX_GATE_DEPTH)
+        )
+        (gate,) = parse(HEADER + defs + f"qreg q[1];\ng{MAX_GATE_DEPTH - 1}(1.0) q[0];\n").gates
+        assert gate.angle == 1.0
+
+    @pytest.mark.parametrize(
+        "body, col, what",
+        [
+            ("qreg r[" + "9" * 5000 + "];", 8, "register size"),
+            ("creg d[" + "9" * 5000 + "];", 8, "register size"),
+            (f"qreg r[{MAX_REGISTER_SIZE + 1}];", 8, "register size"),
+            ("h q[" + "9" * 5000 + "];", 5, "index"),
+            ("measure q[0] -> c[" + "1" * 5000 + "];", 19, "index"),
+        ],
+        ids=["qreg_digits", "creg_digits", "qreg_size", "index_digits", "creg_index_digits"],
+    )
+    def test_oversized_integers_positioned(self, body, col, what):
+        src = HEADER + "qreg q[1];\ncreg c[1];\n" + body + "\n"
+        assert self.error(src) == f"f.qasm:5:{col}: {what} exceeds the limit of {MAX_REGISTER_SIZE}"
+
+    def test_integers_within_the_limit(self):
+        circuit = parse(HEADER + f"qreg q[000002];\nqreg r[{MAX_REGISTER_SIZE}];\nx q[0001];\n")
+        assert circuit.qubit_count == 2 + MAX_REGISTER_SIZE
+        assert circuit.gates == [GateApplication(GateKind.X, 1)]
 
 
 class TestErrorPositions:
