@@ -2,20 +2,21 @@
 
 A gate on target ``t`` couples the pairs ``(i, i + 2**t)`` with bit ``t`` of
 ``i`` clear; a control keeps the pairs whose control bit is 1.  Reshaping the
-state so that target and control bits are axes of length 2 makes the low and
-high amplitudes of all couples basic-slice views: no index arrays.  Each
-kernel computes its outputs from the pre-gate amplitudes and writes them
-back through the views, so the couple order cannot affect the result.
+state so that target and control bits are axes of length 2 makes all couples
+one basic-slice view, the couple tensor: no index arrays.  Both backends walk
+it the same way, a gate above 2**14 amplitudes per plane block by block (the
+in-place float Z, S and Sdg at once).  A kernel computes a block's outputs
+from its pre-gate amplitudes, in place or through one block-sized scratch, so
+the couple order cannot affect the result and no temporary outgrows a block.
 
 Two interchangeable backends execute the same instruction streams:
 
-* :class:`FloatState` -- double-precision reference,
+* :class:`FloatState` -- double-precision reference, a tensor of one plane,
 * :class:`FixedState` -- bit-accurate two's-complement model whose kernels
   follow the three datapath classes (sign/exchange, one-multiplier,
   two-multiplier rotational) and round every multiplier output individually;
   no kernel performs a general 2x2 complex multiply.  Its real and imaginary
-  planes are the two rows of one array, so each kernel step covers both, and
-  large gates run block by block.
+  parts are the two planes of its tensor, so each kernel step covers both.
 
 A dense tensor-product oracle provides an independent check of the couple
 walk, and measurement statistics can be sampled from either backend.
@@ -162,8 +163,10 @@ class FixedState:
         return clone
 
     def to_complex(self) -> np.ndarray:
-        scale = self.fmt.lsb
-        return self.re * scale + 1j * (self.im * scale)
+        amp = np.empty(self.raw.shape[1], dtype=complex)
+        np.multiply(self.re, self.fmt.lsb, out=amp.real)
+        np.multiply(self.im, self.fmt.lsb, out=amp.imag)
+        return amp
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.to_complex()) ** 2
@@ -268,70 +271,17 @@ def _inv_sqrt2_raw(fmt: FixedPointFormat) -> int:
 # ---------------------------------------------------------------------------
 # Gate application
 # ---------------------------------------------------------------------------
-# Float kernels get views ``a``/``b`` of the low/high couple amplitudes.
-# Outputs are new arrays computed before any view is written; tuple targets
-# are assigned left to right, so a bare view on the right-hand side is only
-# written later in the same statement, after it has been read.
-
-
-def _couple_views(amp: np.ndarray, n: int, target: int, control: int | None):
-    """Low and high couple views: the state reshaped to ``(2**(n-1-t), 2, 2**t)``,
-    or ``(2**(n-1-hi), 2, 2**(hi-1-lo), 2, 2**lo)`` over the higher and lower of
-    target and control, split on the target axis with the control axis at 1."""
-    if control is None:
-        v = amp.reshape(-1, 2, 1 << target)
-        return v[:, 0], v[:, 1]
-    hi, lo = max(target, control), min(target, control)
-    v = amp.reshape(-1, 2, 1 << (hi - 1 - lo), 2, 1 << lo)
-    if target == hi:
-        return v[:, 0, :, 1], v[:, 1, :, 1]
-    return v[:, 1, :, 0], v[:, 1, :, 1]
-
-
-def _swap(a: np.ndarray, b: np.ndarray) -> None:
-    t = a.copy()
-    a[...] = b
-    b[...] = t
-
-
-def _apply_float(state: FloatState, kind: GateKind, target: int, control: int | None, sincos) -> None:
-    a, b = _couple_views(state.amp, state.n_qubits, target, control)
-    k = INV_SQRT2
-    if kind is GateKind.X:
-        _swap(a, b)
-    elif kind is GateKind.Y:
-        a[...], b[...] = -1j * b, 1j * a
-    elif kind is GateKind.Z:
-        np.negative(b, out=b)
-    elif kind is GateKind.S:
-        b *= 1j
-    elif kind is GateKind.SDG:
-        b *= -1j
-    elif kind is GateKind.H:
-        a[...], b[...] = (a + b) * k, (a - b) * k
-    elif kind is GateKind.T:
-        b[...] = (b.real - b.imag) * k + 1j * ((b.real + b.imag) * k)
-    elif kind is GateKind.TDG:
-        b[...] = (b.real + b.imag) * k + 1j * ((b.imag - b.real) * k)
-    else:
-        s, c = sincos
-        if kind is GateKind.RX:
-            a[...], b[...] = c * a - 1j * (s * b), c * b - 1j * (s * a)
-        elif kind is GateKind.RY:
-            a[...], b[...] = c * a - s * b, c * b + s * a
-        elif kind is GateKind.RZ:
-            a[...], b[...] = (c - 1j * s) * a, (c + 1j * s) * b
-        else:  # U1
-            b[...] = (c + 1j * s) * b
+# One walk serves both backends: ``_couple_tensor`` views the float state as
+# one plane (``amp[None]``) and the fixed state as two (``raw``).
 
 
 def _couple_tensor(raw: np.ndarray, target: int, control: int | None) -> np.ndarray:
-    """Both planes of the couples as one ``(2, ..., 2, inner)`` view: axis 0
-    is the plane, axis -2 the target bit, and a control axis is fixed at 1."""
+    """Every plane of the couples as one ``(planes, ..., 2, inner)`` view: axis
+    0 is the plane, axis -2 the target bit, and a control axis is fixed at 1."""
     if control is None:
-        return raw.reshape(2, -1, 2, 1 << target)
+        return raw.reshape(len(raw), -1, 2, 1 << target)
     hi, lo = max(target, control), min(target, control)
-    v = raw.reshape(2, -1, 2, 1 << (hi - 1 - lo), 2, 1 << lo)
+    v = raw.reshape(len(raw), -1, 2, 1 << (hi - 1 - lo), 2, 1 << lo)
     if target == lo:
         return v[:, :, 1]
     return v[:, :, :, :, 1].swapaxes(2, 3)
@@ -340,7 +290,7 @@ def _couple_tensor(raw: np.ndarray, target: int, control: int | None) -> np.ndar
 def _blocks(v: np.ndarray):
     """Sub-views of a couple tensor ``v`` larger than ``_BLOCK`` amplitudes per
     plane, each with at most ``_BLOCK``; the target axis is never split."""
-    row = v.size >> 1
+    row = v[0].size
     for axis, size in enumerate(v.shape[1:-2], 1):
         row //= size  # amplitudes per plane under one index of ``axis``
         if row <= _BLOCK:
@@ -353,6 +303,39 @@ def _blocks(v: np.ndarray):
     for lead in np.ndindex(v.shape[1:-2]):
         for start in range(0, v.shape[-1], chunk):
             yield v[(slice(None), *lead, Ellipsis, slice(start, start + chunk))]
+
+
+def _float_block(v: np.ndarray, kind: GateKind, sincos, t: np.ndarray) -> None:
+    """Apply a gate other than Z, S, Sdg to a block ``v`` of the complex couple
+    tensor via a scratch ``t`` shaped like ``v``.  A complex scalar comes first in
+    its product, which never overwrites its operand: else numpy may round it apart."""
+    a, b, ta, tb = v[..., 0, :], v[..., 1, :], t[..., 0, :], t[..., 1, :]
+    if kind is GateKind.X:
+        ta[...] = a
+        a[...], b[...] = b, ta
+    elif kind is GateKind.Y:  # (a, b) -> (-i b, i a)
+        np.multiply(-1j, b, out=ta)
+        np.multiply(1j, a, out=b)
+        a[...] = ta
+    elif kind is GateKind.H:  # (a, b) -> k (a + b, a - b)
+        np.add(a, b, out=ta)
+        np.subtract(a, b, out=tb)
+        np.multiply(t, INV_SQRT2, out=v)
+    elif kind in (GateKind.T, GateKind.TDG):  # b' = k (1 +- i) b; products by +-1 are exact
+        np.multiply(1 + 1j if kind is GateKind.T else 1 - 1j, b, out=tb)
+        np.multiply(tb, INV_SQRT2, out=b)
+    elif kind in (GateKind.RZ, GateKind.U1):  # a' = (c - i s) a (RZ only), b' = (c + i s) b
+        s, c = sincos
+        if kind is GateKind.RZ:
+            a[...] = np.multiply(c - 1j * s, a, out=ta)
+        b[...] = np.multiply(c + 1j * s, b, out=tb)
+    else:  # RX: a' = c a - i s b, b' = c b - i s a; RY: a' = c a - s b, b' = c b + s a
+        s, c = sincos
+        np.multiply(1j * s if kind is GateKind.RX else s, v[..., ::-1, :], out=t)
+        np.multiply(c, v, out=v)
+        if kind is GateKind.RY:
+            np.negative(tb, out=tb)
+        v -= t
 
 
 def _fixed_block(v: np.ndarray, kind: GateKind, alu: _FixedAlu, sincos) -> None:
@@ -419,10 +402,25 @@ def _fixed_block(v: np.ndarray, kind: GateKind, alu: _FixedAlu, sincos) -> None:
         v[...] = alu.sat(p)
 
 
+def _apply_float(state: FloatState, kind: GateKind, target: int, control: int | None, sincos) -> None:
+    v = _couple_tensor(state.amp[None], target, control)
+    b = v[..., 1, :]
+    if kind is GateKind.Z:  # sign gates work in place with no scratch, so unblocked
+        np.negative(b, out=b)
+    elif kind in (GateKind.S, GateKind.SDG):
+        b *= 1j if kind is GateKind.S else -1j
+    else:
+        scratch = None
+        for block in (v,) if v[0].size <= _BLOCK else _blocks(v):
+            if scratch is None:  # blocks share one shape, so one scratch serves them all
+                scratch = np.empty_like(block)
+            _float_block(block, kind, sincos, scratch)
+
+
 def _apply_fixed(state: FixedState, kind: GateKind, target: int, control: int | None, sincos) -> None:
     alu = _FixedAlu(state.fmt)
     v = _couple_tensor(state.raw, target, control)
-    for block in (v,) if v.size <= 2 * _BLOCK else _blocks(v):
+    for block in (v,) if v[0].size <= _BLOCK else _blocks(v):
         _fixed_block(block, kind, alu, sincos)
     state.overflow = state.overflow or alu.overflow
 

@@ -246,6 +246,10 @@ class VirtualBoard:
         if msg.kind is MessageKind.ANGLE_COUNT:
             if self._angle_count is not None:
                 raise ProtocolError("duplicate angle count")
+            if msg.value > 1 << self.config.imm_bits:
+                raise ProtocolError(
+                    f"{msg.value} angle pairs announced, Q={self.config.imm_bits} allows {1 << self.config.imm_bits}"
+                )
             self._angle_count = msg.value
         elif msg.kind is MessageKind.QUBIT_COUNT:
             if self._angle_count is None:
@@ -262,6 +266,12 @@ class VirtualBoard:
                 raise ProtocolError("angle value before counts")
             if len(self._angle_values) >= 2 * self._angle_count:
                 raise ProtocolError("more angle values than announced")
+            fmt = self.config.fixed_format
+            if not fmt.min_raw <= msg.value <= fmt.max_raw:
+                # the array core's int64 products hold only in-range words
+                raise ProtocolError(
+                    f"angle value {msg.value} outside the {fmt.total_bits}-bit range [{fmt.min_raw}, {fmt.max_raw}]"
+                )
             self._angle_values.append(msg.value)
         elif msg.kind is MessageKind.INSTRUCTION:
             if self._used_qubits is None:

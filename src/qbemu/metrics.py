@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import FloatState
+
 KLD_EPSILON = 1e-12
 
 
@@ -46,7 +48,10 @@ def hellinger_fidelity(model, reference) -> float:
     p = _as_distribution(model)
     r = _as_distribution(reference)
     _check_lengths(p, r)
-    h2 = 0.5 * float(np.sum((np.sqrt(p) - np.sqrt(r)) ** 2))
+    d = np.sqrt(p)
+    d -= np.sqrt(r)
+    d *= d
+    h2 = 0.5 * float(np.sum(d))
     return (1.0 - h2) ** 2
 
 
@@ -59,13 +64,19 @@ def kld(model, reference, epsilon: float = KLD_EPSILON) -> float:
     p = _as_distribution(model)
     r = _as_distribution(reference)
     _check_lengths(p, r)
-    r = np.maximum(r, epsilon)
     mask = p > 0
-    return float(np.sum(p[mask] * np.log(p[mask] / r[mask])))
+    p = p[mask]
+    terms = np.divide(p, np.maximum(r[mask], epsilon))
+    np.log(terms, out=terms)
+    terms *= p
+    return float(np.sum(terms))
 
 
 def _as_amplitudes(x) -> np.ndarray:
-    if hasattr(x, "to_complex"):
+    """A state's complex amplitudes; a float state's are read, not copied."""
+    if isinstance(x, FloatState):
+        x = x.amp
+    elif hasattr(x, "to_complex"):
         x = x.to_complex()
     arr = np.asarray(x, dtype=complex)
     if arr.ndim != 1:
@@ -87,8 +98,10 @@ def report(model_state, reference_state) -> QualityReport:
     model = _as_amplitudes(model_state)
     reference = _as_amplitudes(reference_state)
     _check_lengths(model, reference)
-    p = np.abs(model) ** 2
-    r = np.abs(reference) ** 2
+    p = np.abs(model)
+    p *= p  # what ``** 2`` computes, without a second array
+    r = np.abs(reference)
+    r *= r
     mcd, acd = complex_distances(model, reference)
     return QualityReport(
         fidelity=hellinger_fidelity(p, r),

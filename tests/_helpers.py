@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 
 from qbemu.fixedpoint import FixedPointFormat, Rounding
-from qbemu.gates import ROTATIONAL, GateApplication, GateKind
+from qbemu.gates import ROTATIONAL, GateApplication, GateKind, gate_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +148,22 @@ def couple_pairs(n: int, target: int, control: int | None = None) -> list[tuple[
         for i in range(1 << n)
         if not i & step and (control is None or (i >> control) & 1)
     ]
+
+
+def tensordot_apply(amp: np.ndarray, n: int, gate: GateApplication) -> np.ndarray:
+    """One gate applied by reshape/tensordot with ``gate_matrix``, independent
+    of the engine's couple walk.  Qubit q is bit q of the index, i.e. tensor
+    axis n-1-q; a control restricts the update to the slice where it is 1."""
+    psi = amp.reshape((2,) * n).copy()
+    u = gate_matrix(gate.kind, gate.angle)
+    where = [slice(None)] * n
+    axis = n - 1 - gate.target
+    if gate.control is not None:
+        where[n - 1 - gate.control] = 1
+        axis -= gate.control > gate.target  # the control axis sits before the target's
+    sub = psi[tuple(where)]
+    sub[...] = np.moveaxis(np.tensordot(u, sub, axes=([1], [axis])), 0, axis)
+    return psi.reshape(-1)
 
 
 # ---------------------------------------------------------------------------

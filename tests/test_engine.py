@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from _helpers import (
     oracle_quantize,
     random_gates,
     scalar_fixed_kernel,
+    tensordot_apply,
     tie_operand,
 )
 
@@ -453,8 +455,11 @@ class TestBlockedKernels:
     def test_tiny_blocks_equal_one_block(self, monkeypatch, block):
         # shrinking the block runs the blocked walk at small n, where the
         # unblocked walk gives the reference: states and the flag after
-        # every gate are identical
+        # every gate are identical, on both backends
         rng = np.random.default_rng(block)
+        float_table = AngleTable(None)
+        for angle in (0.4, -2.9, math.pi, 1.7):
+            float_table.intern(angle)
         for bits, mode in itertools.product((8, 20, 32), ("truncation", "nearest", "nearest_even")):
             fmt = FixedPointFormat(bits, mode)
             table = AngleTable(fmt)
@@ -470,14 +475,52 @@ class TestBlockedKernels:
             ]
             blocked = edge_fixed_state(rng, n, fmt)
             whole = blocked.copy()
+            float_blocked = random_float_state(rng, n)
+            float_whole = float_blocked.copy()
             for instr in instrs:
                 monkeypatch.setattr(engine, "_BLOCK", block)
                 apply_gate(blocked, instr, table)
+                apply_gate(float_blocked, instr, float_table)
                 monkeypatch.setattr(engine, "_BLOCK", 1 << 30)
                 apply_gate(whole, instr, table)
+                apply_gate(float_whole, instr, float_table)
                 assert np.array_equal(blocked.raw, whole.raw), (bits, mode, instr)
                 assert blocked.overflow == whole.overflow, (bits, mode, instr)
+                assert np.array_equal(float_blocked.amp, float_whole.amp), instr
                 blocked.overflow = whole.overflow = False
+
+    @pytest.mark.parametrize("kind", list(GateKind), ids=lambda kind: kind.name)
+    def test_float_matches_tensordot(self, kind):
+        n = self.N
+        rng = np.random.default_rng(16)
+        config = ExecConfig(n_qubits=n, rounding="float_reference")
+        angle = 1.1 if kind in ROTATIONAL else None
+        for target, control in self.CASES:
+            gate = GateApplication(kind, target, control=control, angle=angle)
+            program = compile_circuit(gates_as_circuit([gate], n), config)
+            state = random_float_state(rng, n)
+            want = tensordot_apply(state.amp, n, gate)
+            apply_gate(state, program.instructions[0], program.table)
+            assert np.max(np.abs(state.amp - want)) < 1e-12, (target, control)
+
+    @pytest.mark.parametrize("backend", ["float", "fixed"])
+    @pytest.mark.parametrize("kind", list(GateKind), ids=lambda kind: kind.name)
+    def test_gate_allocates_no_state_sized_temporary(self, kind, backend):
+        # the 18-qubit state holds 4 MiB; one gate's temporaries stay in blocks
+        n = 18
+        config = ExecConfig(n_qubits=n, data_bits=24, rounding="float_reference" if backend == "float" else "nearest")
+        table = AngleTable(None if backend == "float" else config.fixed_format)
+        imm = table.intern(0.9) if kind in ROTATIONAL else 0
+        state = initial_state(n, config)
+        for target, control in ((0, None), (3, None), (17, None), (3, 17), (17, 3), (16, 17)):
+            instr = Instruction(kind, target, target if control is None else control, imm)
+            tracemalloc.start()
+            try:
+                apply_gate(state, instr, table)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, (target, control, peak)
 
 
 MODES = ("truncation", "nearest", "nearest_even")

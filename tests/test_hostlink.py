@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qbemu.compiler import compile_circuit, encode_instruction
+from qbemu.compiler import Instruction, compile_circuit, encode_instruction
 from qbemu.config import ExecConfig
 from qbemu.engine import FixedState, run
 from qbemu.fixedpoint import FixedPointFormat
+from qbemu.gates import GateKind
 from qbemu.hostlink import (
     FramingError,
     HostMessage,
@@ -268,6 +269,37 @@ class TestSession:
         board = VirtualBoard(config)
         with pytest.raises(ProtocolError, match="more angle values"):
             board.feed(b"?0#*2#<5#")
+
+    @pytest.mark.parametrize("value", [1 << 41, 1 << 64, 1 << 23, -(1 << 23) - 1])
+    def test_board_rejects_angle_value_outside_word(self, value):
+        # beyond the word, the int64 kernels would wrap instead of saturating
+        config = ExecConfig(n_qubits=1, data_bits=24, rounding="nearest", imm_bits=2)
+        board = VirtualBoard(config)
+        board.feed(b"?1#*1#")
+        with pytest.raises(ProtocolError, match=rf"angle value {value} outside the 24-bit range \[-8388608, 8388607\]"):
+            board.feed(encode_message(HostMessage(MessageKind.ANGLE_VALUE, value)))
+
+    def test_board_runs_angle_values_at_word_edges(self):
+        # RY with sine max_raw and cosine min_raw on |0>: a' = min_raw, b' = max_raw
+        config = ExecConfig(n_qubits=1, data_bits=24, rounding="nearest", imm_bits=2)
+        fmt = config.fixed_format
+        word = encode_instruction(Instruction(GateKind.RY, 0, 0, 0), config)
+        board = VirtualBoard(config)
+        board.feed(f"?1#*1#<{fmt.max_raw:X}#<{-fmt.min_raw:X}-#>{word:X}#!".encode())
+        state = board.result_state()
+        assert (state.re.tolist(), state.im.tolist()) == ([fmt.min_raw, fmt.max_raw], [0, 0])
+        assert not state.overflow
+
+    @pytest.mark.parametrize("count, ok", [(4, True), (5, False), (0xFFFFFF, False)])
+    def test_board_angle_count_bounded_by_register_file(self, count, ok):
+        # Q = 2 gives a 4-entry angle register file
+        board = VirtualBoard(ExecConfig(n_qubits=1, imm_bits=2))
+        message = f"?{count:X}#".encode()
+        if ok:
+            board.feed(message)
+        else:
+            with pytest.raises(ProtocolError, match=f"{count} angle pairs announced, Q=2 allows 4"):
+                board.feed(message)
 
     def test_board_capacity_check(self):
         config = ExecConfig(n_qubits=2)
