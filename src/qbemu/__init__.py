@@ -35,17 +35,7 @@ from .engine import (
     run,
     sample_counts,
 )
-from .fixedpoint import (
-    FixedPointFormat,
-    FixedPointValue,
-    Rounding,
-    add,
-    from_real,
-    mul,
-    negate,
-    round_reduce,
-    sub,
-)
+from .fixedpoint import FixedPointFormat, Rounding, from_real, round_shift
 from .gates import GateApplication, GateKind, consumed_angle, gate_matrix
 from .hostlink import (
     FramingError,
@@ -65,7 +55,6 @@ from .hwmodel import (
     LatencyBreakdown,
     LatencyModel,
     ResourceEstimate,
-    compare_report,
     estimate_resources,
     program_latency,
 )

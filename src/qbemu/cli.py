@@ -24,7 +24,7 @@ from .compiler import (
     load_program_files,
     write_program_files,
 )
-from .config import FLOAT_REFERENCE, ConfigError, ExecConfig, load_config
+from .config import FLOAT_REFERENCE, ROUNDING_CHOICES, ConfigError, ExecConfig, load_config
 from .engine import EngineError, dump_state, run, sample_counts
 from .hostlink import FramingError, ProtocolError, VirtualBoard, encode_session
 from .qasm import QasmError, parse_file
@@ -142,6 +142,11 @@ def _write_text(path: Path | None, text: str) -> None:
         path.write_text(text, encoding="ascii")
 
 
+def _csv(columns, rows) -> str:
+    """CSV text: floats as their repr, which reads back exactly; other cells as str."""
+    return "".join(",".join(repr(c) if isinstance(c, float) else str(c) for c in r) + "\n" for r in (columns, *rows))
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -200,14 +205,11 @@ def cmd_compare(args) -> int:
     circuit = parse_file(manifest.inputs[0])
     model_state = run(compile_circuit(circuit, config), config)
     quality = metrics.report(model_state, _float_reference(circuit, config))
-    lines = [",".join(COMPARE_COLUMNS)]
-    lines.append(
-        f"{manifest.inputs[0].stem},{circuit.qubit_count},{len(circuit.gates)},"
-        f"{config.data_bits},{config.rounding},"
-        f"{quality.fidelity!r},{quality.kld!r},{quality.mcd!r},{quality.acd!r},"
-        f"{quality.prob_sum_model!r},{quality.prob_sum_reference!r}"
+    row = (
+        manifest.inputs[0].stem, circuit.qubit_count, len(circuit.gates), config.data_bits, config.rounding,
+        quality.fidelity, quality.kld, quality.mcd, quality.acd, quality.prob_sum_model, quality.prob_sum_reference,
     )
-    _write_text(manifest.out, "\n".join(lines) + "\n")
+    _write_text(manifest.out, _csv(COMPARE_COLUMNS, [row]))
     return EXIT_OK
 
 
@@ -243,7 +245,7 @@ def cmd_sweep(args) -> int:
     base = _backend_config(manifest.config, "fixed")
     values = _sweep_values(args.axis, args.values)
     configs = [_sweep_config(base, args.axis, value) for value in values]
-    lines = [",".join(SWEEP_COLUMNS)]
+    rows = []
     for path in circuit_paths:
         circuit = parse_file(path)
         reference = _float_reference(circuit, base)
@@ -252,13 +254,13 @@ def cmd_sweep(args) -> int:
             quality = metrics.report(run(program, config), reference)
             resources = hwmodel.estimate_resources(config)
             latency = hwmodel.program_latency(program, config)
-            lines.append(
-                f"{path.stem},{circuit.qubit_count},{len(circuit.gates)},"
-                f"{args.axis},{value},{config.data_bits},{config.rounding},{config.window},"
-                f"{resources.datapaths},{resources.state_regfile_bits},{latency.total_cycles},"
-                f"{quality.fidelity!r},{quality.kld!r},{quality.mcd!r},{quality.acd!r}"
-            )
-    _write_text(manifest.out, "\n".join(lines) + "\n")
+            rows.append((
+                path.stem, circuit.qubit_count, len(circuit.gates), args.axis, value,
+                config.data_bits, config.rounding, config.window,
+                resources.datapaths, resources.state_regfile_bits, latency.total_cycles,
+                quality.fidelity, quality.kld, quality.mcd, quality.acd,
+            ))
+    _write_text(manifest.out, _csv(SWEEP_COLUMNS, rows))
     return EXIT_OK
 
 
@@ -291,11 +293,7 @@ def cmd_transcript(args) -> int:
 def _add_common(parser: _ArgumentParser) -> None:
     parser.add_argument("--config", help="architecture configuration file (key = value)")
     parser.add_argument("--bits", type=int, help="override data_bits")
-    parser.add_argument(
-        "--rounding",
-        choices=("truncation", "nearest", "nearest_even", FLOAT_REFERENCE),
-        help="override rounding mode",
-    )
+    parser.add_argument("--rounding", choices=ROUNDING_CHOICES, help="override rounding mode")
     parser.add_argument("--window", type=int, help="override windowing order W")
     parser.add_argument("--seed", type=int, help="seed for measurement sampling")
     parser.add_argument(
@@ -354,9 +352,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -16,7 +16,7 @@ import struct
 from dataclasses import dataclass, field
 
 from .config import ExecConfig
-from .fixedpoint import FixedPointFormat, from_real, raw_from_bytes, raw_to_bytes
+from .fixedpoint import FixedPointFormat, check_raw, from_real, raw_from_bytes, raw_to_bytes
 from .gates import ROTATIONAL, GateKind, consumed_angle
 from .qasm import SourceCircuit
 
@@ -75,7 +75,7 @@ class AngleTable:
         if self.fmt is None:
             pair = (math.sin(angle), math.cos(angle))
         else:
-            pair = (from_real(math.sin(angle), self.fmt).raw, from_real(math.cos(angle), self.fmt).raw)
+            pair = (from_real(math.sin(angle), self.fmt), from_real(math.cos(angle), self.fmt))
         idx = self._index.get(pair)
         if idx is None:
             idx = len(self.entries)
@@ -290,9 +290,9 @@ def load_program_files(
                 if fmt is None:
                     entries.append((float(s_text), float(c_text)))
                 else:
-                    entries.append((int(s_text), int(c_text)))
-            except ValueError:
-                raise DecodeError(f"{table_path}:{lineno}: bad table entry {line!r}") from None
+                    entries.append((check_raw(int(s_text), fmt.total_bits), check_raw(int(c_text), fmt.total_bits)))
+            except ValueError as exc:
+                raise DecodeError(f"{table_path}:{lineno}: bad table entry {line!r}: {exc}") from None
     else:
         pair_bytes = 16 if fmt is None else 2 * ((config.data_bits + 7) // 8)
         if len(tbody) % pair_bytes:

@@ -1,10 +1,11 @@
 """Architecture configuration shared by compiler, engine, and hardware model.
 
 A configuration is a flat ``key = value`` text file with the keys
-``N`` (qubit capacity), ``W`` (windowing order), ``Q`` (immediate field
-width), ``S`` (control-unit sharing factor, structural only), ``data_bits``
-(number representation width) and ``rounding`` (``truncation``, ``nearest``,
-``nearest_even`` or ``float_reference``).
+``N`` (qubit capacity, at most :data:`MAX_QUBITS`), ``W`` (windowing order),
+``Q`` (immediate field width, bounded so an instruction word fits in 63
+bits), ``data_bits`` (number representation width) and ``rounding``
+(``truncation``, ``nearest``, ``nearest_even`` or ``float_reference``).
+Any other key is an error.
 """
 
 from __future__ import annotations
@@ -21,9 +22,18 @@ ROUNDING_CHOICES = ("truncation", "nearest", "nearest_even", FLOAT_REFERENCE)
 # (at most 2**62) with room for rounding.
 MAX_DATA_BITS = 32
 
+# Largest state either backend allocates: 2**N amplitudes of 16 bytes each
+# (one complex128, or one int64 in each of the two fixed-point planes).
+MAX_STATE_BYTES = 1 << 32
+MAX_QUBITS = MAX_STATE_BYTES.bit_length() - 5
+
 
 class ConfigError(ValueError):
-    pass
+    """Invalid configuration; ``key`` names the key at fault, if one is."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 @dataclass(frozen=True)
@@ -31,23 +41,23 @@ class ExecConfig:
     n_qubits: int = 5
     window: int = 0
     imm_bits: int = 4
-    cu_sharing: int = 0
     data_bits: int = 20
     rounding: str = "nearest"
 
     def __post_init__(self) -> None:
-        if self.n_qubits < 1:
-            raise ConfigError("N must be at least 1")
+        if not 1 <= self.n_qubits <= MAX_QUBITS:
+            raise ConfigError(f"N must be in [1, {MAX_QUBITS}] (the state limit), got N={self.n_qubits}", "N")
         if not 0 <= self.window <= self.n_qubits - 1:
-            raise ConfigError(f"W must be in [0, N-1], got W={self.window} with N={self.n_qubits}")
+            raise ConfigError(f"W must be in [0, N-1], got W={self.window} with N={self.n_qubits}", "W")
         if self.imm_bits < 1:
-            raise ConfigError("Q must be at least 1")
-        if self.cu_sharing < 0:
-            raise ConfigError("S must be non-negative")
+            raise ConfigError("Q must be at least 1", "Q")
+        if self.instruction_bits > 63:  # every instruction word fits in an int64
+            words = f"{self.instruction_bits}-bit instruction words"
+            raise ConfigError(f"Q={self.imm_bits} with N={self.n_qubits} makes {words}, over 63 bits", "Q")
         if not 8 <= self.data_bits <= MAX_DATA_BITS:
-            raise ConfigError(f"data_bits must be in [8, {MAX_DATA_BITS}]")
+            raise ConfigError(f"data_bits must be in [8, {MAX_DATA_BITS}]", "data_bits")
         if self.rounding not in ROUNDING_CHOICES:
-            raise ConfigError(f"rounding must be one of {ROUNDING_CHOICES}, got {self.rounding!r}")
+            raise ConfigError(f"rounding must be one of {ROUNDING_CHOICES}, got {self.rounding!r}", "rounding")
 
     @property
     def qubit_field_bits(self) -> int:
@@ -73,16 +83,16 @@ _KEY_TO_FIELD = {
     "N": "n_qubits",
     "W": "window",
     "Q": "imm_bits",
-    "S": "cu_sharing",
     "data_bits": "data_bits",
     "rounding": "rounding",
 }
-_INT_FIELDS = {"n_qubits", "window", "imm_bits", "cu_sharing", "data_bits"}
+_INT_FIELDS = {"n_qubits", "window", "imm_bits", "data_bits"}
 
 
 def parse_config(text: str, base: ExecConfig | None = None) -> ExecConfig:
     """Parse ``key = value`` configuration text on top of ``base`` (or defaults)."""
     values: dict[str, object] = {}
+    key_lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -93,6 +103,7 @@ def parse_config(text: str, base: ExecConfig | None = None) -> ExecConfig:
         if key not in _KEY_TO_FIELD:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         field_name = _KEY_TO_FIELD[key]
+        key_lines[key] = lineno
         if field_name in _INT_FIELDS:
             try:
                 values[field_name] = int(value)
@@ -100,20 +111,13 @@ def parse_config(text: str, base: ExecConfig | None = None) -> ExecConfig:
                 raise ConfigError(f"line {lineno}: {key} expects an integer, got {value!r}") from None
         else:
             values[field_name] = value
-    return replace(base or ExecConfig(), **values)
+    try:
+        return replace(base or ExecConfig(), **values)
+    except ConfigError as exc:
+        where = f"line {key_lines[exc.key]}: " if exc.key in key_lines else ""
+        raise ConfigError(f"{where}{exc}", exc.key) from None
 
 
 def load_config(path, base: ExecConfig | None = None) -> ExecConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read(), base=base)
-
-
-def format_config(config: ExecConfig) -> str:
-    return (
-        f"N = {config.n_qubits}\n"
-        f"W = {config.window}\n"
-        f"Q = {config.imm_bits}\n"
-        f"S = {config.cu_sharing}\n"
-        f"data_bits = {config.data_bits}\n"
-        f"rounding = {config.rounding}\n"
-    )

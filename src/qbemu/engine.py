@@ -29,8 +29,8 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .compiler import AngleTable, CompiledProgram, Instruction
-from .config import MAX_DATA_BITS, ExecConfig
-from .fixedpoint import FixedPointFormat, Rounding, from_real
+from .config import MAX_DATA_BITS, MAX_QUBITS, MAX_STATE_BYTES, ExecConfig
+from .fixedpoint import FixedPointFormat, from_real, round_shift
 from .gates import (
     INV_SQRT2,
     ROTATIONAL,
@@ -40,10 +40,6 @@ from .gates import (
 )
 
 DENSE_ORACLE_MAX_QUBITS = 10
-
-# Largest state either backend allocates: 2**n amplitudes of 16 bytes each
-# (one complex128, or one int64 in each of the two fixed-point planes).
-MAX_STATE_BYTES = 1 << 32
 
 # A fixed-point gate whose couple tensor holds more amplitudes per plane than
 # this runs block by block, so its temporaries stay in the L2 cache.
@@ -56,7 +52,7 @@ class EngineError(Exception):
 
 def _check_state_size(n_qubits: int) -> None:
     """Refuse a state larger than :data:`MAX_STATE_BYTES` before allocating it."""
-    if n_qubits >= MAX_STATE_BYTES.bit_length() or 16 << n_qubits > MAX_STATE_BYTES:
+    if n_qubits > MAX_QUBITS:
         raise EngineError(
             f"a {n_qubits}-qubit state needs 2**{n_qubits} x 16 bytes, "
             f"over the {MAX_STATE_BYTES}-byte state limit"
@@ -186,25 +182,8 @@ def initial_state(n_qubits: int, config: ExecConfig) -> State:
 
 
 # ---------------------------------------------------------------------------
-# Fixed-point vector arithmetic (same semantics as the scalar module)
+# Saturating fixed-point arithmetic over arrays
 # ---------------------------------------------------------------------------
-
-
-def _round_in_place(wide: np.ndarray, shift: int, mode: Rounding) -> None:
-    """Drop the low ``shift`` (>= 1) bits of exact products, overwriting ``wide``.
-
-    Each mode is one bias added before the arithmetic shift: none for
-    truncation, ``half - [wide < 0]`` for nearest (ties away from zero), and
-    ``half - 1 + lsb(quotient)`` for nearest-even.  ``wide >> 63`` is
-    ``-[wide < 0]`` without a bool-to-int64 cast.
-    """
-    if mode is Rounding.NEAREST:
-        wide += wide >> 63
-        wide += 1 << (shift - 1)
-    elif mode is Rounding.NEAREST_EVEN:
-        wide += (wide >> shift) & 1
-        wide += (1 << (shift - 1)) - 1
-    wide >>= shift
 
 
 @lru_cache(maxsize=1 << 12)
@@ -215,7 +194,7 @@ def _product_in_range(k: int, fmt: FixedPointFormat) -> bool:
     ``max_raw`` bound all others.
     """
     ends = np.array([fmt.min_raw, fmt.max_raw], dtype=np.int64) * np.int64(k)
-    _round_in_place(ends, fmt.fractional_bits, fmt.rounding)
+    round_shift(ends, fmt.fractional_bits, fmt.rounding)
     return fmt.min_raw <= ends.min() and ends.max() <= fmt.max_raw
 
 
@@ -248,7 +227,7 @@ class _FixedAlu:
         """Rounded products ``a * k``; the range check is skipped where
         :func:`_product_in_range` proves it cannot fire."""
         wide = np.multiply(a, np.int64(k), out=out)
-        _round_in_place(wide, self.fmt.fractional_bits, self.fmt.rounding)
+        round_shift(wide, self.fmt.fractional_bits, self.fmt.rounding)
         return wide if _product_in_range(k, self.fmt) else self.sat(wide)
 
     def mul_pair(self, a: np.ndarray, c: int, s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -265,7 +244,7 @@ class _FixedAlu:
 @lru_cache(maxsize=None)
 def _inv_sqrt2_raw(fmt: FixedPointFormat) -> int:
     """The shared 1/sqrt(2) constant, quantized once per format."""
-    return from_real(INV_SQRT2, fmt).raw
+    return from_real(INV_SQRT2, fmt)
 
 
 # ---------------------------------------------------------------------------

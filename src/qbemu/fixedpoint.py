@@ -1,18 +1,17 @@
-"""Two's-complement fixed-point arithmetic with two integer bits.
+"""Two's-complement fixed-point words with two integer bits.
 
 Values are plain integers with a virtual LSB weight of ``2**-(n-2)`` for an
-``n``-bit word, covering [-2, 2).  Multiplication produces an exact wide
-product whose low ``n-2`` bits are discarded under one of three rounding
-strategies; additions are performed at ``n`` bits.  Out-of-range results
-saturate and set a sticky overflow flag instead of wrapping, so range
-violations stay observable without exceptions.
+``n``-bit word, covering [-2, 2).  :func:`round_shift` is the one rounding
+core: it discards the low bits of exact wide products under one of three
+rounding strategies, for the engine's int64 kernels (whose saturating
+arithmetic with a sticky overflow flag is ``engine._FixedAlu``) and for
+:func:`from_real`, which quantizes a float and saturates it to the word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 
 class Rounding(str, Enum):
@@ -59,121 +58,43 @@ class FixedPointFormat:
         return self.max_raw * self.lsb
 
 
-@dataclass(frozen=True)
-class FixedPointValue:
-    """Immutable fixed-point number: ``value = raw * 2**-(n-2)``.
+def round_shift(wide, shift: int, mode: Rounding):
+    """Drop the low ``shift`` (>= 1) bits of exact products and return them.
 
-    ``overflow`` is the sticky saturation flag; it propagates through every
-    arithmetic operation that consumes the value.
+    ``wide`` is an int64 array, rounded in place, or a Python int.  Each mode
+    is one bias added before the arithmetic shift: none for truncation,
+    ``half - [wide < 0]`` for nearest (ties away from zero), and
+    ``half - 1 + lsb(quotient)`` for nearest-even.  ``wide >> 63`` is
+    ``-[wide < 0]`` (for ``|wide| < 2**63``) without a bool-to-int64 cast.
     """
-
-    raw: int
-    fmt: FixedPointFormat
-    overflow: bool = False
-
-    @property
-    def value(self) -> float:
-        return self.raw / (1 << self.fmt.fractional_bits)
-
-    def __add__(self, other: "FixedPointValue") -> "FixedPointValue":
-        return add(self, other)
-
-    def __sub__(self, other: "FixedPointValue") -> "FixedPointValue":
-        return sub(self, other)
-
-    def __mul__(self, other: "FixedPointValue") -> "FixedPointValue":
-        return mul(self, other)
-
-    def __neg__(self) -> "FixedPointValue":
-        return negate(self)
-
-
-def _saturate(raw: int, fmt: FixedPointFormat) -> tuple[int, bool]:
-    if raw > fmt.max_raw:
-        return fmt.max_raw, True
-    if raw < fmt.min_raw:
-        return fmt.min_raw, True
-    return raw, False
-
-
-def round_reduce(wide: int, shift: int, mode: Rounding) -> int:
-    """Drop the low ``shift`` bits of an exact product.
-
-    truncation: arithmetic right shift (towards -inf).
-    nearest: ties away from zero.
-    nearest_even: ties to the even LSB.
-    """
-    if shift == 0:
-        return wide
-    if mode is Rounding.TRUNCATION:
-        return wide >> shift
-    half = 1 << (shift - 1)
     if mode is Rounding.NEAREST:
-        if wide >= 0:
-            return (wide + half) >> shift
-        return -((-wide + half) >> shift)
-    q = wide >> shift
-    rem = wide - (q << shift)
-    if rem > half or (rem == half and (q & 1)):
-        return q + 1
-    return q
+        wide += wide >> 63
+        wide += 1 << (shift - 1)
+    elif mode is Rounding.NEAREST_EVEN:
+        wide += (wide >> shift) & 1
+        wide += (1 << (shift - 1)) - 1
+    wide >>= shift
+    return wide
 
 
-def _round_fraction(x: Fraction, mode: Rounding) -> int:
-    floor = x.numerator // x.denominator
-    if mode is Rounding.TRUNCATION:
-        return floor
-    rem = x - floor
-    half = Fraction(1, 2)
-    if mode is Rounding.NEAREST:
-        if x >= 0:
-            return floor + (1 if rem >= half else 0)
-        return -_round_fraction(-x, mode)
-    if rem > half or (rem == half and (floor & 1)):
-        return floor + 1
-    return floor
+def from_real(x: float, fmt: FixedPointFormat) -> int:
+    """The raw word nearest ``x`` under the format's rounding mode.
 
-
-def from_real(x: float, fmt: FixedPointFormat) -> FixedPointValue:
-    """Quantize a real number under the format's rounding mode.
-
-    Inputs beyond [-2, 2) saturate and set the overflow flag.
+    ``x`` is exactly ``num / 2**k``, so its raw value is ``num`` shifted by
+    ``fractional_bits - k``, rounded where that drops bits.  Inputs beyond
+    [-2, 2) saturate to ``min_raw`` or ``max_raw``.
     """
-    scaled = Fraction(x) * (1 << fmt.fractional_bits)
-    raw = _round_fraction(scaled, fmt.rounding)
-    raw, ovf = _saturate(raw, fmt)
-    return FixedPointValue(raw, fmt, ovf)
+    num, den = x.as_integer_ratio()
+    shift = den.bit_length() - 1 - fmt.fractional_bits
+    raw = num << -shift if shift <= 0 else round_shift(num, shift, fmt.rounding)
+    return min(max(raw, fmt.min_raw), fmt.max_raw)
 
 
-def _check_formats(a: FixedPointValue, b: FixedPointValue) -> None:
-    if a.fmt != b.fmt:
-        raise ValueError(f"format mismatch: {a.fmt} vs {b.fmt}")
-
-
-def add(a: FixedPointValue, b: FixedPointValue) -> FixedPointValue:
-    _check_formats(a, b)
-    raw, ovf = _saturate(a.raw + b.raw, a.fmt)
-    return FixedPointValue(raw, a.fmt, ovf or a.overflow or b.overflow)
-
-
-def sub(a: FixedPointValue, b: FixedPointValue) -> FixedPointValue:
-    _check_formats(a, b)
-    raw, ovf = _saturate(a.raw - b.raw, a.fmt)
-    return FixedPointValue(raw, a.fmt, ovf or a.overflow or b.overflow)
-
-
-def negate(a: FixedPointValue) -> FixedPointValue:
-    raw, ovf = _saturate(-a.raw, a.fmt)
-    return FixedPointValue(raw, a.fmt, ovf or a.overflow)
-
-
-def mul(a: FixedPointValue, b: FixedPointValue) -> FixedPointValue:
-    """Exact wide product reduced back to ``n`` bits by the format's rounding."""
-    _check_formats(a, b)
-    wide = a.raw * b.raw
-    raw = round_reduce(wide, a.fmt.fractional_bits, a.fmt.rounding)
-    raw, ovf = _saturate(raw, a.fmt)
-    return FixedPointValue(raw, a.fmt, ovf or a.overflow or b.overflow)
+def check_raw(raw: int, total_bits: int) -> int:
+    """``raw`` if it is a ``total_bits``-bit two's-complement word; else ValueError."""
+    if not -(1 << (total_bits - 1)) <= raw < (1 << (total_bits - 1)):
+        raise ValueError(f"value {raw} outside {total_bits}-bit two's-complement range")
+    return raw
 
 
 def raw_to_bytes(raw: int, total_bits: int) -> bytes:
@@ -189,6 +110,4 @@ def raw_from_bytes(data: bytes, total_bits: int) -> int:
     raw = int.from_bytes(data, "little")
     if raw & (1 << (8 * width - 1)):
         raw -= 1 << (8 * width)
-    if not -(1 << (total_bits - 1)) <= raw < (1 << (total_bits - 1)):
-        raise ValueError(f"value {raw} outside {total_bits}-bit two's-complement range")
-    return raw
+    return check_raw(raw, total_bits)

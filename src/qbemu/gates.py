@@ -19,8 +19,6 @@ from enum import IntEnum
 
 import numpy as np
 
-OPCODE_BITS = 4
-
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -44,10 +42,6 @@ class GateKind(IntEnum):
 SIGN_EXCHANGE = frozenset({GateKind.X, GateKind.Y, GateKind.Z, GateKind.S, GateKind.SDG})
 ONE_MULTIPLIER = frozenset({GateKind.H, GateKind.T, GateKind.TDG})
 ROTATIONAL = frozenset({GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.U1})
-
-
-def is_rotational(kind: GateKind) -> bool:
-    return kind in ROTATIONAL
 
 
 def consumed_angle(kind: GateKind, angle: float) -> float:

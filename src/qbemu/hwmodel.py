@@ -96,86 +96,3 @@ def program_latency(
     readout = (1 << config.n_qubits) * model.readout_cycles_per_amplitude
     return LatencyBreakdown(init, compute, readout)
 
-
-@dataclass(frozen=True)
-class ReportRow:
-    n_qubits: int
-    window: int
-    imm_bits: int
-    datapaths: int
-    state_regfile_bits: int
-    angle_regfile_bits: int
-    instruction_width_bits: int
-    compute_cycles: int
-    total_cycles: int
-
-
-REPORT_COLUMNS = (
-    "N",
-    "W",
-    "Q",
-    "datapaths",
-    "state_regfile_bits",
-    "angle_regfile_bits",
-    "instruction_width_bits",
-    "compute_cycles",
-    "total_cycles",
-)
-
-
-def compare_report(
-    program: CompiledProgram,
-    configs,
-    model: LatencyModel | None = None,
-) -> list[ReportRow]:
-    """One row of structural and timing figures per candidate configuration."""
-    rows = []
-    for config in configs:
-        res = estimate_resources(config)
-        lat = program_latency(program, config, model)
-        rows.append(
-            ReportRow(
-                n_qubits=config.n_qubits,
-                window=config.window,
-                imm_bits=config.imm_bits,
-                datapaths=res.datapaths,
-                state_regfile_bits=res.state_regfile_bits,
-                angle_regfile_bits=res.angle_regfile_bits,
-                instruction_width_bits=res.instruction_width_bits,
-                compute_cycles=lat.compute_cycles,
-                total_cycles=lat.total_cycles,
-            )
-        )
-    return rows
-
-
-def report_csv(rows: list[ReportRow]) -> str:
-    lines = [",".join(REPORT_COLUMNS)]
-    for r in rows:
-        lines.append(
-            f"{r.n_qubits},{r.window},{r.imm_bits},{r.datapaths},{r.state_regfile_bits},"
-            f"{r.angle_regfile_bits},{r.instruction_width_bits},{r.compute_cycles},{r.total_cycles}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def report_text(rows: list[ReportRow]) -> str:
-    cells = [REPORT_COLUMNS] + [
-        tuple(
-            str(v)
-            for v in (
-                r.n_qubits,
-                r.window,
-                r.imm_bits,
-                r.datapaths,
-                r.state_regfile_bits,
-                r.angle_regfile_bits,
-                r.instruction_width_bits,
-                r.compute_cycles,
-                r.total_cycles,
-            )
-        )
-        for r in rows
-    ]
-    widths = [max(len(row[k]) for row in cells) for k in range(len(REPORT_COLUMNS))]
-    return "\n".join("  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells) + "\n"

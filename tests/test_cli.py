@@ -10,7 +10,7 @@ import pytest
 
 import qbemu
 from qbemu.cli import main
-from qbemu.config import ExecConfig
+from qbemu.config import MAX_QUBITS, ConfigError, ExecConfig
 from qbemu.engine import load_dump
 from qbemu.fixedpoint import FixedPointFormat
 
@@ -27,7 +27,7 @@ def bell_qasm(tmp_path):
 @pytest.fixture
 def config_file(tmp_path):
     path = tmp_path / "arch.cfg"
-    path.write_text("N = 4\nW = 0\nQ = 4\nS = 0\ndata_bits = 20\nrounding = nearest\n")
+    path.write_text("N = 4\nW = 0\nQ = 4\ndata_bits = 20\nrounding = nearest\n")
     return path
 
 
@@ -177,18 +177,18 @@ class TestRun:
         assert rc == 1
 
     def test_oversized_state_exit_4_before_allocation(self, tmp_path, capsys):
-        qasm = tmp_path / "wide.qasm"
-        qasm.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[34];\nh q[33];\n')
+        # N is bounded by the state limit, so a 34-qubit program file is
+        # refused by its qubit count before any state is allocated.
         wide = tmp_path / "wide.cfg"
-        wide.write_text("N = 64\ndata_bits = 20\nrounding = nearest\n")
-        out = tmp_path / "out"
-        assert main(["compile", str(qasm), "--config", str(wide), "--out", str(out)]) == 0
-        prog, table = out / "wide.prog.txt", out / "wide.table.txt"
+        wide.write_text(f"N = {MAX_QUBITS}\ndata_bits = 20\nrounding = nearest\n")
+        prog, table = tmp_path / "wide.prog.txt", tmp_path / "wide.table.txt"
+        prog.write_text("34\n")
+        table.write_text("0\n")
         for backend in ("fixed", "float"):
             rc = main(["run", str(prog), str(table), "--config", str(wide), "--backend", backend])
             assert rc == 4
             err = capsys.readouterr().err
-            assert err.startswith("runtime error: a 34-qubit state needs 2**34 x 16 bytes, over the ")
+            assert err == f"runtime error: program uses 34 qubits, architecture supports {MAX_QUBITS}\n"
 
     def test_memory_error_exit_4(self, tmp_path, bell_qasm, config_file, capsys, monkeypatch):
         prog, table = compile_bell(tmp_path, bell_qasm, config_file)
@@ -211,6 +211,21 @@ class TestRun:
         rc = main(["run", str(shrunk), str(table), "--config", str(config_file)])
         assert rc == 4
 
+    def test_out_of_range_table_value_exit_3_with_line(self, tmp_path, capsys):
+        qasm = tmp_path / "ry.qasm"
+        qasm.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nry(0.5) q[0];\n')
+        cfg = tmp_path / "ry.cfg"
+        cfg.write_text("N = 1\nQ = 2\ndata_bits = 32\nrounding = nearest\n")
+        out = tmp_path / "out"
+        assert main(["compile", str(qasm), "--config", str(cfg), "--out", str(out)]) == 0
+        table = out / "ry.table.txt"
+        table.write_text(f"1\n{2**40},0\n")
+        rc = main(["run", str(out / "ry.prog.txt"), str(table), "--config", str(cfg)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        entry = f"{2**40},0"
+        assert err == f"error: {table}:2: bad table entry {entry!r}: value {2**40} outside 32-bit two's-complement range\n"
+
     def test_fixed_table_under_float_config_exit_3(self, tmp_path, bell_qasm, config_file):
         qasm = tmp_path / "rot.qasm"
         qasm.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nrx(0.7) q[0];\n')
@@ -228,6 +243,32 @@ class TestRun:
             ]
         )
         assert rc == 3
+
+
+class TestConfig:
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("N = 64\n", 1, f"N must be in [1, {MAX_QUBITS}] (the state limit), got N=64"),
+            ("N = 4\nQ = 100000\n", 2, "Q=100000 with N=4 makes 100008-bit instruction words, over 63 bits"),
+            ("N = 4\nW = 4\n", 2, "W must be in [0, N-1], got W=4 with N=4"),
+            ("N = 4\nS = 1\n", 2, "unknown key 'S'"),
+        ],
+        ids=["N", "Q", "W", "S"],
+    )
+    def test_bad_key_exit_3_naming_key_and_line(self, tmp_path, bell_qasm, capsys, text, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert main(["sweep", str(bell_qasm), "bits", "8", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == f"error: line {line}: {message}\n"
+
+    def test_instruction_word_bound(self):
+        # 4 opcode bits, two ceil(log2 N)-bit qubit fields and Q immediate bits
+        assert ExecConfig(n_qubits=MAX_QUBITS, imm_bits=49).instruction_bits == 63
+        assert ExecConfig(n_qubits=1, imm_bits=59).instruction_bits == 63
+        for n, q in ((MAX_QUBITS, 50), (1, 60)):
+            with pytest.raises(ConfigError, match=f"Q={q} with N={n} makes 64-bit"):
+                ExecConfig(n_qubits=n, imm_bits=q)
 
 
 class TestCompare:

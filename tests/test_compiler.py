@@ -120,7 +120,7 @@ class TestCompile:
             gates_as_circuit(gates, 1), cfg(n_qubits=1, imm_bits=6, data_bits=10)
         )
         expected = {
-            (from_real(math.sin(a), fmt).raw, from_real(math.cos(a), fmt).raw) for a in angles
+            (from_real(math.sin(a), fmt), from_real(math.cos(a), fmt)) for a in angles
         }
         assert len(program.table) == len(expected)
 
@@ -255,6 +255,26 @@ class TestProgramFiles:
         with pytest.raises(DecodeError, match="header says"):
             load_program_files(tmp_path / "p.txt", tmp_path / "t.txt", config)
 
+    @pytest.mark.parametrize(
+        "raw",
+        [2**40, 2**63, 2**31, -(2**31) - 1, 2**31 - 1, -(2**31)],
+        ids=["2**40", "2**63", "max_raw+1", "min_raw-1", "max_raw", "min_raw"],
+    )
+    def test_text_table_values_range_checked(self, tmp_path, raw):
+        config = cfg(n_qubits=1, imm_bits=2, data_bits=32)
+        fmt = config.fixed_format
+        assert (fmt.min_raw, fmt.max_raw) == (-(2**31), 2**31 - 1)
+        program = compile_circuit(parse(HEADER + "qreg q[1];\nry(0.5) q[0];\n"), config)
+        write_program_files(program, config, tmp_path / "p.txt", tmp_path / "t.txt")
+        (tmp_path / "t.txt").write_text(f"1\n{raw},0\n")
+        if fmt.min_raw <= raw <= fmt.max_raw:
+            loaded = load_program_files(tmp_path / "p.txt", tmp_path / "t.txt", config)
+            assert loaded.table.entries == [(raw, 0)]
+        else:
+            message = rf"t\.txt:2: bad table entry '{raw},0': value {raw} outside 32-bit two's-complement range"
+            with pytest.raises(DecodeError, match=message):
+                load_program_files(tmp_path / "p.txt", tmp_path / "t.txt", config)
+
 
 class TestAngleTable:
     def test_sin_cos_matches_quantized_values(self):
@@ -262,8 +282,8 @@ class TestAngleTable:
         table = AngleTable(fmt)
         idx = table.intern(0.375)
         s, c = table.sin_cos(idx)
-        assert s == from_real(math.sin(0.375), fmt).raw / 2**18
-        assert c == from_real(math.cos(0.375), fmt).raw / 2**18
+        assert s == from_real(math.sin(0.375), fmt) / 2**18
+        assert c == from_real(math.cos(0.375), fmt) / 2**18
 
     def test_float_mode_exact(self):
         table = AngleTable(None)

@@ -12,7 +12,7 @@ import pytest
 
 from qbemu import engine
 from qbemu.compiler import AngleTable, CompiledProgram, Instruction, compile_circuit
-from qbemu.config import ExecConfig
+from qbemu.config import MAX_QUBITS, ConfigError, ExecConfig
 from qbemu.engine import (
     MAX_STATE_BYTES,
     EngineError,
@@ -608,7 +608,7 @@ class TestFixedStateLayout:
 class TestStateSizeLimit:
     @pytest.mark.parametrize(
         "make",
-        [FloatState, lambda n: FixedState(n, FixedPointFormat(16)), lambda n: initial_state(n, ExecConfig(n_qubits=64))],
+        [FloatState, lambda n: FixedState(n, FixedPointFormat(16)), lambda n: initial_state(n, ExecConfig(n_qubits=MAX_QUBITS))],
         ids=["float", "fixed", "initial_state"],
     )
     def test_oversized_state_rejected_before_allocation(self, make):
@@ -626,11 +626,15 @@ class TestStateSizeLimit:
         engine._check_state_size(limit)  # checks only; allocates nothing
         with pytest.raises(EngineError):
             engine._check_state_size(limit + 1)
+        # the configuration's qubit bound is the same limit
+        assert ExecConfig(n_qubits=limit).n_qubits == MAX_QUBITS == limit
+        with pytest.raises(ConfigError, match=rf"N must be in \[1, {limit}\]"):
+            ExecConfig(n_qubits=limit + 1)
 
     def test_run_checks_before_allocating(self):
-        config = ExecConfig(n_qubits=64)
+        config = ExecConfig(n_qubits=MAX_QUBITS)
         program = CompiledProgram((), AngleTable(config.fixed_format), 34)
-        with pytest.raises(EngineError, match="34-qubit state"):
+        with pytest.raises(EngineError, match=f"program uses 34 qubits, architecture supports {MAX_QUBITS}"):
             run(program, config)
 
 

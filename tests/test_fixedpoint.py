@@ -1,4 +1,5 @@
-"""Fixed-point arithmetic against an exact-rational oracle."""
+"""Fixed-point quantization, the rounding core and the engine's saturating ALU
+against an exact-rational oracle."""
 
 from __future__ import annotations
 
@@ -7,21 +8,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qbemu.compiler import AngleTable, Instruction
+from qbemu.engine import EngineError, FixedState, _FixedAlu, apply_gate
 from qbemu.fixedpoint import (
     FixedPointFormat,
-    FixedPointValue,
     Rounding,
-    add,
     from_real,
-    mul,
-    negate,
     raw_from_bytes,
     raw_to_bytes,
-    round_reduce,
-    sub,
+    round_shift,
 )
+from qbemu.gates import GateKind
 
-from _helpers import oracle_mul_raw, oracle_quantize
+from _helpers import oracle_mul_raw, oracle_quantize, oracle_round
 
 N4_TRUNC = FixedPointFormat(4, Rounding.TRUNCATION)
 N4_NEAR = FixedPointFormat(4, Rounding.NEAREST)
@@ -29,8 +28,19 @@ N4_EVEN = FixedPointFormat(4, Rounding.NEAREST_EVEN)
 N20 = FixedPointFormat(20, Rounding.NEAREST)
 
 
-def fx(value: float, fmt: FixedPointFormat) -> FixedPointValue:
-    return from_real(value, fmt)
+def fx(value: float, fmt: FixedPointFormat) -> np.ndarray:
+    """``value`` quantized into a one-element raw array, as kernels hold words."""
+    return np.array([from_real(value, fmt)], dtype=np.int64)
+
+
+def real(raw, fmt: FixedPointFormat) -> float:
+    return int(np.asarray(raw).item()) * fmt.lsb
+
+
+def mul(a: int, b: int, fmt: FixedPointFormat) -> tuple[int, bool]:
+    """One kernel multiplier output ``a * b`` from the engine's ALU, and its flag."""
+    alu = _FixedAlu(fmt)
+    return int(alu.mul(np.array([a], dtype=np.int64), b)[0]), alu.overflow
 
 
 class TestFormat:
@@ -52,28 +62,26 @@ class TestFormat:
 class TestFromReal:
     def test_inv_sqrt2_20bit_nearest(self):
         # frozen from the exact-rational oracle: round(0.70710678... * 2^18) = 185364
-        v = from_real(2.0**-0.5, N20)
-        assert v.raw == oracle_quantize(2.0**-0.5, N20) == 185364
-        assert not v.overflow
-        assert abs(v.value - 2.0**-0.5) <= 2.0**-19
+        raw = from_real(2.0**-0.5, N20)
+        assert raw == oracle_quantize(2.0**-0.5, N20) == 185364
+        assert abs(real(raw, N20) - 2.0**-0.5) <= 2.0**-19
 
     def test_zero(self):
         for fmt in (N4_TRUNC, N4_NEAR, N4_EVEN, N20):
-            assert from_real(0.0, fmt).raw == 0
+            assert from_real(0.0, fmt) == 0
 
     def test_minus_one_exact(self):
-        v = from_real(-1.0, N20)
-        assert v.raw == -(1 << 18) == -262144
-        assert v.value == -1.0
+        raw = from_real(-1.0, N20)
+        assert raw == -(1 << 18) == -262144
+        assert real(raw, N20) == -1.0
 
     def test_saturation_flags(self):
-        hi = from_real(2.5, N20)
-        assert hi.raw == N20.max_raw and hi.overflow
-        lo = from_real(-2.5, N20)
-        assert lo.raw == N20.min_raw and lo.overflow
+        # out-of-range inputs clip to the word's ends, where the oracle does not
+        assert from_real(2.5, N20) == N20.max_raw < oracle_quantize(2.5, N20)
+        assert from_real(-2.5, N20) == N20.min_raw > oracle_quantize(-2.5, N20)
         # -2.0 is representable, 2.0 is not
-        assert from_real(-2.0, N20).overflow is False
-        assert from_real(2.0, N20).overflow is True
+        assert from_real(-2.0, N20) == N20.min_raw == oracle_quantize(-2.0, N20)
+        assert from_real(2.0, N20) == N20.max_raw < oracle_quantize(2.0, N20)
 
     def test_error_bounds_by_mode(self):
         rng = np.random.default_rng(7)
@@ -84,100 +92,114 @@ class TestFromReal:
         ]:
             fmt = FixedPointFormat(20, mode)
             for x in rng.uniform(-1.99, 1.99, size=500):
-                v = from_real(float(x), fmt)
-                assert abs(v.value - x) <= bound
+                raw = from_real(float(x), fmt)
+                assert raw == oracle_quantize(float(x), fmt)
+                assert abs(real(raw, fmt) - x) <= bound
 
     def test_quantization_idempotent(self):
         rng = np.random.default_rng(11)
         for fmt in (N4_TRUNC, N20, FixedPointFormat(13, Rounding.NEAREST_EVEN)):
             raws = rng.integers(fmt.min_raw, fmt.max_raw + 1, size=200)
             for raw in raws:
-                v = FixedPointValue(int(raw), fmt)
-                assert from_real(v.value, fmt).raw == v.raw
+                assert from_real(real(raw, fmt), fmt) == raw
 
 
 class TestAdd:
+    """Kernels add with numpy and saturate through ``_FixedAlu.sat``."""
+
     def test_simple(self):
-        assert (fx(0.5, N20) + fx(0.25, N20)).value == 0.75
+        alu = _FixedAlu(N20)
+        assert real(alu.sat(fx(0.5, N20) + fx(0.25, N20)), N20) == 0.75
+        assert not alu.overflow
 
     def test_saturates_with_flag(self):
-        r = fx(1.9, N20) + fx(1.9, N20)
-        assert r.raw == N20.max_raw and r.overflow
+        alu = _FixedAlu(N20)
+        r = alu.sat(fx(1.9, N20) + fx(1.9, N20))
+        assert r[0] == N20.max_raw and alu.overflow
 
     def test_additive_inverse(self):
         rng = np.random.default_rng(3)
-        for raw in rng.integers(N20.min_raw + 1, N20.max_raw, size=100):
-            a = FixedPointValue(int(raw), N20)
-            assert (a + negate(a)).raw == 0
+        a = rng.integers(N20.min_raw + 1, N20.max_raw, size=100)
+        alu = _FixedAlu(N20)
+        assert np.all(alu.sat(a + alu.neg(a.copy())) == 0)
+        assert not alu.overflow
 
     def test_format_mismatch(self):
-        with pytest.raises(ValueError):
-            add(fx(0.5, N20), fx(0.5, N4_NEAR))
+        table = AngleTable(N4_NEAR)
+        table.intern(0.5)
+        with pytest.raises(EngineError, match="angle table format does not match state format"):
+            apply_gate(FixedState(1, N20), Instruction(GateKind.RY, 0, 0, 0), table)
 
     def test_sticky_flag_propagates(self):
-        bad = from_real(3.0, N20)
-        assert (bad + fx(-1.0, N20)).overflow
+        alu = _FixedAlu(N20)
+        bad = alu.sat(np.array([N20.max_raw + 1], dtype=np.int64))
+        assert alu.overflow
+        alu.sat(bad + fx(-1.0, N20))  # in range: the flag stays set
+        assert alu.overflow
+        state = FixedState(1, N20, overflow=True)
+        apply_gate(state, Instruction(GateKind.H, 0, 0))
+        assert state.overflow
 
     def test_sub_exact_and_at_min_edge(self):
-        assert sub(fx(0.5, N20), fx(0.75, N20)).value == -0.25
+        alu = _FixedAlu(N20)
+        assert real(alu.sat(fx(0.5, N20) - fx(0.75, N20)), N20) == -0.25
         rng = np.random.default_rng(13)
-        for _ in range(100):
-            a = FixedPointValue(int(rng.integers(N20.min_raw, N20.max_raw + 1)), N20)
-            b = FixedPointValue(int(rng.integers(N20.min_raw + 1, N20.max_raw + 1)), N20)
-            assert sub(a, b).raw == add(a, negate(b)).raw
-        # direct subtraction handles b == min_raw, where negate alone saturates
-        a = FixedPointValue(0, N20)
-        b = FixedPointValue(N20.min_raw, N20)
-        r = sub(a, b)
-        assert r.raw == N20.max_raw and r.overflow
+        a = rng.integers(N20.min_raw, N20.max_raw + 1, size=100)
+        b = rng.integers(N20.min_raw + 1, N20.max_raw + 1, size=100)
+        assert np.array_equal(alu.sat(a - b), alu.sat(a + alu.neg(b.copy())))
+        # direct subtraction handles b == min_raw, where negation alone saturates
+        alu = _FixedAlu(N20)
+        r = alu.sat(np.array([0], dtype=np.int64) - N20.min_raw)
+        assert r[0] == N20.max_raw and alu.overflow
 
 
 class TestNegate:
     def test_simple(self):
-        assert negate(fx(0.75, N20)).value == -0.75
-        assert negate(fx(0.0, N20)).raw == 0
+        alu = _FixedAlu(N20)
+        assert real(alu.neg(fx(0.75, N20)), N20) == -0.75
+        assert alu.neg(fx(0.0, N20))[0] == 0
+        assert not alu.overflow
 
     def test_min_raw_saturates(self):
-        v = FixedPointValue(N20.min_raw, N20)
-        r = negate(v)
-        assert r.raw == N20.max_raw and r.overflow
+        alu = _FixedAlu(N20)
+        r = alu.neg(np.array([N20.min_raw], dtype=np.int64))
+        assert r[0] == N20.max_raw and alu.overflow
 
 
 class TestMul:
     def test_quarter_lsb_example(self):
         # 0.75 * 0.75 = 0.5625 with LSB 0.25: truncation and nearest both 0.50
-        assert mul(fx(0.75, N4_TRUNC), fx(0.75, N4_TRUNC)).value == 0.5
-        assert mul(fx(0.75, N4_NEAR), fx(0.75, N4_NEAR)).value == 0.5
+        for fmt in (N4_TRUNC, N4_NEAR):
+            raw, _ = mul(from_real(0.75, fmt), from_real(0.75, fmt), fmt)
+            assert real(raw, fmt) == 0.5
 
     def test_halfway_tie(self):
         # 0.5 * 1.25 = 0.625 is exactly between 0.50 and 0.75
-        assert mul(fx(0.5, N4_NEAR), fx(1.25, N4_NEAR)).value == 0.75
-        assert mul(fx(0.5, N4_EVEN), fx(1.25, N4_EVEN)).value == 0.5
+        assert real(mul(from_real(0.5, N4_NEAR), from_real(1.25, N4_NEAR), N4_NEAR)[0], N4_NEAR) == 0.75
+        assert real(mul(from_real(0.5, N4_EVEN), from_real(1.25, N4_EVEN), N4_EVEN)[0], N4_EVEN) == 0.5
 
     def test_negative_tie_away_from_zero(self):
-        # -0.625 rounds to -0.75 away from zero, to -0.50 under ties-to-even(?)
-        a, b = fx(-0.5, N4_NEAR), fx(1.25, N4_NEAR)
-        assert mul(a, b).value == -0.75
-        q = mul(fx(-0.5, N4_EVEN), fx(1.25, N4_EVEN))
-        assert q.value == -0.5
+        # -0.625 rounds to -0.75 away from zero, to -0.50 under ties-to-even
+        assert real(mul(from_real(-0.5, N4_NEAR), from_real(1.25, N4_NEAR), N4_NEAR)[0], N4_NEAR) == -0.75
+        assert real(mul(from_real(-0.5, N4_EVEN), from_real(1.25, N4_EVEN), N4_EVEN)[0], N4_EVEN) == -0.5
 
     def test_zero_absorbs(self):
         for fmt in (N4_TRUNC, N4_NEAR, N4_EVEN):
             for x in (-1.75, -0.25, 0.25, 1.5):
-                assert mul(fx(x, fmt), fx(0.0, fmt)).raw == 0
+                assert mul(from_real(x, fmt), from_real(0.0, fmt), fmt)[0] == 0
 
     def test_against_exact_oracle(self):
         rng = np.random.default_rng(23)
         for mode in Rounding:
             fmt = FixedPointFormat(12, mode)
             for _ in range(500):
-                a = FixedPointValue(int(rng.integers(-(1 << 9), 1 << 9)), fmt)
-                b = FixedPointValue(int(rng.integers(-(1 << 9), 1 << 9)), fmt)
-                assert mul(a, b).raw == oracle_mul_raw(a.raw, b.raw, fmt)
+                a = int(rng.integers(-(1 << 9), 1 << 9))
+                b = int(rng.integers(-(1 << 9), 1 << 9))
+                assert mul(a, b, fmt) == (oracle_mul_raw(a, b, fmt), False)
 
     def test_overflow_saturates(self):
-        r = mul(fx(1.9, N20), fx(1.9, N20))
-        assert r.raw == N20.max_raw and r.overflow
+        raw, overflow = mul(from_real(1.9, N20), from_real(1.9, N20), N20)
+        assert raw == N20.max_raw and overflow
 
     def test_error_bound_truncation_vs_nearest(self):
         rng = np.random.default_rng(29)
@@ -186,37 +208,43 @@ class TestMul:
             one = 1 << fmt.fractional_bits
             errs = []
             for _ in range(2500):
-                a = FixedPointValue(int(rng.integers(-one, one)), fmt)
-                b = FixedPointValue(int(rng.integers(-one, one)), fmt)
-                exact = a.value * b.value
-                errs.append(abs(mul(a, b).value - exact))
+                a = int(rng.integers(-one, one))
+                b = int(rng.integers(-one, one))
+                exact = real(a, fmt) * real(b, fmt)
+                errs.append(abs(real(mul(a, b, fmt)[0], fmt) - exact))
             assert max(errs) <= bound_lsb * fmt.lsb + 1e-15
 
 
 class TestRoundReduce:
+    """The rounding core on Python ints and, in place, on int64 arrays."""
+
     def test_exact_inputs_agree_across_modes(self):
-        for wide in (-48, -16, 0, 16, 1024):
-            results = {mode: round_reduce(wide << 4, 4, mode) for mode in Rounding}
-            assert len(set(results.values())) == 1
+        wides = [-48, -16, 0, 16, 1024]
+        for wide in wides:
+            results = {mode: round_shift(wide << 4, 4, mode) for mode in Rounding}
+            assert set(results.values()) == {wide}
+        for mode in Rounding:
+            arr = np.array(wides, dtype=np.int64) << 4
+            assert round_shift(arr, 4, mode) is arr and arr.tolist() == wides
 
     def test_truncation_never_exceeds_exact(self):
         rng = np.random.default_rng(31)
         for _ in range(2000):
             wide = int(rng.integers(-(1 << 30), 1 << 30))
             shift = int(rng.integers(1, 12))
-            assert round_reduce(wide, shift, Rounding.TRUNCATION) * (1 << shift) <= wide
+            assert round_shift(wide, shift, Rounding.TRUNCATION) * (1 << shift) <= wide
 
     def test_matches_fraction_oracle(self):
-        from _helpers import oracle_round
-
         rng = np.random.default_rng(37)
         for _ in range(3000):
             wide = int(rng.integers(-(1 << 40), 1 << 40))
             shift = int(rng.integers(0, 20))
+            if shift == 0:  # the core drops at least one bit; nothing to round
+                continue
             for mode in Rounding:
-                assert round_reduce(wide, shift, mode) == oracle_round(
-                    Fraction(wide, 1 << shift), mode
-                ), (wide, shift, mode)
+                expected = oracle_round(Fraction(wide, 1 << shift), mode)
+                assert round_shift(wide, shift, mode) == expected, (wide, shift, mode)
+                assert round_shift(np.array([wide]), shift, mode)[0] == expected, (wide, shift, mode)
 
 
 class TestMeanErrorOrdering:
@@ -225,7 +253,6 @@ class TestMeanErrorOrdering:
         # half the sample is constructed to land exactly between two codes.
         rng = np.random.default_rng(41)
         for bits in (8, 12, 16):
-            fmts = {mode: FixedPointFormat(bits, mode) for mode in Rounding}
             f = bits - 2
             one = 1 << f
             pairs = []
@@ -237,17 +264,12 @@ class TestMeanErrorOrdering:
                 a = (2 * int(rng.integers(1, 1 << (f - ha - 1))) + 1) << ha
                 b = (2 * int(rng.integers(1, 1 << (f - hb - 1))) + 1) << hb
                 pairs.append((a, b))
+            products = [a * b for a, b in pairs]
             stats = {}
-            for mode, fmt in fmts.items():
-                abs_err = 0.0
-                signed = 0.0
-                for a_raw, b_raw in pairs:
-                    exact = Fraction(a_raw * b_raw, 1 << f)
-                    got = mul(FixedPointValue(a_raw, fmt), FixedPointValue(b_raw, fmt)).raw
-                    err = float(got - exact)
-                    abs_err += abs(err)
-                    signed += err
-                stats[mode] = (abs_err / len(pairs), signed / len(pairs))
+            for mode in Rounding:
+                got = round_shift(np.array(products, dtype=np.int64), f, mode).tolist()
+                errs = [float(g - Fraction(p, 1 << f)) for g, p in zip(got, products)]
+                stats[mode] = (sum(map(abs, errs)) / len(pairs), sum(errs) / len(pairs))
             assert stats[Rounding.TRUNCATION][0] >= stats[Rounding.NEAREST][0]
             assert abs(stats[Rounding.NEAREST_EVEN][1]) <= abs(stats[Rounding.NEAREST][1])
 

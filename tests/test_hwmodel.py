@@ -10,11 +10,8 @@ from qbemu.gates import GateApplication, GateKind
 from qbemu.hwmodel import (
     DEFAULT_BASE_CYCLES,
     LatencyModel,
-    compare_report,
     estimate_resources,
     program_latency,
-    report_csv,
-    report_text,
 )
 
 from _helpers import gates_as_circuit
@@ -141,27 +138,7 @@ class TestReport:
         config0 = ExecConfig(n_qubits=3, window=0)
         program = bell_program(config0)
         configs = [ExecConfig(n_qubits=3, window=w) for w in range(3)]
-        rows = compare_report(program, configs)
-        datapaths = [r.datapaths for r in rows]
-        cycles = [r.total_cycles for r in rows]
+        datapaths = [estimate_resources(c).datapaths for c in configs]
+        cycles = [program_latency(program, c).total_cycles for c in configs]
         assert datapaths == sorted(datapaths, reverse=True)
         assert cycles == sorted(cycles)
-
-    def test_row_matches_point_queries(self):
-        config = ExecConfig(n_qubits=3, window=1)
-        program = bell_program(config)
-        (row,) = compare_report(program, [config])
-        res = estimate_resources(config)
-        lat = program_latency(program, config)
-        assert row.datapaths == res.datapaths
-        assert row.state_regfile_bits == res.state_regfile_bits
-        assert row.total_cycles == lat.total_cycles
-
-    def test_csv_row_count(self):
-        config = ExecConfig(n_qubits=3)
-        program = bell_program(config)
-        configs = [ExecConfig(n_qubits=3, window=w) for w in range(3)]
-        csv = report_csv(compare_report(program, configs))
-        assert len(csv.strip().splitlines()) == 1 + len(configs)
-        text = report_text(compare_report(program, configs))
-        assert len(text.strip().splitlines()) == 1 + len(configs)

@@ -1,10 +1,13 @@
-"""Property tests: parser robustness, angle-table interning and the fixed-point
-array kernels against oracles."""
+"""Property tests: parser robustness, angle-table interning, the rounding core
+and the fixed-point array kernels against oracles."""
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from unittest import mock
+
+import numpy as np
 
 import pytest
 
@@ -15,11 +18,11 @@ from hypothesis import strategies as st
 from qbemu import engine
 from qbemu.compiler import AngleTable, Instruction
 from qbemu.engine import FixedState, apply_gate
-from qbemu.fixedpoint import FixedPointFormat
+from qbemu.fixedpoint import FixedPointFormat, Rounding, round_shift
 from qbemu.gates import INV_SQRT2, ROTATIONAL, GateKind
 from qbemu.qasm import QasmError, parse
 
-from _helpers import OracleAlu, couple_pairs, oracle_quantize, scalar_fixed_kernel
+from _helpers import OracleAlu, couple_pairs, oracle_quantize, oracle_round, scalar_fixed_kernel
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\ncreg c[3];\n'
 
@@ -146,8 +149,17 @@ def test_memoized_interning_equals_fresh_quantization(fmt, angles):
 
 
 # ---------------------------------------------------------------------------
-# Fixed-point array kernels against the exact-Fraction oracle
+# The rounding core and the fixed-point array kernels against the exact-Fraction oracle
 # ---------------------------------------------------------------------------
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.integers(-(1 << 62) + 1, (1 << 62) - 1), st.integers(1, 30), st.sampled_from(list(Rounding)))
+def test_rounding_core_on_ints_and_arrays_matches_oracle(wide, shift, mode):
+    expected = oracle_round(Fraction(wide, 1 << shift), mode)
+    assert round_shift(wide, shift, mode) == expected
+    arr = np.array([wide], dtype=np.int64)
+    assert round_shift(arr, shift, mode) is arr and arr[0] == expected
 
 
 @st.composite
