@@ -9,6 +9,7 @@ board.
 
 from importlib import resources as _resources
 
+from .columns import Columns
 from .compiler import (
     AngleTable,
     CompiledProgram,

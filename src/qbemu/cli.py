@@ -249,9 +249,13 @@ def cmd_sweep(args) -> int:
     for path in circuit_paths:
         circuit = parse_file(path)
         reference = _float_reference(circuit, base)
+        models = {}  # the window changes only hwmodel, so each format compiles and runs once
         for value, config in zip(values, configs):
-            program = compile_circuit(circuit, config)
-            quality = metrics.report(run(program, config), reference)
+            fmt = (config.data_bits, config.rounding)
+            if fmt not in models:
+                program = compile_circuit(circuit, config)
+                models[fmt] = program, metrics.report(run(program, config), reference)
+            program, quality = models[fmt]
             resources = hwmodel.estimate_resources(config)
             latency = hwmodel.program_latency(program, config)
             rows.append((

@@ -7,6 +7,12 @@ gates carry the target replicated into the control field.  Rotational gates
 index a compile-time table of (sin, cos) pairs, deduplicated on the pair as
 quantized in the configured number representation, so two angles that are
 indistinguishable at the stored precision share a slot.
+
+A program's instructions are int64 columns (:class:`~qbemu.columns.Columns`
+of :class:`Instruction` rows).  Compiling, packing and unpacking words and
+reading and writing program files each take one pass over whole columns;
+only the distinct angles are quantized one by one, in first-seen order.
+The configuration bounds a word to 63 bits, so every word is an int64.
 """
 
 from __future__ import annotations
@@ -15,9 +21,12 @@ import math
 import struct
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from .columns import Columns
 from .config import ExecConfig
 from .fixedpoint import FixedPointFormat, check_raw, from_real, raw_from_bytes, raw_to_bytes
-from .gates import ROTATIONAL, GateKind, consumed_angle
+from .gates import IS_ROTATIONAL, GateKind
 from .qasm import SourceCircuit
 
 PROGRAM_FORMATS = ("integer_text", "binary")
@@ -41,6 +50,22 @@ class Instruction:
     imm: int = 0
 
 
+INSTRUCTION_FIELDS = {"opcode": np.int64, "target": np.int64, "control": np.int64, "imm": np.int64}
+
+
+def _instruction_row(opcode: int, target: int, control: int, imm: int) -> Instruction:
+    return Instruction(GateKind(opcode), target, control, imm)
+
+
+def instruction_columns(instructions) -> Columns:
+    """``instructions`` as columns: returned as they are if they are columns,
+    else built from ``Instruction`` rows."""
+    if isinstance(instructions, Columns):
+        return instructions
+    rows = ((i.opcode, i.target, i.control, i.imm) for i in instructions)
+    return Columns.of(_instruction_row, INSTRUCTION_FIELDS, zip(*rows))
+
+
 @dataclass
 class AngleTable:
     """Deduplicated (sin, cos) pairs in the configured representation.
@@ -52,7 +77,6 @@ class AngleTable:
     fmt: FixedPointFormat | None
     entries: list[tuple] = field(default_factory=list)
     _index: dict = field(default_factory=dict, repr=False, compare=False)
-    _by_angle: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._index = {pair: i for i, pair in enumerate(self.entries)}
@@ -63,13 +87,9 @@ class AngleTable:
     def intern(self, angle: float) -> int:
         """Index of the quantized (sin, cos) pair for ``angle``, adding it if new.
 
-        Each distinct angle is quantized once.  Angles equal as floats give
-        equal pairs (``-0.0`` and ``0.0`` give pairs that compare equal), so
-        the memo returns what quantizing again would.
+        Angles equal as floats give equal pairs (``-0.0`` and ``0.0`` give
+        pairs that compare equal).
         """
-        idx = self._by_angle.get(angle)
-        if idx is not None:
-            return idx
         if not math.isfinite(angle):
             raise CompileError(f"rotation angle {angle!r} is not finite")
         if self.fmt is None:
@@ -81,7 +101,6 @@ class AngleTable:
             idx = len(self.entries)
             self.entries.append(pair)
             self._index[pair] = idx
-        self._by_angle[angle] = idx
         return idx
 
     def sin_cos(self, idx: int) -> tuple[float, float]:
@@ -100,92 +119,174 @@ class AngleTable:
 
 @dataclass(frozen=True)
 class CompiledProgram:
-    instructions: tuple[Instruction, ...]
+    """Instructions, angle table and qubit count; ``instructions`` may be
+    given as ``Instruction`` rows and are stored as columns."""
+
+    instructions: Columns
     table: AngleTable
     used_qubits: int
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "instructions", instruction_columns(self.instructions))
+
 
 def compile_circuit(circuit: SourceCircuit, config: ExecConfig) -> CompiledProgram:
-    """Encode a circuit as an instruction stream plus its angle table."""
+    """Encode a circuit as an instruction stream plus its angle table.
+
+    RX/RY/RZ consume half their angle and U1 all of it.  Each distinct
+    consumed angle is interned once, in order of first use, so the table,
+    the immediates and the first error are those of interning gate by gate.
+    """
     if circuit.qubit_count > config.n_qubits:
         raise CompileError(
             f"qubit capacity exceeded: circuit uses {circuit.qubit_count}, "
             f"architecture supports {config.n_qubits}"
         )
     table = AngleTable(fmt=None if config.is_float_reference else config.fixed_format)
-    instructions = []
-    limit = 1 << config.imm_bits
-    for gate in circuit.gates:
-        imm = 0
-        if gate.kind in ROTATIONAL:
-            imm = table.intern(consumed_angle(gate.kind, gate.angle))
-            if len(table) > limit:
-                raise CompileError(
-                    f"more than 2^Q distinct angles: table needs {len(table)} entries, "
-                    f"Q={config.imm_bits} allows {limit}"
-                )
-        control = gate.control if gate.control is not None else gate.target
-        instructions.append(Instruction(gate.kind, gate.target, control, imm))
-    return CompiledProgram(tuple(instructions), table, circuit.qubit_count)
+    gates, limit = circuit.gates, 1 << config.imm_bits
+    rotational = IS_ROTATIONAL[gates.opcode]
+    consumed = np.where(gates.opcode == GateKind.U1, gates.angle, gates.angle / 2.0)[rotational]
+    angles, first, inverse = np.unique(consumed, return_index=True, return_inverse=True)
+    index = np.empty(len(angles), dtype=np.int64)
+    first = first.tolist()
+    for k in np.argsort(first).tolist():
+        index[k] = table.intern(consumed.item(first[k]))  # the first use keeps the sign of a zero
+        if len(table) > limit:
+            raise CompileError(
+                f"more than 2^Q distinct angles: table needs {len(table)} entries, "
+                f"Q={config.imm_bits} allows {limit}"
+            )
+    imm = np.zeros(len(gates), dtype=np.int64)
+    imm[rotational] = index[inverse]
+    columns = (gates.opcode, gates.target, gates.control, imm)
+    return CompiledProgram(Columns.of(_instruction_row, INSTRUCTION_FIELDS, columns), table, circuit.qubit_count)
 
 
-def encode_words(instructions, config: ExecConfig) -> list[int]:
-    """Pack instructions into words: MSB-first [opcode|control|target|imm].
+def _pack(opcode, target, control, imm, config: ExecConfig):
+    """Words, MSB-first [opcode|control|target|imm], of ints or of int64 columns."""
+    fbits = config.qubit_field_bits
+    return (((opcode << fbits | control) << fbits | target) << config.imm_bits) | imm
 
-    The field layout is worked out once for the whole stream.
-    """
+
+def _unpack(words, config: ExecConfig) -> tuple:
+    """(opcode, target, control, imm) of an int word or of an int64 column."""
     fbits, ibits = config.qubit_field_bits, config.imm_bits
-    fmask, ilimit = (1 << fbits) - 1, 1 << ibits
-    words = []
-    for instr in instructions:
-        if not 0 <= instr.target <= fmask:
-            raise CompileError(f"field overflow: target {instr.target} needs more than {fbits} bits")
-        if not 0 <= instr.control <= fmask:
-            raise CompileError(f"field overflow: control {instr.control} needs more than {fbits} bits")
-        if not 0 <= instr.imm < ilimit:
-            raise CompileError(f"field overflow: imm {instr.imm} needs more than {ibits} bits")
-        words.append((((instr.opcode << fbits | instr.control) << fbits | instr.target) << ibits) | instr.imm)
-    return words
+    fmask = (1 << fbits) - 1
+    opcode, control = words >> (ibits + 2 * fbits), (words >> (ibits + fbits)) & fmask
+    return opcode, (words >> ibits) & fmask, control, words & ((1 << ibits) - 1)
 
 
 def encode_instruction(instr: Instruction, config: ExecConfig) -> int:
-    """Pack one instruction into its word (see :func:`encode_words`)."""
-    return encode_words((instr,), config)[0]
-
-
-_OPCODES = {int(kind): kind for kind in GateKind}
-
-
-def decode_words(words, config: ExecConfig) -> list[Instruction]:
-    """Exact inverse of :func:`encode_words`; ``words`` is consumed in order."""
-    width = config.instruction_bits
+    """Pack one instruction into its word: MSB-first [opcode|control|target|imm]."""
     fbits, ibits = config.qubit_field_bits, config.imm_bits
-    fmask, imask, limit = (1 << fbits) - 1, (1 << ibits) - 1, 1 << width
-    control_shift, opcode_shift = ibits + fbits, ibits + 2 * fbits
-    instructions = []
-    for word in words:
-        if not 0 <= word < limit:
-            raise DecodeError(f"word width mismatch: {word:#x} does not fit {width} bits")
-        opcode = _OPCODES.get(word >> opcode_shift)
-        if opcode is None:
-            raise DecodeError(f"invalid opcode {word >> opcode_shift:#06b}")
-        target, control = (word >> ibits) & fmask, (word >> control_shift) & fmask
-        instructions.append(Instruction(opcode, target, control, word & imask))
-    return instructions
+    fields = (("target", instr.target, fbits), ("control", instr.control, fbits), ("imm", instr.imm, ibits))
+    for name, value, bits in fields:
+        if value >> bits:
+            raise CompileError(f"field overflow: {name} {value} needs more than {bits} bits")
+    return _pack(instr.opcode, instr.target, instr.control, instr.imm, config)
+
+
+def encode_words(instructions, config: ExecConfig) -> np.ndarray:
+    """:func:`encode_instruction` over instructions (columns or rows), as
+    int64 words; a field overflow is that of the first offending one."""
+    ins = instruction_columns(instructions)
+    fbits, ibits = config.qubit_field_bits, config.imm_bits
+    outside = ((ins.target >> fbits) != 0) | ((ins.control >> fbits) != 0) | ((ins.imm >> ibits) != 0)
+    if outside.any():
+        encode_instruction(ins[int(outside.argmax())], config)
+    return _pack(ins.opcode, ins.target, ins.control, ins.imm, config)
+
+
+def word_error(word: int, config: ExecConfig) -> str | None:
+    """Why ``word`` is no instruction word under ``config``; None if it is one."""
+    width = config.instruction_bits
+    if not 0 <= word < 1 << width:
+        return f"word width mismatch: {word:#x} does not fit {width} bits"
+    if word >> (width - 4) >= len(GateKind):
+        return f"invalid opcode {word >> (width - 4):#06b}"
+    return None
 
 
 def decode_instruction(word: int, config: ExecConfig) -> Instruction:
     """Exact inverse of :func:`encode_instruction`."""
-    return decode_words((word,), config)[0]
+    error = word_error(word, config)
+    if error:
+        raise DecodeError(error)
+    return _instruction_row(*_unpack(word, config))
+
+
+def decode_words(words, config: ExecConfig) -> Columns:
+    """Exact inverse of :func:`encode_words`.
+
+    ``words`` is an int64 or uint64 array, or ints; the first word that is
+    no instruction word raises its :func:`word_error`.
+    """
+    width = config.instruction_bits
+    if isinstance(words, np.ndarray):
+        bad = ((words >> width) != 0) | ((words >> (width - 4)) >= len(GateKind))
+        if bad.any():
+            raise DecodeError(word_error(words.item(int(bad.argmax())), config))
+        words = words.astype(np.int64)
+    else:
+        words = np.array([w for w in words if decode_instruction(w, config)], dtype=np.int64)  # raises at a bad word
+    return Columns(_instruction_row, **dict(zip(INSTRUCTION_FIELDS, _unpack(words, config))))
 
 
 # ---------------------------------------------------------------------------
 # Program / table files
 # ---------------------------------------------------------------------------
 
+_HEX_CHARS = np.frombuffer(b"0123456789ABCDEF", dtype=np.uint8)
+_HEX_VALUES = np.full(256, 16, dtype=np.uint64)  # 16 marks a byte that is no uppercase hex digit
+_HEX_VALUES[_HEX_CHARS] = np.arange(16, dtype=np.uint64)
 
-def _instruction_word_bytes(config: ExecConfig) -> int:
-    return (config.instruction_bits + 7) // 8
+
+def _word_layout(config: ExecConfig, text: bool) -> tuple[int, np.ndarray]:
+    """Characters or bytes per word, and the bit shift of each, most significant first."""
+    if text:
+        digits = (config.instruction_bits + 3) // 4
+        return digits, 4 * np.arange(digits - 1, -1, -1, dtype=np.uint64)
+    return (config.instruction_bits + 7) // 8, 8 * np.arange(8, dtype=np.uint64)
+
+
+def _pack_words(words: np.ndarray, config: ExecConfig, text: bool) -> bytes:
+    """A program body: fixed-width uppercase hex lines, or little-endian words."""
+    width, shifts = _word_layout(config, text)
+    if not text:
+        return words.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :width].tobytes()
+    lines = np.full((len(words), width + 1), ord("\n"), dtype=np.uint8)
+    lines[:, :width] = _HEX_CHARS[(words.astype(np.uint64)[:, None] >> shifts) & 15]
+    return lines.tobytes()
+
+
+def _hex_words(body: bytes, path):
+    """Words of a text program body, one hex word per non-blank line."""
+    for lineno, line in enumerate(body.decode("ascii").splitlines(), start=2):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            yield int(line, 16)
+        except ValueError:
+            raise DecodeError(f"{path}:{lineno}: bad instruction word {line!r}") from None
+
+
+def _unpack_words(body: bytes, config: ExecConfig, text: bool, path) -> Columns:
+    """Instructions of a program body.  A body laid out as written is one
+    array pass; any other text body is read line by line, each word decoded
+    before the next line is read."""
+    width, shifts = _word_layout(config, text)
+    data = np.frombuffer(body, dtype=np.uint8)
+    if not text:
+        if len(body) % width:
+            raise DecodeError(f"{path}: truncated instruction stream")
+        return decode_words((data.reshape(-1, width).astype(np.uint64) << shifts[:width]).sum(axis=1), config)
+    if len(body) % (width + 1) == 0:
+        lines = data.reshape(-1, width + 1)
+        digits = _HEX_VALUES[lines[:, :width]]
+        if (lines[:, width] == ord("\n")).all() and (digits < 16).all():
+            return decode_words((digits << shifts).sum(axis=1), config)
+    return decode_words(_hex_words(body, path), config)
 
 
 def write_program_files(
@@ -203,31 +304,19 @@ def write_program_files(
     """
     if file_format not in PROGRAM_FORMATS:
         raise ValueError(f"file_format must be one of {PROGRAM_FORMATS}")
-    words = encode_words(program.instructions, config)
-    hexw = (config.instruction_bits + 3) // 4
-    if file_format == "integer_text":
-        with open(program_path, "w", encoding="ascii") as fh:
-            fh.write(f"{program.used_qubits}\n")
-            for word in words:
-                fh.write(f"{word:0{hexw}X}\n")
-        with open(table_path, "w", encoding="ascii") as fh:
-            fh.write(f"{len(program.table)}\n")
-            for s, c in program.table.entries:
-                fh.write(f"{s!r},{c!r}\n" if program.table.fmt is None else f"{s},{c}\n")
-        return
-    wbytes = _instruction_word_bytes(config)
+    text, table = file_format == "integer_text", program.table
+    body = _pack_words(encode_words(program.instructions, config), config, text)
     with open(program_path, "wb") as fh:
-        fh.write(f"{program.used_qubits}\n".encode("ascii"))
-        for word in words:
-            fh.write(word.to_bytes(wbytes, "little"))
+        fh.write(f"{program.used_qubits}\n".encode("ascii") + body)
+    if text:
+        pairs = [f"{s!r},{c!r}\n" if table.fmt is None else f"{s},{c}\n" for s, c in table.entries]
+        tbody = "".join(pairs).encode("ascii")
+    elif table.fmt is None:
+        tbody = b"".join(struct.pack("<dd", s, c) for s, c in table.entries)
+    else:
+        tbody = b"".join(raw_to_bytes(v, config.data_bits) for pair in table.entries for v in pair)
     with open(table_path, "wb") as fh:
-        fh.write(f"{len(program.table)}\n".encode("ascii"))
-        for s, c in program.table.entries:
-            if program.table.fmt is None:
-                fh.write(struct.pack("<dd", s, c))
-            else:
-                fh.write(raw_to_bytes(s, config.data_bits))
-                fh.write(raw_to_bytes(c, config.data_bits))
+        fh.write(f"{len(table)}\n".encode("ascii") + tbody)
 
 
 def _read_count_line(data: bytes, path) -> tuple[int, bytes]:
@@ -241,16 +330,11 @@ def _read_count_line(data: bytes, path) -> tuple[int, bytes]:
     return count, data[newline + 1 :]
 
 
-def _hex_words(body: bytes, path):
-    """Instruction words of a text program body, one hex word per non-blank line."""
-    for lineno, line in enumerate(body.decode("ascii").splitlines(), start=2):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            yield int(line, 16)
-        except ValueError:
-            raise DecodeError(f"{path}:{lineno}: bad instruction word {line!r}") from None
+def _finite(pair: tuple) -> tuple:
+    for value in pair:
+        if not math.isfinite(value):
+            raise ValueError(f"value {value!r} is not finite")
+    return pair
 
 
 def load_program_files(
@@ -262,25 +346,16 @@ def load_program_files(
     """Read back program and table files written by :func:`write_program_files`."""
     if file_format not in PROGRAM_FORMATS:
         raise ValueError(f"file_format must be one of {PROGRAM_FORMATS}")
+    text = file_format == "integer_text"
     with open(program_path, "rb") as fh:
-        pdata = fh.read()
-    used_qubits, body = _read_count_line(pdata, program_path)
-    if file_format == "integer_text":
-        instructions = decode_words(_hex_words(body, program_path), config)
-    else:
-        wbytes = _instruction_word_bytes(config)
-        if len(body) % wbytes:
-            raise DecodeError(f"{program_path}: truncated instruction stream")
-        instructions = decode_words(
-            (int.from_bytes(body[k : k + wbytes], "little") for k in range(0, len(body), wbytes)), config
-        )
+        used_qubits, body = _read_count_line(fh.read(), program_path)
+    instructions = _unpack_words(body, config, text, program_path)
 
     with open(table_path, "rb") as fh:
-        tdata = fh.read()
-    count, tbody = _read_count_line(tdata, table_path)
+        count, tbody = _read_count_line(fh.read(), table_path)
     fmt = None if config.is_float_reference else config.fixed_format
     entries: list[tuple] = []
-    if file_format == "integer_text":
+    if text:
         for lineno, line in enumerate(tbody.decode("ascii").splitlines(), start=2):
             line = line.strip()
             if not line:
@@ -288,30 +363,25 @@ def load_program_files(
             try:
                 s_text, c_text = line.split(",")
                 if fmt is None:
-                    entries.append((float(s_text), float(c_text)))
+                    entries.append(_finite((float(s_text), float(c_text))))
                 else:
                     entries.append((check_raw(int(s_text), fmt.total_bits), check_raw(int(c_text), fmt.total_bits)))
             except ValueError as exc:
                 raise DecodeError(f"{table_path}:{lineno}: bad table entry {line!r}: {exc}") from None
     else:
-        pair_bytes = 16 if fmt is None else 2 * ((config.data_bits + 7) // 8)
-        if len(tbody) % pair_bytes:
+        half = 8 if fmt is None else (config.data_bits + 7) // 8
+        if len(tbody) % (2 * half):
             raise DecodeError(f"{table_path}: truncated table")
-        for k in range(0, len(tbody), pair_bytes):
-            chunk = tbody[k : k + pair_bytes]
-            if fmt is None:
-                entries.append(struct.unpack("<dd", chunk))
-            else:
-                half = pair_bytes // 2
-                try:
-                    entries.append(
-                        (
-                            raw_from_bytes(chunk[:half], config.data_bits),
-                            raw_from_bytes(chunk[half:], config.data_bits),
-                        )
-                    )
-                except ValueError as exc:
-                    raise DecodeError(f"{table_path}: {exc}") from None
+        for k in range(0, len(tbody), 2 * half):
+            chunk = tbody[k : k + 2 * half]
+            try:
+                if fmt is None:
+                    entries.append(_finite(struct.unpack("<dd", chunk)))
+                else:
+                    s_raw, c_raw = (raw_from_bytes(part, config.data_bits) for part in (chunk[:half], chunk[half:]))
+                    entries.append((s_raw, c_raw))
+            except ValueError as exc:
+                raise DecodeError(f"{table_path}: {exc}") from None
     if len(entries) != count:
         raise DecodeError(f"{table_path}: header says {count} pairs, found {len(entries)}")
     if fmt is None and any(abs(v) > 1.0 + 1e-9 for pair in entries for v in pair):
@@ -319,4 +389,4 @@ def load_program_files(
             f"{table_path}: entries out of range for float-reference mode; "
             f"was the table written for a fixed-point configuration?"
         )
-    return CompiledProgram(tuple(instructions), AngleTable(fmt, entries), used_qubits)
+    return CompiledProgram(instructions, AngleTable(fmt, entries), used_qubits)

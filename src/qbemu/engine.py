@@ -30,9 +30,10 @@ import numpy as np
 
 from .compiler import AngleTable, CompiledProgram, Instruction
 from .config import MAX_DATA_BITS, MAX_QUBITS, MAX_STATE_BYTES, ExecConfig
-from .fixedpoint import FixedPointFormat, from_real, round_shift
+from .fixedpoint import FixedPointFormat, from_real, range_error, round_shift
 from .gates import (
     INV_SQRT2,
+    IS_ROTATIONAL,
     ROTATIONAL,
     GateApplication,
     GateKind,
@@ -94,10 +95,6 @@ class FloatState:
         return float(np.sum(np.abs(self.amp) ** 2))
 
 
-def _word_range_error(fmt: FixedPointFormat) -> EngineError:
-    return EngineError(f"raw values outside the {fmt.total_bits}-bit word range [{fmt.min_raw}, {fmt.max_raw}]")
-
-
 class FixedState:
     """Fixed-point state vector: raw integer real/imaginary parts.
 
@@ -130,16 +127,16 @@ class FixedState:
             raw[0, 0] = 1 << fmt.fractional_bits
         else:
             try:
-                re = np.asarray(re, dtype=np.int64)
-                im = np.asarray(im, dtype=np.int64)
-            except OverflowError:
-                raise _word_range_error(fmt) from None
+                re, im = np.asarray(re, dtype=np.int64), np.asarray(im, dtype=np.int64)
+            except OverflowError:  # past int64, so out of range: kept exact to be named
+                re, im = np.asarray(re, dtype=object), np.asarray(im, dtype=object)
             if re.shape != (size,) or im.shape != (size,):
                 raise ValueError("amplitude count does not match qubit count")
             raw = np.stack((re, im))
             # The kernels' int64 headroom holds only for in-range words.
-            if raw.min() < fmt.min_raw or raw.max() > fmt.max_raw:
-                raise _word_range_error(fmt)
+            error = range_error(raw, fmt.total_bits)
+            if error:
+                raise EngineError(f"raw {error}")
         self.raw = raw
         self.overflow = overflow
 
@@ -404,27 +401,27 @@ def _apply_fixed(state: FixedState, kind: GateKind, target: int, control: int | 
     state.overflow = state.overflow or alu.overflow
 
 
-def apply_gate(state: State, instr: Instruction, table: AngleTable | None = None) -> State:
-    """Apply one decoded instruction in place and return the state."""
-    n = state.n_qubits
-    target = instr.target
-    control = None if instr.control == target else instr.control
-    sincos = None
-    if instr.opcode in ROTATIONAL:
+def _check_instruction(kind: GateKind, target: int, control: int, imm: int, n: int, table) -> None:
+    if kind in ROTATIONAL:
         if table is None:
-            raise EngineError(f"{instr.opcode.name} requires an angle table")
-        if instr.imm >= len(table):
-            raise EngineError(
-                f"immediate {instr.imm} out of range for angle table of length {len(table)}"
-            )
+            raise EngineError(f"{kind.name} requires an angle table")
+        if imm >= len(table):
+            raise EngineError(f"immediate {imm} out of range for angle table of length {len(table)}")
     if not 0 <= target < n:
         raise EngineError(f"target {target} out of range for {n} qubits")
-    if control is not None and not 0 <= control < n:
+    if control != target and not 0 <= control < n:
         raise EngineError(f"control {control} out of range for {n} qubits")
+
+
+def apply_gate(state: State, instr: Instruction, table: AngleTable | None = None) -> State:
+    """Apply one decoded instruction in place and return the state."""
+    _check_instruction(instr.opcode, instr.target, instr.control, instr.imm, state.n_qubits, table)
+    control = None if instr.control == instr.target else instr.control
+    sincos = None
     if isinstance(state, FloatState):
         if instr.opcode in ROTATIONAL:
             sincos = table.sin_cos(instr.imm)
-        _apply_float(state, instr.opcode, target, control, sincos)
+        _apply_float(state, instr.opcode, instr.target, control, sincos)
     else:
         if instr.opcode in ROTATIONAL:
             if table.fmt is None:
@@ -432,12 +429,20 @@ def apply_gate(state: State, instr: Instruction, table: AngleTable | None = None
             if table.fmt != state.fmt:
                 raise EngineError("angle table format does not match state format")
             sincos = table.raw_pair(instr.imm)
-        _apply_fixed(state, instr.opcode, target, control, sincos)
+        _apply_fixed(state, instr.opcode, instr.target, control, sincos)
     return state
 
 
+_KINDS = tuple(GateKind)
+
+
 def run(program: CompiledProgram, config: ExecConfig, initial: State | None = None) -> State:
-    """Execute a compiled program, gate by gate, from |0...0> by default."""
+    """Execute a compiled program from |0...0> by default.
+
+    The instruction columns are range-checked once, raising what
+    :func:`apply_gate` raises for the first bad instruction, and each
+    instruction then goes straight to its kernel.
+    """
     n = program.used_qubits
     if n > config.n_qubits:
         raise EngineError(
@@ -454,13 +459,27 @@ def run(program: CompiledProgram, config: ExecConfig, initial: State | None = No
         if isinstance(initial, FixedState) and initial.fmt != config.fixed_format:
             raise EngineError("initial state format does not match configuration")
         state = initial.copy()
-    if len(program.table):
-        if config.is_float_reference and program.table.fmt is not None:
+    table = program.table
+    if len(table):
+        if config.is_float_reference and table.fmt is not None:
             raise EngineError("float backend requires a float-reference angle table")
-        if not config.is_float_reference and program.table.fmt != config.fixed_format:
+        if not config.is_float_reference and table.fmt != config.fixed_format:
             raise EngineError("program table was compiled for a different number format")
-    for instr in program.instructions:
-        apply_gate(state, instr, program.table)
+    ins = program.instructions
+    rotational = IS_ROTATIONAL[ins.opcode]
+    bad = (rotational & (ins.imm >= len(table))) | (ins.target < 0) | (ins.target >= n)
+    bad |= (ins.control != ins.target) & ((ins.control < 0) | (ins.control >= n))
+    if bad.any():
+        k = int(bad.argmax())
+        _check_instruction(_KINDS[ins.opcode[k]], ins.target.item(k), ins.control.item(k), ins.imm.item(k), n, table)
+    if isinstance(state, FloatState):
+        apply, pairs = _apply_float, [table.sin_cos(k) for k in range(len(table))]
+    else:
+        apply, pairs = _apply_fixed, table.entries
+    columns = (ins.opcode, ins.target, ins.control, ins.imm)
+    for opcode, target, control, imm in zip(*(col.tolist() for col in columns)):
+        kind = _KINDS[opcode]
+        apply(state, kind, target, None if control == target else control, pairs[imm] if kind in ROTATIONAL else None)
     return state
 
 

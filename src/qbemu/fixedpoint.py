@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 
 class Rounding(str, Enum):
     TRUNCATION = "truncation"
@@ -90,10 +92,26 @@ def from_real(x: float, fmt: FixedPointFormat) -> int:
     return min(max(raw, fmt.min_raw), fmt.max_raw)
 
 
+def range_error(values, total_bits: int) -> str | None:
+    """None if ``values`` (an int or an int array) are ``total_bits``-bit words, else
+    the message naming the first outside the range, for callers to raise in their
+    own error class after their own position prefix."""
+    lo, hi = -(1 << (total_bits - 1)), (1 << (total_bits - 1)) - 1
+    if isinstance(values, np.ndarray):
+        outside = ((values < lo) | (values > hi)).ravel()
+        if not outside.any():
+            return None
+        values = values.ravel()[outside.argmax()]
+    elif lo <= values <= hi:
+        return None
+    return f"value {values} outside the {total_bits}-bit range [{lo}, {hi}]"
+
+
 def check_raw(raw: int, total_bits: int) -> int:
-    """``raw`` if it is a ``total_bits``-bit two's-complement word; else ValueError."""
-    if not -(1 << (total_bits - 1)) <= raw < (1 << (total_bits - 1)):
-        raise ValueError(f"value {raw} outside {total_bits}-bit two's-complement range")
+    """``raw`` if it is a ``total_bits``-bit word; else ValueError with its :func:`range_error`."""
+    error = range_error(raw, total_bits)
+    if error:
+        raise ValueError(error)
     return raw
 
 

@@ -19,6 +19,8 @@ from enum import IntEnum
 
 import numpy as np
 
+from .columns import Columns
+
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -42,6 +44,7 @@ class GateKind(IntEnum):
 SIGN_EXCHANGE = frozenset({GateKind.X, GateKind.Y, GateKind.Z, GateKind.S, GateKind.SDG})
 ONE_MULTIPLIER = frozenset({GateKind.H, GateKind.T, GateKind.TDG})
 ROTATIONAL = frozenset({GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.U1})
+IS_ROTATIONAL = np.array([kind in ROTATIONAL for kind in GateKind])  # indexed by opcode
 
 
 def consumed_angle(kind: GateKind, angle: float) -> float:
@@ -113,3 +116,19 @@ class GateApplication:
                 raise ValueError(f"{self.kind.name} requires an angle")
         elif self.angle is not None:
             raise ValueError(f"{self.kind.name} takes no angle")
+
+
+# Columns of GateApplication rows: ``control`` equals ``target`` for an
+# uncontrolled gate, and ``angle`` is 0.0 where the gate takes none.
+GATE_FIELDS = {"opcode": np.int64, "target": np.int64, "control": np.int64, "angle": np.float64}
+
+
+def _gate_row(opcode: int, target: int, control: int, angle: float) -> GateApplication:
+    kind = GateKind(opcode)
+    return GateApplication(kind, target, None if control == target else control, angle if kind in ROTATIONAL else None)
+
+
+def gate_columns(columns) -> Columns:
+    """Gate columns from one sequence per field of :data:`GATE_FIELDS`."""
+    return Columns.of(_gate_row, GATE_FIELDS, columns)
+

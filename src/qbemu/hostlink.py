@@ -15,9 +15,14 @@ integer per line, real then imaginary part per amplitude, index ascending.
 
 The decoder is incremental: bytes may arrive split at arbitrary boundaries
 and partial frames are held until completed, so any chunking of a stream
-yields the same message sequence.  :class:`VirtualBoard` binds the decoder
-to the fixed-point engine so a full session can run loopback with no
-hardware attached.
+yields the same message sequence.  It returns columns (kind, value and the
+byte offset of each frame) with :class:`HostMessage` rows built on demand:
+one regex match takes every run of well-formed frames, and only a partial
+or malformed frame is walked byte by byte, so an error names the first
+offending byte.  A session's angle values and instruction words are framed
+from their columns in one array pass.  :class:`VirtualBoard` binds the
+decoder to the fixed-point engine so a full session can run loopback with
+no hardware attached.
 """
 
 from __future__ import annotations
@@ -28,10 +33,11 @@ from enum import Enum
 
 import numpy as np
 
-from .compiler import AngleTable, CompiledProgram, decode_words, encode_words
+from .columns import Columns
+from .compiler import AngleTable, CompiledProgram, decode_words, encode_words, word_error
 from .config import ExecConfig
 from .engine import FixedState, run
-from .fixedpoint import FixedPointFormat
+from .fixedpoint import FixedPointFormat, range_error
 
 
 class FramingError(Exception):
@@ -54,16 +60,17 @@ class MessageKind(Enum):
     END_OF_EMULATION = "!"
 
 
-_START_BYTES = {
-    ord("?"): MessageKind.ANGLE_COUNT,
-    ord("*"): MessageKind.QUBIT_COUNT,
-    ord("<"): MessageKind.ANGLE_VALUE,
-    ord(">"): MessageKind.INSTRUCTION,
-}
+_KINDS = tuple(MessageKind)
+_START_BYTES = {ord(kind.value): code for code, kind in enumerate(_KINDS)}  # "!" included
+_KIND_OF_BYTE = np.full(256, -1, dtype=np.int64)  # -1 for a byte that starts no frame
+_KIND_OF_BYTE[list(_START_BYTES)] = list(_START_BYTES.values())
 
 _HEX_DIGITS = frozenset(b"0123456789ABCDEF")
 _HEX_RUN = re.compile(rb"[0-9A-F]+")
-_END, _TERMINATOR, _SIGN = b"!#-"
+_FRAME_RUN = re.compile(rb"(?:[?*>][0-9A-F]+#|<[0-9A-F]+-?#|!)*")  # well-formed frames only
+_FRAME = re.compile(rb"[?*<>]([0-9A-F]+)(-?)#|!")
+_HEX_CHARS = np.frombuffer(b"0123456789ABCDEF", dtype=np.uint8)
+_TERMINATOR, _SIGN = b"#-"
 
 
 @dataclass(frozen=True)
@@ -83,6 +90,35 @@ def _frame(start: str, value: int) -> str:
     return f"{start}{-value:X}-#" if value < 0 else f"{start}{value:X}#"
 
 
+# Columns of decoded messages: a value is a Python int, as wide as its digits.
+MESSAGE_FIELDS = {"kind": np.int64, "value": object, "offset": np.int64}
+
+
+def _message_row(kind: int, value: int, offset: int) -> HostMessage:
+    return HostMessage(_KINDS[kind], value)
+
+
+def _frames(start: str, values: np.ndarray) -> bytes:
+    """``_frame(start, v)`` for every int64 value, as one array pass: one row
+    of characters per value (start symbol, hex digits, ``-``, ``#``) from
+    which the leading zero digits, and the ``-`` of a value that is not
+    negative, are masked out."""
+    if not len(values):
+        return b""
+    magnitude = np.abs(values)
+    width = max(1, (int(magnitude.max()).bit_length() + 3) // 4)
+    nibbles = (magnitude[:, None] >> (4 * np.arange(width - 1, -1, -1))) & 15
+    nonzero = nibbles != 0
+    lead = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), width - 1)  # leading zero digits
+    chars = np.empty((len(values), width + 3), dtype=np.uint8)
+    chars[:, 1 : width + 1] = _HEX_CHARS[nibbles]
+    chars[:, width + 1 :] = (_SIGN, _TERMINATOR)
+    chars[np.arange(len(values)), lead] = ord(start)
+    keep = np.arange(width + 3) >= lead[:, None]
+    keep[:, width + 1] = values < 0
+    return chars[keep].tobytes()
+
+
 def encode_message(msg: HostMessage) -> bytes:
     """Frame one message as ASCII bytes."""
     if msg.kind is MessageKind.END_OF_EMULATION:
@@ -99,7 +135,8 @@ class StreamDecoder:
 
     def __init__(self) -> None:
         self._offset = 0
-        self._kind: MessageKind | None = None
+        self._kind: int | None = None  # kind code of the partial frame
+        self._start = 0  # stream offset of the partial frame
         self._digits = bytearray()
         self._negative = False
 
@@ -108,26 +145,35 @@ class StreamDecoder:
         """True while a partially received frame is buffered."""
         return self._kind is not None
 
-    def feed(self, data: bytes) -> list[HostMessage]:
-        """Consume bytes, returning every message completed by them.
+    def feed(self, data: bytes) -> Columns:
+        """Consume bytes, returning (as columns) every message completed by them.
 
-        A run of payload digits is taken in one step; every other byte is
-        examined on its own, so errors name the first offending byte.
+        Outside a frame, one regex match takes the run of complete frames
+        ahead.  Inside one, a run of payload digits is taken in one step and
+        every other byte is examined on its own, so errors name the first
+        offending byte.
         """
-        messages = []
+        kinds, values, offsets = [], [], []
         base = self._offset
         i, end = 0, len(data)
         while i < end:
             byte = data[i]
             if self._kind is None:
-                if byte == _END:
-                    messages.append(HostMessage(MessageKind.END_OF_EMULATION))
-                elif byte in _START_BYTES:
-                    self._kind = _START_BYTES[byte]
-                    self._digits.clear()
-                    self._negative = False
-                else:
+                stop = _FRAME_RUN.match(data, i).end()
+                if stop > i:
+                    codes = _KIND_OF_BYTE[np.frombuffer(data, dtype=np.uint8, count=stop - i, offset=i)]
+                    starts = np.flatnonzero(codes >= 0)
+                    kinds += codes[starts].tolist()
+                    offsets += (starts + base + i).tolist()
+                    frames = _FRAME.findall(data, i, stop)  # (digits, sign); both empty for "!"
+                    values += [(-int(d, 16) if s else int(d, 16)) if d else 0 for d, s in frames]
+                    i = stop
+                    continue
+                if byte not in _START_BYTES:
                     raise self._error(f"unknown start symbol {chr(byte)!r}", base + i)
+                self._kind, self._start = _START_BYTES[byte], base + i
+                self._digits.clear()
+                self._negative = False
             elif byte in _HEX_DIGITS:
                 if self._negative:
                     raise self._error("digit after sign flag", base + i)
@@ -139,10 +185,12 @@ class StreamDecoder:
                 if not self._digits:
                     raise self._error("frame has no payload digits", base + i)
                 value = int(self._digits, 16)
-                messages.append(HostMessage(self._kind, -value if self._negative else value))
+                kinds.append(self._kind)
+                values.append(-value if self._negative else value)
+                offsets.append(self._start)
                 self._kind = None
             elif byte == _SIGN:
-                if self._kind is not MessageKind.ANGLE_VALUE:
+                if _KINDS[self._kind] is not MessageKind.ANGLE_VALUE:
                     raise self._error("sign flag is only valid in a value frame", base + i)
                 if self._negative or not self._digits:
                     raise self._error("misplaced sign flag", base + i)
@@ -151,7 +199,7 @@ class StreamDecoder:
                 raise self._error(f"non-hex digit {chr(byte)!r} in frame", base + i)
             i += 1
         self._offset = base + end
-        return messages
+        return Columns.of(_message_row, MESSAGE_FIELDS, (kinds, values, offsets))
 
     def _error(self, message: str, pos: int) -> FramingError:
         """The error at byte ``pos``; the stream offset stops just past that byte."""
@@ -159,7 +207,7 @@ class StreamDecoder:
         return FramingError(message, pos)
 
 
-def decode_stream(data: bytes) -> list[HostMessage]:
+def decode_stream(data: bytes) -> Columns:
     """Decode a complete byte stream; a trailing partial frame is an error."""
     decoder = StreamDecoder()
     messages = decoder.feed(data)
@@ -177,18 +225,16 @@ def encode_session(program: CompiledProgram, config: ExecConfig) -> bytes:
     """Full host-side transmission: counts, angle values, instructions, end."""
     if program.table.fmt is None:
         raise ValueError("sessions carry fixed-point values; compile without float_reference")
-    parts = [
+    # Table values and words are valid payloads by construction, so they are
+    # framed from their columns without the per-message checks of HostMessage.
+    values = np.array([raw for pair in program.table.entries for raw in pair], dtype=np.int64)
+    return b"".join((
         encode_message(HostMessage(MessageKind.ANGLE_COUNT, len(program.table))),
         encode_message(HostMessage(MessageKind.QUBIT_COUNT, program.used_qubits)),
-    ]
-    # Table values and words are framed directly: both are valid payloads by
-    # construction, so the per-message checks of HostMessage are skipped.
-    value, instruction = MessageKind.ANGLE_VALUE.value, MessageKind.INSTRUCTION.value
-    body = [_frame(value, raw) for pair in program.table.entries for raw in pair]
-    body += [_frame(instruction, word) for word in encode_words(program.instructions, config)]
-    parts.append("".join(body).encode("ascii"))
-    parts.append(encode_message(HostMessage(MessageKind.END_OF_EMULATION)))
-    return b"".join(parts)
+        _frames(MessageKind.ANGLE_VALUE.value, values),
+        _frames(MessageKind.INSTRUCTION.value, encode_words(program.instructions, config)),
+        encode_message(HostMessage(MessageKind.END_OF_EMULATION)),
+    ))
 
 
 def encode_readback(state: FixedState) -> bytes:
@@ -209,11 +255,8 @@ def decode_readback(data: bytes, fmt: FixedPointFormat, n_qubits: int) -> FixedS
     except ValueError as exc:
         raise ProtocolError(f"bad readback line: {exc}") from None
     if min(values) < fmt.min_raw or max(values) > fmt.max_raw:
-        lineno, value = next((k, v) for k, v in enumerate(values, 1) if not fmt.min_raw <= v <= fmt.max_raw)
-        raise ProtocolError(
-            f"readback line {lineno}: value {value} outside the {fmt.total_bits}-bit range "
-            f"[{fmt.min_raw}, {fmt.max_raw}]"
-        )
+        lineno, error = next((k, e) for k, v in enumerate(values, 1) if (e := range_error(v, fmt.total_bits)))
+        raise ProtocolError(f"readback line {lineno}: {error}")
     return FixedState(n_qubits, fmt, values[0::2], values[1::2])
 
 
@@ -237,48 +280,49 @@ class VirtualBoard:
         self._result: FixedState | None = None
 
     def feed(self, data: bytes) -> None:
-        for msg in self._decoder.feed(data):
-            self._handle(msg)
+        messages = self._decoder.feed(data)
+        for kind, value, offset in zip(messages.kind.tolist(), messages.value.tolist(), messages.offset.tolist()):
+            self._handle(_KINDS[kind], value, offset)
 
-    def _handle(self, msg: HostMessage) -> None:
+    def _handle(self, kind: MessageKind, value: int, offset: int) -> None:
         if self._result is not None:
             raise ProtocolError("message received after end of emulation")
-        if msg.kind is MessageKind.ANGLE_COUNT:
+        if kind is MessageKind.ANGLE_COUNT:
             if self._angle_count is not None:
                 raise ProtocolError("duplicate angle count")
-            if msg.value > 1 << self.config.imm_bits:
+            if value > 1 << self.config.imm_bits:
                 raise ProtocolError(
-                    f"{msg.value} angle pairs announced, Q={self.config.imm_bits} allows {1 << self.config.imm_bits}"
+                    f"{value} angle pairs announced, Q={self.config.imm_bits} allows {1 << self.config.imm_bits}"
                 )
-            self._angle_count = msg.value
-        elif msg.kind is MessageKind.QUBIT_COUNT:
+            self._angle_count = value
+        elif kind is MessageKind.QUBIT_COUNT:
             if self._angle_count is None:
                 raise ProtocolError("qubit count before angle count")
             if self._used_qubits is not None:
                 raise ProtocolError("duplicate qubit count")
-            if msg.value > self.config.n_qubits:
+            if value > self.config.n_qubits:
                 raise ProtocolError(
-                    f"{msg.value} qubits requested, architecture supports {self.config.n_qubits}"
+                    f"{value} qubits requested, architecture supports {self.config.n_qubits}"
                 )
-            self._used_qubits = msg.value
-        elif msg.kind is MessageKind.ANGLE_VALUE:
+            self._used_qubits = value
+        elif kind is MessageKind.ANGLE_VALUE:
             if self._used_qubits is None:
                 raise ProtocolError("angle value before counts")
             if len(self._angle_values) >= 2 * self._angle_count:
                 raise ProtocolError("more angle values than announced")
-            fmt = self.config.fixed_format
-            if not fmt.min_raw <= msg.value <= fmt.max_raw:
-                # the array core's int64 products hold only in-range words
-                raise ProtocolError(
-                    f"angle value {msg.value} outside the {fmt.total_bits}-bit range [{fmt.min_raw}, {fmt.max_raw}]"
-                )
-            self._angle_values.append(msg.value)
-        elif msg.kind is MessageKind.INSTRUCTION:
+            error = range_error(value, self.config.data_bits)
+            if error:  # the array core's int64 products hold only in-range words
+                raise ProtocolError(f"angle {error}")
+            self._angle_values.append(value)
+        elif kind is MessageKind.INSTRUCTION:
             if self._used_qubits is None:
                 raise ProtocolError("instruction before counts")
             if len(self._angle_values) != 2 * self._angle_count:
                 raise ProtocolError("instruction before the angle table completed")
-            self._words.append(msg.value)
+            error = word_error(value, self.config)
+            if error:
+                raise ProtocolError(f"byte {offset}: {error}")
+            self._words.append(value)
         else:
             self._finish()
 
@@ -288,7 +332,7 @@ class VirtualBoard:
         fmt = self.config.fixed_format
         pairs = list(zip(self._angle_values[0::2], self._angle_values[1::2]))
         table = AngleTable(fmt, pairs)
-        instructions = tuple(decode_words(self._words, self.config))
+        instructions = decode_words(np.array(self._words, dtype=np.int64), self.config)
         program = CompiledProgram(instructions, table, self._used_qubits)
         self._result = run(program, self.config)
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .compiler import CompiledProgram
 from .config import ExecConfig
 from .gates import ONE_MULTIPLIER, ROTATIONAL, SIGN_EXCHANGE, GateKind
@@ -91,7 +93,8 @@ def program_latency(
     """
     model = model or LatencyModel()
     windows = 1 << config.window
-    compute = sum(model.base_cycles[i.opcode] for i in program.instructions) * windows
+    per_opcode = np.bincount(program.instructions.opcode, minlength=len(GateKind))
+    compute = int(per_opcode @ [model.base_cycles[kind] for kind in GateKind]) * windows
     init = len(program.table) * model.init_cycles_per_angle_pair
     readout = (1 << config.n_qubits) * model.readout_cycles_per_amplitude
     return LatencyBreakdown(init, compute, readout)

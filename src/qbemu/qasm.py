@@ -1,10 +1,12 @@
 """OpenQASM 2.0 frontend for the native gate set.
 
-Parses a supported subset of OpenQASM 2.0 into a flat list of native gate
-applications.  User-defined gates are expanded by macro substitution, and
-the usual qelib1 gates outside the native twelve are lowered through fixed
-equivalences (cx/ch/cr*/cu1 become a native opcode with the control field
-set; cz, cy, swap, ccx, u2, u3 expand to short native sequences).
+Parses a supported subset of OpenQASM 2.0 into native gate columns (see
+:mod:`qbemu.columns`).  Every gate name has a template of the native rows a
+call lowers to: the usual qelib1 gates outside the native twelve through
+fixed equivalences (cx/ch/cr*/cu1 become a native opcode with the control
+field set; cz, cy, swap, ccx, u2, u3 expand to short native sequences), and
+a user-defined gate by expanding its body once, at its first call.  A call
+then appends its template's rows with its qubits and evaluated angles.
 
 ``measure`` and ``barrier`` statements are accepted and dropped; ``creg``
 declarations are recorded but otherwise ignored.  ``if``, ``reset`` and
@@ -22,7 +24,8 @@ import operator
 import re
 from dataclasses import dataclass
 
-from .gates import ROTATIONAL, GateApplication, GateKind
+from .columns import Columns
+from .gates import ROTATIONAL, GateKind, gate_columns
 
 
 class QasmError(Exception):
@@ -38,12 +41,23 @@ class QasmError(Exception):
 
 @dataclass
 class SourceCircuit:
-    """Parsed circuit: flat native gate list over the declared qubits."""
+    """Parsed circuit: native gate columns over the declared qubits.
+
+    ``gates`` may also be given as ``GateApplication`` rows; they are stored
+    as columns.
+    """
 
     qubit_count: int
     qubit_names: dict[tuple[str, int], int]
-    gates: list[GateApplication]
+    gates: Columns
     classical_registers: dict[str, int]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.gates, Columns):
+            self.gates = gate_columns(
+                zip(*((g.kind, g.target, g.target if g.control is None else g.control,
+                       0.0 if g.angle is None else g.angle) for g in self.gates))
+            )
 
 
 @dataclass(frozen=True)
@@ -70,15 +84,17 @@ class GateDefinition:
 
 # Whitespace and comments are one skipped alternative with no named group; it
 # comes before the punctuation so that ``//`` never reads as two slashes.  The
-# final catch-all makes every character part of some match.
+# final catch-all makes every character part of some match.  Apart from those
+# two, no alternatives share a first character (``real`` before ``int``), so
+# their order only sets speed: the most frequent tokens come first.
 _TOKEN_RE = re.compile(
     r"""
     (?:[ \t\r\n]+|//[^\n]*)+
+  | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<punct>->|==|[;,(){}\[\]+\-*/^])
   | (?P<real>(\d+\.\d*|\.\d+)([eE][+-]?\d+)?)
   | (?P<int>\d+)
-  | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<string>"[^"\n]*")
-  | (?P<punct>->|==|[;,(){}\[\]+\-*/^])
   | (?P<bad>.)
     """,
     re.VERBOSE | re.DOTALL,
@@ -143,86 +159,80 @@ _CONTROLLED_NATIVE = {
     "cp": GateKind.U1,
 }
 
-# name -> (n_angles, n_qubits) over the whole built-in surface
-_BUILTIN_SIGNATURES = {
-    **{name: (1 if kind in ROTATIONAL else 0, 1) for name, kind in _NATIVE_1Q.items()},
-    **{name: (1 if kind in ROTATIONAL else 0, 2) for name, kind in _CONTROLLED_NATIVE.items()},
-    "cz": (0, 2),
-    "cy": (0, 2),
-    "swap": (0, 2),
-    "ccx": (0, 3),
-    "u2": (2, 1),
-    "u3": (3, 1),
-    "u": (3, 1),
-    "U": (3, 1),
-    "id": (0, 1),
+
+class _Template:
+    """The native rows one call of a gate lowers to.
+
+    Angle slot 0 holds 0.0 (no angle), slots ``1..params`` the call's angle
+    arguments, and each later slot the value of one of ``evals``, an
+    ``(expression, pos)`` evaluated in order at every call.  ``fail`` is the
+    ``(message, pos)`` of an error every call raises after ``evals``.  Row
+    ``k`` is native opcode ``opcodes[k]`` on the call's qubit arguments
+    ``targets[k]`` and ``controls[k]`` (equal when uncontrolled), with the
+    angle in slot ``angles[k]``.
+    """
+
+    def __init__(self, params: int, qubits: int, rows=(), evals=()):
+        self.params, self.qubits = params, qubits
+        self.evals, self.fail = list(evals), None
+        self.opcodes, self.targets, self.controls, self.angles = [], [], [], []
+        for row in rows:
+            self.row(*row)
+
+    def row(self, opcode: int, target: int, control: int, angle: int = 0) -> None:
+        self.opcodes.append(int(opcode))
+        self.targets.append(target)
+        self.controls.append(control)
+        self.angles.append(angle)
+
+    def eval(self, node, pos: int) -> int:
+        """Slot of the value of ``node``; a bare slot needs no evaluation."""
+        if node[0] == "slot":
+            return node[1]
+        self.evals.append((node, pos))
+        return self.params + len(self.evals)
+
+
+def _rot(kind: GateKind) -> int:
+    return int(kind in ROTATIONAL)
+
+
+_K = GateKind
+_CCX = (
+    (_K.H, 2, 2), (_K.X, 2, 1), (_K.TDG, 2, 2), (_K.X, 2, 0), (_K.T, 2, 2), (_K.X, 2, 1), (_K.TDG, 2, 2),
+    (_K.X, 2, 0), (_K.T, 1, 1), (_K.T, 2, 2), (_K.H, 2, 2), (_K.X, 1, 0), (_K.T, 0, 0), (_K.TDG, 1, 1), (_K.X, 1, 0),
+)
+_U3 = ((_K.RZ, 0, 0, 3), (_K.RY, 0, 0, 1), (_K.RZ, 0, 0, 2))  # u3(theta, phi, lam) = RZ(phi) RY(theta) RZ(lam)
+
+# name -> template, over the whole built-in surface
+_BUILTINS = {
+    **{name: _Template(_rot(k), 1, [(k, 0, 0, _rot(k))]) for name, k in _NATIVE_1Q.items()},
+    **{name: _Template(_rot(k), 2, [(k, 1, 0, _rot(k))]) for name, k in _CONTROLLED_NATIVE.items()},
+    "cz": _Template(0, 2, [(_K.H, 1, 1), (_K.X, 1, 0), (_K.H, 1, 1)]),
+    "cy": _Template(0, 2, [(_K.SDG, 1, 1), (_K.X, 1, 0), (_K.S, 1, 1)]),
+    "swap": _Template(0, 2, [(_K.X, 1, 0), (_K.X, 0, 1), (_K.X, 1, 0)]),
+    "ccx": _Template(0, 3, _CCX),
+    **{name: _Template(3, 1, _U3) for name in ("u3", "u", "U")},
+    # u2(phi, lam) = u3(pi/2, phi, lam), with pi/2 in slot 3
+    "u2": _Template(2, 1, [(_K.RZ, 0, 0, 2), (_K.RY, 0, 0, 3), (_K.RZ, 0, 0, 1)], [(("num", math.pi / 2.0), 0)]),
+    "id": _Template(0, 1),
 }
 
 
-def _lower_builtin(name: str, angles: list[float], qubits: list[int], out: list[GateApplication]) -> None:
-    ga = GateApplication
-    if name in _NATIVE_1Q:
-        kind = _NATIVE_1Q[name]
-        out.append(ga(kind, qubits[0], angle=angles[0] if kind in ROTATIONAL else None))
-        return
-    if name in _CONTROLLED_NATIVE:
-        kind = _CONTROLLED_NATIVE[name]
-        c, t = qubits
-        out.append(ga(kind, t, control=c, angle=angles[0] if kind in ROTATIONAL else None))
-        return
-    if name == "cz":
-        c, t = qubits
-        out += [ga(GateKind.H, t), ga(GateKind.X, t, control=c), ga(GateKind.H, t)]
-        return
-    if name == "cy":
-        c, t = qubits
-        out += [ga(GateKind.SDG, t), ga(GateKind.X, t, control=c), ga(GateKind.S, t)]
-        return
-    if name == "swap":
-        a, b = qubits
-        out += [
-            ga(GateKind.X, b, control=a),
-            ga(GateKind.X, a, control=b),
-            ga(GateKind.X, b, control=a),
-        ]
-        return
-    if name == "ccx":
-        a, b, c = qubits
-        cx = lambda ctl, tgt: ga(GateKind.X, tgt, control=ctl)
-        out += [
-            ga(GateKind.H, c),
-            cx(b, c),
-            ga(GateKind.TDG, c),
-            cx(a, c),
-            ga(GateKind.T, c),
-            cx(b, c),
-            ga(GateKind.TDG, c),
-            cx(a, c),
-            ga(GateKind.T, b),
-            ga(GateKind.T, c),
-            ga(GateKind.H, c),
-            cx(a, b),
-            ga(GateKind.T, a),
-            ga(GateKind.TDG, b),
-            cx(a, b),
-        ]
-        return
-    if name in ("u3", "u", "U"):
-        theta, phi, lam = angles
-        t = qubits[0]
-        out += [
-            ga(GateKind.RZ, t, angle=lam),
-            ga(GateKind.RY, t, angle=theta),
-            ga(GateKind.RZ, t, angle=phi),
-        ]
-        return
-    if name == "u2":
-        phi, lam = angles
-        _lower_builtin("u3", [math.pi / 2.0, phi, lam], qubits, out)
-        return
-    if name == "id":
-        return
-    raise AssertionError(f"no lowering rule for {name}")
+def _resolve(node, env: dict[str, int]):
+    """``node`` with every parameter named in ``env`` replaced by its angle slot."""
+    tag = node[0]
+    if tag == "param":
+        return ("slot", env[node[1]]) if node[1] in env else node
+    if tag == "neg":
+        return ("neg", _resolve(node[1], env))
+    if tag == "fun":
+        return ("fun", node[1], _resolve(node[2], env))
+    if tag == "chain":
+        return ("chain", _resolve(node[1], env), tuple((op, _resolve(rhs, env)) for op, rhs in node[2]))
+    if tag == "pow":
+        return ("pow", _resolve(node[1], env), _resolve(node[2], env))
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +272,8 @@ class _Parser:
         self.gate_depth: dict[str, int] = {}  # definition name -> macro nesting depth
         self.expr_depth = 0
         self.qubit_count = 0
-        self.gates: list[GateApplication] = []
+        self.templates = dict(_BUILTINS)  # gate name -> template, user gates added at first call
+        self.columns: tuple[list, ...] = ([], [], [], [])  # opcode, target, control, angle
 
     # -- token helpers ----------------------------------------------------
 
@@ -309,7 +320,7 @@ class _Parser:
         for reg, (base, size) in self.qregs.items():
             for k in range(size):
                 names[(reg, k)] = base + k
-        return SourceCircuit(self.qubit_count, names, self.gates, dict(self.cregs))
+        return SourceCircuit(self.qubit_count, names, gate_columns(self.columns), dict(self.cregs))
 
     def _parse_header(self) -> None:
         kind, text, _ = self._peek()
@@ -383,7 +394,7 @@ class _Parser:
     def _parse_gate_definition(self) -> None:
         self._next()
         _, name, name_pos = self._expect("id", "gate name")
-        if name in _BUILTIN_SIGNATURES or name in self.defs:
+        if name in _BUILTINS or name in self.defs:
             self._error(f"gate {name!r} already defined", name_pos)
         params: list[str] = []
         if self._accept("("):
@@ -409,18 +420,12 @@ class _Parser:
             self._next()
             if op_name == name:
                 self._error(f"recursive gate definition: {name!r} references itself", op_pos)
-            if op_name not in _BUILTIN_SIGNATURES and op_name not in self.defs:
+            if op_name not in _BUILTINS and op_name not in self.defs:
                 self._error(f"unknown gate {op_name!r} in body of {name!r}", op_pos)
             depth = max(depth, self.gate_depth.get(op_name, 0) + 1)
             if depth > MAX_GATE_DEPTH:
                 self._error(f"gate {name!r} nests gate definitions deeper than {MAX_GATE_DEPTH} levels", op_pos)
-            angle_exprs: list = []
-            if self._accept("("):
-                if not self._at(")"):
-                    angle_exprs.append(self._parse_expr())
-                    while self._accept(","):
-                        angle_exprs.append(self._parse_expr())
-                self._expect(")")
+            angle_exprs = self._parse_angle_args()
             op_qargs = self._parse_ids("qubit argument")
             self._expect(";")
             for q in op_qargs:
@@ -432,9 +437,20 @@ class _Parser:
         self.defs[name] = GateDefinition(name, tuple(params), tuple(qargs), tuple(body))
         self.gate_depth[name] = depth
 
+    def _parse_angle_args(self, value=lambda node: node) -> list:
+        """Parenthesized angle arguments, if any, each passed through ``value`` once parsed."""
+        args = []
+        if self._accept("("):
+            if not self._at(")"):
+                args.append(value(self._parse_expr()))
+                while self._accept(","):
+                    args.append(value(self._parse_expr()))
+            self._expect(")")
+        return args
+
     def _check_arity(self, name: str, n_angles: int, n_qubits: int, pos: int) -> None:
-        if name in _BUILTIN_SIGNATURES:
-            want_a, want_q = _BUILTIN_SIGNATURES[name]
+        if name in _BUILTINS:
+            want_a, want_q = _BUILTINS[name].params, _BUILTINS[name].qubits
         else:
             d = self.defs[name]
             want_a, want_q = len(d.params), len(d.qargs)
@@ -498,35 +514,34 @@ class _Parser:
             return ("param", text, pos)
         self._error(f"expected an expression, found {text!r}", pos)
 
-    def _eval_angle(self, node, env: dict[str, float], pos: int) -> float:
-        """Value of an angle expression; failures are positioned at ``pos``."""
+    def _eval_angle(self, node, slots: list[float], pos: int) -> float:
+        """Value of an angle expression over angle ``slots``; failures are positioned at ``pos``."""
         try:
-            value = self._eval_expr(node, env)
+            value = self._eval_expr(node, slots)
         except (ZeroDivisionError, OverflowError, ValueError) as exc:
             self._error(f"cannot evaluate expression: {exc}", pos)
         if not math.isfinite(value):
             self._error(f"cannot evaluate expression: result is {value}", pos)
         return value
 
-    def _eval_expr(self, node, env: dict[str, float]) -> float:
+    def _eval_expr(self, node, slots: list[float]) -> float:
         tag = node[0]
         if tag == "num":
             return node[1]
+        if tag == "slot":
+            return slots[node[1]]
         if tag == "neg":
-            return -self._eval_expr(node[1], env)
+            return -self._eval_expr(node[1], slots)
         if tag == "fun":
-            return _UNARY_FUNCS[node[1]](self._eval_expr(node[2], env))
-        if tag == "param":
-            _, name, pos = node
-            if name not in env:
-                self._error(f"undefined parameter {name!r}", pos)
-            return env[name]
+            return _UNARY_FUNCS[node[1]](self._eval_expr(node[2], slots))
+        if tag == "param":  # a parameter no enclosing gate defines
+            self._error(f"undefined parameter {node[1]!r}", node[2])
         if tag == "chain":
-            value = self._eval_expr(node[1], env)
+            value = self._eval_expr(node[1], slots)
             for op, rhs in node[2]:
-                value = _BINARY_OPS[op](value, self._eval_expr(rhs, env))
+                value = _BINARY_OPS[op](value, self._eval_expr(rhs, slots))
             return value
-        power = self._eval_expr(node[1], env) ** self._eval_expr(node[2], env)
+        power = self._eval_expr(node[1], slots) ** self._eval_expr(node[2], slots)
         if isinstance(power, complex):  # negative base, fractional exponent
             raise ValueError("math domain error")
         return power
@@ -595,39 +610,54 @@ class _Parser:
 
     def _parse_gate_application(self) -> None:
         _, name, name_pos = self._next()
-        if name not in _BUILTIN_SIGNATURES and name not in self.defs:
+        if name not in _BUILTINS and name not in self.defs:
             self._error(f"unknown gate {name!r}", name_pos)
-        angles: list[float] = []
-        if self._accept("("):
-            if not self._at(")"):
-                angles.append(self._eval_angle(self._parse_expr(), {}, name_pos))
-                while self._accept(","):
-                    angles.append(self._eval_angle(self._parse_expr(), {}, name_pos))
-            self._expect(")")
+        slots = [0.0, *self._parse_angle_args(lambda node: self._eval_angle(node, [], name_pos))]
         operands = [self._resolve_qubit_arg(*self._parse_argument())]
         while self._accept(","):
             operands.append(self._resolve_qubit_arg(*self._parse_argument()))
         self._expect(";")
-        self._check_arity(name, len(angles), len(operands), name_pos)
-        for row in self._broadcast(operands, name_pos):
-            self._emit(name, angles, row, name_pos)
+        self._check_arity(name, len(slots) - 1, len(operands), name_pos)
+        rows = self._broadcast(operands, name_pos)
+        t = self.templates.get(name) or self._user_template(name)
+        for node, pos in t.evals:
+            slots.append(self._eval_angle(node, slots, pos))
+        if t.fail:
+            self._error(*t.fail)
+        opcodes, targets, controls, angles = self.columns
+        for qubits in rows:
+            opcodes += t.opcodes
+            targets += [qubits[k] for k in t.targets]
+            controls += [qubits[k] for k in t.controls]
+            angles += [slots[k] for k in t.angles]
 
-    def _emit(self, name: str, angles: list[float], qubits: list[int], pos: int) -> None:
-        if name in _BUILTIN_SIGNATURES:
-            try:
-                _lower_builtin(name, angles, qubits, self.gates)
-            except ValueError as exc:
-                self._error(str(exc), pos)
-            return
+    def _user_template(self, name: str) -> _Template:
         d = self.defs[name]
-        env = dict(zip(d.params, angles))
-        qmap = dict(zip(d.qargs, qubits))
+        t = self.templates[name] = _Template(len(d.params), len(d.qargs))
+        self._expand(name, list(range(1, t.params + 1)), list(range(t.qubits)), t)
+        return t
+
+    def _expand(self, name: str, args: list[int], qubits: list[int], t: _Template) -> bool:
+        """Append a call of ``name`` to ``t``: ``args`` are its angle slots and
+        ``qubits`` the indices of its qubits among ``t``'s qubit arguments.
+        False once the call fails, when nothing more is appended."""
+        builtin = _BUILTINS.get(name)
+        if builtin is not None:
+            slots = [0, *args, *(t.eval(node, pos) for node, pos in builtin.evals)]
+            for row in zip(builtin.opcodes, builtin.targets, builtin.controls, builtin.angles):
+                t.row(row[0], qubits[row[1]], qubits[row[2]], slots[row[3]])
+            return True
+        d = self.defs[name]
+        env = dict(zip(d.params, args))
         for op in d.body:
-            sub_angles = [self._eval_angle(e, env, op.pos) for e in op.angle_exprs]
-            sub_qubits = [qmap[q] for q in op.qubit_args]
+            sub_args = [t.eval(_resolve(e, env), op.pos) for e in op.angle_exprs]
+            sub_qubits = [qubits[d.qargs.index(q)] for q in op.qubit_args]
             if len(set(sub_qubits)) != len(sub_qubits):
-                self._error(f"duplicate qubit in expansion of {name!r}", op.pos)
-            self._emit(op.name, sub_angles, sub_qubits, pos)
+                t.fail = (f"duplicate qubit in expansion of {name!r}", op.pos)
+                return False
+            if not self._expand(op.name, sub_args, sub_qubits, t):
+                return False
+        return True
 
 
 def parse(source_text: str, filename: str = "<input>") -> SourceCircuit:

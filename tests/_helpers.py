@@ -212,3 +212,39 @@ def gates_as_circuit(gates: list[GateApplication], n_qubits: int):
 
     names = {("q", k): k for k in range(n_qubits)}
     return SourceCircuit(n_qubits, names, list(gates), {})
+
+
+# ---------------------------------------------------------------------------
+# Per-gate compile loop (independent of the columnar compile_circuit)
+# ---------------------------------------------------------------------------
+
+
+def oracle_compile(circuit, config):
+    """``(instructions, table)`` of ``circuit``, interning one gate at a time.
+
+    Each rotation's consumed angle is interned in gate order, and the 2^Q
+    limit is checked after each; raises what ``compile_circuit`` must raise.
+    """
+    from qbemu.compiler import AngleTable, CompileError, Instruction
+    from qbemu.gates import consumed_angle
+
+    if circuit.qubit_count > config.n_qubits:
+        raise CompileError(
+            f"qubit capacity exceeded: circuit uses {circuit.qubit_count}, "
+            f"architecture supports {config.n_qubits}"
+        )
+    table = AngleTable(fmt=None if config.is_float_reference else config.fixed_format)
+    instructions = []
+    limit = 1 << config.imm_bits
+    for gate in circuit.gates:
+        imm = 0
+        if gate.kind in ROTATIONAL:
+            imm = table.intern(consumed_angle(gate.kind, gate.angle))
+            if len(table) > limit:
+                raise CompileError(
+                    f"more than 2^Q distinct angles: table needs {len(table)} entries, "
+                    f"Q={config.imm_bits} allows {limit}"
+                )
+        control = gate.control if gate.control is not None else gate.target
+        instructions.append(Instruction(gate.kind, gate.target, control, imm))
+    return instructions, table

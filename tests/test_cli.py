@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -224,7 +225,7 @@ class TestRun:
         assert rc == 3
         err = capsys.readouterr().err
         entry = f"{2**40},0"
-        assert err == f"error: {table}:2: bad table entry {entry!r}: value {2**40} outside 32-bit two's-complement range\n"
+        assert err == f"error: {table}:2: bad table entry {entry!r}: value {2**40} outside the 32-bit range [-2147483648, 2147483647]\n"
 
     def test_fixed_table_under_float_config_exit_3(self, tmp_path, bell_qasm, config_file):
         qasm = tmp_path / "rot.qasm"
@@ -243,6 +244,28 @@ class TestRun:
             ]
         )
         assert rc == 3
+
+    @pytest.mark.parametrize("file_format", ["integer_text", "binary"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_table_entry_exit_3(self, tmp_path, capsys, file_format, value):
+        # NaN passes an ``abs(v) > 1`` range check, and ran to a NaN state
+        qasm = tmp_path / "ry.qasm"
+        qasm.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nry(0.5) q[0];\n')
+        cfg = tmp_path / "ry.cfg"
+        cfg.write_text("N = 1\nQ = 2\n")
+        common = ["--config", str(cfg), "--backend", "float", "--format", file_format]
+        assert main(["compile", str(qasm), "--out", str(tmp_path), *common]) == 0
+        suffix = "txt" if file_format == "integer_text" else "bin"
+        table = tmp_path / f"ry.table.{suffix}"
+        if file_format == "integer_text":
+            table.write_text(f"1\n{value!r},0\n")
+            where = f"{table}:2: bad table entry '{value!r},0'"
+        else:
+            table.write_bytes(b"1\n" + struct.pack("<dd", value, 1.0))
+            where = str(table)
+        capsys.readouterr()
+        rc = main(["run", str(tmp_path / f"ry.prog.{suffix}"), str(table), *common])
+        assert (rc, capsys.readouterr()) == (3, ("", f"error: {where}: value {value!r} is not finite\n"))
 
 
 class TestConfig:
@@ -375,6 +398,40 @@ class TestSweep:
             cmp_header, cmp_row = capsys.readouterr().out.strip().splitlines()
             expected = dict(zip(cmp_header.split(","), cmp_row.split(",")))
             assert [cols[k] for k in foms] == [expected[k] for k in foms]
+
+
+    def test_window_sweep_compiles_and_runs_each_format_once(self, tmp_path, config_file, capsys, monkeypatch):
+        # a window changes only the hardware model, so each circuit compiles
+        # and runs once per number format; every row equals a one-window sweep's
+        from qbemu import cli
+
+        circuits = tmp_path / "circuits"
+        circuits.mkdir()
+        for name in ("bell.qasm", "qft4.qasm"):
+            shutil.copy(qbemu.fixture_path(name), circuits / name)
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "parse_file", counted("parse", cli.parse_file))
+            patch.setattr(cli, "compile_circuit", counted("compile", cli.compile_circuit))
+            patch.setattr(cli, "run", counted("run", cli.run))
+            rc = main(["sweep", str(circuits), "window", "0,1,2,3", "--config", str(config_file)])
+        assert rc == 0
+        assert calls == {"parse": 2, "compile": 2 * (1 + 1), "run": 2 * (1 + 1)}  # model and float reference
+        header, *rows = capsys.readouterr().out.splitlines()
+        alone = []
+        for window in (0, 1, 2, 3):
+            assert main(["sweep", str(circuits), "window", str(window), "--config", str(config_file)]) == 0
+            alone.append(capsys.readouterr().out.splitlines())
+        assert all(lines[0] == header for lines in alone)
+        assert sorted(rows) == sorted(row for lines in alone for row in lines[1:])
 
 
 class TestTranscript:

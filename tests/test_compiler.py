@@ -271,7 +271,7 @@ class TestProgramFiles:
             loaded = load_program_files(tmp_path / "p.txt", tmp_path / "t.txt", config)
             assert loaded.table.entries == [(raw, 0)]
         else:
-            message = rf"t\.txt:2: bad table entry '{raw},0': value {raw} outside 32-bit two's-complement range"
+            message = rf"t\.txt:2: bad table entry '{raw},0': value {raw} outside the 32-bit range \[-2147483648, 2147483647\]"
             with pytest.raises(DecodeError, match=message):
                 load_program_files(tmp_path / "p.txt", tmp_path / "t.txt", config)
 

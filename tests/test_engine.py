@@ -270,9 +270,9 @@ class TestApplyGateFixed:
     @pytest.mark.parametrize("re0", [128, -129, 1 << 40, 1 << 70])
     def test_raw_values_outside_word_rejected(self, re0):
         fmt = FixedPointFormat(8)
-        with pytest.raises(EngineError, match=r"outside the 8-bit word range \[-128, 127\]"):
+        with pytest.raises(EngineError, match=rf"raw value {re0} outside the 8-bit range \[-128, 127\]"):
             FixedState(1, fmt, [re0, 0], [0, 0])
-        with pytest.raises(EngineError, match="outside the 8-bit word range"):
+        with pytest.raises(EngineError, match=rf"raw value {re0} outside the 8-bit range \[-128, 127\]"):
             FixedState(1, fmt, [0, 0], [0, re0])
         state = FixedState(1, fmt, [127, -128], [-128, 127])
         assert state.re.tolist() == [127, -128]

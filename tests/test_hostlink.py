@@ -279,6 +279,21 @@ class TestSession:
         with pytest.raises(ProtocolError, match=rf"angle value {value} outside the 24-bit range \[-8388608, 8388607\]"):
             board.feed(encode_message(HostMessage(MessageKind.ANGLE_VALUE, value)))
 
+    @pytest.mark.parametrize(
+        "word, message",
+        [(1 << 40, "word width mismatch: 0x10000000000 does not fit 8 bits"), (0xF0, "invalid opcode 0b1111")],
+    )
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_board_checks_each_word_on_arrival(self, word, message, chunk):
+        # N = 2, Q = 2: 8-bit words; the bad frame starts at byte 9, and the
+        # error comes as it arrives, before the end marker, under any chunking
+        config = ExecConfig(n_qubits=2, imm_bits=2)
+        stream = f"?0#*2#>3#>{word:X}#>3#".encode()
+        board = VirtualBoard(config)
+        with pytest.raises(ProtocolError, match=f"^byte 9: {message}$"):
+            for k in range(0, len(stream), chunk):
+                board.feed(stream[k : k + chunk])
+
     def test_board_runs_angle_values_at_word_edges(self):
         # RY with sine max_raw and cosine min_raw on |0>: a' = min_raw, b' = max_raw
         config = ExecConfig(n_qubits=1, data_bits=24, rounding="nearest", imm_bits=2)

@@ -1,9 +1,12 @@
 """Property tests: parser robustness, angle-table interning, the rounding core
-and the fixed-point array kernels against oracles."""
+and the fixed-point array kernels against oracles, the columnar compile
+against the per-gate loop, and round trips of wire framing, program files
+and readback."""
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -16,13 +19,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbemu import engine
-from qbemu.compiler import AngleTable, Instruction
+from qbemu.compiler import (
+    AngleTable,
+    CompiledProgram,
+    CompileError,
+    Instruction,
+    compile_circuit,
+    load_program_files,
+    write_program_files,
+)
+from qbemu.config import MAX_QUBITS, ExecConfig
 from qbemu.engine import FixedState, apply_gate
 from qbemu.fixedpoint import FixedPointFormat, Rounding, round_shift
-from qbemu.gates import INV_SQRT2, ROTATIONAL, GateKind
+from qbemu.gates import INV_SQRT2, ROTATIONAL, GateApplication, GateKind
+from qbemu.hostlink import (
+    FramingError,
+    HostMessage,
+    MessageKind,
+    StreamDecoder,
+    decode_readback,
+    decode_stream,
+    encode_message,
+    encode_readback,
+)
 from qbemu.qasm import QasmError, parse
 
-from _helpers import OracleAlu, couple_pairs, oracle_quantize, oracle_round, scalar_fixed_kernel
+from _helpers import (
+    OracleAlu,
+    couple_pairs,
+    gates_as_circuit,
+    oracle_compile,
+    oracle_quantize,
+    oracle_round,
+    scalar_fixed_kernel,
+)
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\ncreg c[3];\n'
 
@@ -200,3 +230,156 @@ def test_array_kernels_match_fraction_oracle(case):
     assert state.re.tolist() == expect_re
     assert state.im.tolist() == expect_im
     assert state.overflow == alu.overflow
+
+
+# ---------------------------------------------------------------------------
+# The columnar compile against the per-gate loop
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def circuits(draw):
+    """Random native gates on up to 4 qubits whose angles come from a small
+    pool holding both zeros, and angles a step apart that quantize alike."""
+    n = draw(st.integers(1, 4))
+    pool = draw(st.lists(finite_angles, min_size=1, max_size=6))
+    pool += [0.0, -0.0, pool[0] + 1e-12, 2 * pool[0]]
+    gates = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(list(GateKind)))
+        target = draw(st.integers(0, n - 1))
+        control = draw(st.sampled_from([None] + [c for c in range(n) if c != target]))
+        angle = draw(st.sampled_from(pool)) if kind in ROTATIONAL else None
+        gates.append(GateApplication(kind, target, control, angle))
+    return gates_as_circuit(gates, n)
+
+
+@pytest.mark.parametrize("rounding, bits", [("float_reference", 20), ("truncation", 8), ("nearest", 20), ("nearest_even", 32)])
+@settings(max_examples=150, deadline=None)
+@given(circuit=circuits(), imm_bits=st.integers(1, 4))
+def test_columnar_compile_equals_per_gate_loop(rounding, bits, circuit, imm_bits):
+    config = ExecConfig(n_qubits=4, imm_bits=imm_bits, data_bits=bits, rounding=rounding)
+    try:
+        want_instructions, want_table = oracle_compile(circuit, config)
+    except CompileError as exc:
+        with pytest.raises(CompileError, match=f"^{re.escape(str(exc))}$"):
+            compile_circuit(circuit, config)
+        return
+    program = compile_circuit(circuit, config)
+    assert program.instructions == want_instructions
+    # repr keeps the sign of a float-reference zero visible
+    assert [tuple(map(repr, p)) for p in program.table.entries] == [tuple(map(repr, p)) for p in want_table.entries]
+
+
+# ---------------------------------------------------------------------------
+# Wire framing: round trip and chunking invariance
+# ---------------------------------------------------------------------------
+
+_WORDS = st.one_of(st.integers(0, 1 << 20), st.integers(0, (1 << 63) - 1), st.integers(1 << 63, 1 << 70))
+
+
+@st.composite
+def messages(draw):
+    kind = draw(st.sampled_from(list(MessageKind)))
+    if kind is MessageKind.END_OF_EMULATION:
+        return HostMessage(kind)
+    value = draw(_WORDS)
+    if kind is MessageKind.ANGLE_VALUE and draw(st.booleans()):
+        value = -value
+    return HostMessage(kind, value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(messages(), max_size=30))
+def test_framing_round_trip(msgs):
+    assert decode_stream(b"".join(encode_message(m) for m in msgs)) == msgs
+
+
+def _decode_in_chunks(stream: bytes, cuts: list[int]):
+    """Messages, or the FramingError text, of ``stream`` fed split at ``cuts``."""
+    decoder, got = StreamDecoder(), []
+    bounds = [0, *sorted(set(cuts)), len(stream)]
+    try:
+        for start, stop in zip(bounds, bounds[1:]):
+            got.extend(decoder.feed(stream[start:stop]))
+    except FramingError as exc:
+        return "error", str(exc), exc.offset
+    return got, decoder.pending
+
+
+@st.composite
+def streams(draw):
+    """A framed message stream, sometimes corrupted by a few byte edits."""
+    stream = bytearray(b"".join(encode_message(m) for m in draw(st.lists(messages(), max_size=12))))
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(stream)))
+        byte = draw(st.sampled_from(b"?*<>!#-09AFaz \n"))
+        if draw(st.booleans()) or pos == len(stream):
+            stream[pos:pos] = bytes([byte])
+        else:
+            stream[pos] = byte
+    return bytes(stream)
+
+
+@settings(max_examples=300, deadline=None)
+@given(streams(), st.lists(st.integers(0, 200), max_size=8))
+def test_stream_decoder_is_chunking_invariant(stream, cuts):
+    cuts = [c for c in cuts if c <= len(stream)]
+    assert _decode_in_chunks(stream, cuts) == _decode_in_chunks(stream, [])
+
+
+# ---------------------------------------------------------------------------
+# Program files and readback: round trips with edge fields
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def programs(draw):
+    """A configuration and a program with fields at their extremes: the
+    highest opcode, target and control ``2**fbits - 1``, ``imm = 2**Q - 1``."""
+    n = draw(st.integers(1, MAX_QUBITS))
+    fbits = (n - 1).bit_length()
+    imm_bits = draw(st.integers(1, 59 - 2 * fbits))
+    rounding = draw(st.sampled_from(["float_reference", "truncation", "nearest", "nearest_even"]))
+    config = ExecConfig(n_qubits=n, imm_bits=imm_bits, data_bits=draw(st.integers(8, 32)), rounding=rounding)
+    opcodes = st.sampled_from([GateKind.X, GateKind.U1]) | st.sampled_from(list(GateKind))  # U1 is the highest
+    qubit = st.sampled_from([0, (1 << fbits) - 1]) | st.integers(0, (1 << fbits) - 1)
+    imm = st.sampled_from([0, (1 << imm_bits) - 1]) | st.integers(0, (1 << imm_bits) - 1)
+    instructions = [Instruction(*row) for row in draw(st.lists(st.tuples(opcodes, qubit, qubit, imm), max_size=20))]
+    if config.is_float_reference:
+        values = st.sampled_from([-1.0, -0.0, 0.0, 1.0]) | st.floats(-1.0, 1.0)
+        fmt = None
+    else:
+        fmt = config.fixed_format
+        values = st.sampled_from([fmt.min_raw, -1, 0, fmt.max_raw]) | st.integers(fmt.min_raw, fmt.max_raw)
+    entries = draw(st.lists(st.tuples(values, values), max_size=6))
+    return config, CompiledProgram(instructions, AngleTable(fmt, entries), n)
+
+
+@pytest.mark.parametrize("file_format", ["integer_text", "binary"])
+@settings(max_examples=100, deadline=None)
+@given(case=programs())
+def test_program_files_round_trip(tmp_path_factory, file_format, case):
+    config, program = case
+    where = tmp_path_factory.mktemp("files")
+    write_program_files(program, config, where / "p", where / "t", file_format)
+    loaded = load_program_files(where / "p", where / "t", config, file_format)
+    assert loaded.instructions == program.instructions
+    assert loaded.used_qubits == program.used_qubits
+    assert [tuple(map(repr, p)) for p in loaded.table.entries] == [tuple(map(repr, p)) for p in program.table.entries]
+
+
+@st.composite
+def fixed_states(draw):
+    fmt = FixedPointFormat(draw(st.integers(8, 32)), draw(st.sampled_from(list(Rounding))))
+    n = draw(st.integers(0, 4))
+    words = st.sampled_from([fmt.min_raw, -1, 0, fmt.max_raw]) | st.integers(fmt.min_raw, fmt.max_raw)
+    planes = [draw(st.lists(words, min_size=1 << n, max_size=1 << n)) for _ in range(2)]
+    return FixedState(n, fmt, *planes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fixed_states())
+def test_readback_round_trip(state):
+    back = decode_readback(encode_readback(state), state.fmt, state.n_qubits)
+    assert np.array_equal(back.raw, state.raw)
