@@ -17,8 +17,6 @@ from .compiler import (
     DecodeError,
     Instruction,
     compile_circuit,
-    decode_instruction,
-    encode_instruction,
     load_program_files,
     write_program_files,
 )
@@ -54,13 +52,12 @@ from .hostlink import (
 )
 from .hwmodel import (
     LatencyBreakdown,
-    LatencyModel,
     ResourceEstimate,
     estimate_resources,
     program_latency,
 )
 from .metrics import QualityReport, complex_distances, hellinger_fidelity, kld, report
-from .qasm import GateDefinition, QasmError, SourceCircuit, emit, parse, parse_file
+from .qasm import QasmError, SourceCircuit, emit, parse, parse_file
 
 __version__ = "0.1.0"
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import hwmodel, metrics
@@ -79,67 +79,34 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Resolved inputs for one command: paths, configuration, seed, outputs."""
-
-    inputs: tuple[Path, ...]
-    config: ExecConfig
-    backend: str
-    seed: int | None
-    out: Path | None
-    file_format: str
-
-    def __post_init__(self) -> None:
-        for path in self.inputs:
-            if not path.exists():
-                raise FileNotFoundError(f"input not found: {path}")
-
-
 def _resolve_config(args) -> ExecConfig:
-    config = ExecConfig()
-    if getattr(args, "config", None):
-        config = load_config(args.config)
-    overrides = {}
-    if getattr(args, "bits", None) is not None:
-        overrides["data_bits"] = args.bits
-    if getattr(args, "rounding", None) is not None:
-        overrides["rounding"] = args.rounding
-    if getattr(args, "window", None) is not None:
-        overrides["window"] = args.window
-    if overrides:
-        config = replace(config, **overrides)
-    return config
+    config = load_config(args.config) if args.config else ExecConfig()
+    overrides = {"data_bits": args.bits, "rounding": args.rounding, "window": args.window}
+    return replace(config, **{key: value for key, value in overrides.items() if value is not None})
 
 
-def _manifest(args, *inputs) -> RunManifest:
-    backend = getattr(args, "backend", None)
-    config = _resolve_config(args)
-    if backend is None:
-        backend = "float" if config.is_float_reference else "fixed"
-    return RunManifest(
-        inputs=tuple(Path(p) for p in inputs),
-        config=config,
-        backend=backend,
-        seed=getattr(args, "seed", None),
-        out=Path(args.out) if getattr(args, "out", None) else None,
-        file_format=getattr(args, "format", "integer_text"),
-    )
+def _inputs(*paths) -> list[Path]:
+    """``paths`` as paths, each of which must exist."""
+    for path in paths:
+        if not Path(path).exists():
+            raise FileNotFoundError(f"input not found: {path}")
+    return [Path(p) for p in paths]
 
 
-def _backend_config(config: ExecConfig, backend: str) -> ExecConfig:
+def _backend_config(config: ExecConfig, backend: str | None) -> ExecConfig:
+    """``config`` for the float or fixed backend; unchanged for None."""
     if backend == "float":
         return replace(config, rounding=FLOAT_REFERENCE)
-    if config.is_float_reference:
+    if backend == "fixed" and config.is_float_reference:
         return replace(config, rounding="nearest")
     return config
 
 
-def _write_text(path: Path | None, text: str) -> None:
+def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        path.write_text(text, encoding="ascii")
+        Path(path).write_text(text, encoding="ascii")
 
 
 def _csv(columns, rows) -> str:
@@ -153,17 +120,15 @@ def _csv(columns, rows) -> str:
 
 
 def cmd_compile(args) -> int:
-    manifest = _manifest(args, args.qasm)
-    circuit = parse_file(manifest.inputs[0])
-    config = _backend_config(manifest.config, manifest.backend)
-    program = compile_circuit(circuit, config)
-    out_dir = manifest.out or Path(".")
+    config = _backend_config(_resolve_config(args), args.backend)
+    [qasm_path] = _inputs(args.qasm)
+    program = compile_circuit(parse_file(qasm_path), config)
+    out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    stem = manifest.inputs[0].stem
-    suffix = "txt" if manifest.file_format == "integer_text" else "bin"
-    program_path = out_dir / f"{stem}.prog.{suffix}"
-    table_path = out_dir / f"{stem}.table.{suffix}"
-    write_program_files(program, config, program_path, table_path, manifest.file_format)
+    suffix = "txt" if args.format == "integer_text" else "bin"
+    program_path = out_dir / f"{qasm_path.stem}.prog.{suffix}"
+    table_path = out_dir / f"{qasm_path.stem}.table.{suffix}"
+    write_program_files(program, config, program_path, table_path, args.format)
     print(
         f"compiled {len(program.instructions)} instructions, "
         f"{len(program.table)} angle pairs, {program.used_qubits} qubits"
@@ -174,20 +139,17 @@ def cmd_compile(args) -> int:
 
 
 def cmd_run(args) -> int:
-    manifest = _manifest(args, args.program, args.table)
-    config = _backend_config(manifest.config, manifest.backend)
-    program = load_program_files(
-        manifest.inputs[0], manifest.inputs[1], config, manifest.file_format
-    )
+    config = _backend_config(_resolve_config(args), args.backend)
+    program = load_program_files(*_inputs(args.program, args.table), config, args.format)
     state = run(program, config)
     dump = dump_state(state)
-    if manifest.seed is not None and manifest.out is None:
+    if args.seed is not None and args.out is None:
         raise UsageError("--seed needs --out so the dump and the counts do not interleave")
-    _write_text(manifest.out, dump)
-    if manifest.seed is not None:
-        counts = sample_counts(state, SAMPLE_SHOTS, manifest.seed)
+    _write_text(args.out, dump)
+    if args.seed is not None:
+        counts = sample_counts(state, SAMPLE_SHOTS, args.seed)
         width = state.n_qubits
-        print(f"counts ({SAMPLE_SHOTS} shots, seed {manifest.seed}):")
+        print(f"counts ({SAMPLE_SHOTS} shots, seed {args.seed}):")
         for index in sorted(counts):
             print(f"{index:0{width}b} {counts[index]}")
     return EXIT_OK
@@ -200,16 +162,16 @@ def _float_reference(circuit, config: ExecConfig):
 
 
 def cmd_compare(args) -> int:
-    manifest = _manifest(args, args.qasm)
-    config = _backend_config(manifest.config, manifest.backend)
-    circuit = parse_file(manifest.inputs[0])
+    config = _backend_config(_resolve_config(args), args.backend)
+    [qasm_path] = _inputs(args.qasm)
+    circuit = parse_file(qasm_path)
     model_state = run(compile_circuit(circuit, config), config)
     quality = metrics.report(model_state, _float_reference(circuit, config))
     row = (
-        manifest.inputs[0].stem, circuit.qubit_count, len(circuit.gates), config.data_bits, config.rounding,
+        qasm_path.stem, circuit.qubit_count, len(circuit.gates), config.data_bits, config.rounding,
         quality.fidelity, quality.kld, quality.mcd, quality.acd, quality.prob_sum_model, quality.prob_sum_reference,
     )
-    _write_text(manifest.out, _csv(COMPARE_COLUMNS, [row]))
+    _write_text(args.out, _csv(COMPARE_COLUMNS, [row]))
     return EXIT_OK
 
 
@@ -241,8 +203,8 @@ def cmd_sweep(args) -> int:
             raise FileNotFoundError(f"no .qasm files in {qasm_path}")
     else:
         circuit_paths = [qasm_path]
-    manifest = _manifest(args, *circuit_paths)
-    base = _backend_config(manifest.config, "fixed")
+    base = _backend_config(_resolve_config(args), "fixed")
+    _inputs(*circuit_paths)
     values = _sweep_values(args.axis, args.values)
     configs = [_sweep_config(base, args.axis, value) for value in values]
     rows = []
@@ -264,17 +226,14 @@ def cmd_sweep(args) -> int:
                 resources.datapaths, resources.state_regfile_bits, latency.total_cycles,
                 quality.fidelity, quality.kld, quality.mcd, quality.acd,
             ))
-    _write_text(manifest.out, _csv(SWEEP_COLUMNS, rows))
+    _write_text(args.out, _csv(SWEEP_COLUMNS, rows))
     return EXIT_OK
 
 
 def cmd_transcript(args) -> int:
-    manifest = _manifest(args, args.program, args.table)
-    config = _backend_config(manifest.config, "fixed")
-    program = load_program_files(
-        manifest.inputs[0], manifest.inputs[1], config, manifest.file_format
-    )
-    out_dir = manifest.out or Path(".")
+    config = _backend_config(_resolve_config(args), "fixed")
+    program = load_program_files(*_inputs(args.program, args.table), config, args.format)
+    out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     stream = encode_session(program, config)
     board = VirtualBoard(config)

@@ -162,39 +162,19 @@ def compile_circuit(circuit: SourceCircuit, config: ExecConfig) -> CompiledProgr
     return CompiledProgram(Columns.of(_instruction_row, INSTRUCTION_FIELDS, columns), table, circuit.qubit_count)
 
 
-def _pack(opcode, target, control, imm, config: ExecConfig):
-    """Words, MSB-first [opcode|control|target|imm], of ints or of int64 columns."""
-    fbits = config.qubit_field_bits
-    return (((opcode << fbits | control) << fbits | target) << config.imm_bits) | imm
-
-
-def _unpack(words, config: ExecConfig) -> tuple:
-    """(opcode, target, control, imm) of an int word or of an int64 column."""
-    fbits, ibits = config.qubit_field_bits, config.imm_bits
-    fmask = (1 << fbits) - 1
-    opcode, control = words >> (ibits + 2 * fbits), (words >> (ibits + fbits)) & fmask
-    return opcode, (words >> ibits) & fmask, control, words & ((1 << ibits) - 1)
-
-
-def encode_instruction(instr: Instruction, config: ExecConfig) -> int:
-    """Pack one instruction into its word: MSB-first [opcode|control|target|imm]."""
-    fbits, ibits = config.qubit_field_bits, config.imm_bits
-    fields = (("target", instr.target, fbits), ("control", instr.control, fbits), ("imm", instr.imm, ibits))
-    for name, value, bits in fields:
-        if value >> bits:
-            raise CompileError(f"field overflow: {name} {value} needs more than {bits} bits")
-    return _pack(instr.opcode, instr.target, instr.control, instr.imm, config)
-
-
 def encode_words(instructions, config: ExecConfig) -> np.ndarray:
-    """:func:`encode_instruction` over instructions (columns or rows), as
-    int64 words; a field overflow is that of the first offending one."""
+    """Instruction words, MSB-first [opcode|control|target|imm], of
+    instructions (columns or rows), as int64; a field overflow is that of
+    the first offending instruction."""
     ins = instruction_columns(instructions)
     fbits, ibits = config.qubit_field_bits, config.imm_bits
-    outside = ((ins.target >> fbits) != 0) | ((ins.control >> fbits) != 0) | ((ins.imm >> ibits) != 0)
+    fields = (("target", ins.target, fbits), ("control", ins.control, fbits), ("imm", ins.imm, ibits))
+    outside = np.array([(column >> bits) != 0 for _, column, bits in fields])
     if outside.any():
-        encode_instruction(ins[int(outside.argmax())], config)
-    return _pack(ins.opcode, ins.target, ins.control, ins.imm, config)
+        k = int(outside.any(axis=0).argmax())
+        name, column, bits = fields[int(outside[:, k].argmax())]
+        raise CompileError(f"field overflow: {name} {column.item(k)} needs more than {bits} bits")
+    return (((ins.opcode << fbits | ins.control) << fbits | ins.target) << ibits) | ins.imm
 
 
 def word_error(word: int, config: ExecConfig) -> str | None:
@@ -207,29 +187,26 @@ def word_error(word: int, config: ExecConfig) -> str | None:
     return None
 
 
-def decode_instruction(word: int, config: ExecConfig) -> Instruction:
-    """Exact inverse of :func:`encode_instruction`."""
-    error = word_error(word, config)
-    if error:
-        raise DecodeError(error)
-    return _instruction_row(*_unpack(word, config))
-
-
-def decode_words(words, config: ExecConfig) -> Columns:
+def decode_words(words: np.ndarray, config: ExecConfig) -> Columns:
     """Exact inverse of :func:`encode_words`.
 
-    ``words`` is an int64 or uint64 array, or ints; the first word that is
-    no instruction word raises its :func:`word_error`.
+    ``words`` is an int64 or uint64 array; the first word that is no
+    instruction word raises its :func:`word_error`.
     """
-    width = config.instruction_bits
-    if isinstance(words, np.ndarray):
-        bad = ((words >> width) != 0) | ((words >> (width - 4)) >= len(GateKind))
-        if bad.any():
-            raise DecodeError(word_error(words.item(int(bad.argmax())), config))
-        words = words.astype(np.int64)
-    else:
-        words = np.array([w for w in words if decode_instruction(w, config)], dtype=np.int64)  # raises at a bad word
-    return Columns(_instruction_row, **dict(zip(INSTRUCTION_FIELDS, _unpack(words, config))))
+    return _decode(words, config, lambda k: "")
+
+
+def _decode(words: np.ndarray, config: ExecConfig, where) -> Columns:
+    """:func:`decode_words`, with ``where(k)`` before the error of bad word ``k``."""
+    width, fbits, ibits = config.instruction_bits, config.qubit_field_bits, config.imm_bits
+    bad = ((words >> width) != 0) | ((words >> (width - 4)) >= len(GateKind))
+    if bad.any():
+        k = int(bad.argmax())
+        raise DecodeError(where(k) + word_error(words.item(k), config))
+    words, fmask = words.astype(np.int64), (1 << fbits) - 1
+    opcode, control = words >> (ibits + 2 * fbits), (words >> (ibits + fbits)) & fmask
+    fields = (opcode, (words >> ibits) & fmask, control, words & ((1 << ibits) - 1))
+    return Columns(_instruction_row, **dict(zip(INSTRUCTION_FIELDS, fields)))
 
 
 # ---------------------------------------------------------------------------
@@ -259,34 +236,44 @@ def _pack_words(words: np.ndarray, config: ExecConfig, text: bool) -> bytes:
     return lines.tobytes()
 
 
-def _hex_words(body: bytes, path):
-    """Words of a text program body, one hex word per non-blank line."""
-    for lineno, line in enumerate(body.decode("ascii").splitlines(), start=2):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            yield int(line, 16)
-        except ValueError:
-            raise DecodeError(f"{path}:{lineno}: bad instruction word {line!r}") from None
+def _text_lines(body: bytes, path):
+    """``(line number, text)`` of each non-blank line, stripped, of an ASCII
+    file body that follows its count line."""
+    try:
+        text = body.decode("ascii")
+    except UnicodeDecodeError as exc:
+        lineno = len((body[: exc.start] + b"?").decode("ascii").splitlines()) + 1
+        raise DecodeError(f"{path}:{lineno}: byte {body[exc.start]:#04x} is not ASCII") from None
+    for lineno, line in enumerate(text.splitlines(), start=2):
+        if line.strip():
+            yield lineno, line.strip()
 
 
 def _unpack_words(body: bytes, config: ExecConfig, text: bool, path) -> Columns:
-    """Instructions of a program body.  A body laid out as written is one
-    array pass; any other text body is read line by line, each word decoded
-    before the next line is read."""
+    """Instructions of a program body; a bad word is named by its line (text)
+    or its index (binary).  A body laid out as written is one array pass;
+    any other text body is read line by line, each word checked as it is read."""
     width, shifts = _word_layout(config, text)
     data = np.frombuffer(body, dtype=np.uint8)
     if not text:
         if len(body) % width:
             raise DecodeError(f"{path}: truncated instruction stream")
-        return decode_words((data.reshape(-1, width).astype(np.uint64) << shifts[:width]).sum(axis=1), config)
+        words = (data.reshape(-1, width).astype(np.uint64) << shifts[:width]).sum(axis=1)
+        return _decode(words, config, lambda k: f"{path}: word {k}: ")
     if len(body) % (width + 1) == 0:
         lines = data.reshape(-1, width + 1)
         digits = _HEX_VALUES[lines[:, :width]]
         if (lines[:, width] == ord("\n")).all() and (digits < 16).all():
-            return decode_words((digits << shifts).sum(axis=1), config)
-    return decode_words(_hex_words(body, path), config)
+            return _decode((digits << shifts).sum(axis=1), config, lambda k: f"{path}:{k + 2}: ")
+    words = []
+    for lineno, line in _text_lines(body, path):
+        try:
+            words.append(int(line, 16))
+        except ValueError:
+            raise DecodeError(f"{path}:{lineno}: bad instruction word {line!r}") from None
+        if word_error(words[-1], config):
+            raise DecodeError(f"{path}:{lineno}: {word_error(words[-1], config)}")
+    return decode_words(np.array(words, dtype=np.int64), config)
 
 
 def write_program_files(
@@ -326,7 +313,9 @@ def _read_count_line(data: bytes, path) -> tuple[int, bytes]:
     try:
         count = int(data[:newline])
     except ValueError:
-        raise DecodeError(f"{path}: bad count header {data[:newline]!r}") from None
+        count = -1
+    if count < 0:
+        raise DecodeError(f"{path}: bad count header {data[:newline]!r}")
     return count, data[newline + 1 :]
 
 
@@ -356,10 +345,7 @@ def load_program_files(
     fmt = None if config.is_float_reference else config.fixed_format
     entries: list[tuple] = []
     if text:
-        for lineno, line in enumerate(tbody.decode("ascii").splitlines(), start=2):
-            line = line.strip()
-            if not line:
-                continue
+        for lineno, line in _text_lines(tbody, table_path):
             try:
                 s_text, c_text = line.split(",")
                 if fmt is None:

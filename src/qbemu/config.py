@@ -119,5 +119,12 @@ def parse_config(text: str, base: ExecConfig | None = None) -> ExecConfig:
 
 
 def load_config(path, base: ExecConfig | None = None) -> ExecConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), base=base)
+    """Parse a UTF-8 configuration file; a byte that is not UTF-8 is an error naming its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((data[: exc.start] + b"?").decode("utf-8").splitlines())
+        raise ConfigError(f"{path}: line {lineno}: byte {data[exc.start]:#04x} is not UTF-8") from None
+    return parse_config(text, base=base)

@@ -4,14 +4,14 @@ The full-parallel machine instantiates one datapath per interacting couple;
 windowing order ``W`` time-multiplexes them, cutting datapaths to
 ``2**(N-W-1)`` while multiplying per-gate latency by ``2**W``.  ``W = 0`` is
 the full-parallel machine and ``W = N-1`` the single-datapath serial one.
-Per-opcode base cycle counts are configuration data ordered by the datapath
-operation classes; the defaults are placeholders for relative timing, not
-measured microcode depths.
+Per-opcode base cycle counts are ordered by the datapath operation classes
+(rotational >= one-multiplier >= sign/exchange); they are placeholders for
+relative timing, not measured microcode depths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,11 +19,13 @@ from .compiler import CompiledProgram
 from .config import ExecConfig
 from .gates import ONE_MULTIPLIER, ROTATIONAL, SIGN_EXCHANGE, GateKind
 
-DEFAULT_BASE_CYCLES = {
+BASE_CYCLES = {
     **{kind: 2 for kind in SIGN_EXCHANGE},
     **{kind: 4 for kind in ONE_MULTIPLIER},
     **{kind: 8 for kind in ROTATIONAL},
 }
+INIT_CYCLES_PER_ANGLE_PAIR = 2
+READOUT_CYCLES_PER_AMPLITUDE = 2
 
 
 @dataclass(frozen=True)
@@ -32,33 +34,6 @@ class ResourceEstimate:
     state_regfile_bits: int
     angle_regfile_bits: int
     instruction_width_bits: int
-
-
-@dataclass(frozen=True)
-class LatencyModel:
-    """Per-opcode base cycles plus fixed init/readout overheads.
-
-    Base cycles must respect the operation-class ordering: rotational gates
-    are at least as slow as one-multiplier gates, which are at least as slow
-    as sign/exchange gates.
-    """
-
-    base_cycles: dict[GateKind, int] = field(default_factory=lambda: dict(DEFAULT_BASE_CYCLES))
-    init_cycles_per_angle_pair: int = 2
-    readout_cycles_per_amplitude: int = 2
-
-    def __post_init__(self) -> None:
-        missing = [k.name for k in GateKind if k not in self.base_cycles]
-        if missing:
-            raise ValueError(f"base_cycles missing opcodes: {missing}")
-        if any(c <= 0 for c in self.base_cycles.values()):
-            raise ValueError("base cycle counts must be positive")
-        slow_rot = min(self.base_cycles[k] for k in ROTATIONAL)
-        mid = min(self.base_cycles[k] for k in ONE_MULTIPLIER)
-        if slow_rot < max(self.base_cycles[k] for k in ONE_MULTIPLIER) or mid < max(
-            self.base_cycles[k] for k in SIGN_EXCHANGE
-        ):
-            raise ValueError("base cycles must be ordered rotational >= one-multiplier >= sign/exchange")
 
 
 @dataclass(frozen=True)
@@ -82,20 +57,15 @@ def estimate_resources(config: ExecConfig) -> ResourceEstimate:
     )
 
 
-def program_latency(
-    program: CompiledProgram, config: ExecConfig, model: LatencyModel | None = None
-) -> LatencyBreakdown:
+def program_latency(program: CompiledProgram, config: ExecConfig) -> LatencyBreakdown:
     """Whole-program cycles: per-gate base cost times the window count.
 
     Controlled gates cost the same as uncontrolled ones: the window schedule
     walks all 2^(N-1) couple slots and skipped couples idle.  Overheads are
     the angle-table load at startup and the 2^N amplitude readout.
     """
-    model = model or LatencyModel()
-    windows = 1 << config.window
     per_opcode = np.bincount(program.instructions.opcode, minlength=len(GateKind))
-    compute = int(per_opcode @ [model.base_cycles[kind] for kind in GateKind]) * windows
-    init = len(program.table) * model.init_cycles_per_angle_pair
-    readout = (1 << config.n_qubits) * model.readout_cycles_per_amplitude
+    compute = int(per_opcode @ [BASE_CYCLES[kind] for kind in GateKind]) << config.window
+    init = len(program.table) * INIT_CYCLES_PER_ANGLE_PAIR
+    readout = (1 << config.n_qubits) * READOUT_CYCLES_PER_AMPLITUDE
     return LatencyBreakdown(init, compute, readout)
-

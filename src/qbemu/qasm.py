@@ -5,8 +5,9 @@ Parses a supported subset of OpenQASM 2.0 into native gate columns (see
 call lowers to: the usual qelib1 gates outside the native twelve through
 fixed equivalences (cx/ch/cr*/cu1 become a native opcode with the control
 field set; cz, cy, swap, ccx, u2, u3 expand to short native sequences), and
-a user-defined gate by expanding its body once, at its first call.  A call
-then appends its template's rows with its qubits and evaluated angles.
+a user-defined gate by splicing together the templates of its body's gates,
+once, when it is defined.  A call then appends its template's rows with its
+qubits and evaluated angles.
 
 ``measure`` and ``barrier`` statements are accepted and dropped; ``creg``
 declarations are recorded but otherwise ignored.  ``if``, ``reset`` and
@@ -58,24 +59,6 @@ class SourceCircuit:
                 zip(*((g.kind, g.target, g.target if g.control is None else g.control,
                        0.0 if g.angle is None else g.angle) for g in self.gates))
             )
-
-
-@dataclass(frozen=True)
-class _BodyOp:
-    name: str
-    angle_exprs: tuple
-    qubit_args: tuple[str, ...]
-    pos: int  # character offset of the op's name in the source
-
-
-@dataclass(frozen=True)
-class GateDefinition:
-    """User-defined gate macro: formal angle/qubit parameters and a body."""
-
-    name: str
-    params: tuple[str, ...]
-    qargs: tuple[str, ...]
-    body: tuple[_BodyOp, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -169,21 +152,14 @@ class _Template:
     ``(message, pos)`` of an error every call raises after ``evals``.  Row
     ``k`` is native opcode ``opcodes[k]`` on the call's qubit arguments
     ``targets[k]`` and ``controls[k]`` (equal when uncontrolled), with the
-    angle in slot ``angles[k]``.
+    angle in slot ``angles[k]``.  ``depth`` is the gate's macro nesting depth.
     """
 
-    def __init__(self, params: int, qubits: int, rows=(), evals=()):
-        self.params, self.qubits = params, qubits
+    def __init__(self, params: int, qubits: int, rows=(), evals=(), depth: int = 0):
+        self.params, self.qubits, self.depth = params, qubits, depth
         self.evals, self.fail = list(evals), None
-        self.opcodes, self.targets, self.controls, self.angles = [], [], [], []
-        for row in rows:
-            self.row(*row)
-
-    def row(self, opcode: int, target: int, control: int, angle: int = 0) -> None:
-        self.opcodes.append(int(opcode))
-        self.targets.append(target)
-        self.controls.append(control)
-        self.angles.append(angle)
+        columns = list(zip(*((*row, 0)[:4] for row in rows))) or [()] * 4  # no angle: slot 0
+        self.opcodes, self.targets, self.controls, self.angles = (list(map(int, col)) for col in columns)
 
     def eval(self, node, pos: int) -> int:
         """Slot of the value of ``node``; a bare slot needs no evaluation."""
@@ -191,6 +167,22 @@ class _Template:
             return node[1]
         self.evals.append((node, pos))
         return self.params + len(self.evals)
+
+    def splice(self, sub: "_Template", args: list[int], qubits: list[int]) -> None:
+        """Append a call of ``sub``: ``args`` are the slots of its angle
+        arguments and ``qubits`` the indices of its qubits among ours."""
+        slots = [0, *args]
+        for node, pos in sub.evals:
+            slots.append(self.eval(_remap(node, slots), pos))
+        self.append(sub, slots, qubits)
+        self.fail = sub.fail
+
+    def append(self, sub: "_Template", slots: list, qubits: list[int]) -> None:
+        """Append ``sub``'s rows on ``qubits``, each with the entry of ``slots`` at its angle slot."""
+        self.opcodes += sub.opcodes
+        self.targets += [qubits[k] for k in sub.targets]
+        self.controls += [qubits[k] for k in sub.controls]
+        self.angles += [slots[k] for k in sub.angles]
 
 
 def _rot(kind: GateKind) -> int:
@@ -219,19 +211,19 @@ _BUILTINS = {
 }
 
 
-def _resolve(node, env: dict[str, int]):
-    """``node`` with every parameter named in ``env`` replaced by its angle slot."""
+def _remap(node, slots: list[int]):
+    """``node`` with each angle slot ``k`` replaced by slot ``slots[k]``."""
     tag = node[0]
-    if tag == "param":
-        return ("slot", env[node[1]]) if node[1] in env else node
+    if tag == "slot":
+        return ("slot", slots[node[1]])
     if tag == "neg":
-        return ("neg", _resolve(node[1], env))
+        return ("neg", _remap(node[1], slots))
     if tag == "fun":
-        return ("fun", node[1], _resolve(node[2], env))
+        return ("fun", node[1], _remap(node[2], slots))
     if tag == "chain":
-        return ("chain", _resolve(node[1], env), tuple((op, _resolve(rhs, env)) for op, rhs in node[2]))
+        return ("chain", _remap(node[1], slots), tuple([(op, _remap(rhs, slots)) for op, rhs in node[2]]))
     if tag == "pow":
-        return ("pow", _resolve(node[1], env), _resolve(node[2], env))
+        return ("pow", _remap(node[1], slots), _remap(node[2], slots))
     return node
 
 
@@ -241,9 +233,13 @@ def _resolve(node, env: dict[str, int]):
 
 # Parser recursion is bounded far below Python's recursion limit: angle
 # expressions nest at most MAX_EXPR_DEPTH levels (parentheses, unary minus,
-# powers, function calls) and gate definitions at most MAX_GATE_DEPTH.
+# powers, function calls).  Gate definitions nest at most MAX_GATE_DEPTH.
 MAX_EXPR_DEPTH = 100
 MAX_GATE_DEPTH = 100
+# Most native gates and angle expressions one parse may lower: the rows and
+# expressions spliced into every gate definition's template plus those of
+# every call.  It is checked before they are added.
+MAX_NATIVE_GATES = 1 << 20
 # Largest register size; integer tokens with more digits are never converted.
 MAX_REGISTER_SIZE = 1 << 16
 _MAX_INT_DIGITS = len(str(MAX_REGISTER_SIZE))
@@ -268,12 +264,12 @@ class _Parser:
         self.pos = 0
         self.qregs: dict[str, tuple[int, int]] = {}  # name -> (base, size)
         self.cregs: dict[str, int] = {}
-        self.defs: dict[str, GateDefinition] = {}
-        self.gate_depth: dict[str, int] = {}  # definition name -> macro nesting depth
+        self.params: dict[str, int] = {}  # angle parameter -> slot, inside a gate definition
         self.expr_depth = 0
         self.qubit_count = 0
-        self.templates = dict(_BUILTINS)  # gate name -> template, user gates added at first call
-        self.columns: tuple[list, ...] = ([], [], [], [])  # opcode, target, control, angle
+        self.lowered = 0  # native gates and angle expressions lowered so far
+        self.templates = dict(_BUILTINS)  # gate name -> template, user gates added when defined
+        self.circuit = _Template(0, 0)  # the lowered circuit: flat qubits and angle values
 
     # -- token helpers ----------------------------------------------------
 
@@ -320,7 +316,8 @@ class _Parser:
         for reg, (base, size) in self.qregs.items():
             for k in range(size):
                 names[(reg, k)] = base + k
-        return SourceCircuit(self.qubit_count, names, gate_columns(self.columns), dict(self.cregs))
+        c = self.circuit
+        return SourceCircuit(self.qubit_count, names, gate_columns((c.opcodes, c.targets, c.controls, c.angles)), dict(self.cregs))
 
     def _parse_header(self) -> None:
         kind, text, _ = self._peek()
@@ -394,7 +391,7 @@ class _Parser:
     def _parse_gate_definition(self) -> None:
         self._next()
         _, name, name_pos = self._expect("id", "gate name")
-        if name in _BUILTINS or name in self.defs:
+        if name in self.templates:
             self._error(f"gate {name!r} already defined", name_pos)
         params: list[str] = []
         if self._accept("("):
@@ -405,8 +402,8 @@ class _Parser:
         if len(set(params)) != len(params) or len(set(qargs)) != len(qargs):
             self._error(f"duplicate formal argument in gate {name!r}", name_pos)
         self._expect("{")
-        body: list[_BodyOp] = []
-        depth = 1
+        t = _Template(len(params), len(qargs), depth=1)
+        self.params = {p: k for k, p in enumerate(params, start=1)}
         while not self._at("}"):
             kind, op_name, op_pos = self._peek()
             if kind != "id":
@@ -420,10 +417,11 @@ class _Parser:
             self._next()
             if op_name == name:
                 self._error(f"recursive gate definition: {name!r} references itself", op_pos)
-            if op_name not in _BUILTINS and op_name not in self.defs:
+            if op_name not in self.templates:
                 self._error(f"unknown gate {op_name!r} in body of {name!r}", op_pos)
-            depth = max(depth, self.gate_depth.get(op_name, 0) + 1)
-            if depth > MAX_GATE_DEPTH:
+            sub = self.templates[op_name]
+            t.depth = max(t.depth, sub.depth + 1)
+            if t.depth > MAX_GATE_DEPTH:
                 self._error(f"gate {name!r} nests gate definitions deeper than {MAX_GATE_DEPTH} levels", op_pos)
             angle_exprs = self._parse_angle_args()
             op_qargs = self._parse_ids("qubit argument")
@@ -432,10 +430,18 @@ class _Parser:
                 if q not in qargs:
                     self._error(f"unknown qubit argument {q!r} in body of {name!r}", op_pos)
             self._check_arity(op_name, len(angle_exprs), len(op_qargs), op_pos)
-            body.append(_BodyOp(op_name, tuple(angle_exprs), tuple(op_qargs), op_pos))
+            if t.fail:  # every call fails, so nothing after the failing op is lowered
+                continue
+            args = [t.eval(node, op_pos) for node in angle_exprs]
+            qubits = [qargs.index(q) for q in op_qargs]
+            if len(set(qubits)) != len(qubits):
+                t.fail = (f"duplicate qubit in expansion of {name!r}", op_pos)
+                continue
+            self._lower(len(sub.opcodes) + len(sub.evals), op_pos)
+            t.splice(sub, args, qubits)
         self._expect("}")
-        self.defs[name] = GateDefinition(name, tuple(params), tuple(qargs), tuple(body))
-        self.gate_depth[name] = depth
+        self.params = {}
+        self.templates[name] = t
 
     def _parse_angle_args(self, value=lambda node: node) -> list:
         """Parenthesized angle arguments, if any, each passed through ``value`` once parsed."""
@@ -448,16 +454,14 @@ class _Parser:
             self._expect(")")
         return args
 
-    def _check_arity(self, name: str, n_angles: int, n_qubits: int, pos: int) -> None:
-        if name in _BUILTINS:
-            want_a, want_q = _BUILTINS[name].params, _BUILTINS[name].qubits
-        else:
-            d = self.defs[name]
-            want_a, want_q = len(d.params), len(d.qargs)
-        if n_angles != want_a:
-            self._error(f"gate {name!r} takes {want_a} parameter(s), got {n_angles}", pos)
-        if n_qubits != want_q:
-            self._error(f"gate {name!r} takes {want_q} qubit argument(s), got {n_qubits}", pos)
+    def _check_arity(self, name: str, n_angles: int, n_qubits: int, pos: int) -> _Template:
+        """The template of gate ``name``, if a call with these argument counts fits it."""
+        t = self.templates[name]
+        if n_angles != t.params:
+            self._error(f"gate {name!r} takes {t.params} parameter(s), got {n_angles}", pos)
+        if n_qubits != t.qubits:
+            self._error(f"gate {name!r} takes {t.qubits} qubit argument(s), got {n_qubits}", pos)
+        return t
 
     # -- expressions -------------------------------------------------------
 
@@ -511,6 +515,8 @@ class _Parser:
                 node = self._parse_expr()
                 self._expect(")")
                 return ("fun", text, node)
+            if text in self.params:
+                return ("slot", self.params[text])
             return ("param", text, pos)
         self._error(f"expected an expression, found {text!r}", pos)
 
@@ -608,56 +614,30 @@ class _Parser:
             self._resolve_qubit_arg(*self._parse_argument())
         self._expect(";")
 
+    def _lower(self, count: int, pos: int) -> None:
+        """Count ``count`` more native gates and angle expressions against the budget."""
+        self.lowered += count
+        if self.lowered > MAX_NATIVE_GATES:
+            self._error(f"gate expansion exceeds the limit of {MAX_NATIVE_GATES} native gates", pos)
+
     def _parse_gate_application(self) -> None:
         _, name, name_pos = self._next()
-        if name not in _BUILTINS and name not in self.defs:
+        if name not in self.templates:
             self._error(f"unknown gate {name!r}", name_pos)
         slots = [0.0, *self._parse_angle_args(lambda node: self._eval_angle(node, [], name_pos))]
         operands = [self._resolve_qubit_arg(*self._parse_argument())]
         while self._accept(","):
             operands.append(self._resolve_qubit_arg(*self._parse_argument()))
         self._expect(";")
-        self._check_arity(name, len(slots) - 1, len(operands), name_pos)
+        t = self._check_arity(name, len(slots) - 1, len(operands), name_pos)
         rows = self._broadcast(operands, name_pos)
-        t = self.templates.get(name) or self._user_template(name)
+        self._lower(len(t.evals) + len(rows) * len(t.opcodes), name_pos)
         for node, pos in t.evals:
             slots.append(self._eval_angle(node, slots, pos))
         if t.fail:
             self._error(*t.fail)
-        opcodes, targets, controls, angles = self.columns
         for qubits in rows:
-            opcodes += t.opcodes
-            targets += [qubits[k] for k in t.targets]
-            controls += [qubits[k] for k in t.controls]
-            angles += [slots[k] for k in t.angles]
-
-    def _user_template(self, name: str) -> _Template:
-        d = self.defs[name]
-        t = self.templates[name] = _Template(len(d.params), len(d.qargs))
-        self._expand(name, list(range(1, t.params + 1)), list(range(t.qubits)), t)
-        return t
-
-    def _expand(self, name: str, args: list[int], qubits: list[int], t: _Template) -> bool:
-        """Append a call of ``name`` to ``t``: ``args`` are its angle slots and
-        ``qubits`` the indices of its qubits among ``t``'s qubit arguments.
-        False once the call fails, when nothing more is appended."""
-        builtin = _BUILTINS.get(name)
-        if builtin is not None:
-            slots = [0, *args, *(t.eval(node, pos) for node, pos in builtin.evals)]
-            for row in zip(builtin.opcodes, builtin.targets, builtin.controls, builtin.angles):
-                t.row(row[0], qubits[row[1]], qubits[row[2]], slots[row[3]])
-            return True
-        d = self.defs[name]
-        env = dict(zip(d.params, args))
-        for op in d.body:
-            sub_args = [t.eval(_resolve(e, env), op.pos) for e in op.angle_exprs]
-            sub_qubits = [qubits[d.qargs.index(q)] for q in op.qubit_args]
-            if len(set(sub_qubits)) != len(sub_qubits):
-                t.fail = (f"duplicate qubit in expansion of {name!r}", op.pos)
-                return False
-            if not self._expand(op.name, sub_args, sub_qubits, t):
-                return False
-        return True
+            self.circuit.append(t, slots, qubits)
 
 
 def parse(source_text: str, filename: str = "<input>") -> SourceCircuit:
@@ -666,9 +646,16 @@ def parse(source_text: str, filename: str = "<input>") -> SourceCircuit:
 
 
 def parse_file(path) -> SourceCircuit:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse(text, filename=str(path))
+    """Parse a UTF-8 OpenQASM 2.0 file with any line endings; a byte that is
+    not UTF-8 is a positioned error."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        good = data[: exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        raise QasmError(f"byte {data[exc.start]:#04x} is not UTF-8", str(path), *_line_col(good, len(good))) from None
+    return parse(text.replace("\r\n", "\n").replace("\r", "\n"), filename=str(path))
 
 
 # ---------------------------------------------------------------------------

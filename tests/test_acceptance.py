@@ -14,18 +14,14 @@ import numpy as np
 import pytest
 
 import qbemu
-from qbemu.compiler import (
-    Instruction,
-    compile_circuit,
-    decode_instruction,
-    encode_instruction,
-)
+from qbemu.columns import Columns
+from qbemu.compiler import INSTRUCTION_FIELDS, Instruction, compile_circuit, decode_words, encode_words
 from qbemu.config import ExecConfig
 from qbemu.engine import dense_oracle, run
 from qbemu.fixedpoint import FixedPointFormat, Rounding, from_real, round_shift
 from qbemu.gates import INV_SQRT2, GateKind
 from qbemu.hostlink import StreamDecoder, decode_stream, encode_message, loopback_session
-from qbemu.hwmodel import LatencyModel, estimate_resources, program_latency
+from qbemu.hwmodel import estimate_resources, program_latency
 from qbemu.metrics import complex_distances, hellinger_fidelity, kld
 from qbemu.qasm import parse, parse_file
 
@@ -229,15 +225,13 @@ def test_criterion_7_hardware_model_formulas():
                 assert res.angle_regfile_bits == 2**4 * 20 * 2
                 assert res.instruction_width_bits == 4 + 2 * math.ceil(math.log2(n) if n > 1 else 0) + 4
         # per-gate compute latency doubles exactly per +1 of W
-        model = LatencyModel()
-        gates = [Instruction(GateKind.H, 0, 0), Instruction(GateKind.RX, 1, 0, 0)]
         for n in (3, 5):
             circuit = gates_as_circuit(random_gates(np.random.default_rng(7), n, 20), n)
             prev = None
             for w in range(n):
                 config = ExecConfig(n_qubits=n, window=w, imm_bits=7)
                 program = compile_circuit(circuit, config)
-                compute = program_latency(program, config, model).compute_cycles
+                compute = program_latency(program, config).compute_cycles
                 if prev is not None:
                     assert compute == 2 * prev
                 prev = compute
@@ -257,9 +251,9 @@ def test_criterion_8_compiler_round_trips():
             targets = rng.integers(0, fmax, size=batch)
             controls = rng.integers(0, fmax, size=batch)
             imms = rng.integers(0, 1 << q, size=batch)
-            for op, t, c, imm in zip(opcodes, targets, controls, imms):
-                instr = Instruction(GateKind(int(op)), int(t), int(c), int(imm))
-                assert decode_instruction(encode_instruction(instr, config), config) == instr
+            fields = (opcodes, targets, controls, imms)
+            decoded = decode_words(encode_words(Columns.of(Instruction, INSTRUCTION_FIELDS, fields), config), config)
+            assert all(np.array_equal(getattr(decoded, name), col) for name, col in zip(INSTRUCTION_FIELDS, fields))
             remaining -= batch
 
         # dedup: table length equals the number of distinct quantized pairs

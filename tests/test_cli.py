@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import shutil
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qbemu.cli import main
 from qbemu.config import MAX_QUBITS, ConfigError, ExecConfig
 from qbemu.engine import load_dump
 from qbemu.fixedpoint import FixedPointFormat
+from qbemu.qasm import MAX_NATIVE_GATES
 
 INV_SQRT2 = 2.0**-0.5
 
@@ -458,3 +460,77 @@ class TestTranscript:
         looped = decode_readback(readback, FixedPointFormat(20, "nearest"), 3)
         assert np.array_equal(looped.re, direct.re)
         assert np.array_equal(looped.im, direct.im)
+
+
+class TestMalformedInputs:
+    """Every malformed input file ends in exit 3 and an error naming the file and position."""
+
+    @pytest.mark.parametrize("verb", ["run", "transcript"])
+    @pytest.mark.parametrize(
+        "word, message",
+        [("F00", "invalid opcode 0b1111"), ("1000", "word width mismatch: 0x1000 does not fit 12 bits")],
+        ids=["as_written", "line_by_line"],
+    )
+    def test_bad_text_word_names_file_and_line(self, tmp_path, bell_qasm, config_file, capsys, verb, word, message):
+        prog, table = compile_bell(tmp_path, bell_qasm, config_file)
+        lines = prog.read_text().splitlines()
+        lines[2] = word
+        prog.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main([verb, str(prog), str(table), "--config", str(config_file), "--out", str(tmp_path / "o")])
+        assert (rc, capsys.readouterr().err) == (3, f"error: {prog}:3: {message}\n")
+
+    def test_bad_binary_word_names_file_and_index(self, tmp_path, bell_qasm, config_file, capsys):
+        prog, table = compile_bell(tmp_path, bell_qasm, config_file, fmt="binary")
+        data = bytearray(prog.read_bytes())
+        data[2 + 2 * 2 + 1] = 0x0F  # word 2, high byte of 12 bits: opcode 1111
+        prog.write_bytes(bytes(data))
+        capsys.readouterr()
+        rc = main(["run", str(prog), str(table), "--config", str(config_file), "--format", "binary"])
+        assert (rc, capsys.readouterr().err) == (3, f"error: {prog}: word 2: invalid opcode 0b1111\n")
+
+    @pytest.mark.parametrize("verb", ["run", "transcript"])
+    def test_negative_count_header_exit_3(self, tmp_path, bell_qasm, config_file, capsys, verb):
+        prog, table = compile_bell(tmp_path, bell_qasm, config_file)
+        prog.write_text("-1\n" + prog.read_text().split("\n", 1)[1])
+        capsys.readouterr()
+        rc = main([verb, str(prog), str(table), "--config", str(config_file), "--out", str(tmp_path / "o")])
+        assert (rc, capsys.readouterr().err) == (3, f"error: {prog}: bad count header b'-1'\n")
+
+    @pytest.mark.parametrize("which", ["program", "table"])
+    def test_non_ascii_text_body_names_file_and_line(self, tmp_path, capsys, which):
+        qasm = tmp_path / "ry.qasm"
+        qasm.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nry(0.5) q[0];\nh q[0];\n')
+        assert main(["compile", str(qasm), "--out", str(tmp_path)]) == 0
+        prog, table = tmp_path / "ry.prog.txt", tmp_path / "ry.table.txt"
+        path = prog if which == "program" else table
+        lines = path.read_bytes().split(b"\n")
+        lines[-2] = b"\xff" + lines[-2]
+        path.write_bytes(b"\n".join(lines))
+        lineno = len(lines) - 1
+        capsys.readouterr()
+        assert main(["run", str(prog), str(table)]) == 3
+        assert capsys.readouterr().err == f"error: {path}:{lineno}: byte 0xff is not ASCII\n"
+
+    def test_non_utf8_qasm_names_line_and_column(self, tmp_path, config_file, capsys):
+        qasm = tmp_path / "bad.qasm"
+        qasm.write_bytes(b'OPENQASM 2.0;\r\nqreg q[1];\r\n// caf\xc3\xa9 \xff\r\nh q[0];\r\n')
+        rc = main(["compile", str(qasm), "--config", str(config_file), "--out", str(tmp_path)])
+        assert (rc, capsys.readouterr().err) == (3, f"error: {qasm}:3:9: byte 0xff is not UTF-8\n")
+
+    def test_non_utf8_config_names_file_and_line(self, tmp_path, bell_qasm, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"N = 4\n# \xc3\xa9\nW = \xff0\n")
+        assert main(["compile", str(bell_qasm), "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == f"error: {cfg}: line 3: byte 0xff is not UTF-8\n"
+
+    def test_doubling_macro_chain_exit_3_quickly(self, tmp_path, capsys):
+        # 40 levels would lower to 2^39 gates; the budget stops the definitions
+        defs = "gate g0 a { h a; }\n" + "".join(f"gate g{k} a {{ g{k - 1} a; g{k - 1} a; }}\n" for k in range(1, 40))
+        qasm = tmp_path / "chain.qasm"
+        qasm.write_text(f"OPENQASM 2.0;\n{defs}qreg q[1];\ng39 q[0];\n")
+        start = time.perf_counter()
+        rc = main(["compile", str(qasm), "--out", str(tmp_path)])
+        assert time.perf_counter() - start < 2.0
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {qasm}:22:14: gate expansion exceeds the limit of {MAX_NATIVE_GATES} native gates\n"

@@ -13,8 +13,8 @@ from qbemu.compiler import (
     DecodeError,
     Instruction,
     compile_circuit,
-    decode_instruction,
-    encode_instruction,
+    decode_words,
+    encode_words,
     load_program_files,
     write_program_files,
 )
@@ -125,26 +125,34 @@ class TestCompile:
         assert len(program.table) == len(expected)
 
 
+def encode_one(instr: Instruction, config: ExecConfig) -> int:
+    return encode_words([instr], config).item(0)
+
+
+def decode_one(word: int, config: ExecConfig) -> Instruction:
+    return decode_words(np.array([word], dtype=np.int64), config)[0]
+
+
 class TestEncodeDecode:
     def test_layout_example_n4(self):
         # [opcode|control|target|imm]: X(t=0,c=3) at N=4,Q=4 -> 0000 11 00 0000
-        word = encode_instruction(Instruction(GateKind.X, 0, 3, 0), cfg(n_qubits=4, imm_bits=4))
+        word = encode_one(Instruction(GateKind.X, 0, 3, 0), cfg(n_qubits=4, imm_bits=4))
         assert word == 0b0000_11_00_0000 == 0xC0
 
     def test_layout_example_n2(self):
         # H(t=1) at N=2,Q=2 -> 0011 1 1 00 (8-bit word)
         config = cfg(n_qubits=2, imm_bits=2, window=0)
-        word = encode_instruction(Instruction(GateKind.H, 1, 1, 0), config)
+        word = encode_one(Instruction(GateKind.H, 1, 1, 0), config)
         assert word == 0b0011_1_1_00 == 0x3C
         assert config.instruction_bits == 8
 
     def test_zero_word(self):
-        instr = decode_instruction(0, cfg(n_qubits=4, imm_bits=4))
+        instr = decode_one(0, cfg(n_qubits=4, imm_bits=4))
         assert instr == Instruction(GateKind.X, 0, 0, 0)
 
     def test_all_ones_imm(self):
         config = cfg(n_qubits=4, imm_bits=4)
-        assert decode_instruction(0b1111, config).imm == 15
+        assert decode_one(0b1111, config).imm == 15
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(17)
@@ -160,24 +168,30 @@ class TestEncodeDecode:
                     int(rng.integers(fmax)),
                     int(rng.integers(1 << q)),
                 )
-                assert decode_instruction(encode_instruction(instr, config), config) == instr
+                assert decode_one(encode_one(instr, config), config) == instr
 
     def test_field_overflow(self):
         with pytest.raises(CompileError, match="field overflow"):
-            encode_instruction(Instruction(GateKind.X, 4, 0, 0), cfg(n_qubits=4, imm_bits=4))
+            encode_one(Instruction(GateKind.X, 4, 0, 0), cfg(n_qubits=4, imm_bits=4))
         with pytest.raises(CompileError, match="field overflow"):
-            encode_instruction(Instruction(GateKind.X, 0, 0, 16), cfg(n_qubits=4, imm_bits=4))
+            encode_one(Instruction(GateKind.X, 0, 0, 16), cfg(n_qubits=4, imm_bits=4))
+
+    def test_field_overflow_names_first_offending_instruction_and_field(self):
+        config = cfg(n_qubits=4, imm_bits=4)
+        rows = [Instruction(GateKind.X, 0, 0, 0), Instruction(GateKind.X, 0, 5, 17), Instruction(GateKind.X, 4, 0, 0)]
+        with pytest.raises(CompileError, match="^field overflow: control 5 needs more than 2 bits$"):
+            encode_words(rows, config)
 
     def test_word_width_mismatch(self):
         with pytest.raises(DecodeError, match="width mismatch"):
-            decode_instruction(1 << 12, cfg(n_qubits=4, imm_bits=4))
+            decode_one(1 << 12, cfg(n_qubits=4, imm_bits=4))
 
     def test_invalid_opcode(self):
         config = cfg(n_qubits=4, imm_bits=4)
-        word = encode_instruction(Instruction(GateKind.U1, 0, 0, 0), config)
+        word = encode_one(Instruction(GateKind.U1, 0, 0, 0), config)
         bad = word | (0b1111 << (config.instruction_bits - 4))
         with pytest.raises(DecodeError, match="invalid opcode"):
-            decode_instruction(bad, config)
+            decode_one(bad, config)
 
 
 class TestProgramFiles:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qbemu.compiler import Instruction, compile_circuit, encode_instruction
+from qbemu.compiler import Instruction, compile_circuit, encode_words
 from qbemu.config import ExecConfig
 from qbemu.engine import FixedState, run
 from qbemu.fixedpoint import FixedPointFormat
@@ -225,7 +225,7 @@ class TestSession:
             HostMessage(MessageKind.ANGLE_COUNT, len(program.table)),
             HostMessage(MessageKind.QUBIT_COUNT, program.used_qubits),
             *(HostMessage(MessageKind.ANGLE_VALUE, v) for pair in program.table.entries for v in pair),
-            *(HostMessage(MessageKind.INSTRUCTION, encode_instruction(i, config)) for i in program.instructions),
+            *(HostMessage(MessageKind.INSTRUCTION, encode_words([i], config).item(0)) for i in program.instructions),
             HostMessage(MessageKind.END_OF_EMULATION),
         ]
         stream = encode_session(program, config)
@@ -298,7 +298,7 @@ class TestSession:
         # RY with sine max_raw and cosine min_raw on |0>: a' = min_raw, b' = max_raw
         config = ExecConfig(n_qubits=1, data_bits=24, rounding="nearest", imm_bits=2)
         fmt = config.fixed_format
-        word = encode_instruction(Instruction(GateKind.RY, 0, 0, 0), config)
+        word = encode_words([Instruction(GateKind.RY, 0, 0, 0)], config).item(0)
         board = VirtualBoard(config)
         board.feed(f"?1#*1#<{fmt.max_raw:X}#<{-fmt.min_raw:X}-#>{word:X}#!".encode())
         state = board.result_state()

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
-
 from qbemu.compiler import compile_circuit
 from qbemu.config import ExecConfig
-from qbemu.gates import GateApplication, GateKind
+from qbemu.gates import ONE_MULTIPLIER, ROTATIONAL, SIGN_EXCHANGE, GateApplication, GateKind
 from qbemu.hwmodel import (
-    DEFAULT_BASE_CYCLES,
-    LatencyModel,
+    BASE_CYCLES,
+    INIT_CYCLES_PER_ANGLE_PAIR,
+    READOUT_CYCLES_PER_AMPLITUDE,
     estimate_resources,
     program_latency,
 )
@@ -111,26 +110,25 @@ class TestLatency:
             GateApplication(GateKind.RZ, 0, angle=0.2),
         ]
         program = compile_circuit(gates_as_circuit(gates, 1), config)
-        model = LatencyModel()
-        assert program_latency(program, config, model).init_cycles == 2 * model.init_cycles_per_angle_pair
+        assert program_latency(program, config).init_cycles == 2 * INIT_CYCLES_PER_ANGLE_PAIR
 
-    def test_default_cycle_ordering(self):
-        assert DEFAULT_BASE_CYCLES[GateKind.RX] >= DEFAULT_BASE_CYCLES[GateKind.H]
-        assert DEFAULT_BASE_CYCLES[GateKind.H] >= DEFAULT_BASE_CYCLES[GateKind.X]
+    def test_readout_scales_with_state(self):
+        config = ExecConfig(n_qubits=4)
+        program = compile_circuit(gates_as_circuit([GateApplication(GateKind.H, 0)], 1), config)
+        assert program_latency(program, config).readout_cycles == 16 * READOUT_CYCLES_PER_AMPLITUDE
 
-    def test_model_override_and_validation(self):
-        cycles = dict(DEFAULT_BASE_CYCLES)
-        cycles[GateKind.RX] = 12
-        model = LatencyModel(base_cycles=cycles)
-        config = ExecConfig(n_qubits=1)
-        program = compile_circuit(
-            gates_as_circuit([GateApplication(GateKind.RX, 0, angle=0.3)], 1), config
-        )
-        assert program_latency(program, config, model).compute_cycles == 12
-        bad = dict(DEFAULT_BASE_CYCLES)
-        bad[GateKind.RZ] = 1  # rotational faster than sign/exchange
-        with pytest.raises(ValueError):
-            LatencyModel(base_cycles=bad)
+    def test_cycle_ordering(self):
+        # every opcode has a positive cost, ordered rotational >= one-multiplier >= sign/exchange
+        assert set(BASE_CYCLES) == set(GateKind) and min(BASE_CYCLES.values()) > 0
+        assert min(BASE_CYCLES[k] for k in ROTATIONAL) >= max(BASE_CYCLES[k] for k in ONE_MULTIPLIER)
+        assert min(BASE_CYCLES[k] for k in ONE_MULTIPLIER) >= max(BASE_CYCLES[k] for k in SIGN_EXCHANGE)
+
+    def test_compute_cycles_sum_per_opcode_costs(self):
+        config = ExecConfig(n_qubits=2)
+        gates = [GateApplication(GateKind.RX, 0, angle=0.3), GateApplication(GateKind.H, 1), GateApplication(GateKind.X, 0, 1)]
+        program = compile_circuit(gates_as_circuit(gates, 2), config)
+        expected = BASE_CYCLES[GateKind.RX] + BASE_CYCLES[GateKind.H] + BASE_CYCLES[GateKind.X]
+        assert program_latency(program, config).compute_cycles == expected
 
 
 class TestReport:

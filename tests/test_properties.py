@@ -131,6 +131,111 @@ def test_angle_expressions_evaluate_finite_or_raise_qasm_error(direct, body):
 
 
 # ---------------------------------------------------------------------------
+# Nested gate macros against a test-side expander
+# ---------------------------------------------------------------------------
+
+# name -> (angle parameters, qubits, native rows as (kind, target, control,
+# angle)): target/control index the call's qubits, angle its angle values
+# (None: no angle).  Written from qelib1, not from the parser's templates.
+_LEAVES = {
+    "h": (0, 1, [(GateKind.H, 0, 0, None)]),
+    "x": (0, 1, [(GateKind.X, 0, 0, None)]),
+    "t": (0, 1, [(GateKind.T, 0, 0, None)]),
+    "rz": (1, 1, [(GateKind.RZ, 0, 0, 0)]),
+    "ry": (1, 1, [(GateKind.RY, 0, 0, 0)]),
+    "u1": (1, 1, [(GateKind.U1, 0, 0, 0)]),
+    "cx": (0, 2, [(GateKind.X, 1, 0, None)]),
+    "crz": (1, 2, [(GateKind.RZ, 1, 0, 0)]),
+    "cz": (0, 2, [(GateKind.H, 1, 1, None), (GateKind.X, 1, 0, None), (GateKind.H, 1, 1, None)]),
+    "u3": (3, 1, [(GateKind.RZ, 0, 0, 2), (GateKind.RY, 0, 0, 0), (GateKind.RZ, 0, 0, 1)]),
+}
+_CONSTANTS = [("0.5", 0.5), ("2", 2.0), ("pi", math.pi), ("1.25", 1.25), ("0.0", 0.0)]
+_REGISTERS = ("a", "b", "c")  # two qubits each; a call's i-th qubit argument is in the i-th register
+
+
+def macro_expressions(params):
+    """(source text, evaluate(env)) of small expressions over ``params``."""
+    leaves = [st.sampled_from(_CONSTANTS).map(lambda c: (c[0], lambda env, v=c[1]: v))]
+    if params:
+        leaves.append(st.sampled_from(params).map(lambda p: (p, lambda env: env[p])))
+    leaf = st.one_of(leaves)
+    ops = {"+": lambda x, y: x + y, "-": lambda x, y: x - y, "*": lambda x, y: x * y}
+
+    def extend(sub):
+        return st.one_of(
+            st.tuples(sub, st.sampled_from(sorted(ops)), sub).map(
+                lambda t: (f"({t[0][0]}{t[1]}{t[2][0]})", lambda env: ops[t[1]](t[0][1](env), t[2][1](env)))
+            ),
+            st.tuples(st.sampled_from(["sin", "cos"]), sub).map(
+                lambda t: (f"{t[0]}({t[1][0]})", lambda env: getattr(math, t[0])(t[1][1](env)))
+            ),
+            sub.map(lambda e: (f"-({e[0]})", lambda env: -e[1](env))),
+        )
+
+    return st.recursive(leaf, extend, max_leaves=4)
+
+
+@st.composite
+def macro_programs(draw):
+    """(source, expected native rows) of 2-4 levels of gate macros and calls to the last one."""
+    arity = {name: (params, qubits) for name, (params, qubits, _) in _LEAVES.items()}
+    bodies = {}  # macro name -> (parameter names, [(callee, [(text, evaluate)], qubit indices)])
+    lines = ['OPENQASM 2.0;\ninclude "qelib1.inc";']
+    for level in range(draw(st.integers(2, 4))):
+        name = f"m{level}"
+        params = [f"p{k}" for k in range(draw(st.integers(0, 2)))]
+        qubits = draw(st.integers(arity[f"m{level - 1}"][1] if level else 1, 3))
+        callees = [c for c, (_, q) in arity.items() if q <= qubits]
+        body, rendered = [], []
+        for k in range(draw(st.integers(1, 4))):
+            callee = f"m{level - 1}" if level and k == 0 else draw(st.sampled_from(callees))  # nest every level
+            n_args, n_qubits = arity[callee]
+            args = [draw(macro_expressions(params)) for _ in range(n_args)]
+            idx = draw(st.permutations(range(qubits)))[:n_qubits]  # formal qubits permuted, reused across ops
+            body.append((callee, args, idx))
+            angle_text = f"({','.join(text for text, _ in args)})" if args else ""
+            rendered.append(f"{callee}{angle_text} {','.join(f'q{i}' for i in idx)};")
+        formal = f"({','.join(params)})" if params else ""
+        lines.append(f"gate {name}{formal} {','.join(f'q{i}' for i in range(qubits))} {{ {' '.join(rendered)} }}")
+        bodies[name] = (params, body)
+        arity[name] = (len(params), qubits)
+
+    def expand(callee, values, qubits):
+        if callee in _LEAVES:
+            return [(k, qubits[t], qubits[c], 0.0 if a is None else values[a]) for k, t, c, a in _LEAVES[callee][2]]
+        params, body = bodies[callee]
+        env = dict(zip(params, values))
+        return [row for sub, args, idx in body for row in expand(sub, [f(env) for _, f in args], [qubits[i] for i in idx])]
+
+    lines += [f"qreg {reg}[2];" for reg in _REGISTERS]
+    top = f"m{len(bodies) - 1}"
+    n_args, n_qubits = arity[top]
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        values = [draw(st.sampled_from([0.0, -0.75, 1.5, math.pi / 3, -2.0])) for _ in range(n_args)]
+        picks = [draw(st.sampled_from([None, 0, 1])) for _ in range(n_qubits)]  # None: the whole register
+        angle_text = f"({','.join(repr(v) for v in values)})" if values else ""
+        operands = ",".join(reg if j is None else f"{reg}[{j}]" for reg, j in zip(_REGISTERS, picks))
+        lines.append(f"{top}{angle_text} {operands};")
+        for k in range(2 if None in picks else 1):  # register broadcast
+            qubits = [2 * i + (k if j is None else j) for i, j in enumerate(picks)]
+            rows += expand(top, values, qubits)
+    return "\n".join(lines) + "\n", rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(macro_programs())
+def test_nested_macros_lower_as_recursive_expansion(case):
+    text, rows = case
+    gates = parse(text).gates
+    expected = list(zip(*rows)) if rows else [(), (), (), ()]
+    assert gates.opcode.tolist() == [int(k) for k in expected[0]]
+    assert gates.target.tolist() == list(expected[1])
+    assert gates.control.tolist() == list(expected[2])
+    assert gates.angle.tolist() == list(expected[3])
+
+
+# ---------------------------------------------------------------------------
 # Angle-table interning against fresh quantization
 # ---------------------------------------------------------------------------
 

@@ -9,7 +9,8 @@ import pytest
 
 from qbemu.engine import dense_oracle, dense_unitary
 from qbemu.gates import GateApplication, GateKind
-from qbemu.qasm import MAX_EXPR_DEPTH, MAX_GATE_DEPTH, MAX_REGISTER_SIZE, QasmError, emit, parse
+from qbemu import qasm
+from qbemu.qasm import MAX_EXPR_DEPTH, MAX_GATE_DEPTH, MAX_NATIVE_GATES, MAX_REGISTER_SIZE, QasmError, emit, parse
 
 from _helpers import max_dev_up_to_global_phase
 
@@ -193,6 +194,60 @@ class TestParseErrors:
 
     def test_duplicate_register(self):
         self.assert_error(HEADER + "qreg q[1];\nqreg q[2];\n", "already declared")
+
+
+def doubling_chain(levels: int) -> str:
+    """Gate definitions g0..g{levels-1}, each calling the one before twice: g{k} lowers to 2^k gates."""
+    return "gate g0 a { h a; }\n" + "".join(f"gate g{k} a {{ g{k - 1} a; g{k - 1} a; }}\n" for k in range(1, levels))
+
+
+class TestMacroExpansion:
+    """A definition's template is built once, when it is defined; errors it
+    records are raised by every call, positioned at the body op at fault."""
+
+    def error(self, src: str) -> str:
+        with pytest.raises(QasmError) as err:
+            parse(src, filename="f.qasm")
+        return str(err.value)
+
+    def test_duplicate_qubit_in_expansion_raised_at_call(self):
+        defs = "gate inner a,b {\n  cx a,b;\n  cx b,b;\n}\ngate outer a,b { h a; inner b,a; }\n"
+        assert parse(HEADER + defs + "qreg q[2];\n").gates == []  # never called: no error
+        assert self.error(HEADER + defs + "qreg q[2];\nouter q[0],q[1];\n") == (
+            "f.qasm:5:3: duplicate qubit in expansion of 'inner'"
+        )
+
+    def test_undefined_parameter_is_not_taken_from_the_caller(self):
+        defs = "gate inner a {\n  rx(t) a;\n}\ngate outer(t) a { inner a; }\n"
+        assert parse(HEADER + defs + "qreg q[1];\n").gates == []
+        assert self.error(HEADER + defs + "qreg q[1];\nouter(0.5) q[0];\n") == "f.qasm:4:6: undefined parameter 't'"
+
+    def test_depth_counts_through_spliced_definitions(self):
+        defs = "gate g0 a { x a; }\n" + "".join(f"gate g{i} a {{ h a; g{i - 1} a; }}\n" for i in range(1, MAX_GATE_DEPTH + 1))
+        assert self.error(HEADER + defs).endswith(f"gate 'g{MAX_GATE_DEPTH}' nests gate definitions deeper than {MAX_GATE_DEPTH} levels")
+
+    def test_budget_at_a_definition(self):
+        # after g19 the templates hold 2^20 - 1 gates; g20's first op goes over
+        src = HEADER + doubling_chain(40)
+        line = 3 + 20
+        assert self.error(src) == f"f.qasm:{line}:14: gate expansion exceeds the limit of {MAX_NATIVE_GATES} native gates"
+
+    def test_budget_at_a_call(self):
+        src = HEADER + doubling_chain(20) + "qreg q[2];\ng0 q[0];\n"
+        assert len(parse(src).gates) == 1  # exactly at the limit
+        line = 2 + 20 + 3
+        assert self.error(src + "g0 q;\n") == f"f.qasm:{line}:1: gate expansion exceeds the limit of {MAX_NATIVE_GATES} native gates"
+
+    def test_budget_counts_angle_expressions(self, monkeypatch):
+        # the definition splices 1 + 3 rows and u2's pi/2; a call adds 4 rows
+        # and evaluates two expressions, t+1 and that pi/2
+        defs = "gate g(t) a { rx(t+1) a; u2(t,t) a; }\n"
+        ok = HEADER + defs + "qreg q[1];\ng(1) q[0];\n"
+        monkeypatch.setattr(qasm, "MAX_NATIVE_GATES", 10)
+        assert self.error(ok) == "f.qasm:5:1: gate expansion exceeds the limit of 10 native gates"
+        monkeypatch.setattr(qasm, "MAX_NATIVE_GATES", 11)
+        assert len(parse(ok).gates) == 4
+        assert self.error(ok + "rx(1) q[0];\n") == "f.qasm:6:1: gate expansion exceeds the limit of 11 native gates"
 
 
 class TestParserLimits:
