@@ -30,12 +30,11 @@ from .engine import (
     dense_unitary,
     dump_state,
     initial_state,
-    load_dump,
     run,
     sample_counts,
 )
 from .fixedpoint import FixedPointFormat, Rounding, from_real, round_shift
-from .gates import GateApplication, GateKind, consumed_angle, gate_matrix
+from .gates import GateApplication, GateKind, gate_matrix
 from .hostlink import (
     FramingError,
     HostMessage,
@@ -57,7 +56,7 @@ from .hwmodel import (
     program_latency,
 )
 from .metrics import QualityReport, complex_distances, hellinger_fidelity, kld, report
-from .qasm import QasmError, SourceCircuit, emit, parse, parse_file
+from .qasm import QasmError, SourceCircuit, parse, parse_file
 
 __version__ = "0.1.0"
 

@@ -79,10 +79,16 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _resolve_config(args) -> ExecConfig:
+# flag, or sweep axis -> the configuration field it overrides
+_OVERRIDES = {"bits": "data_bits", "rounding": "rounding", "window": "window"}
+
+
+def _resolve_config(args, fixed: bool = False) -> ExecConfig:
+    """The configuration the flags select; if ``fixed``, ``float_reference`` reads as ``nearest``."""
     config = load_config(args.config) if args.config else ExecConfig()
-    overrides = {"data_bits": args.bits, "rounding": args.rounding, "window": args.window}
-    return replace(config, **{key: value for key, value in overrides.items() if value is not None})
+    overrides = {key: getattr(args, flag, None) for flag, key in _OVERRIDES.items()}
+    config = replace(config, **{key: value for key, value in overrides.items() if value is not None})
+    return replace(config, rounding="nearest") if fixed and config.is_float_reference else config
 
 
 def _inputs(*paths) -> list[Path]:
@@ -91,15 +97,6 @@ def _inputs(*paths) -> list[Path]:
         if not Path(path).exists():
             raise FileNotFoundError(f"input not found: {path}")
     return [Path(p) for p in paths]
-
-
-def _backend_config(config: ExecConfig, backend: str | None) -> ExecConfig:
-    """``config`` for the float or fixed backend; unchanged for None."""
-    if backend == "float":
-        return replace(config, rounding=FLOAT_REFERENCE)
-    if backend == "fixed" and config.is_float_reference:
-        return replace(config, rounding="nearest")
-    return config
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -120,7 +117,7 @@ def _csv(columns, rows) -> str:
 
 
 def cmd_compile(args) -> int:
-    config = _backend_config(_resolve_config(args), args.backend)
+    config = _resolve_config(args)
     [qasm_path] = _inputs(args.qasm)
     program = compile_circuit(parse_file(qasm_path), config)
     out_dir = Path(args.out or ".")
@@ -139,13 +136,12 @@ def cmd_compile(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = _backend_config(_resolve_config(args), args.backend)
-    program = load_program_files(*_inputs(args.program, args.table), config, args.format)
-    state = run(program, config)
-    dump = dump_state(state)
     if args.seed is not None and args.out is None:
         raise UsageError("--seed needs --out so the dump and the counts do not interleave")
-    _write_text(args.out, dump)
+    config = _resolve_config(args)
+    program = load_program_files(*_inputs(args.program, args.table), config, args.format)
+    state = run(program, config)
+    _write_text(args.out, dump_state(state))
     if args.seed is not None:
         counts = sample_counts(state, SAMPLE_SHOTS, args.seed)
         width = state.n_qubits
@@ -162,7 +158,7 @@ def _float_reference(circuit, config: ExecConfig):
 
 
 def cmd_compare(args) -> int:
-    config = _backend_config(_resolve_config(args), args.backend)
+    config = _resolve_config(args)
     [qasm_path] = _inputs(args.qasm)
     circuit = parse_file(qasm_path)
     model_state = run(compile_circuit(circuit, config), config)
@@ -187,14 +183,6 @@ def _sweep_values(axis: str, text: str) -> list:
     return items
 
 
-def _sweep_config(base: ExecConfig, axis: str, value) -> ExecConfig:
-    if axis == "bits":
-        return replace(base, data_bits=value)
-    if axis == "window":
-        return replace(base, window=value)
-    return replace(base, rounding=value)
-
-
 def cmd_sweep(args) -> int:
     qasm_path = Path(args.qasm)
     if qasm_path.is_dir():
@@ -203,10 +191,10 @@ def cmd_sweep(args) -> int:
             raise FileNotFoundError(f"no .qasm files in {qasm_path}")
     else:
         circuit_paths = [qasm_path]
-    base = _backend_config(_resolve_config(args), "fixed")
+    base = _resolve_config(args, fixed=True)
     _inputs(*circuit_paths)
     values = _sweep_values(args.axis, args.values)
-    configs = [_sweep_config(base, args.axis, value) for value in values]
+    configs = [replace(base, **{_OVERRIDES[args.axis]: value}) for value in values]
     rows = []
     for path in circuit_paths:
         circuit = parse_file(path)
@@ -231,7 +219,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_transcript(args) -> int:
-    config = _backend_config(_resolve_config(args), "fixed")
+    config = _resolve_config(args, fixed=True)
     program = load_program_files(*_inputs(args.program, args.table), config, args.format)
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -253,57 +241,51 @@ def cmd_transcript(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: _ArgumentParser) -> None:
-    parser.add_argument("--config", help="architecture configuration file (key = value)")
-    parser.add_argument("--bits", type=int, help="override data_bits")
-    parser.add_argument("--rounding", choices=ROUNDING_CHOICES, help="override rounding mode")
-    parser.add_argument("--window", type=int, help="override windowing order W")
-    parser.add_argument("--seed", type=int, help="seed for measurement sampling")
-    parser.add_argument(
-        "--format",
-        choices=("integer_text", "binary"),
-        default="integer_text",
-        help="program/table file format",
-    )
-    parser.add_argument("--out", help="output file or directory")
+_FLAGS = {
+    "--config": {"help": "architecture configuration file (key = value)"},
+    "--bits": {"type": int, "help": "override data_bits"},
+    "--rounding": {"choices": ROUNDING_CHOICES, "help": "override rounding mode"},
+    "--window": {"type": int, "help": "override windowing order W"},
+    "--seed": {"type": int, "help": "seed for measurement sampling"},
+    "--format": {"choices": ("integer_text", "binary"), "default": "integer_text", "help": "program/table file format"},
+    "--out": {"help": "output file or directory"},
+}
+
+# verb: handler, help, positional arguments, and the flags it reads beside --config, --bits and --rounding
+_VERBS = {
+    "compile": (cmd_compile, "compile OpenQASM 2.0 to program/table files", {"qasm": {}}, ("--format", "--out")),
+    "run": (
+        cmd_run, "execute a compiled program and dump the state", {"program": {}, "table": {}},
+        ("--seed", "--format", "--out"),
+    ),
+    "compare": (cmd_compare, "figures of merit for fixed vs float execution", {"qasm": {}}, ("--out",)),
+    "sweep": (
+        cmd_sweep, "figures of merit across bits/rounding/window values",
+        {
+            "qasm": {"help": ".qasm file or a directory of them"},
+            "axis": {"choices": ("bits", "rounding", "window")},
+            "values": {"help": "comma-separated sweep values"},
+        },
+        ("--window", "--out"),
+    ),
+    "transcript": (
+        cmd_transcript, "emit the wire-protocol session and readback", {"program": {}, "table": {}},
+        ("--format", "--out"),
+    ),
+}
 
 
 def build_parser() -> _ArgumentParser:
+    """One subparser per verb, taking only the flags that verb reads."""
     parser = _ArgumentParser(prog="qbemu", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("compile", help="compile OpenQASM 2.0 to program/table files")
-    p.add_argument("qasm")
-    p.add_argument("--backend", choices=("float", "fixed"), help="number representation to compile for")
-    _add_common(p)
-    p.set_defaults(func=cmd_compile)
-
-    p = sub.add_parser("run", help="execute a compiled program and dump the state")
-    p.add_argument("program")
-    p.add_argument("table")
-    p.add_argument("--backend", choices=("float", "fixed"))
-    _add_common(p)
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("compare", help="figures of merit for fixed vs float execution")
-    p.add_argument("qasm")
-    p.add_argument("--backend", choices=("float", "fixed"))
-    _add_common(p)
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("sweep", help="figures of merit across bits/rounding/window values")
-    p.add_argument("qasm", help=".qasm file or a directory of them")
-    p.add_argument("axis", choices=("bits", "rounding", "window"))
-    p.add_argument("values", help="comma-separated sweep values")
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("transcript", help="emit the wire-protocol session and readback")
-    p.add_argument("program")
-    p.add_argument("table")
-    _add_common(p)
-    p.set_defaults(func=cmd_transcript)
-
+    for verb, (func, help_text, positionals, flags) in _VERBS.items():
+        p = sub.add_parser(verb, help=help_text)
+        for name, keywords in positionals.items():
+            p.add_argument(name, **keywords)
+        for flag in ("--config", "--bits", "--rounding", *flags):
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 

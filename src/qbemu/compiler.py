@@ -111,11 +111,6 @@ class AngleTable:
         scale = 1 << self.fmt.fractional_bits
         return s / scale, c / scale
 
-    def raw_pair(self, idx: int) -> tuple[int, int]:
-        if self.fmt is None:
-            raise ValueError("float-reference table has no raw integer entries")
-        return self.entries[idx]
-
 
 @dataclass(frozen=True)
 class CompiledProgram:
@@ -187,6 +182,28 @@ def word_error(word: int, config: ExecConfig) -> str | None:
     return None
 
 
+def field_error(opcode: int, target: int, control: int, imm: int, n_qubits: int, n_pairs: int) -> str | None:
+    """Why an instruction reaches past ``n_qubits`` qubits or, if rotational,
+    past ``n_pairs`` table entries; None if it does neither."""
+    if IS_ROTATIONAL[opcode] and imm >= n_pairs:
+        return f"immediate {imm} out of range for angle table of length {n_pairs}"
+    if not 0 <= target < n_qubits:
+        return f"target {target} out of range for {n_qubits} qubits"
+    if control != target and not 0 <= control < n_qubits:
+        return f"control {control} out of range for {n_qubits} qubits"
+    return None
+
+
+def first_field_error(ins: Columns, n_qubits: int, n_pairs: int) -> tuple[int, str] | None:
+    """Index and :func:`field_error` of the first such instruction, found in one array pass."""
+    bad = (IS_ROTATIONAL[ins.opcode] & (ins.imm >= n_pairs)) | (ins.target < 0) | (ins.target >= n_qubits)
+    bad |= (ins.control != ins.target) & ((ins.control < 0) | (ins.control >= n_qubits))
+    if not bad.any():
+        return None
+    k = int(bad.argmax())
+    return k, field_error(*(col.item(k) for col in (ins.opcode, ins.target, ins.control, ins.imm)), n_qubits, n_pairs)
+
+
 def decode_words(words: np.ndarray, config: ExecConfig) -> Columns:
     """Exact inverse of :func:`encode_words`.
 
@@ -249,23 +266,26 @@ def _text_lines(body: bytes, path):
             yield lineno, line.strip()
 
 
-def _unpack_words(body: bytes, config: ExecConfig, text: bool, path) -> Columns:
-    """Instructions of a program body; a bad word is named by its line (text)
-    or its index (binary).  A body laid out as written is one array pass;
-    any other text body is read line by line, each word checked as it is read."""
+def _unpack_words(body: bytes, config: ExecConfig, text: bool, path):
+    """Instructions of a program body, and ``where(k)``, the position of word
+    ``k``: its line (text) or its index (binary), which names a bad word.  A
+    body laid out as written is one array pass; any other text body is read
+    line by line, each word checked as it is read."""
     width, shifts = _word_layout(config, text)
     data = np.frombuffer(body, dtype=np.uint8)
     if not text:
         if len(body) % width:
             raise DecodeError(f"{path}: truncated instruction stream")
         words = (data.reshape(-1, width).astype(np.uint64) << shifts[:width]).sum(axis=1)
-        return _decode(words, config, lambda k: f"{path}: word {k}: ")
+        where = lambda k: f"{path}: word {k}: "
+        return _decode(words, config, where), where
     if len(body) % (width + 1) == 0:
         lines = data.reshape(-1, width + 1)
         digits = _HEX_VALUES[lines[:, :width]]
         if (lines[:, width] == ord("\n")).all() and (digits < 16).all():
-            return _decode((digits << shifts).sum(axis=1), config, lambda k: f"{path}:{k + 2}: ")
-    words = []
+            where = lambda k: f"{path}:{k + 2}: "
+            return _decode((digits << shifts).sum(axis=1), config, where), where
+    words, linenos = [], []
     for lineno, line in _text_lines(body, path):
         try:
             words.append(int(line, 16))
@@ -273,7 +293,8 @@ def _unpack_words(body: bytes, config: ExecConfig, text: bool, path) -> Columns:
             raise DecodeError(f"{path}:{lineno}: bad instruction word {line!r}") from None
         if word_error(words[-1], config):
             raise DecodeError(f"{path}:{lineno}: {word_error(words[-1], config)}")
-    return decode_words(np.array(words, dtype=np.int64), config)
+        linenos.append(lineno)
+    return decode_words(np.array(words, dtype=np.int64), config), lambda k: f"{path}:{linenos[k]}: "
 
 
 def write_program_files(
@@ -332,13 +353,16 @@ def load_program_files(
     config: ExecConfig,
     file_format: str = "integer_text",
 ) -> CompiledProgram:
-    """Read back program and table files written by :func:`write_program_files`."""
+    """Read back program and table files written by :func:`write_program_files`,
+    checking the qubit count against ``N`` and each word's fields against both counts."""
     if file_format not in PROGRAM_FORMATS:
         raise ValueError(f"file_format must be one of {PROGRAM_FORMATS}")
     text = file_format == "integer_text"
     with open(program_path, "rb") as fh:
         used_qubits, body = _read_count_line(fh.read(), program_path)
-    instructions = _unpack_words(body, config, text, program_path)
+    if used_qubits > config.n_qubits:
+        raise DecodeError(f"{program_path}: program uses {used_qubits} qubits, architecture supports {config.n_qubits}")
+    instructions, where = _unpack_words(body, config, text, program_path)
 
     with open(table_path, "rb") as fh:
         count, tbody = _read_count_line(fh.read(), table_path)
@@ -375,4 +399,7 @@ def load_program_files(
             f"{table_path}: entries out of range for float-reference mode; "
             f"was the table written for a fixed-point configuration?"
         )
+    error = first_field_error(instructions, used_qubits, count)
+    if error:
+        raise DecodeError(where(error[0]) + error[1])
     return CompiledProgram(instructions, AngleTable(fmt, entries), used_qubits)

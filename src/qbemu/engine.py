@@ -28,12 +28,11 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .compiler import AngleTable, CompiledProgram, Instruction
+from .compiler import AngleTable, CompiledProgram, Instruction, field_error, first_field_error
 from .config import MAX_DATA_BITS, MAX_QUBITS, MAX_STATE_BYTES, ExecConfig
 from .fixedpoint import FixedPointFormat, from_real, range_error, round_shift
 from .gates import (
     INV_SQRT2,
-    IS_ROTATIONAL,
     ROTATIONAL,
     GateApplication,
     GateKind,
@@ -91,9 +90,6 @@ class FloatState:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amp) ** 2
 
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amp) ** 2))
-
 
 class FixedState:
     """Fixed-point state vector: raw integer real/imaginary parts.
@@ -114,7 +110,6 @@ class FixedState:
         fmt: FixedPointFormat,
         re: np.ndarray | None = None,
         im: np.ndarray | None = None,
-        overflow: bool = False,
     ):
         if fmt.total_bits > MAX_DATA_BITS:
             raise EngineError(f"{fmt.total_bits}-bit words exceed the {MAX_DATA_BITS}-bit array core")
@@ -138,7 +133,7 @@ class FixedState:
             if error:
                 raise EngineError(f"raw {error}")
         self.raw = raw
-        self.overflow = overflow
+        self.overflow = False
 
     @property
     def re(self) -> np.ndarray:
@@ -163,9 +158,6 @@ class FixedState:
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.to_complex()) ** 2
-
-    def norm_squared(self) -> float:
-        return float(np.sum(self.probabilities()))
 
 
 State = FloatState | FixedState
@@ -401,21 +393,13 @@ def _apply_fixed(state: FixedState, kind: GateKind, target: int, control: int | 
     state.overflow = state.overflow or alu.overflow
 
 
-def _check_instruction(kind: GateKind, target: int, control: int, imm: int, n: int, table) -> None:
-    if kind in ROTATIONAL:
-        if table is None:
-            raise EngineError(f"{kind.name} requires an angle table")
-        if imm >= len(table):
-            raise EngineError(f"immediate {imm} out of range for angle table of length {len(table)}")
-    if not 0 <= target < n:
-        raise EngineError(f"target {target} out of range for {n} qubits")
-    if control != target and not 0 <= control < n:
-        raise EngineError(f"control {control} out of range for {n} qubits")
-
-
 def apply_gate(state: State, instr: Instruction, table: AngleTable | None = None) -> State:
     """Apply one decoded instruction in place and return the state."""
-    _check_instruction(instr.opcode, instr.target, instr.control, instr.imm, state.n_qubits, table)
+    if instr.opcode in ROTATIONAL and table is None:
+        raise EngineError(f"{instr.opcode.name} requires an angle table")
+    error = field_error(instr.opcode, instr.target, instr.control, instr.imm, state.n_qubits, len(table or ()))
+    if error:
+        raise EngineError(error)
     control = None if instr.control == instr.target else instr.control
     sincos = None
     if isinstance(state, FloatState):
@@ -428,7 +412,7 @@ def apply_gate(state: State, instr: Instruction, table: AngleTable | None = None
                 raise EngineError("fixed backend requires a fixed-point angle table")
             if table.fmt != state.fmt:
                 raise EngineError("angle table format does not match state format")
-            sincos = table.raw_pair(instr.imm)
+            sincos = table.entries[instr.imm]
         _apply_fixed(state, instr.opcode, instr.target, control, sincos)
     return state
 
@@ -466,12 +450,9 @@ def run(program: CompiledProgram, config: ExecConfig, initial: State | None = No
         if not config.is_float_reference and table.fmt != config.fixed_format:
             raise EngineError("program table was compiled for a different number format")
     ins = program.instructions
-    rotational = IS_ROTATIONAL[ins.opcode]
-    bad = (rotational & (ins.imm >= len(table))) | (ins.target < 0) | (ins.target >= n)
-    bad |= (ins.control != ins.target) & ((ins.control < 0) | (ins.control >= n))
-    if bad.any():
-        k = int(bad.argmax())
-        _check_instruction(_KINDS[ins.opcode[k]], ins.target.item(k), ins.control.item(k), ins.imm.item(k), n, table)
+    error = first_field_error(ins, n, len(table))
+    if error:
+        raise EngineError(error[1])
     if isinstance(state, FloatState):
         apply, pairs = _apply_float, [table.sin_cos(k) for k in range(len(table))]
     else:
@@ -552,20 +533,3 @@ def dump_state(state: State) -> str:
     if isinstance(state, FloatState):
         return "".join(f"{float(a.real)!r} {float(a.imag)!r}\n" for a in state.amp)
     return "".join(f"{r} {m}\n" for r, m in zip(state.re.tolist(), state.im.tolist()))
-
-
-def load_dump(text: str, fmt: FixedPointFormat | None = None) -> State:
-    """Parse a state dump; pass ``fmt`` to reconstruct a fixed-point state."""
-    rows = [line.split() for line in text.splitlines() if line.strip()]
-    size = len(rows)
-    if size == 0 or size & (size - 1):
-        raise ValueError(f"amplitude count {size} is not a power of two")
-    n = size.bit_length() - 1
-    if any(len(r) != 2 for r in rows):
-        raise ValueError("each line must hold 're im'")
-    if fmt is None:
-        amp = np.array([float(r) + 1j * float(m) for r, m in rows])
-        return FloatState(n, amp)
-    re = np.array([int(r) for r, _ in rows], dtype=np.int64)
-    im = np.array([int(m) for _, m in rows], dtype=np.int64)
-    return FixedState(n, fmt, re, im)

@@ -51,14 +51,6 @@ class FixedPointFormat:
     def max_raw(self) -> int:
         return (1 << (self.total_bits - 1)) - 1
 
-    @property
-    def min_value(self) -> float:
-        return self.min_raw * self.lsb
-
-    @property
-    def max_value(self) -> float:
-        return self.max_raw * self.lsb
-
 
 def round_shift(wide, shift: int, mode: Rounding):
     """Drop the low ``shift`` (>= 1) bits of exact products and return them.

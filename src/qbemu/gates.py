@@ -47,19 +47,6 @@ ROTATIONAL = frozenset({GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.U1})
 IS_ROTATIONAL = np.array([kind in ROTATIONAL for kind in GateKind])  # indexed by opcode
 
 
-def consumed_angle(kind: GateKind, angle: float) -> float:
-    """Angle whose sine/cosine the datapath actually consumes.
-
-    RX/RY/RZ kernels work on half the gate argument; U1 uses it directly.
-    Storing the consumed value keeps halving logic out of the datapath.
-    """
-    if kind not in ROTATIONAL:
-        raise ValueError(f"{kind.name} has no angle argument")
-    if kind is GateKind.U1:
-        return angle
-    return angle / 2.0
-
-
 def gate_matrix(kind: GateKind, angle: float | None = None) -> np.ndarray:
     """Defining 2x2 unitary of a native gate."""
     if kind in ROTATIONAL:

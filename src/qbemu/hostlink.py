@@ -336,10 +336,6 @@ class VirtualBoard:
         program = CompiledProgram(instructions, table, self._used_qubits)
         self._result = run(program, self.config)
 
-    @property
-    def finished(self) -> bool:
-        return self._result is not None
-
     def result_state(self) -> FixedState:
         if self._result is None:
             raise ProtocolError("emulation has not finished")
@@ -349,9 +345,10 @@ class VirtualBoard:
         return encode_readback(self.result_state())
 
 
-def loopback_session(
-    program: CompiledProgram, config: ExecConfig, chunk_sizes: tuple[int, ...] = (1, 2, 3, 5, 8, 13)
-) -> FixedState:
+_LOOPBACK_CHUNKS = (1, 2, 3, 5, 8, 13)
+
+
+def loopback_session(program: CompiledProgram, config: ExecConfig) -> FixedState:
     """Round-trip a program through the wire protocol and back.
 
     The session bytes are fed to a virtual board in unaligned chunks to
@@ -363,7 +360,7 @@ def loopback_session(
     pos = 0
     k = 0
     while pos < len(stream):
-        size = chunk_sizes[k % len(chunk_sizes)]
+        size = _LOOPBACK_CHUNKS[k % len(_LOOPBACK_CHUNKS)]
         board.feed(stream[pos : pos + size])
         pos += size
         k += 1

@@ -55,18 +55,18 @@ def hellinger_fidelity(model, reference) -> float:
     return (1.0 - h2) ** 2
 
 
-def kld(model, reference, epsilon: float = KLD_EPSILON) -> float:
+def kld(model, reference) -> float:
     """Kullback-Leibler divergence D(model || reference).
 
-    Zero model entries contribute nothing; reference entries below ``epsilon``
-    are floored at ``epsilon`` to keep the sum finite.
+    Zero model entries contribute nothing; reference entries below
+    :data:`KLD_EPSILON` are floored at it to keep the sum finite.
     """
     p = _as_distribution(model)
     r = _as_distribution(reference)
     _check_lengths(p, r)
     mask = p > 0
     p = p[mask]
-    terms = np.divide(p, np.maximum(r[mask], epsilon))
+    terms = np.divide(p, np.maximum(r[mask], KLD_EPSILON))
     np.log(terms, out=terms)
     terms *= p
     return float(np.sum(terms))

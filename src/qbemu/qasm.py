@@ -656,55 +656,3 @@ def parse_file(path) -> SourceCircuit:
         good = data[: exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         raise QasmError(f"byte {data[exc.start]:#04x} is not UTF-8", str(path), *_line_col(good, len(good))) from None
     return parse(text.replace("\r\n", "\n").replace("\r", "\n"), filename=str(path))
-
-
-# ---------------------------------------------------------------------------
-# Source emission (normalized form over the supported subset)
-# ---------------------------------------------------------------------------
-
-_NATIVE_NAMES = {kind: name for name, kind in _NATIVE_1Q.items() if name != "p"}
-_CONTROLLED_NAMES = {
-    GateKind.X: "cx",
-    GateKind.H: "ch",
-    GateKind.RX: "crx",
-    GateKind.RY: "cry",
-    GateKind.RZ: "crz",
-    GateKind.U1: "cu1",
-}
-
-
-def emit(circuit: SourceCircuit) -> str:
-    """Write a circuit back as OpenQASM 2.0.
-
-    Output re-parses to an identical circuit: gates are already native, so
-    emission is a plain rendering with full-precision angles.
-    """
-    flat_to_name = {flat: (reg, k) for (reg, k), flat in circuit.qubit_names.items()}
-    if len(flat_to_name) != circuit.qubit_count:
-        raise ValueError("qubit name map does not cover the register")
-    regs: list[tuple[str, int]] = []
-    for flat in range(circuit.qubit_count):
-        reg, k = flat_to_name[flat]
-        if not regs or regs[-1][0] != reg:
-            regs.append((reg, 0))
-        regs[-1] = (reg, regs[-1][1] + 1)
-    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
-    for reg, size in regs:
-        lines.append(f"qreg {reg}[{size}];")
-    for creg, size in circuit.classical_registers.items():
-        lines.append(f"creg {creg}[{size}];")
-
-    def ref(flat: int) -> str:
-        reg, k = flat_to_name[flat]
-        return f"{reg}[{k}]"
-
-    for g in circuit.gates:
-        arg = f"({g.angle!r})" if g.angle is not None else ""
-        if g.control is None:
-            lines.append(f"{_NATIVE_NAMES[g.kind]}{arg} {ref(g.target)};")
-        else:
-            name = _CONTROLLED_NAMES.get(g.kind)
-            if name is None:
-                raise ValueError(f"no source form for controlled {g.kind.name}")
-            lines.append(f"{name}{arg} {ref(g.control)},{ref(g.target)};")
-    return "\n".join(lines) + "\n"

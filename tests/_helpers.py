@@ -222,11 +222,11 @@ def gates_as_circuit(gates: list[GateApplication], n_qubits: int):
 def oracle_compile(circuit, config):
     """``(instructions, table)`` of ``circuit``, interning one gate at a time.
 
-    Each rotation's consumed angle is interned in gate order, and the 2^Q
-    limit is checked after each; raises what ``compile_circuit`` must raise.
+    Each rotation's consumed angle -- half the argument of RX/RY/RZ, all of
+    U1's -- is interned in gate order, and the 2^Q limit is checked after
+    each; raises what ``compile_circuit`` must raise.
     """
     from qbemu.compiler import AngleTable, CompileError, Instruction
-    from qbemu.gates import consumed_angle
 
     if circuit.qubit_count > config.n_qubits:
         raise CompileError(
@@ -239,7 +239,7 @@ def oracle_compile(circuit, config):
     for gate in circuit.gates:
         imm = 0
         if gate.kind in ROTATIONAL:
-            imm = table.intern(consumed_angle(gate.kind, gate.angle))
+            imm = table.intern(gate.angle if gate.kind is GateKind.U1 else gate.angle / 2.0)
             if len(table) > limit:
                 raise CompileError(
                     f"more than 2^Q distinct angles: table needs {len(table)} entries, "

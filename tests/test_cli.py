@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 import qbemu
-from qbemu.cli import main
+from qbemu.cli import build_parser, main
 from qbemu.config import MAX_QUBITS, ConfigError, ExecConfig
-from qbemu.engine import load_dump
 from qbemu.fixedpoint import FixedPointFormat
 from qbemu.qasm import MAX_NATIVE_GATES
 
@@ -121,16 +120,17 @@ class TestRun:
                 str(table),
                 "--config",
                 str(config_file),
-                "--backend",
-                "float",
+                "--rounding",
+                "float_reference",
                 "--out",
                 str(dump),
             ]
         )
         assert rc == 0
-        state = load_dump(dump.read_text())
-        assert abs(state.amp[0] - INV_SQRT2) < 1e-12
-        assert abs(state.amp[7] - INV_SQRT2) < 1e-12
+        re, im = np.loadtxt(dump, unpack=True)
+        amp = re + 1j * im
+        assert abs(amp[0] - INV_SQRT2) < 1e-12
+        assert abs(amp[7] - INV_SQRT2) < 1e-12
 
     def test_bell_fixed_close_to_float(self, tmp_path, bell_qasm, config_file):
         prog, table = compile_bell(tmp_path, bell_qasm, config_file)
@@ -139,8 +139,8 @@ class TestRun:
             ["run", str(prog), str(table), "--config", str(config_file), "--out", str(dump)]
         )
         assert rc == 0
-        state = load_dump(dump.read_text(), fmt=FixedPointFormat(20, "nearest"))
-        amps = state.to_complex()
+        re, im = np.loadtxt(dump, dtype=np.int64, unpack=True)
+        amps = (re + 1j * im) * FixedPointFormat(20, "nearest").lsb
         assert abs(amps[0] - INV_SQRT2) < 1e-4
         assert abs(amps[7] - INV_SQRT2) < 1e-4
 
@@ -179,19 +179,28 @@ class TestRun:
         rc = main(["run", str(prog), str(table), "--config", str(config_file), "--seed", "1"])
         assert rc == 1
 
-    def test_oversized_state_exit_4_before_allocation(self, tmp_path, capsys):
+    def test_seed_without_out_checked_before_loading(self, tmp_path, bell_qasm, config_file, capsys):
+        # the usage error comes first: neither the bad program nor a missing table is read
+        prog, _ = compile_bell(tmp_path, bell_qasm, config_file)
+        prog.write_text("9\n" + prog.read_text().split("\n", 1)[1])
+        capsys.readouterr()
+        rc = main(["run", str(prog), str(tmp_path / "absent.txt"), "--config", str(config_file), "--seed", "1"])
+        err = "usage error: --seed needs --out so the dump and the counts do not interleave\n"
+        assert (rc, capsys.readouterr()) == (1, ("", err))
+
+    def test_oversized_state_exit_3_before_allocation(self, tmp_path, capsys):
         # N is bounded by the state limit, so a 34-qubit program file is
-        # refused by its qubit count before any state is allocated.
+        # refused by its qubit count as it loads, before any state is allocated.
         wide = tmp_path / "wide.cfg"
         wide.write_text(f"N = {MAX_QUBITS}\ndata_bits = 20\nrounding = nearest\n")
         prog, table = tmp_path / "wide.prog.txt", tmp_path / "wide.table.txt"
         prog.write_text("34\n")
         table.write_text("0\n")
-        for backend in ("fixed", "float"):
-            rc = main(["run", str(prog), str(table), "--config", str(wide), "--backend", backend])
-            assert rc == 4
+        for rounding in ([], ["--rounding", "float_reference"]):
+            rc = main(["run", str(prog), str(table), "--config", str(wide), *rounding])
+            assert rc == 3
             err = capsys.readouterr().err
-            assert err == f"runtime error: program uses 34 qubits, architecture supports {MAX_QUBITS}\n"
+            assert err == f"error: {prog}: program uses 34 qubits, architecture supports {MAX_QUBITS}\n"
 
     def test_memory_error_exit_4(self, tmp_path, bell_qasm, config_file, capsys, monkeypatch):
         prog, table = compile_bell(tmp_path, bell_qasm, config_file)
@@ -203,16 +212,13 @@ class TestRun:
         assert main(["run", str(prog), str(table), "--config", str(config_file)]) == 4
         assert capsys.readouterr().err == "runtime error: Unable to allocate 128. GiB\n"
 
-    def test_capacity_violation_exit_4(self, tmp_path, bell_qasm, config_file):
+    def test_capacity_violation_exit_3(self, tmp_path, bell_qasm, config_file, capsys):
         prog, table = compile_bell(tmp_path, bell_qasm, config_file)
-        small = tmp_path / "small.cfg"
-        # same field widths as N = 4 so the words still decode, but too few qubits
-        small.write_text("N = 3\nW = 0\nQ = 4\ndata_bits = 20\nrounding = nearest\n")
         shrunk = tmp_path / "shrunk.prog.txt"
         lines = prog.read_text().splitlines()
         shrunk.write_text("9\n" + "\n".join(lines[1:]) + "\n")
         rc = main(["run", str(shrunk), str(table), "--config", str(config_file)])
-        assert rc == 4
+        assert (rc, capsys.readouterr().err) == (3, f"error: {shrunk}: program uses 9 qubits, architecture supports 4\n")
 
     def test_out_of_range_table_value_exit_3_with_line(self, tmp_path, capsys):
         qasm = tmp_path / "ry.qasm"
@@ -241,8 +247,8 @@ class TestRun:
                 str(out / "rot.table.txt"),
                 "--config",
                 str(config_file),
-                "--backend",
-                "float",
+                "--rounding",
+                "float_reference",
             ]
         )
         assert rc == 3
@@ -255,7 +261,7 @@ class TestRun:
         qasm.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nry(0.5) q[0];\n')
         cfg = tmp_path / "ry.cfg"
         cfg.write_text("N = 1\nQ = 2\n")
-        common = ["--config", str(cfg), "--backend", "float", "--format", file_format]
+        common = ["--config", str(cfg), "--rounding", "float_reference", "--format", file_format]
         assert main(["compile", str(qasm), "--out", str(tmp_path), *common]) == 0
         suffix = "txt" if file_format == "integer_text" else "bin"
         table = tmp_path / f"ry.table.{suffix}"
@@ -454,16 +460,87 @@ class TestTranscript:
             main(["run", str(prog), str(table), "--config", str(config_file), "--out", str(dump)])
             == 0
         )
-        direct = load_dump(dump.read_text(), fmt=FixedPointFormat(20, "nearest"))
+        direct = np.loadtxt(dump, dtype=np.int64)
         from qbemu.hostlink import decode_readback
 
         looped = decode_readback(readback, FixedPointFormat(20, "nearest"), 3)
-        assert np.array_equal(looped.re, direct.re)
-        assert np.array_equal(looped.im, direct.im)
+        assert np.array_equal(looped.raw, direct.T)
+
+
+class TestFlags:
+    ACCEPTED = {
+        "compile": ["--config", "--bits", "--rounding", "--format", "--out"],
+        "run": ["--config", "--bits", "--rounding", "--seed", "--format", "--out"],
+        "compare": ["--config", "--bits", "--rounding", "--out"],
+        "sweep": ["--config", "--bits", "--rounding", "--window", "--out"],
+        "transcript": ["--config", "--bits", "--rounding", "--format", "--out"],
+    }
+
+    def test_each_verb_takes_only_the_flags_it_reads(self):
+        [verbs] = [action.choices for action in build_parser()._actions if action.dest == "command"]
+        accepted = {
+            verb: [option for action in p._actions for option in action.option_strings if option not in ("-h", "--help")]
+            for verb, p in verbs.items()
+        }
+        assert accepted == self.ACCEPTED
+        assert sum(map(len, accepted.values())) == 25
+
+    @pytest.mark.parametrize(
+        "verb, flag, value",
+        [
+            ("compile", "--backend", "float"),
+            ("compile", "--window", "1"),
+            ("compile", "--seed", "1"),
+            ("run", "--backend", "float"),
+            ("run", "--window", "1"),
+            ("compare", "--backend", "fixed"),
+            ("compare", "--window", "1"),
+            ("compare", "--seed", "1"),
+            ("compare", "--format", "binary"),
+            ("sweep", "--seed", "1"),
+            ("sweep", "--format", "binary"),
+            ("transcript", "--window", "1"),
+            ("transcript", "--seed", "1"),
+        ],
+    )
+    def test_removed_flag_is_usage_error(self, tmp_path, bell_qasm, config_file, capsys, verb, flag, value):
+        prog, table = compile_bell(tmp_path, bell_qasm, config_file)
+        operands = {"run": [prog, table], "transcript": [prog, table], "sweep": [bell_qasm, "bits", "8"]}
+        argv = [verb, *map(str, operands.get(verb, [bell_qasm])), "--out", str(tmp_path / "o"), flag, value]
+        capsys.readouterr()
+        assert (main(argv), capsys.readouterr()) == (1, ("", f"usage error: unrecognized arguments: {flag} {value}\n"))
+        assert not (tmp_path / "o").exists()
 
 
 class TestMalformedInputs:
     """Every malformed input file ends in exit 3 and an error naming the file and position."""
+
+    @pytest.mark.parametrize("verb", ["run", "transcript"])
+    @pytest.mark.parametrize("fmt", ["integer_text", "binary"])
+    @pytest.mark.parametrize(
+        "header, word, value, message",
+        [
+            (b"1000000", None, None, "program uses 1000000 qubits, architecture supports 4"),
+            (b"3", 2, 0x0F0, "target 3 out of range for 3 qubits"),  # X on qubit 3
+            (b"3", 1, 0x0D0, "control 3 out of range for 3 qubits"),  # CX 3 -> 1
+            (b"3", 0, 0x900, "immediate 0 out of range for angle table of length 0"),  # RY on qubit 0
+        ],
+        ids=["header_above_N", "target_above_header", "control_above_header", "imm_above_table"],
+    )
+    def test_program_checked_against_architecture_and_itself(
+        self, tmp_path, bell_qasm, config_file, capsys, verb, fmt, header, word, value, message
+    ):
+        # bell at N = 4: three qubits, three 12-bit words, no angle pairs
+        prog, table = compile_bell(tmp_path, bell_qasm, config_file, fmt)
+        body = prog.read_bytes().split(b"\n", 1)[1]
+        if word is not None:
+            size, new = (4, b"%03X" % value) if fmt == "integer_text" else (2, value.to_bytes(2, "little"))
+            body = body[: size * word] + new + body[size * word + len(new) :]
+        prog.write_bytes(header + b"\n" + body)
+        where = "" if word is None else f":{word + 2}" if fmt == "integer_text" else f": word {word}"
+        capsys.readouterr()
+        rc = main([verb, str(prog), str(table), "--config", str(config_file), "--format", fmt, "--out", str(tmp_path / "o")])
+        assert (rc, capsys.readouterr()) == (3, ("", f"error: {prog}{where}: {message}\n"))
 
     @pytest.mark.parametrize("verb", ["run", "transcript"])
     @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import math
 import tracemalloc
@@ -23,7 +24,6 @@ from qbemu.engine import (
     dense_unitary,
     dump_state,
     initial_state,
-    load_dump,
     run,
     sample_counts,
 )
@@ -176,7 +176,7 @@ class TestApplyGateFloat:
         gates = random_gates(rng, 4, 50)
         program = compile_circuit(gates_as_circuit(gates, 4), config)
         state = run(program, config)
-        assert abs(state.norm_squared() - 1.0) < 1e-12
+        assert abs(state.probabilities().sum() - 1.0) < 1e-12
 
     def test_every_kernel_matches_oracle(self):
         # one gate at a time, all opcodes, all target/control slots, vs the
@@ -237,7 +237,7 @@ class TestApplyGateFixed:
             fmt = FixedPointFormat(bits, mode)
             k = oracle_quantize(INV_SQRT2, fmt)
             table = AngleTable(fmt)
-            pairs = [table.raw_pair(table.intern(angle)) for angle in (1.1, -2.3)]
+            pairs = [table.entries[table.intern(angle)] for angle in (1.1, -2.3)]
             table.entries.append((fmt.max_raw, fmt.min_raw))
             pairs.append(table.entries[-1])
             # multipliers that are whole numbers (e.g. min_raw = -2.0) never round
@@ -261,8 +261,6 @@ class TestApplyGateFixed:
         # instead of returning wrapped amplitudes with the flag clear
         with pytest.raises(EngineError, match="40-bit"):
             FixedState(1, FixedPointFormat(40))
-        with pytest.raises(EngineError, match="40-bit"):
-            load_dump("0 0\n0 0\n", fmt=FixedPointFormat(40))
         state = apply_gate(FixedState(1, FixedPointFormat(32)), Instruction(GateKind.H, 0, 0))
         assert np.allclose(state.to_complex(), [INV_SQRT2, INV_SQRT2], atol=1e-9)
         assert not state.overflow
@@ -360,7 +358,7 @@ class TestApplyGateFixed:
                 gates = random_gates(rng, 5, n_gates)
                 program = compile_circuit(gates_as_circuit(gates, 5), config)
                 state = run(program, config)
-                drift = abs(state.norm_squared() - 1.0)
+                drift = abs(state.probabilities().sum() - 1.0)
                 assert drift <= n_gates * 2.0 ** -(bits - 3)
 
     def test_couple_order_is_irrelevant(self):
@@ -428,7 +426,7 @@ class TestBlockedKernels:
         k = oracle_quantize(INV_SQRT2, fmt)
         table = AngleTable(fmt)
         imm = table.intern(1.1) if kind in ROTATIONAL else 0
-        sincos = table.raw_pair(imm) if kind in ROTATIONAL else None
+        sincos = table.entries[imm] if kind in ROTATIONAL else None
         for target, control in self.CASES:
             state = edge_fixed_state(rng, n, fmt)
             before_re, before_im = state.re.copy(), state.im.copy()
@@ -545,7 +543,7 @@ class TestSaturationShortcut:
         fmt = config.fixed_format
         gate = GateApplication(GateKind.RY, 1, angle=2 * math.pi)
         program = compile_circuit(gates_as_circuit([gate], 2), config)
-        s, c = program.table.raw_pair(program.instructions[0].imm)
+        s, c = program.table.entries[program.instructions[0].imm]
         assert (s, c) == (0, -(1 << fmt.fractional_bits))
         assert not engine._product_in_range(c, fmt)
         initial = FixedState(2, fmt, np.full(4, fmt.min_raw), np.full(4, fmt.min_raw))
@@ -562,7 +560,7 @@ class TestSaturationShortcut:
         k = oracle_quantize(INV_SQRT2, fmt)
         table = AngleTable(fmt)
         imm = table.intern(1.1) if kind in ROTATIONAL else 0
-        sincos = table.raw_pair(imm) if kind in ROTATIONAL else None
+        sincos = table.entries[imm] if kind in ROTATIONAL else None
         for m in sincos or (k,):
             assert engine._product_in_range(m, fmt)
         a = (fmt.min_raw, fmt.max_raw)
@@ -739,8 +737,8 @@ class TestDumps:
     def test_float_dump_round_trip(self):
         rng = np.random.default_rng(12)
         state = random_float_state(rng, 3)
-        again = load_dump(dump_state(state))
-        assert np.array_equal(again.amp, state.amp)
+        re, im = np.loadtxt(io.StringIO(dump_state(state)), unpack=True)
+        assert np.array_equal(re + 1j * im, state.amp)
 
     def test_fixed_dump_round_trip(self):
         fmt = FixedPointFormat(20, "nearest")
@@ -748,8 +746,8 @@ class TestDumps:
         re = rng.integers(-1000, 1000, size=4).astype(np.int64)
         im = rng.integers(-1000, 1000, size=4).astype(np.int64)
         state = FixedState(2, fmt, re, im)
-        again = load_dump(dump_state(state), fmt=fmt)
-        assert np.array_equal(again.re, re) and np.array_equal(again.im, im)
+        again = np.loadtxt(io.StringIO(dump_state(state)), dtype=np.int64)
+        assert np.array_equal(again, np.stack((re, im), axis=1))
 
     def test_dump_is_index_ascending_re_im(self):
         state = FloatState(1, np.array([1.0, 0 - 0.5j]))

@@ -13,7 +13,6 @@ from qbemu.gates import (
     SIGN_EXCHANGE,
     GateApplication,
     GateKind,
-    consumed_angle,
     gate_matrix,
 )
 
@@ -81,12 +80,15 @@ def test_rz_is_u1_up_to_global_phase():
 
 
 def test_consumed_angle_convention():
-    assert consumed_angle(GateKind.RX, 1.0) == 0.5
-    assert consumed_angle(GateKind.RY, 1.0) == 0.5
-    assert consumed_angle(GateKind.RZ, 1.0) == 0.5
-    assert consumed_angle(GateKind.U1, 1.0) == 1.0
-    with pytest.raises(ValueError):
-        consumed_angle(GateKind.H, 1.0)
+    # the compiler stores the angle the datapath consumes: half the argument
+    # of RX/RY/RZ, all of U1's
+    from qbemu import ExecConfig, compile_circuit, parse
+
+    body = "".join(f"{name}(1.0) q[0];\n" for name in ("rx", "ry", "rz", "u1"))
+    circuit = parse(f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\n{body}')
+    program = compile_circuit(circuit, ExecConfig(n_qubits=1, rounding="float_reference"))
+    assert program.instructions.imm.tolist() == [0, 0, 0, 1]
+    assert program.table.entries == [(math.sin(0.5), math.cos(0.5)), (math.sin(1.0), math.cos(1.0))]
 
 
 def test_matrix_angle_arity():

@@ -67,7 +67,7 @@ class TestKld:
 
     def test_epsilon_floor(self):
         # reference zero where the model is positive: floored, finite, large
-        val = kld([1.0, 0.0], [0.0, 1.0], epsilon=1e-12)
+        val = kld([1.0, 0.0], [0.0, 1.0])
         assert val == pytest.approx(math.log(1.0 / 1e-12))
 
     def test_asymmetric(self):

@@ -440,17 +440,16 @@ def test_stream_decoder_is_chunking_invariant(stream, cuts):
 
 @st.composite
 def programs(draw):
-    """A configuration and a program with fields at their extremes: the
-    highest opcode, target and control ``2**fbits - 1``, ``imm = 2**Q - 1``."""
-    n = draw(st.integers(1, MAX_QUBITS))
+    """A configuration and a program that loads, with fields at their extremes:
+    the highest opcode; target and control ``n - 1``, which is ``2**fbits - 1``
+    when ``n`` is a power of two; ``imm = 2**Q - 1`` on a gate without an angle
+    and the last table entry on a rotation.  The loader rejects a field past the
+    qubit count or the table."""
+    n = draw(st.sampled_from([2, 4, 8, 16]) | st.integers(1, MAX_QUBITS))
     fbits = (n - 1).bit_length()
     imm_bits = draw(st.integers(1, 59 - 2 * fbits))
     rounding = draw(st.sampled_from(["float_reference", "truncation", "nearest", "nearest_even"]))
     config = ExecConfig(n_qubits=n, imm_bits=imm_bits, data_bits=draw(st.integers(8, 32)), rounding=rounding)
-    opcodes = st.sampled_from([GateKind.X, GateKind.U1]) | st.sampled_from(list(GateKind))  # U1 is the highest
-    qubit = st.sampled_from([0, (1 << fbits) - 1]) | st.integers(0, (1 << fbits) - 1)
-    imm = st.sampled_from([0, (1 << imm_bits) - 1]) | st.integers(0, (1 << imm_bits) - 1)
-    instructions = [Instruction(*row) for row in draw(st.lists(st.tuples(opcodes, qubit, qubit, imm), max_size=20))]
     if config.is_float_reference:
         values = st.sampled_from([-1.0, -0.0, 0.0, 1.0]) | st.floats(-1.0, 1.0)
         fmt = None
@@ -458,6 +457,14 @@ def programs(draw):
         fmt = config.fixed_format
         values = st.sampled_from([fmt.min_raw, -1, 0, fmt.max_raw]) | st.integers(fmt.min_raw, fmt.max_raw)
     entries = draw(st.lists(st.tuples(values, values), max_size=6))
+    qubit = st.sampled_from([0, n - 1]) | st.integers(0, n - 1)
+    plain = sorted(set(GateKind) - ROTATIONAL)
+    imm = st.sampled_from([0, (1 << imm_bits) - 1]) | st.integers(0, (1 << imm_bits) - 1)
+    rows = st.tuples(st.sampled_from([plain[0], plain[-1]]) | st.sampled_from(plain), qubit, qubit, imm)
+    if entries:  # U1 is the highest opcode
+        angle = st.sampled_from([0, len(entries) - 1]) | st.integers(0, len(entries) - 1)
+        rows |= st.tuples(st.sampled_from([GateKind.U1]) | st.sampled_from(sorted(ROTATIONAL)), qubit, qubit, angle)
+    instructions = [Instruction(*row) for row in draw(st.lists(rows, max_size=20))]
     return config, CompiledProgram(instructions, AngleTable(fmt, entries), n)
 
 

@@ -10,7 +10,7 @@ import pytest
 from qbemu.engine import dense_oracle, dense_unitary
 from qbemu.gates import GateApplication, GateKind
 from qbemu import qasm
-from qbemu.qasm import MAX_EXPR_DEPTH, MAX_GATE_DEPTH, MAX_NATIVE_GATES, MAX_REGISTER_SIZE, QasmError, emit, parse
+from qbemu.qasm import MAX_EXPR_DEPTH, MAX_GATE_DEPTH, MAX_NATIVE_GATES, MAX_REGISTER_SIZE, QasmError, parse
 
 from _helpers import max_dev_up_to_global_phase
 
@@ -469,26 +469,6 @@ class TestLoweringSoundness:
             [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
         )
         assert np.allclose(dense_oracle(circuit), expected)
-
-
-class TestEmitRoundTrip:
-    SOURCES = [
-        HEADER + "qreg q[3];\ncreg c[3];\nh q[2];\ncx q[2],q[1];\ncx q[2],q[0];\nmeasure q -> c;\n",
-        HEADER + "qreg a[2];\nqreg b[2];\nswap a[0],b[1];\ncu1(0.25) a[1],b[0];\nu3(1.0,2.0,3.0) a[0];\n",
-        HEADER + "qreg q[4];\nccx q[0],q[1],q[2];\ncrx(pi/7) q[3],q[0];\nch q[1],q[2];\ncz q[2],q[3];\n",
-        HEADER + "gate foo(t) a,b { rx(t) a; cx a,b; }\nqreg q[2];\nfoo(0.5) q[0],q[1];\ntdg q[1];\n",
-    ]
-
-    def test_parse_emit_parse_is_identity(self):
-        for src in self.SOURCES:
-            first = parse(src)
-            second = parse(emit(first))
-            assert second == first
-
-    def test_emit_is_stable(self):
-        for src in self.SOURCES:
-            text = emit(parse(src))
-            assert emit(parse(text)) == text
 
 
 class TestButterflyDenseAgainstLayerTensor:
