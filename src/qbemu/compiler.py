@@ -18,14 +18,13 @@ The configuration bounds a word to 63 bits, so every word is an int64.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .columns import Columns
 from .config import ExecConfig
-from .fixedpoint import FixedPointFormat, check_raw, from_real, raw_from_bytes, raw_to_bytes
+from .fixedpoint import FixedPointFormat, check_raw, from_real, range_error
 from .gates import IS_ROTATIONAL, GateKind
 from .qasm import SourceCircuit
 
@@ -102,14 +101,6 @@ class AngleTable:
             self.entries.append(pair)
             self._index[pair] = idx
         return idx
-
-    def sin_cos(self, idx: int) -> tuple[float, float]:
-        """Stored pair as real values (exact for the fixed representation)."""
-        s, c = self.entries[idx]
-        if self.fmt is None:
-            return float(s), float(c)
-        scale = 1 << self.fmt.fractional_bits
-        return s / scale, c / scale
 
 
 @dataclass(frozen=True)
@@ -235,19 +226,28 @@ _HEX_VALUES = np.full(256, 16, dtype=np.uint64)  # 16 marks a byte that is no up
 _HEX_VALUES[_HEX_CHARS] = np.arange(16, dtype=np.uint64)
 
 
-def _word_layout(config: ExecConfig, text: bool) -> tuple[int, np.ndarray]:
-    """Characters or bytes per word, and the bit shift of each, most significant first."""
-    if text:
-        digits = (config.instruction_bits + 3) // 4
-        return digits, 4 * np.arange(digits - 1, -1, -1, dtype=np.uint64)
-    return (config.instruction_bits + 7) // 8, 8 * np.arange(8, dtype=np.uint64)
+def _hex_layout(config: ExecConfig) -> tuple[int, np.ndarray]:
+    """Hex digits per word, and the bit shift of each, most significant first."""
+    digits = (config.instruction_bits + 3) // 4
+    return digits, 4 * np.arange(digits - 1, -1, -1, dtype=np.uint64)
+
+
+def _to_le(values, width: int) -> bytes:
+    """Integer ``values`` (any shape) as ``width``-byte little-endian two's-complement words."""
+    return np.asarray(values, dtype="<i8").view(np.uint8).reshape(-1, 8)[:, :width].tobytes()
+
+
+def _from_le(data: bytes, width: int) -> np.ndarray:
+    """The words of ``data``, ``width`` little-endian bytes each, as uint64."""
+    rows = np.frombuffer(data, dtype=np.uint8).reshape(-1, width).astype(np.uint64)
+    return (rows << 8 * np.arange(width, dtype=np.uint64)).sum(axis=1)
 
 
 def _pack_words(words: np.ndarray, config: ExecConfig, text: bool) -> bytes:
     """A program body: fixed-width uppercase hex lines, or little-endian words."""
-    width, shifts = _word_layout(config, text)
     if not text:
-        return words.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :width].tobytes()
+        return _to_le(words, (config.instruction_bits + 7) // 8)
+    width, shifts = _hex_layout(config)
     lines = np.full((len(words), width + 1), ord("\n"), dtype=np.uint8)
     lines[:, :width] = _HEX_CHARS[(words.astype(np.uint64)[:, None] >> shifts) & 15]
     return lines.tobytes()
@@ -271,14 +271,14 @@ def _unpack_words(body: bytes, config: ExecConfig, text: bool, path):
     ``k``: its line (text) or its index (binary), which names a bad word.  A
     body laid out as written is one array pass; any other text body is read
     line by line, each word checked as it is read."""
-    width, shifts = _word_layout(config, text)
-    data = np.frombuffer(body, dtype=np.uint8)
     if not text:
+        width = (config.instruction_bits + 7) // 8
         if len(body) % width:
             raise DecodeError(f"{path}: truncated instruction stream")
-        words = (data.reshape(-1, width).astype(np.uint64) << shifts[:width]).sum(axis=1)
         where = lambda k: f"{path}: word {k}: "
-        return _decode(words, config, where), where
+        return _decode(_from_le(body, width), config, where), where
+    width, shifts = _hex_layout(config)
+    data = np.frombuffer(body, dtype=np.uint8)
     if len(body) % (width + 1) == 0:
         lines = data.reshape(-1, width + 1)
         digits = _HEX_VALUES[lines[:, :width]]
@@ -320,9 +320,9 @@ def write_program_files(
         pairs = [f"{s!r},{c!r}\n" if table.fmt is None else f"{s},{c}\n" for s, c in table.entries]
         tbody = "".join(pairs).encode("ascii")
     elif table.fmt is None:
-        tbody = b"".join(struct.pack("<dd", s, c) for s, c in table.entries)
+        tbody = np.array(table.entries, dtype="<f8").tobytes()
     else:
-        tbody = b"".join(raw_to_bytes(v, config.data_bits) for pair in table.entries for v in pair)
+        tbody = _to_le(table.entries, (config.data_bits + 7) // 8)
     with open(table_path, "wb") as fh:
         fh.write(f"{len(table)}\n".encode("ascii") + tbody)
 
@@ -366,6 +366,8 @@ def load_program_files(
 
     with open(table_path, "rb") as fh:
         count, tbody = _read_count_line(fh.read(), table_path)
+    if count > 1 << config.imm_bits:
+        raise DecodeError(f"{table_path}: {count} angle pairs, Q={config.imm_bits} allows {1 << config.imm_bits}")
     fmt = None if config.is_float_reference else config.fixed_format
     entries: list[tuple] = []
     if text:
@@ -382,16 +384,17 @@ def load_program_files(
         half = 8 if fmt is None else (config.data_bits + 7) // 8
         if len(tbody) % (2 * half):
             raise DecodeError(f"{table_path}: truncated table")
-        for k in range(0, len(tbody), 2 * half):
-            chunk = tbody[k : k + 2 * half]
-            try:
-                if fmt is None:
-                    entries.append(_finite(struct.unpack("<dd", chunk)))
-                else:
-                    s_raw, c_raw = (raw_from_bytes(part, config.data_bits) for part in (chunk[:half], chunk[half:]))
-                    entries.append((s_raw, c_raw))
-            except ValueError as exc:
-                raise DecodeError(f"{table_path}: {exc}") from None
+        if fmt is None:
+            values = np.frombuffer(tbody, dtype="<f8")
+            bad = np.flatnonzero(~np.isfinite(values))
+            error = f"value {values.item(bad[0])!r} is not finite" if len(bad) else None
+        else:
+            shift = 64 - 8 * half  # sign-extends each word from its top bit
+            values = (_from_le(tbody, half) << shift).view(np.int64) >> shift
+            error = range_error(values, config.data_bits)
+        if error:
+            raise DecodeError(f"{table_path}: {error}")
+        entries = list(zip(values[0::2].tolist(), values[1::2].tolist()))
     if len(entries) != count:
         raise DecodeError(f"{table_path}: header says {count} pairs, found {len(entries)}")
     if fmt is None and any(abs(v) > 1.0 + 1e-9 for pair in entries for v in pair):

@@ -402,18 +402,17 @@ def apply_gate(state: State, instr: Instruction, table: AngleTable | None = None
         raise EngineError(error)
     control = None if instr.control == instr.target else instr.control
     sincos = None
-    if isinstance(state, FloatState):
-        if instr.opcode in ROTATIONAL:
-            sincos = table.sin_cos(instr.imm)
-        _apply_float(state, instr.opcode, instr.target, control, sincos)
-    else:
-        if instr.opcode in ROTATIONAL:
-            if table.fmt is None:
-                raise EngineError("fixed backend requires a fixed-point angle table")
-            if table.fmt != state.fmt:
-                raise EngineError("angle table format does not match state format")
-            sincos = table.entries[instr.imm]
-        _apply_fixed(state, instr.opcode, instr.target, control, sincos)
+    if instr.opcode in ROTATIONAL:
+        if isinstance(state, FloatState):
+            if table.fmt is not None:
+                raise EngineError("float backend requires a float-reference angle table")
+        elif table.fmt is None:
+            raise EngineError("fixed backend requires a fixed-point angle table")
+        elif table.fmt != state.fmt:
+            raise EngineError("angle table format does not match state format")
+        sincos = table.entries[instr.imm]
+    apply = _apply_float if isinstance(state, FloatState) else _apply_fixed
+    apply(state, instr.opcode, instr.target, control, sincos)
     return state
 
 
@@ -453,10 +452,7 @@ def run(program: CompiledProgram, config: ExecConfig, initial: State | None = No
     error = first_field_error(ins, n, len(table))
     if error:
         raise EngineError(error[1])
-    if isinstance(state, FloatState):
-        apply, pairs = _apply_float, [table.sin_cos(k) for k in range(len(table))]
-    else:
-        apply, pairs = _apply_fixed, table.entries
+    apply, pairs = (_apply_float if isinstance(state, FloatState) else _apply_fixed), table.entries
     columns = (ins.opcode, ins.target, ins.control, ins.imm)
     for opcode, target, control, imm in zip(*(col.tolist() for col in columns)):
         kind = _KINDS[opcode]

@@ -105,19 +105,3 @@ def check_raw(raw: int, total_bits: int) -> int:
     if error:
         raise ValueError(error)
     return raw
-
-
-def raw_to_bytes(raw: int, total_bits: int) -> bytes:
-    """Two's-complement little-endian encoding at the word's byte width."""
-    width = (total_bits + 7) // 8
-    return (raw & ((1 << (8 * width)) - 1)).to_bytes(width, "little")
-
-
-def raw_from_bytes(data: bytes, total_bits: int) -> int:
-    width = (total_bits + 7) // 8
-    if len(data) != width:
-        raise ValueError(f"expected {width} bytes, got {len(data)}")
-    raw = int.from_bytes(data, "little")
-    if raw & (1 << (8 * width - 1)):
-        raw -= 1 << (8 * width)
-    return check_raw(raw, total_bits)

@@ -34,7 +34,7 @@ from enum import Enum
 import numpy as np
 
 from .columns import Columns
-from .compiler import AngleTable, CompiledProgram, decode_words, encode_words, word_error
+from .compiler import _HEX_CHARS, AngleTable, CompiledProgram, decode_words, encode_words, word_error
 from .config import ExecConfig
 from .engine import FixedState, run
 from .fixedpoint import FixedPointFormat, range_error
@@ -69,7 +69,6 @@ _HEX_DIGITS = frozenset(b"0123456789ABCDEF")
 _HEX_RUN = re.compile(rb"[0-9A-F]+")
 _FRAME_RUN = re.compile(rb"(?:[?*>][0-9A-F]+#|<[0-9A-F]+-?#|!)*")  # well-formed frames only
 _FRAME = re.compile(rb"[?*<>]([0-9A-F]+)(-?)#|!")
-_HEX_CHARS = np.frombuffer(b"0123456789ABCDEF", dtype=np.uint8)
 _TERMINATOR, _SIGN = b"#-"
 
 
@@ -246,7 +245,11 @@ def encode_readback(state: FixedState) -> bytes:
 
 
 def decode_readback(data: bytes, fmt: FixedPointFormat, n_qubits: int) -> FixedState:
-    lines = data.decode("ascii").splitlines()
+    try:
+        lines = data.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = len((data[: exc.start] + b"?").decode("ascii").splitlines())
+        raise ProtocolError(f"readback line {lineno}: byte {data[exc.start]:#04x} is not ASCII") from None
     expected = 2 * (1 << n_qubits)
     if len(lines) != expected:
         raise ProtocolError(f"readback has {len(lines)} lines, expected {expected}")

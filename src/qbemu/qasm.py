@@ -42,16 +42,15 @@ class QasmError(Exception):
 
 @dataclass
 class SourceCircuit:
-    """Parsed circuit: native gate columns over the declared qubits.
+    """Parsed circuit: native gate columns over the declared qubits, flat in
+    register declaration order.
 
     ``gates`` may also be given as ``GateApplication`` rows; they are stored
     as columns.
     """
 
     qubit_count: int
-    qubit_names: dict[tuple[str, int], int]
     gates: Columns
-    classical_registers: dict[str, int]
 
     def __post_init__(self) -> None:
         if not isinstance(self.gates, Columns):
@@ -148,7 +147,9 @@ class _Template:
 
     Angle slot 0 holds 0.0 (no angle), slots ``1..params`` the call's angle
     arguments, and each later slot the value of one of ``evals``, an
-    ``(expression, pos)`` evaluated in order at every call.  ``fail`` is the
+    ``(expression, reads, pos)`` evaluated in order at every call, where
+    slot ``k`` of the parsed expression reads our slot ``reads[k]``: a splice
+    shares the expression tree and maps only its slots.  ``fail`` is the
     ``(message, pos)`` of an error every call raises after ``evals``.  Row
     ``k`` is native opcode ``opcodes[k]`` on the call's qubit arguments
     ``targets[k]`` and ``controls[k]`` (equal when uncontrolled), with the
@@ -162,18 +163,19 @@ class _Template:
         self.opcodes, self.targets, self.controls, self.angles = (list(map(int, col)) for col in columns)
 
     def eval(self, node, pos: int) -> int:
-        """Slot of the value of ``node``; a bare slot needs no evaluation."""
+        """Slot of the value of ``node``, parsed in our body; a bare slot needs no evaluation."""
         if node[0] == "slot":
             return node[1]
-        self.evals.append((node, pos))
+        self.evals.append((node, range(self.params + 1), pos))
         return self.params + len(self.evals)
 
     def splice(self, sub: "_Template", args: list[int], qubits: list[int]) -> None:
         """Append a call of ``sub``: ``args`` are the slots of its angle
         arguments and ``qubits`` the indices of its qubits among ours."""
         slots = [0, *args]
-        for node, pos in sub.evals:
-            slots.append(self.eval(_remap(node, slots), pos))
+        for node, reads, pos in sub.evals:
+            self.evals.append((node, [slots[k] for k in reads], pos))
+            slots.append(self.params + len(self.evals))
         self.append(sub, slots, qubits)
         self.fail = sub.fail
 
@@ -206,25 +208,9 @@ _BUILTINS = {
     "ccx": _Template(0, 3, _CCX),
     **{name: _Template(3, 1, _U3) for name in ("u3", "u", "U")},
     # u2(phi, lam) = u3(pi/2, phi, lam), with pi/2 in slot 3
-    "u2": _Template(2, 1, [(_K.RZ, 0, 0, 2), (_K.RY, 0, 0, 3), (_K.RZ, 0, 0, 1)], [(("num", math.pi / 2.0), 0)]),
+    "u2": _Template(2, 1, [(_K.RZ, 0, 0, 2), (_K.RY, 0, 0, 3), (_K.RZ, 0, 0, 1)], [(("num", math.pi / 2.0), (), 0)]),
     "id": _Template(0, 1),
 }
-
-
-def _remap(node, slots: list[int]):
-    """``node`` with each angle slot ``k`` replaced by slot ``slots[k]``."""
-    tag = node[0]
-    if tag == "slot":
-        return ("slot", slots[node[1]])
-    if tag == "neg":
-        return ("neg", _remap(node[1], slots))
-    if tag == "fun":
-        return ("fun", node[1], _remap(node[2], slots))
-    if tag == "chain":
-        return ("chain", _remap(node[1], slots), tuple([(op, _remap(rhs, slots)) for op, rhs in node[2]]))
-    if tag == "pow":
-        return ("pow", _remap(node[1], slots), _remap(node[2], slots))
-    return node
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +298,8 @@ class _Parser:
         self._parse_header()
         while not self._at("eof"):
             self._parse_statement()
-        names = {}
-        for reg, (base, size) in self.qregs.items():
-            for k in range(size):
-                names[(reg, k)] = base + k
         c = self.circuit
-        return SourceCircuit(self.qubit_count, names, gate_columns((c.opcodes, c.targets, c.controls, c.angles)), dict(self.cregs))
+        return SourceCircuit(self.qubit_count, gate_columns((c.opcodes, c.targets, c.controls, c.angles)))
 
     def _parse_header(self) -> None:
         kind, text, _ = self._peek()
@@ -632,8 +614,8 @@ class _Parser:
         t = self._check_arity(name, len(slots) - 1, len(operands), name_pos)
         rows = self._broadcast(operands, name_pos)
         self._lower(len(t.evals) + len(rows) * len(t.opcodes), name_pos)
-        for node, pos in t.evals:
-            slots.append(self._eval_angle(node, slots, pos))
+        for node, reads, pos in t.evals:
+            slots.append(self._eval_angle(node, [slots[k] for k in reads], pos))
         if t.fail:
             self._error(*t.fail)
         for qubits in rows:

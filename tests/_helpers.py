@@ -210,8 +210,7 @@ def gates_as_circuit(gates: list[GateApplication], n_qubits: int):
     """Wrap a raw gate list in a SourceCircuit shell for oracle/compile use."""
     from qbemu.qasm import SourceCircuit
 
-    names = {("q", k): k for k in range(n_qubits)}
-    return SourceCircuit(n_qubits, names, list(gates), {})
+    return SourceCircuit(n_qubits, list(gates))
 
 
 # ---------------------------------------------------------------------------

@@ -589,6 +589,25 @@ class TestMalformedInputs:
         assert main(["run", str(prog), str(table)]) == 3
         assert capsys.readouterr().err == f"error: {path}:{lineno}: byte 0xff is not ASCII\n"
 
+    @pytest.mark.parametrize("verb", ["run", "transcript"])
+    @pytest.mark.parametrize("fmt", ["integer_text", "binary"])
+    def test_table_longer_than_2_to_the_q_names_the_file(self, tmp_path, capsys, verb, fmt):
+        # run used to execute such a table, and the board stopped transcript without naming the file
+        qasm = tmp_path / "ry.qasm"
+        qasm.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nry(0.5) q[0];\nry(0.7) q[0];\n')
+        cfg = tmp_path / "q1.cfg"
+        cfg.write_text("N = 2\nQ = 1\n")
+        common = ["--config", str(cfg), "--format", fmt]
+        assert main(["compile", str(qasm), "--out", str(tmp_path), *common]) == 0
+        suffix = "txt" if fmt == "integer_text" else "bin"
+        prog, table = tmp_path / f"ry.prog.{suffix}", tmp_path / f"ry.table.{suffix}"
+        body = table.read_bytes().split(b"\n", 1)[1]
+        last = body.splitlines(keepends=True)[-1] if fmt == "integer_text" else body[len(body) // 2 :]
+        table.write_bytes(b"3\n" + body + last)
+        capsys.readouterr()
+        rc = main([verb, str(prog), str(table), *common, "--out", str(tmp_path / "o")])
+        assert (rc, capsys.readouterr()) == (3, ("", f"error: {table}: 3 angle pairs, Q=1 allows 2\n"))
+
     def test_non_utf8_qasm_names_line_and_column(self, tmp_path, config_file, capsys):
         qasm = tmp_path / "bad.qasm"
         qasm.write_bytes(b'OPENQASM 2.0;\r\nqreg q[1];\r\n// caf\xc3\xa9 \xff\r\nh q[0];\r\n')

@@ -291,18 +291,16 @@ class TestProgramFiles:
 
 
 class TestAngleTable:
-    def test_sin_cos_matches_quantized_values(self):
+    def test_entries_hold_quantized_raw_values(self):
         fmt = FixedPointFormat(20, "nearest")
         table = AngleTable(fmt)
         idx = table.intern(0.375)
-        s, c = table.sin_cos(idx)
-        assert s == from_real(math.sin(0.375), fmt) / 2**18
-        assert c == from_real(math.cos(0.375), fmt) / 2**18
+        assert table.entries[idx] == (from_real(math.sin(0.375), fmt), from_real(math.cos(0.375), fmt))
 
     def test_float_mode_exact(self):
         table = AngleTable(None)
         idx = table.intern(-0.25)
-        assert table.sin_cos(idx) == (math.sin(-0.25), math.cos(-0.25))
+        assert table.entries[idx] == (math.sin(-0.25), math.cos(-0.25))
 
     @pytest.mark.parametrize("fmt", [None, FixedPointFormat(20, "nearest")])
     @pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])

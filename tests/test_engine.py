@@ -387,6 +387,22 @@ class TestApplyGateFixed:
         assert np.array_equal(state.re, expect_re)
         assert np.array_equal(state.im, expect_im)
 
+    @pytest.mark.parametrize(
+        "rounding, fmt, message",
+        [
+            ("float_reference", FixedPointFormat(20), "float backend requires a float-reference angle table"),
+            ("nearest", None, "fixed backend requires a fixed-point angle table"),
+        ],
+        ids=["float_state", "fixed_state"],
+    )
+    def test_table_of_the_other_backend_refused(self, rounding, fmt, message):
+        # the kernels read table entries as stored, so a table must match its state's backend
+        state = initial_state(1, ExecConfig(n_qubits=1, rounding=rounding))
+        table = AngleTable(fmt)
+        table.intern(0.5)
+        with pytest.raises(EngineError, match=message):
+            apply_gate(state, Instruction(GateKind.RY, 0, 0, 0), table)
+
     def test_rotational_imm_out_of_range(self):
         config = ExecConfig(n_qubits=1)
         state = initial_state(1, config)

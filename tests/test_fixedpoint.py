@@ -14,8 +14,6 @@ from qbemu.fixedpoint import (
     FixedPointFormat,
     Rounding,
     from_real,
-    raw_from_bytes,
-    raw_to_bytes,
     round_shift,
 )
 from qbemu.gates import GateKind
@@ -272,14 +270,3 @@ class TestMeanErrorOrdering:
             assert stats[Rounding.TRUNCATION][0] >= stats[Rounding.NEAREST][0]
             assert abs(stats[Rounding.NEAREST_EVEN][1]) <= abs(stats[Rounding.NEAREST][1])
 
-
-class TestSerialization:
-    def test_round_trip(self):
-        for bits in (8, 13, 20, 24, 32):
-            lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
-            for raw in (lo, -1, 0, 1, hi):
-                assert raw_from_bytes(raw_to_bytes(raw, bits), bits) == raw
-
-    def test_width_check(self):
-        with pytest.raises(ValueError):
-            raw_from_bytes(b"\x00", 20)

@@ -178,6 +178,10 @@ class TestReadback:
         with pytest.raises(ProtocolError, match=f"line {line}: value {value} outside the 32-bit range"):
             decode_readback(data, FixedPointFormat(32), 1)
 
+    def test_non_ascii_byte_names_its_line(self):
+        with pytest.raises(ProtocolError, match=r"^readback line 2: byte 0xff is not ASCII$"):
+            decode_readback(b"1\n\xff\n", FixedPointFormat(20), 0)
+
     def test_word_range_edges_accepted(self):
         fmt = FixedPointFormat(32)
         state = decode_readback(b"2147483647\n-2147483648\n0\n0\n", fmt, 1)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbemu import engine
@@ -443,8 +443,9 @@ def programs(draw):
     """A configuration and a program that loads, with fields at their extremes:
     the highest opcode; target and control ``n - 1``, which is ``2**fbits - 1``
     when ``n`` is a power of two; ``imm = 2**Q - 1`` on a gate without an angle
-    and the last table entry on a rotation.  The loader rejects a field past the
-    qubit count or the table."""
+    and the last table entry on a rotation, with at most ``2**Q`` entries.  The
+    loader rejects a field past the qubit count or the table, and a table longer
+    than ``2**Q``."""
     n = draw(st.sampled_from([2, 4, 8, 16]) | st.integers(1, MAX_QUBITS))
     fbits = (n - 1).bit_length()
     imm_bits = draw(st.integers(1, 59 - 2 * fbits))
@@ -456,7 +457,7 @@ def programs(draw):
     else:
         fmt = config.fixed_format
         values = st.sampled_from([fmt.min_raw, -1, 0, fmt.max_raw]) | st.integers(fmt.min_raw, fmt.max_raw)
-    entries = draw(st.lists(st.tuples(values, values), max_size=6))
+    entries = draw(st.lists(st.tuples(values, values), max_size=min(6, 1 << imm_bits)))
     qubit = st.sampled_from([0, n - 1]) | st.integers(0, n - 1)
     plain = sorted(set(GateKind) - ROTATIONAL)
     imm = st.sampled_from([0, (1 << imm_bits) - 1]) | st.integers(0, (1 << imm_bits) - 1)
@@ -468,9 +469,22 @@ def programs(draw):
     return config, CompiledProgram(instructions, AngleTable(fmt, entries), n)
 
 
+# A draw that once overran the table: Q = 1 with three entries, so U1's
+# immediate 2 did not fit its field.  Pinned at the ``2**Q`` entries it may have.
+_FULL_TABLE = (
+    ExecConfig(n_qubits=2, imm_bits=1, data_bits=8, rounding="float_reference"),
+    CompiledProgram(
+        [Instruction(GateKind.X, 0, 0, 0)] * 4 + [Instruction(GateKind.U1, 0, 0, 1)],
+        AngleTable(None, [(-1.0, -1.0)] * 2),
+        2,
+    ),
+)
+
+
 @pytest.mark.parametrize("file_format", ["integer_text", "binary"])
 @settings(max_examples=100, deadline=None)
 @given(case=programs())
+@example(case=_FULL_TABLE)
 def test_program_files_round_trip(tmp_path_factory, file_format, case):
     config, program = case
     where = tmp_path_factory.mktemp("files")

@@ -31,8 +31,8 @@ class TestParseBasics:
 
     def test_measure_emits_nothing(self):
         circuit = parse(HEADER + "qreg q[2];\ncreg c[2];\nh q[0];\nmeasure q[0] -> c[0];\n")
-        assert len(circuit.gates) == 1
-        assert circuit.classical_registers == {"c": 2}
+        assert circuit.qubit_count == 2
+        assert circuit.gates == [GateApplication(GateKind.H, 0)]
 
     def test_barrier_dropped_without_changing_counts(self):
         with_barrier = parse_body("h q[0];\nbarrier q;\nx q[1];\n")
@@ -97,12 +97,10 @@ class TestParseBasics:
         ]
 
     def test_qubit_flattening_order(self):
-        src = HEADER + "qreg a[2];\nqreg b[1];\nx b[0];\n"
+        src = HEADER + "qreg a[2];\nqreg b[1];\nx b[0];\nx a[1];\nx a[0];\n"
         circuit = parse(src)
         assert circuit.qubit_count == 3
-        assert circuit.qubit_names[("a", 0)] == 0
-        assert circuit.qubit_names[("b", 0)] == 2
-        assert circuit.gates == [GateApplication(GateKind.X, 2)]
+        assert circuit.gates == [GateApplication(GateKind.X, k) for k in (2, 1, 0)]
 
     def test_parameter_env_in_definition(self):
         src = HEADER + "gate tw(t) a { rz(t/2) a; u1(-t) a; }\nqreg q[1];\ntw(pi) q[0];\n"
@@ -221,6 +219,17 @@ class TestMacroExpansion:
         defs = "gate inner a {\n  rx(t) a;\n}\ngate outer(t) a { inner a; }\n"
         assert parse(HEADER + defs + "qreg q[1];\n").gates == []
         assert self.error(HEADER + defs + "qreg q[1];\nouter(0.5) q[0];\n") == "f.qasm:4:6: undefined parameter 't'"
+
+    def test_splice_shares_the_parsed_expression_tree(self):
+        # each splice maps the expression's slots to the caller's, never copying the tree
+        src = HEADER + "gate inner(t) a { rx(t + 1) a; }\ngate outer(t) a { inner(2 * t) a; inner(t) a; }\n"
+        parser = qasm._Parser(src + "qreg q[1];\nouter(0.5) q[0];\n", "f.qasm")
+        circuit = parser.parse()
+        ((node, _, _),) = parser.templates["inner"].evals
+        (double, _, _), (first, first_reads, _), (second, second_reads, _) = parser.templates["outer"].evals
+        assert first is node and second is node
+        assert (list(first_reads), list(second_reads)) == ([0, 2], [0, 1])  # slot 2 holds 2 * t
+        assert circuit.gates.angle.tolist() == [2.0, 1.5]
 
     def test_depth_counts_through_spliced_definitions(self):
         defs = "gate g0 a { x a; }\n" + "".join(f"gate g{i} a {{ h a; g{i - 1} a; }}\n" for i in range(1, MAX_GATE_DEPTH + 1))
