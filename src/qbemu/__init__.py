@@ -26,8 +26,6 @@ from .engine import (
     FixedState,
     FloatState,
     apply_gate,
-    dense_oracle,
-    dense_unitary,
     dump_state,
     initial_state,
     run,

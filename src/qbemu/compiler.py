@@ -18,13 +18,14 @@ The configuration bounds a word to 63 bits, so every word is an int64.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .columns import Columns
 from .config import ExecConfig
-from .fixedpoint import FixedPointFormat, check_raw, from_real, range_error
+from .fixedpoint import FixedPointFormat, from_real, range_error
 from .gates import IS_ROTATIONAL, GateKind
 from .qasm import SourceCircuit
 
@@ -222,8 +223,30 @@ def _decode(words: np.ndarray, config: ExecConfig, where) -> Columns:
 # ---------------------------------------------------------------------------
 
 _HEX_CHARS = np.frombuffer(b"0123456789ABCDEF", dtype=np.uint8)
-_HEX_VALUES = np.full(256, 16, dtype=np.uint64)  # 16 marks a byte that is no uppercase hex digit
+_HEX_VALUES = np.zeros(256, dtype=np.uint64)
 _HEX_VALUES[_HEX_CHARS] = np.arange(16, dtype=np.uint64)
+
+# Line grammars of the text bodies: a decimal integer (no sign on zero, no
+# leading zeros), and a float as ``repr`` writes it, or ``0``.
+_INTEGER = b"0|-?[1-9][0-9]*"
+_FLOAT = rb"-?(?:(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:e[+-][0-9]+)?|inf|nan)"
+
+
+def bad_line(body: bytes, line_pattern: bytes, what: str) -> tuple[int, str] | None:
+    """0-based index and description of the first line of ``body`` that is not
+    ``line_pattern`` whole and ended by a newline, found in one regex pass;
+    None if every line is.  A line holding a non-ASCII byte is described by
+    that byte, a last line lacking only its newline says so, and any other is
+    ``bad <what> '<line>'``."""
+    end = re.match(b"(?:(?:%s)\n)*" % line_pattern, body).end()
+    if end == len(body):
+        return None
+    line, k = body[end:].split(b"\n", 1)[0], body.count(b"\n", 0, end)
+    if not line.isascii():
+        return k, f"byte {next(b for b in line if b > 0x7F):#04x} is not ASCII"
+    if end + len(line) == len(body) and re.fullmatch(line_pattern, line):
+        return k, "missing final newline"
+    return k, f"bad {what} {line.decode()!r}"
 
 
 def _hex_layout(config: ExecConfig) -> tuple[int, np.ndarray]:
@@ -253,24 +276,10 @@ def _pack_words(words: np.ndarray, config: ExecConfig, text: bool) -> bytes:
     return lines.tobytes()
 
 
-def _text_lines(body: bytes, path):
-    """``(line number, text)`` of each non-blank line, stripped, of an ASCII
-    file body that follows its count line."""
-    try:
-        text = body.decode("ascii")
-    except UnicodeDecodeError as exc:
-        lineno = len((body[: exc.start] + b"?").decode("ascii").splitlines()) + 1
-        raise DecodeError(f"{path}:{lineno}: byte {body[exc.start]:#04x} is not ASCII") from None
-    for lineno, line in enumerate(text.splitlines(), start=2):
-        if line.strip():
-            yield lineno, line.strip()
-
-
 def _unpack_words(body: bytes, config: ExecConfig, text: bool, path):
     """Instructions of a program body, and ``where(k)``, the position of word
     ``k``: its line (text) or its index (binary), which names a bad word.  A
-    body laid out as written is one array pass; any other text body is read
-    line by line, each word checked as it is read."""
+    text line of hex digits of the wrong width gets the word's own error."""
     if not text:
         width = (config.instruction_bits + 7) // 8
         if len(body) % width:
@@ -278,23 +287,16 @@ def _unpack_words(body: bytes, config: ExecConfig, text: bool, path):
         where = lambda k: f"{path}: word {k}: "
         return _decode(_from_le(body, width), config, where), where
     width, shifts = _hex_layout(config)
-    data = np.frombuffer(body, dtype=np.uint8)
-    if len(body) % (width + 1) == 0:
-        lines = data.reshape(-1, width + 1)
-        digits = _HEX_VALUES[lines[:, :width]]
-        if (lines[:, width] == ord("\n")).all() and (digits < 16).all():
-            where = lambda k: f"{path}:{k + 2}: "
-            return _decode((digits << shifts).sum(axis=1), config, where), where
-    words, linenos = [], []
-    for lineno, line in _text_lines(body, path):
-        try:
-            words.append(int(line, 16))
-        except ValueError:
-            raise DecodeError(f"{path}:{lineno}: bad instruction word {line!r}") from None
-        if word_error(words[-1], config):
-            raise DecodeError(f"{path}:{lineno}: {word_error(words[-1], config)}")
-        linenos.append(lineno)
-    return decode_words(np.array(words, dtype=np.int64), config), lambda k: f"{path}:{linenos[k]}: "
+    bad = bad_line(body, b"[0-9A-F]{%d}" % width, "instruction word")
+    if bad:
+        k, error = bad
+        line = body.split(b"\n")[k]
+        if re.fullmatch(b"[0-9A-F]+", line):
+            error = word_error(int(line, 16), config) or error
+        raise DecodeError(f"{path}:{k + 2}: {error}")
+    digits = _HEX_VALUES[np.frombuffer(body, dtype=np.uint8).reshape(-1, width + 1)[:, :width]]
+    where = lambda k: f"{path}:{k + 2}: "
+    return _decode((digits << shifts).sum(axis=1), config, where), where
 
 
 def write_program_files(
@@ -331,20 +333,9 @@ def _read_count_line(data: bytes, path) -> tuple[int, bytes]:
     newline = data.find(b"\n")
     if newline < 0:
         raise DecodeError(f"{path}: missing count header line")
-    try:
-        count = int(data[:newline])
-    except ValueError:
-        count = -1
-    if count < 0:
+    if bad_line(data[: newline + 1], b"0|[1-9][0-9]*", "count header"):
         raise DecodeError(f"{path}: bad count header {data[:newline]!r}")
-    return count, data[newline + 1 :]
-
-
-def _finite(pair: tuple) -> tuple:
-    for value in pair:
-        if not math.isfinite(value):
-            raise ValueError(f"value {value!r} is not finite")
-    return pair
+    return int(data[:newline]), data[newline + 1 :]
 
 
 def load_program_files(
@@ -369,32 +360,34 @@ def load_program_files(
     if count > 1 << config.imm_bits:
         raise DecodeError(f"{table_path}: {count} angle pairs, Q={config.imm_bits} allows {1 << config.imm_bits}")
     fmt = None if config.is_float_reference else config.fixed_format
-    entries: list[tuple] = []
     if text:
-        for lineno, line in _text_lines(tbody, table_path):
-            try:
-                s_text, c_text = line.split(",")
-                if fmt is None:
-                    entries.append(_finite((float(s_text), float(c_text))))
-                else:
-                    entries.append((check_raw(int(s_text), fmt.total_bits), check_raw(int(c_text), fmt.total_bits)))
-            except ValueError as exc:
-                raise DecodeError(f"{table_path}:{lineno}: bad table entry {line!r}: {exc}") from None
+        value = b"(?:%s)" % (_FLOAT if fmt is None else _INTEGER)
+        bad = bad_line(tbody, value + b"," + value, "table entry")
+        if bad:
+            raise DecodeError(f"{table_path}:{bad[0] + 2}: {bad[1]}")
+        tokens = tbody.replace(b"\n", b",").split(b",")[:-1]
+        if fmt is None:
+            values = np.array([float(t) for t in tokens])
+        else:  # Python ints, so a value past int64 is still named exactly
+            values = np.array([int(t) for t in tokens], dtype=object)
+        lines = tbody.decode().split("\n")
+        value_at = lambda k: f"{table_path}:{k // 2 + 2}: bad table entry {lines[k // 2]!r}: "
     else:
         half = 8 if fmt is None else (config.data_bits + 7) // 8
         if len(tbody) % (2 * half):
             raise DecodeError(f"{table_path}: truncated table")
         if fmt is None:
             values = np.frombuffer(tbody, dtype="<f8")
-            bad = np.flatnonzero(~np.isfinite(values))
-            error = f"value {values.item(bad[0])!r} is not finite" if len(bad) else None
         else:
             shift = 64 - 8 * half  # sign-extends each word from its top bit
             values = (_from_le(tbody, half) << shift).view(np.int64) >> shift
-            error = range_error(values, config.data_bits)
-        if error:
-            raise DecodeError(f"{table_path}: {error}")
-        entries = list(zip(values[0::2].tolist(), values[1::2].tolist()))
+        value_at = lambda k: f"{table_path}: "
+    bad = ~np.isfinite(values) if fmt is None else (values < fmt.min_raw) | (values > fmt.max_raw)
+    if bad.any():
+        k = int(bad.argmax())
+        error = f"value {values.item(k)!r} is not finite" if fmt is None else range_error(values.item(k), fmt.total_bits)
+        raise DecodeError(value_at(k) + error)
+    entries = list(zip(values[0::2].tolist(), values[1::2].tolist()))
     if len(entries) != count:
         raise DecodeError(f"{table_path}: header says {count} pairs, found {len(entries)}")
     if fmt is None and any(abs(v) > 1.0 + 1e-9 for pair in entries for v in pair):

@@ -10,6 +10,7 @@ Any other key is an error.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 
 from .fixedpoint import FixedPointFormat, Rounding
@@ -105,10 +106,9 @@ def parse_config(text: str, base: ExecConfig | None = None) -> ExecConfig:
         field_name = _KEY_TO_FIELD[key]
         key_lines[key] = lineno
         if field_name in _INT_FIELDS:
-            try:
-                values[field_name] = int(value)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: {key} expects an integer, got {value!r}") from None
+            if not re.fullmatch("-?[0-9]+", value):
+                raise ConfigError(f"line {lineno}: {key} expects an integer, got {value!r}")
+            values[field_name] = int(value)
         else:
             values[field_name] = value
     try:

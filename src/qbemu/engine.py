@@ -18,28 +18,19 @@ Two interchangeable backends execute the same instruction streams:
   no kernel performs a general 2x2 complex multiply.  Its real and imaginary
   parts are the two planes of its tensor, so each kernel step covers both.
 
-A dense tensor-product oracle provides an independent check of the couple
-walk, and measurement statistics can be sampled from either backend.
+Measurement statistics can be sampled from either backend.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
 from .compiler import AngleTable, CompiledProgram, Instruction, field_error, first_field_error
 from .config import MAX_DATA_BITS, MAX_QUBITS, MAX_STATE_BYTES, ExecConfig
 from .fixedpoint import FixedPointFormat, from_real, range_error, round_shift
-from .gates import (
-    INV_SQRT2,
-    ROTATIONAL,
-    GateApplication,
-    GateKind,
-    gate_matrix,
-)
-
-DENSE_ORACLE_MAX_QUBITS = 10
+from .gates import INV_SQRT2, ROTATIONAL, GateKind
 
 # A fixed-point gate whose couple tensor holds more amplitudes per plane than
 # this runs block by block, so its temporaries stay in the L2 cache.
@@ -458,48 +449,6 @@ def run(program: CompiledProgram, config: ExecConfig, initial: State | None = No
         kind = _KINDS[opcode]
         apply(state, kind, target, None if control == target else control, pairs[imm] if kind in ROTATIONAL else None)
     return state
-
-
-# ---------------------------------------------------------------------------
-# Dense tensor-product oracle
-# ---------------------------------------------------------------------------
-
-_I2 = np.eye(2, dtype=complex)
-_P0 = np.array([[1, 0], [0, 0]], dtype=complex)
-_P1 = np.array([[0, 0], [0, 1]], dtype=complex)
-
-
-def _embed(gate: GateApplication, n: int) -> np.ndarray:
-    """Full 2^n x 2^n matrix of one gate: tensor factors from MSQ down to LSQ."""
-    u = gate_matrix(gate.kind, gate.angle)
-    wires = range(n - 1, -1, -1)
-    if gate.control is None:
-        return reduce(np.kron, [u if w == gate.target else _I2 for w in wires])
-    idle = reduce(
-        np.kron, [_P0 if w == gate.control else _I2 for w in wires]
-    )
-    active = reduce(
-        np.kron,
-        [_P1 if w == gate.control else (u if w == gate.target else _I2) for w in wires],
-    )
-    return idle + active
-
-
-def dense_unitary(gates, n: int) -> np.ndarray:
-    """Dense circuit unitary: left-multiply each gate's embedded matrix."""
-    if n > DENSE_ORACLE_MAX_QUBITS:
-        raise EngineError(f"dense oracle limited to {DENSE_ORACLE_MAX_QUBITS} qubits, got {n}")
-    u = np.eye(1 << n, dtype=complex)
-    for gate in gates:
-        if gate.target >= n or (gate.control is not None and gate.control >= n):
-            raise EngineError("gate touches a qubit outside the circuit")
-        u = _embed(gate, n) @ u
-    return u
-
-
-def dense_oracle(circuit) -> np.ndarray:
-    """Brute-force unitary of a parsed circuit (independent of the couple walk)."""
-    return dense_unitary(circuit.gates, circuit.qubit_count)
 
 
 # ---------------------------------------------------------------------------

@@ -98,10 +98,3 @@ def range_error(values, total_bits: int) -> str | None:
         return None
     return f"value {values} outside the {total_bits}-bit range [{lo}, {hi}]"
 
-
-def check_raw(raw: int, total_bits: int) -> int:
-    """``raw`` if it is a ``total_bits``-bit word; else ValueError with its :func:`range_error`."""
-    error = range_error(raw, total_bits)
-    if error:
-        raise ValueError(error)
-    return raw

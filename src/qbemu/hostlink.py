@@ -34,7 +34,7 @@ from enum import Enum
 import numpy as np
 
 from .columns import Columns
-from .compiler import _HEX_CHARS, AngleTable, CompiledProgram, decode_words, encode_words, word_error
+from .compiler import _HEX_CHARS, _INTEGER, AngleTable, CompiledProgram, bad_line, decode_words, encode_words, word_error
 from .config import ExecConfig
 from .engine import FixedState, run
 from .fixedpoint import FixedPointFormat, range_error
@@ -245,18 +245,15 @@ def encode_readback(state: FixedState) -> bytes:
 
 
 def decode_readback(data: bytes, fmt: FixedPointFormat, n_qubits: int) -> FixedState:
-    try:
-        lines = data.decode("ascii").splitlines()
-    except UnicodeDecodeError as exc:
-        lineno = len((data[: exc.start] + b"?").decode("ascii").splitlines())
-        raise ProtocolError(f"readback line {lineno}: byte {data[exc.start]:#04x} is not ASCII") from None
+    """The state of a readback stream: one signed decimal integer per
+    newline-ended line, no sign on zero and no leading zeros."""
+    bad = bad_line(data, _INTEGER, "value")
+    if bad:
+        raise ProtocolError(f"readback line {bad[0] + 1}: {bad[1]}")
+    values = [int(line) for line in data.split()]
     expected = 2 * (1 << n_qubits)
-    if len(lines) != expected:
-        raise ProtocolError(f"readback has {len(lines)} lines, expected {expected}")
-    try:
-        values = [int(line) for line in lines]
-    except ValueError as exc:
-        raise ProtocolError(f"bad readback line: {exc}") from None
+    if len(values) != expected:
+        raise ProtocolError(f"readback has {len(values)} lines, expected {expected}")
     if min(values) < fmt.min_raw or max(values) > fmt.max_raw:
         lineno, error = next((k, e) for k, v in enumerate(values, 1) if (e := range_error(v, fmt.total_bits)))
         raise ProtocolError(f"readback line {lineno}: {error}")

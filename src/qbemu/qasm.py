@@ -74,8 +74,8 @@ _TOKEN_RE = re.compile(
     (?:[ \t\r\n]+|//[^\n]*)+
   | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<punct>->|==|[;,(){}\[\]+\-*/^])
-  | (?P<real>(\d+\.\d*|\.\d+)([eE][+-]?\d+)?)
-  | (?P<int>\d+)
+  | (?P<real>([0-9]+\.[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?)
+  | (?P<int>[0-9]+)
   | (?P<string>"[^"\n]*")
   | (?P<bad>.)
     """,

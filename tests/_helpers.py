@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
+from qbemu.engine import EngineError
 from qbemu.fixedpoint import FixedPointFormat, Rounding
 from qbemu.gates import ROTATIONAL, GateApplication, GateKind, gate_matrix
 
@@ -164,6 +166,45 @@ def tensordot_apply(amp: np.ndarray, n: int, gate: GateApplication) -> np.ndarra
     sub = psi[tuple(where)]
     sub[...] = np.moveaxis(np.tensordot(u, sub, axes=([1], [axis])), 0, axis)
     return psi.reshape(-1)
+
+
+# ---------------------------------------------------------------------------
+# Dense tensor-product oracle (independent of the engine's couple walk)
+# ---------------------------------------------------------------------------
+
+DENSE_ORACLE_MAX_QUBITS = 10
+
+_I2 = np.eye(2, dtype=complex)
+_P0 = np.array([[1, 0], [0, 0]], dtype=complex)
+_P1 = np.array([[0, 0], [0, 1]], dtype=complex)
+
+
+def _embed(gate: GateApplication, n: int) -> np.ndarray:
+    """Full 2^n x 2^n matrix of one gate: tensor factors from MSQ down to LSQ."""
+    u = gate_matrix(gate.kind, gate.angle)
+    wires = range(n - 1, -1, -1)
+    if gate.control is None:
+        return reduce(np.kron, [u if w == gate.target else _I2 for w in wires])
+    idle = reduce(np.kron, [_P0 if w == gate.control else _I2 for w in wires])
+    active = reduce(np.kron, [_P1 if w == gate.control else (u if w == gate.target else _I2) for w in wires])
+    return idle + active
+
+
+def dense_unitary(gates, n: int) -> np.ndarray:
+    """Dense circuit unitary: left-multiply each gate's embedded matrix."""
+    if n > DENSE_ORACLE_MAX_QUBITS:
+        raise EngineError(f"dense oracle limited to {DENSE_ORACLE_MAX_QUBITS} qubits, got {n}")
+    u = np.eye(1 << n, dtype=complex)
+    for gate in gates:
+        if gate.target >= n or (gate.control is not None and gate.control >= n):
+            raise EngineError("gate touches a qubit outside the circuit")
+        u = _embed(gate, n) @ u
+    return u
+
+
+def dense_oracle(circuit) -> np.ndarray:
+    """Brute-force unitary of a parsed circuit."""
+    return dense_unitary(circuit.gates, circuit.qubit_count)
 
 
 # ---------------------------------------------------------------------------

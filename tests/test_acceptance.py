@@ -17,7 +17,7 @@ import qbemu
 from qbemu.columns import Columns
 from qbemu.compiler import INSTRUCTION_FIELDS, Instruction, compile_circuit, decode_words, encode_words
 from qbemu.config import ExecConfig
-from qbemu.engine import dense_oracle, run
+from qbemu.engine import run
 from qbemu.fixedpoint import FixedPointFormat, Rounding, from_real, round_shift
 from qbemu.gates import INV_SQRT2, GateKind
 from qbemu.hostlink import StreamDecoder, decode_stream, encode_message, loopback_session
@@ -25,7 +25,7 @@ from qbemu.hwmodel import estimate_resources, program_latency
 from qbemu.metrics import complex_distances, hellinger_fidelity, kld
 from qbemu.qasm import parse, parse_file
 
-from _helpers import gates_as_circuit, max_dev_up_to_global_phase, random_gates
+from _helpers import dense_oracle, gates_as_circuit, max_dev_up_to_global_phase, random_gates
 from test_hostlink import random_message
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'

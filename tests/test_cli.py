@@ -98,12 +98,13 @@ class TestCompile:
             ("rx(" + "(" * 2000 + "1" + ")" * 2000 + ") q[0];", 104, "expression nested deeper than 100 levels"),
             ("qreg r[" + "9" * 5000 + "];", 8, "register size exceeds the limit of 65536"),
             ("x q[" + "9" * 5000 + "];", 5, "index exceeds the limit of 65536"),
+            ("rx(\u0661.\u0665) q[0];", 4, "unexpected character '\u0661'"),  # ARABIC-INDIC 1.5
         ],
-        ids=["deep_parentheses", "long_register_size", "long_index"],
+        ids=["deep_parentheses", "long_register_size", "long_index", "non_ascii_digit"],
     )
     def test_parser_limits_exit_3_with_position(self, tmp_path, config_file, capsys, line, col, message):
         bad = tmp_path / "bad.qasm"
-        bad.write_text(f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\n{line}\n')
+        bad.write_text(f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\n{line}\n', encoding="utf-8")
         rc = main(["compile", str(bad), "--config", str(config_file), "--out", str(tmp_path)])
         assert rc == 3
         assert capsys.readouterr().err == f"error: {bad}:4:{col}: {message}\n"
@@ -284,12 +285,14 @@ class TestConfig:
             ("N = 4\nQ = 100000\n", 2, "Q=100000 with N=4 makes 100008-bit instruction words, over 63 bits"),
             ("N = 4\nW = 4\n", 2, "W must be in [0, N-1], got W=4 with N=4"),
             ("N = 4\nS = 1\n", 2, "unknown key 'S'"),
+            ("N = \u0664\n", 1, "N expects an integer, got '\u0664'"),  # ARABIC-INDIC DIGIT FOUR
+            ("N = 4\nQ = +0_3\n", 2, "Q expects an integer, got '+0_3'"),
         ],
-        ids=["N", "Q", "W", "S"],
+        ids=["N", "Q", "W", "S", "non_ascii_digit", "sign_and_underscore"],
     )
     def test_bad_key_exit_3_naming_key_and_line(self, tmp_path, bell_qasm, capsys, text, line, message):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(text)
+        cfg.write_text(text, encoding="utf-8")
         assert main(["sweep", str(bell_qasm), "bits", "8", "--config", str(cfg)]) == 3
         assert capsys.readouterr().err == f"error: line {line}: {message}\n"
 
@@ -573,6 +576,26 @@ class TestMalformedInputs:
         capsys.readouterr()
         rc = main([verb, str(prog), str(table), "--config", str(config_file), "--out", str(tmp_path / "o")])
         assert (rc, capsys.readouterr().err) == (3, f"error: {prog}: bad count header b'-1'\n")
+
+    @pytest.mark.parametrize(
+        "prog_text, table_text, rounding, message",
+        [
+            (b"0_1\n0x80_0\n", b"0_1\n 1_0 , +2_0\n", "nearest", "{prog}: bad count header b'0_1'"),
+            (b"1\n0x48\n18\n", b"1\n0,0\n", "nearest", "{prog}:2: bad instruction word '0x48'"),
+            (b"1\n48\n18", b"1\n0,0\n", "nearest", "{prog}:3: missing final newline"),
+            (b"1\n48\n18\n", b"1\n 1_0 , +2_0\n", "nearest", "{table}:2: bad table entry ' 1_0 , +2_0'"),
+            (b"1\n48\n18\n", b"1\n+0.5,1.0\n", "float_reference", "{table}:2: bad table entry '+0.5,1.0'"),
+        ],
+        ids=["count_header", "program_word", "program_final_newline", "fixed_table", "float_table"],
+    )
+    def test_lenient_text_exit_3_naming_file_and_line(self, tmp_path, capsys, prog_text, table_text, rounding, message):
+        # each of these ran with exit 0 while the readers parsed with int() and float()
+        prog, table, cfg = tmp_path / "p.txt", tmp_path / "t.txt", tmp_path / "q1.cfg"
+        prog.write_bytes(prog_text)  # RY reading entry 0, then H, on qubit 0 of N = 2, Q = 1
+        table.write_bytes(table_text)
+        cfg.write_text("N = 2\nQ = 1\n")
+        rc = main(["run", str(prog), str(table), "--config", str(cfg), "--rounding", rounding])
+        assert (rc, capsys.readouterr()) == (3, ("", f"error: {message.format(prog=prog, table=table)}\n"))
 
     @pytest.mark.parametrize("which", ["program", "table"])
     def test_non_ascii_text_body_names_file_and_line(self, tmp_path, capsys, which):

@@ -20,8 +20,6 @@ from qbemu.engine import (
     FixedState,
     FloatState,
     apply_gate,
-    dense_oracle,
-    dense_unitary,
     dump_state,
     initial_state,
     run,
@@ -38,6 +36,8 @@ from qbemu.gates import (
 from _helpers import (
     OracleAlu,
     couple_pairs,
+    dense_oracle,
+    dense_unitary,
     gates_as_circuit,
     oracle_mul_raw,
     oracle_quantize,

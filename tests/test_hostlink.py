@@ -182,6 +182,11 @@ class TestReadback:
         with pytest.raises(ProtocolError, match=r"^readback line 2: byte 0xff is not ASCII$"):
             decode_readback(b"1\n\xff\n", FixedPointFormat(20), 0)
 
+    def test_lenient_value_names_its_line(self):
+        # int() took the underscore and the surrounding spaces
+        with pytest.raises(ProtocolError, match=r"^readback line 1: bad value '1_0'$"):
+            decode_readback(b"1_0\n +7 \n", FixedPointFormat(20), 0)
+
     def test_word_range_edges_accepted(self):
         fmt = FixedPointFormat(32)
         state = decode_readback(b"2147483647\n-2147483648\n0\n0\n", fmt, 1)

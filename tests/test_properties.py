@@ -1,7 +1,7 @@
 """Property tests: parser robustness, angle-table interning, the rounding core
 and the fixed-point array kernels against oracles, the columnar compile
-against the per-gate loop, and round trips of wire framing, program files
-and readback."""
+against the per-gate loop, round trips of wire framing, program files and
+readback, and the strict grammars of the text readers."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qbemu import engine
@@ -23,6 +23,7 @@ from qbemu.compiler import (
     AngleTable,
     CompiledProgram,
     CompileError,
+    DecodeError,
     Instruction,
     compile_circuit,
     load_program_files,
@@ -36,6 +37,7 @@ from qbemu.hostlink import (
     FramingError,
     HostMessage,
     MessageKind,
+    ProtocolError,
     StreamDecoder,
     decode_readback,
     decode_stream,
@@ -509,3 +511,56 @@ def fixed_states(draw):
 def test_readback_round_trip(state):
     back = decode_readback(encode_readback(state), state.fmt, state.n_qubits)
     assert np.array_equal(back.raw, state.raw)
+
+
+# ---------------------------------------------------------------------------
+# Strict text readers: one lenient edit is refused at the edited line
+# ---------------------------------------------------------------------------
+
+# Each edit is text that int() or float() would take but the file grammars do not.
+LENIENT_EDITS = {
+    "underscore": lambda line: line[:1] + b"_" + line[1:],
+    "leading_plus": lambda line: b"+" + line,
+    "surrounding_space": lambda line: b" " + line + b" ",
+    "lowercase_hex": bytes.lower,
+    "0x_prefix": lambda line: b"0x" + line,
+    "blank_line": lambda line: b"\n" + line,
+    "crlf": lambda line: line + b"\r",
+    "missing_final_newline": None,  # drops the newline that ends the last line
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(reader=st.sampled_from(["program", "table", "readback"]), edit=st.sampled_from(sorted(LENIENT_EDITS)),
+       data=st.data())
+def test_text_readers_refuse_a_lenient_edit_at_its_line(tmp_path_factory, reader, edit, data):
+    if reader == "readback":
+        state = data.draw(fixed_states())
+        text = encode_readback(state)
+    else:
+        config, program = data.draw(programs())
+        where = tmp_path_factory.mktemp("files")
+        write_program_files(program, config, where / "program", where / "table")
+        path = where / reader
+        text = path.read_bytes()
+    lines = text.split(b"\n")[:-1]
+    if edit == "missing_final_newline":
+        assume(len(lines) > 1)  # a file of one count line has no line to end
+        edited, k = text[:-1], len(lines) - 1
+    else:
+        k = data.draw(st.integers(0, len(lines) - 1))
+        lines[k] = LENIENT_EDITS[edit](lines[k])
+        edited = b"".join(line + b"\n" for line in lines)
+    assume(edited != text)  # lowercase leaves a line of decimal digits as it is
+    if reader == "readback":
+        with pytest.raises(ProtocolError) as raised:
+            decode_readback(edited, state.fmt, state.n_qubits)
+        at = f"readback line {k + 1}: "
+    else:
+        path.write_bytes(edited)
+        with pytest.raises(DecodeError) as raised:
+            load_program_files(where / "program", where / "table", config)
+        at = f"{path}: bad count header " if k == 0 else f"{path}:{k + 1}: "
+    assert str(raised.value).startswith(at)
+    if edit == "missing_final_newline":
+        assert str(raised.value) == at + "missing final newline"

@@ -7,12 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from qbemu.engine import dense_oracle, dense_unitary
 from qbemu.gates import GateApplication, GateKind
 from qbemu import qasm
 from qbemu.qasm import MAX_EXPR_DEPTH, MAX_GATE_DEPTH, MAX_NATIVE_GATES, MAX_REGISTER_SIZE, QasmError, parse
 
-from _helpers import max_dev_up_to_global_phase
+from _helpers import dense_oracle, dense_unitary, max_dev_up_to_global_phase
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
@@ -359,6 +358,7 @@ class TestErrorPositions:
             HEADER + "qreg q[1];\nh q[0] // trailing, no newline",
             "f.qasm:4:31: expected ;",
         ),
+        "non_ascii_digit": (HEADER + "qreg q[\u0663];\n", "f.qasm:3:8: unexpected character '\u0663'"),
         "unterminated_string": (
             'OPENQASM 2.0;\ninclude "qelib1.inc;\nqreg q[1];\n',
             "f.qasm:2:9: unexpected character '\"'",
