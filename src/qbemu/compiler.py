@@ -330,12 +330,12 @@ def write_program_files(
 
 
 def _read_count_line(data: bytes, path) -> tuple[int, bytes]:
-    newline = data.find(b"\n")
-    if newline < 0:
-        raise DecodeError(f"{path}: missing count header line")
-    if bad_line(data[: newline + 1], b"0|[1-9][0-9]*", "count header"):
-        raise DecodeError(f"{path}: bad count header {data[:newline]!r}")
-    return int(data[:newline]), data[newline + 1 :]
+    """The count on the first line of ``data``, read by :func:`bad_line`, and the body after it."""
+    head, newline, body = data.partition(b"\n")
+    bad = bad_line(head + newline, b"0|[1-9][0-9]*", "count header") if data else (0, "missing count header line")
+    if bad:
+        raise DecodeError(f"{path}:1: {bad[1]}")
+    return int(head), body
 
 
 def load_program_files(

@@ -384,6 +384,15 @@ def _apply_fixed(state: FixedState, kind: GateKind, target: int, control: int | 
     state.overflow = state.overflow or alu.overflow
 
 
+def _table_error(state: State, table: AngleTable) -> str | None:
+    """Why ``state``'s backend cannot read ``table``'s entries as stored; None if it can."""
+    if isinstance(state, FloatState):
+        return None if table.fmt is None else "float backend requires a float-reference angle table"
+    if table.fmt is None:
+        return "fixed backend requires a fixed-point angle table"
+    return None if table.fmt == state.fmt else "angle table format does not match state format"
+
+
 def apply_gate(state: State, instr: Instruction, table: AngleTable | None = None) -> State:
     """Apply one decoded instruction in place and return the state."""
     if instr.opcode in ROTATIONAL and table is None:
@@ -394,13 +403,9 @@ def apply_gate(state: State, instr: Instruction, table: AngleTable | None = None
     control = None if instr.control == instr.target else instr.control
     sincos = None
     if instr.opcode in ROTATIONAL:
-        if isinstance(state, FloatState):
-            if table.fmt is not None:
-                raise EngineError("float backend requires a float-reference angle table")
-        elif table.fmt is None:
-            raise EngineError("fixed backend requires a fixed-point angle table")
-        elif table.fmt != state.fmt:
-            raise EngineError("angle table format does not match state format")
+        error = _table_error(state, table)
+        if error:
+            raise EngineError(error)
         sincos = table.entries[instr.imm]
     apply = _apply_float if isinstance(state, FloatState) else _apply_fixed
     apply(state, instr.opcode, instr.target, control, sincos)
@@ -433,13 +438,10 @@ def run(program: CompiledProgram, config: ExecConfig, initial: State | None = No
         if isinstance(initial, FixedState) and initial.fmt != config.fixed_format:
             raise EngineError("initial state format does not match configuration")
         state = initial.copy()
-    table = program.table
-    if len(table):
-        if config.is_float_reference and table.fmt is not None:
-            raise EngineError("float backend requires a float-reference angle table")
-        if not config.is_float_reference and table.fmt != config.fixed_format:
-            raise EngineError("program table was compiled for a different number format")
-    ins = program.instructions
+    table, ins = program.table, program.instructions
+    error = _table_error(state, table) if len(table) else None  # an empty table is read by no gate
+    if error:
+        raise EngineError(error)
     error = first_field_error(ins, n, len(table))
     if error:
         raise EngineError(error[1])

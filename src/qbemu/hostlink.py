@@ -13,16 +13,19 @@ symbol and a ``#`` terminator:
 After ``!`` the board streams the final state back, one raw signed decimal
 integer per line, real then imaginary part per amplitude, index ascending.
 
-The decoder is incremental: bytes may arrive split at arbitrary boundaries
-and partial frames are held until completed, so any chunking of a stream
-yields the same message sequence.  It returns columns (kind, value and the
-byte offset of each frame) with :class:`HostMessage` rows built on demand:
-one regex match takes every run of well-formed frames, and only a partial
-or malformed frame is walked byte by byte, so an error names the first
-offending byte.  A session's angle values and instruction words are framed
-from their columns in one array pass.  :class:`VirtualBoard` binds the
-decoder to the fixed-point engine so a full session can run loopback with
-no hardware attached.
+The decoder is incremental: bytes may arrive split at arbitrary boundaries,
+so any chunking of a stream yields the same message sequence.  It returns
+columns (kind, value and the byte offset of each frame) with
+:class:`HostMessage` rows built on demand.  Each feed reads the bytes of
+the frame the last feed ended inside again, ahead of the new ones: one
+regex match takes the run of complete frames, and what follows must be one
+frame cut short, which is held for the next feed; anything else is an error
+naming its first offending byte.  A payload has at most
+:data:`MAX_PAYLOAD_DIGITS` hex digits, so a value is a Python int of that
+many digits at most and the held bytes stay bounded.  A session's angle
+values and instruction words are framed from their columns in one array
+pass.  :class:`VirtualBoard` binds the decoder to the fixed-point engine so
+a full session can run loopback with no hardware attached.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from enum import Enum
 import numpy as np
 
 from .columns import Columns
-from .compiler import _HEX_CHARS, _INTEGER, AngleTable, CompiledProgram, bad_line, decode_words, encode_words, word_error
+from .compiler import _HEX_CHARS, _INTEGER, AngleTable, CompiledProgram, bad_line, decode_words, encode_words
+from .compiler import field_error, word_error
 from .config import ExecConfig
 from .engine import FixedState, run
 from .fixedpoint import FixedPointFormat, range_error
@@ -61,13 +65,13 @@ class MessageKind(Enum):
 
 
 _KINDS = tuple(MessageKind)
-_START_BYTES = {ord(kind.value): code for code, kind in enumerate(_KINDS)}  # "!" included
 _KIND_OF_BYTE = np.full(256, -1, dtype=np.int64)  # -1 for a byte that starts no frame
-_KIND_OF_BYTE[list(_START_BYTES)] = list(_START_BYTES.values())
+_KIND_OF_BYTE[[ord(kind.value) for kind in _KINDS]] = np.arange(len(_KINDS))
 
-_HEX_DIGITS = frozenset(b"0123456789ABCDEF")
-_HEX_RUN = re.compile(rb"[0-9A-F]+")
-_FRAME_RUN = re.compile(rb"(?:[?*>][0-9A-F]+#|<[0-9A-F]+-?#|!)*")  # well-formed frames only
+MAX_PAYLOAD_DIGITS = 64  # bounds a value and the bytes held between feeds
+_FRAME_RUN = re.compile(rb"(?:[?*>][0-9A-F]{1,%(m)d}#|<[0-9A-F]{1,%(m)d}-?#|!)*" % {b"m": MAX_PAYLOAD_DIGITS})
+# A frame cut short (or nothing); the signed form first, so a match is the longest
+_PARTIAL = re.compile(rb"(?:[?*>][0-9A-F]{0,%(m)d}|<(?:[0-9A-F]{1,%(m)d}-|[0-9A-F]{0,%(m)d}))?" % {b"m": MAX_PAYLOAD_DIGITS})
 _FRAME = re.compile(rb"[?*<>]([0-9A-F]+)(-?)#|!")
 _TERMINATOR, _SIGN = b"#-"
 
@@ -82,14 +86,11 @@ class HostMessage:
             raise ValueError("end-of-emulation carries no payload")
         if self.value < 0 and self.kind is not MessageKind.ANGLE_VALUE:
             raise ValueError(f"{self.kind.name} payload must be non-negative")
+        if abs(self.value) >> 4 * MAX_PAYLOAD_DIGITS:
+            raise ValueError(f"payload exceeds {MAX_PAYLOAD_DIGITS} hex digits")
 
 
-def _frame(start: str, value: int) -> str:
-    """One framed value: start symbol, hex magnitude, ``-`` if negative, ``#``."""
-    return f"{start}{-value:X}-#" if value < 0 else f"{start}{value:X}#"
-
-
-# Columns of decoded messages: a value is a Python int, as wide as its digits.
+# Columns of decoded messages: a value is a Python int of at most MAX_PAYLOAD_DIGITS hex digits.
 MESSAGE_FIELDS = {"kind": np.int64, "value": object, "offset": np.int64}
 
 
@@ -98,7 +99,7 @@ def _message_row(kind: int, value: int, offset: int) -> HostMessage:
 
 
 def _frames(start: str, values: np.ndarray) -> bytes:
-    """``_frame(start, v)`` for every int64 value, as one array pass: one row
+    """:func:`encode_message` of every int64 value, as one array pass: one row
     of characters per value (start symbol, hex digits, ``-``, ``#``) from
     which the leading zero digits, and the ``-`` of a value that is not
     negative, are masked out."""
@@ -119,10 +120,10 @@ def _frames(start: str, values: np.ndarray) -> bytes:
 
 
 def encode_message(msg: HostMessage) -> bytes:
-    """Frame one message as ASCII bytes."""
+    """One message as ASCII bytes: start symbol, hex magnitude, ``-`` if negative, ``#``."""
     if msg.kind is MessageKind.END_OF_EMULATION:
         return b"!"
-    return _frame(msg.kind.value, msg.value).encode("ascii")
+    return f"{msg.kind.value}{abs(msg.value):X}{'-' if msg.value < 0 else ''}#".encode("ascii")
 
 
 class StreamDecoder:
@@ -133,77 +134,59 @@ class StreamDecoder:
     """
 
     def __init__(self) -> None:
-        self._offset = 0
-        self._kind: int | None = None  # kind code of the partial frame
-        self._start = 0  # stream offset of the partial frame
-        self._digits = bytearray()
-        self._negative = False
+        self._held = b""  # the frame the last feed ended inside
+        self._offset = 0  # stream offset just past the bytes fed
 
     @property
     def pending(self) -> bool:
         """True while a partially received frame is buffered."""
-        return self._kind is not None
+        return bool(self._held)
 
     def feed(self, data: bytes) -> Columns:
         """Consume bytes, returning (as columns) every message completed by them.
 
-        Outside a frame, one regex match takes the run of complete frames
-        ahead.  Inside one, a run of payload digits is taken in one step and
-        every other byte is examined on its own, so errors name the first
-        offending byte.
+        The held bytes are read again ahead of ``data``: one regex match takes
+        the run of complete frames, and what follows is held if it is one
+        frame cut short.  Anything else raises the :class:`FramingError` of
+        its first offending byte, and the decoder is left as it was.
         """
-        kinds, values, offsets = [], [], []
-        base = self._offset
-        i, end = 0, len(data)
-        while i < end:
-            byte = data[i]
-            if self._kind is None:
-                stop = _FRAME_RUN.match(data, i).end()
-                if stop > i:
-                    codes = _KIND_OF_BYTE[np.frombuffer(data, dtype=np.uint8, count=stop - i, offset=i)]
-                    starts = np.flatnonzero(codes >= 0)
-                    kinds += codes[starts].tolist()
-                    offsets += (starts + base + i).tolist()
-                    frames = _FRAME.findall(data, i, stop)  # (digits, sign); both empty for "!"
-                    values += [(-int(d, 16) if s else int(d, 16)) if d else 0 for d, s in frames]
-                    i = stop
-                    continue
-                if byte not in _START_BYTES:
-                    raise self._error(f"unknown start symbol {chr(byte)!r}", base + i)
-                self._kind, self._start = _START_BYTES[byte], base + i
-                self._digits.clear()
-                self._negative = False
-            elif byte in _HEX_DIGITS:
-                if self._negative:
-                    raise self._error("digit after sign flag", base + i)
-                run_end = _HEX_RUN.match(data, i).end()
-                self._digits += data[i:run_end]
-                i = run_end
-                continue
-            elif byte == _TERMINATOR:
-                if not self._digits:
-                    raise self._error("frame has no payload digits", base + i)
-                value = int(self._digits, 16)
-                kinds.append(self._kind)
-                values.append(-value if self._negative else value)
-                offsets.append(self._start)
-                self._kind = None
-            elif byte == _SIGN:
-                if _KINDS[self._kind] is not MessageKind.ANGLE_VALUE:
-                    raise self._error("sign flag is only valid in a value frame", base + i)
-                if self._negative or not self._digits:
-                    raise self._error("misplaced sign flag", base + i)
-                self._negative = True
-            else:
-                raise self._error(f"non-hex digit {chr(byte)!r} in frame", base + i)
-            i += 1
-        self._offset = base + end
-        return Columns.of(_message_row, MESSAGE_FIELDS, (kinds, values, offsets))
+        data, base = self._held + data, self._offset - len(self._held)
+        stop = _FRAME_RUN.match(data).end()
+        if not _PARTIAL.fullmatch(data, stop):
+            raise _malformed(data, stop, base)
+        self._held, self._offset = data[stop:], base + len(data)
+        if not stop:
+            return _NO_MESSAGES
+        codes = _KIND_OF_BYTE[np.frombuffer(data, dtype=np.uint8, count=stop)]
+        starts = (codes >= 0).nonzero()[0]
+        frames = _FRAME.findall(data, 0, stop)  # (digits, sign); both empty for "!"
+        values = np.array([(-int(d, 16) if s else int(d, 16)) if d else 0 for d, s in frames], dtype=object)
+        return Columns(_message_row, kind=codes[starts], value=values, offset=starts + base)
 
-    def _error(self, message: str, pos: int) -> FramingError:
-        """The error at byte ``pos``; the stream offset stops just past that byte."""
-        self._offset = pos + 1
-        return FramingError(message, pos)
+
+_NO_MESSAGES = Columns.of(_message_row, MESSAGE_FIELDS, ())
+
+
+def _malformed(data: bytes, i: int, base: int) -> FramingError:
+    """The error of the frame at ``data[i]`` (stream offset ``base + i``),
+    which neither completes nor is cut short: it names the first byte past
+    the frame's longest cut-short prefix."""
+    j = _PARTIAL.match(data, i).end()
+    byte = data[j]
+    if j == i:
+        message = f"unknown start symbol {chr(byte)!r}"
+    elif byte == _SIGN:
+        value_frame = chr(data[i]) == MessageKind.ANGLE_VALUE.value
+        message = "misplaced sign flag" if value_frame else "sign flag is only valid in a value frame"
+    elif byte == _TERMINATOR:  # a terminator after any digit would have completed the frame
+        message = "frame has no payload digits"
+    elif byte not in _HEX_CHARS:
+        message = f"non-hex digit {chr(byte)!r} in frame"
+    elif data[j - 1] == _SIGN:
+        message = "digit after sign flag"
+    else:
+        message = f"frame payload exceeds {MAX_PAYLOAD_DIGITS} digits"
+    return FramingError(message, base + j)
 
 
 def decode_stream(data: bytes) -> Columns:
@@ -320,6 +303,9 @@ class VirtualBoard:
             if len(self._angle_values) != 2 * self._angle_count:
                 raise ProtocolError("instruction before the angle table completed")
             error = word_error(value, self.config)
+            if not error:  # fields checked against the announced counts, as they arrive
+                ins = decode_words(np.array([value]), self.config)[0]
+                error = field_error(ins.opcode, ins.target, ins.control, ins.imm, self._used_qubits, self._angle_count)
             if error:
                 raise ProtocolError(f"byte {offset}: {error}")
             self._words.append(value)

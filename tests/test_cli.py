@@ -575,18 +575,24 @@ class TestMalformedInputs:
         prog.write_text("-1\n" + prog.read_text().split("\n", 1)[1])
         capsys.readouterr()
         rc = main([verb, str(prog), str(table), "--config", str(config_file), "--out", str(tmp_path / "o")])
-        assert (rc, capsys.readouterr().err) == (3, f"error: {prog}: bad count header b'-1'\n")
+        assert (rc, capsys.readouterr().err) == (3, f"error: {prog}:1: bad count header '-1'\n")
 
     @pytest.mark.parametrize(
         "prog_text, table_text, rounding, message",
         [
-            (b"0_1\n0x80_0\n", b"0_1\n 1_0 , +2_0\n", "nearest", "{prog}: bad count header b'0_1'"),
+            (b"0_1\n0x80_0\n", b"0_1\n 1_0 , +2_0\n", "nearest", "{prog}:1: bad count header '0_1'"),
+            (b"0", b"0\n", "nearest", "{prog}:1: missing final newline"),
+            (b"", b"0\n", "nearest", "{prog}:1: missing count header line"),
+            (b"0\n", b"", "nearest", "{table}:1: missing count header line"),
             (b"1\n0x48\n18\n", b"1\n0,0\n", "nearest", "{prog}:2: bad instruction word '0x48'"),
             (b"1\n48\n18", b"1\n0,0\n", "nearest", "{prog}:3: missing final newline"),
             (b"1\n48\n18\n", b"1\n 1_0 , +2_0\n", "nearest", "{table}:2: bad table entry ' 1_0 , +2_0'"),
             (b"1\n48\n18\n", b"1\n+0.5,1.0\n", "float_reference", "{table}:2: bad table entry '+0.5,1.0'"),
         ],
-        ids=["count_header", "program_word", "program_final_newline", "fixed_table", "float_table"],
+        ids=[
+            "count_header", "count_final_newline", "empty_program", "empty_table",
+            "program_word", "program_final_newline", "fixed_table", "float_table",
+        ],
     )
     def test_lenient_text_exit_3_naming_file_and_line(self, tmp_path, capsys, prog_text, table_text, rounding, message):
         # each of these ran with exit 0 while the readers parsed with int() and float()

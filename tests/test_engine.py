@@ -392,16 +392,20 @@ class TestApplyGateFixed:
         [
             ("float_reference", FixedPointFormat(20), "float backend requires a float-reference angle table"),
             ("nearest", None, "fixed backend requires a fixed-point angle table"),
+            ("nearest", FixedPointFormat(12), "angle table format does not match state format"),
         ],
-        ids=["float_state", "fixed_state"],
+        ids=["float_state", "fixed_state", "other_format"],
     )
     def test_table_of_the_other_backend_refused(self, rounding, fmt, message):
-        # the kernels read table entries as stored, so a table must match its state's backend
-        state = initial_state(1, ExecConfig(n_qubits=1, rounding=rounding))
+        # the kernels read table entries as stored, so a table must match its state's backend;
+        # apply_gate and run share one check and one set of messages
+        config = ExecConfig(n_qubits=1, rounding=rounding)
         table = AngleTable(fmt)
         table.intern(0.5)
-        with pytest.raises(EngineError, match=message):
-            apply_gate(state, Instruction(GateKind.RY, 0, 0, 0), table)
+        with pytest.raises(EngineError, match=f"^{message}$"):
+            apply_gate(initial_state(1, config), Instruction(GateKind.RY, 0, 0, 0), table)
+        with pytest.raises(EngineError, match=f"^{message}$"):
+            run(CompiledProgram([Instruction(GateKind.RY, 0, 0, 0)], table, 1), config)
 
     def test_rotational_imm_out_of_range(self):
         config = ExecConfig(n_qubits=1)

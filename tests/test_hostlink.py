@@ -15,6 +15,7 @@ from qbemu.hostlink import (
     HostMessage,
     MessageKind,
     ProtocolError,
+    MAX_PAYLOAD_DIGITS,
     StreamDecoder,
     VirtualBoard,
     decode_readback,
@@ -83,8 +84,30 @@ class TestFraming:
         decoder = StreamDecoder()
         assert decoder.feed(b"*") == []
         assert decoder.pending
-        assert decoder.feed(b"3#") == [HostMessage(MessageKind.QUBIT_COUNT, 3)]
+        assert decoder.feed(b"3") == [] and decoder.pending  # extends the held frame only
+        assert decoder.feed(b"#") == [HostMessage(MessageKind.QUBIT_COUNT, 3)]
         assert not decoder.pending
+
+    def test_payload_of_64_digits_decodes(self):
+        widest = 16**MAX_PAYLOAD_DIGITS - 1
+        messages = [HostMessage(MessageKind.INSTRUCTION, widest), HostMessage(MessageKind.ANGLE_VALUE, -widest)]
+        assert decode_stream(b"".join(encode_message(m) for m in messages)) == messages
+
+    @pytest.mark.parametrize("value", [16**MAX_PAYLOAD_DIGITS, -(16**MAX_PAYLOAD_DIGITS)])
+    def test_message_wider_than_the_decoder_refused(self, value):
+        # whatever encode_message frames, the decoder reads back
+        with pytest.raises(ValueError, match="payload exceeds 64 hex digits"):
+            HostMessage(MessageKind.ANGLE_VALUE, value)
+
+    @pytest.mark.parametrize("digits", [65, 1 << 20])
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 21], ids=["1", "7", "whole"])
+    def test_payload_over_64_digits_refused_at_its_65th_digit(self, digits, chunk):
+        # the held bytes stay bounded: the error comes at byte 65, never at the terminator
+        stream = b"<" + b"F" * digits + b"#"
+        decoder = StreamDecoder()
+        with pytest.raises(FramingError, match="^byte 65: frame payload exceeds 64 digits$"):
+            for k in range(0, len(stream), chunk):
+                decoder.feed(stream[k : k + chunk])
 
     def test_chunking_invariance(self):
         rng = np.random.default_rng(1)
@@ -302,6 +325,27 @@ class TestSession:
         with pytest.raises(ProtocolError, match=f"^byte 9: {message}$"):
             for k in range(0, len(stream), chunk):
                 board.feed(stream[k : k + chunk])
+
+    @pytest.mark.parametrize(
+        "counts, ins, message",
+        [
+            (b"?0#*2#", Instruction(GateKind.X, 3, 3), "byte 6: target 3 out of range for 2 qubits"),
+            (b"?0#*2#", Instruction(GateKind.X, 0, 2), "byte 6: control 2 out of range for 2 qubits"),
+            (
+                b"?1#*1#<0#<1#",
+                Instruction(GateKind.RY, 0, 0, 3),
+                "byte 12: immediate 3 out of range for angle table of length 1",
+            ),
+        ],
+        ids=["target", "control", "immediate"],
+    )
+    def test_board_checks_word_fields_against_announced_counts(self, counts, ins, message):
+        # on arrival, before the end marker, like a bad word
+        config = ExecConfig()
+        word = encode_words([ins], config).item(0)
+        board = VirtualBoard(config)
+        with pytest.raises(ProtocolError, match=f"^{message}$"):
+            board.feed(counts + f">{word:X}#".encode())
 
     def test_board_runs_angle_values_at_word_edges(self):
         # RY with sine max_raw and cosine min_raw on |0>: a' = min_raw, b' = max_raw
