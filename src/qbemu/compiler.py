@@ -227,8 +227,9 @@ _HEX_VALUES = np.zeros(256, dtype=np.uint64)
 _HEX_VALUES[_HEX_CHARS] = np.arange(16, dtype=np.uint64)
 
 # Line grammars of the text bodies: a decimal integer (no sign on zero, no
-# leading zeros), and a float as ``repr`` writes it, or ``0``.
-_INTEGER = b"0|-?[1-9][0-9]*"
+# leading zeros, at most 19 digits: every legal value fits an int64), and a
+# float as ``repr`` writes it, or ``0``.
+_INTEGER = b"0|-?[1-9][0-9]{0,18}"
 _FLOAT = rb"-?(?:(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:e[+-][0-9]+)?|inf|nan)"
 
 
@@ -332,7 +333,7 @@ def write_program_files(
 def _read_count_line(data: bytes, path) -> tuple[int, bytes]:
     """The count on the first line of ``data``, read by :func:`bad_line`, and the body after it."""
     head, newline, body = data.partition(b"\n")
-    bad = bad_line(head + newline, b"0|[1-9][0-9]*", "count header") if data else (0, "missing count header line")
+    bad = bad_line(head + newline, b"0|[1-9][0-9]{0,18}", "count header") if data else (0, "missing count header line")
     if bad:
         raise DecodeError(f"{path}:1: {bad[1]}")
     return int(head), body

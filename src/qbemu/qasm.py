@@ -64,22 +64,44 @@ class SourceCircuit:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
+# Lexical grammar, shared by the tokenizer and the call pattern below.  A
+# comment runs to the end of its line: the lookahead keeps a pattern that
+# backtracks from reading part of one as code.
+_SKIP = r"(?:[ \t\r\n]|//[^\n]*(?![^\n]))"
+_ID = r"[A-Za-z_][A-Za-z0-9_]*"
+_REAL = r"(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_INT = r"[0-9]+"
+
 # Whitespace and comments are one skipped alternative with no named group; it
 # comes before the punctuation so that ``//`` never reads as two slashes.  The
 # final catch-all makes every character part of some match.  Apart from those
 # two, no alternatives share a first character (``real`` before ``int``), so
 # their order only sets speed: the most frequent tokens come first.
 _TOKEN_RE = re.compile(
-    r"""
-    (?:[ \t\r\n]+|//[^\n]*)+
-  | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>->|==|[;,(){}\[\]+\-*/^])
-  | (?P<real>([0-9]+\.[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?)
-  | (?P<int>[0-9]+)
+    rf"""
+    {_SKIP}+
+  | (?P<id>{_ID})
+  | (?P<punct>->|==|[;,(){{}}\[\]+\-*/^])
+  | (?P<real>{_REAL})
+  | (?P<int>{_INT})
   | (?P<string>"[^"\n]*")
   | (?P<bad>.)
     """,
     re.VERBOSE | re.DOTALL,
+)
+
+# The commonest statement in one match, after the whitespace and comments
+# before it: a gate name, optionally number literals (each maybe negated) in
+# parentheses, one or two ``reg[i]`` of at most five index digits, and ``;``,
+# with no comment inside.  What may follow each part cannot continue it, so a
+# part only matches as the whole token the tokenizer reads there.
+_S = r"[ \t\r\n]*"  # never two in a row: a failing match backtracks through whitespace once
+_NUMBER = rf"{_S}-?(?:{_REAL}|{_INT}){_S}"
+_CALL_RE = re.compile(
+    rf"{_SKIP}*(?P<name>{_ID})(?=[( \t\r\n]){_S}"
+    rf"(?:\((?P<angles>{_NUMBER}(?:,{_NUMBER})*)\){_S})?"
+    rf"(?P<reg1>{_ID}){_S}\[{_S}(?P<idx1>[0-9]{{1,5}}){_S}\]{_S}"
+    rf"(?:,{_S}(?P<reg2>{_ID}){_S}\[{_S}(?P<idx2>[0-9]{{1,5}}){_S}\]{_S})?;"
 )
 
 
@@ -88,14 +110,13 @@ def _line_col(text: str, pos: int) -> tuple[int, int]:
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
-def _tokenize(text: str, filename: str) -> list[tuple[str, str, int]]:
-    """``(kind, text, offset)`` per token, ending with an ``eof`` token.
+def _tokens(text: str, filename: str, start: int = 0):
+    """``(kind, text, offset)`` per token from offset ``start`` on, ending with
+    an ``eof`` token; each is read when asked for.
 
     Punctuation tokens use their own text as the kind.
     """
-    tokens = []
-    append = tokens.append
-    for m in _TOKEN_RE.finditer(text):
+    for m in _TOKEN_RE.finditer(text, start):
         kind = m.lastgroup
         if kind is None:
             continue
@@ -104,9 +125,8 @@ def _tokenize(text: str, filename: str) -> list[tuple[str, str, int]]:
             kind = tok
         elif kind == "bad":
             raise QasmError(f"unexpected character {tok!r}", filename, *_line_col(text, m.start()))
-        append((kind, tok, m.start()))
-    append(("eof", "", len(text)))
-    return tokens
+        yield kind, tok, m.start()
+    yield "eof", "", len(text)
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +262,16 @@ _UNARY_FUNCS = {
 }
 
 
+# The first names of statements other than gate calls.
+_KEYWORDS = frozenset(("include", "qreg", "creg", "gate", "opaque", "if", "reset", "measure", "barrier"))
+
+
 class _Parser:
     def __init__(self, text: str, filename: str):
         self.text = text
         self.filename = filename
-        self.tokens = _tokenize(text, filename)
-        self.pos = 0
+        self.stream = _tokens(text, filename)  # the tokens being read, and the next of them
+        self.tok = next(self.stream)
         self.qregs: dict[str, tuple[int, int]] = {}  # name -> (base, size)
         self.cregs: dict[str, int] = {}
         self.params: dict[str, int] = {}  # angle parameter -> slot, inside a gate definition
@@ -259,50 +283,72 @@ class _Parser:
 
     # -- token helpers ----------------------------------------------------
 
-    def _peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
     def _at(self, kind: str) -> bool:
-        return self.tokens[self.pos][0] == kind
+        return self.tok[0] == kind
 
     def _next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
+        tok = self.tok
         if tok[0] != "eof":
-            self.pos += 1
+            self.tok = next(self.stream)
         return tok
 
     def _accept(self, kind: str) -> bool:
         """Consume the next token if it is of ``kind``."""
-        if self.tokens[self.pos][0] == kind:
-            self.pos += 1
+        if self.tok[0] == kind:
+            self.tok = next(self.stream)
             return True
         return False
 
     def _error(self, message: str, pos: int | None = None):
         """Raise at source offset ``pos``, by default the next token's."""
         if pos is None:
-            pos = self.tokens[self.pos][2]
+            pos = self.tok[2]
         raise QasmError(message, self.filename, *_line_col(self.text, pos))
 
     def _expect(self, kind: str, what: str | None = None) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
+        tok = self.tok
         if tok[0] != kind:
             text = tok[1]
             self._error(f"expected {what or kind}, found {text!r}" if text else f"expected {what or kind}", tok[2])
-        self.pos += 1
+        self.tok = next(self.stream)
         return tok
 
     # -- top level ---------------------------------------------------------
 
     def parse(self) -> SourceCircuit:
-        self._parse_header()
-        while not self._at("eof"):
-            self._parse_statement()
+        """Read the text statement by statement: each one the call pattern
+        matches from its offset, or else from the tokens from there on."""
+        start = 0  # offset of the statement being read
+        try:
+            self._parse_header()
+            start = self.tok[2]
+            while True:
+                m = _CALL_RE.match(self.text, start)
+                if m and m[1] not in _KEYWORDS:
+                    name, angles, reg1, idx1, reg2, idx2 = m.groups()
+                    args = [(reg1, int(idx1), m.start(3))]
+                    if reg2:
+                        args.append((reg2, int(idx2), m.start(5)))
+                    angles = [("num", float(a)) for a in angles.split(",")] if angles else ()
+                    self._apply_gate(name, m.start(1), angles, args)
+                    start = m.end()
+                    continue
+                self.stream = _tokens(self.text, self.filename, start)
+                self.tok = next(self.stream)
+                if self._at("eof"):
+                    break
+                self._parse_statement()
+                start = self.tok[2]
+        except QasmError:
+            # a bad character anywhere in the text is reported ahead of any other error
+            for _ in _tokens(self.text, self.filename, start):
+                pass
+            raise
         c = self.circuit
         return SourceCircuit(self.qubit_count, gate_columns((c.opcodes, c.targets, c.controls, c.angles)))
 
     def _parse_header(self) -> None:
-        kind, text, _ = self._peek()
+        kind, text, _ = self.tok
         if kind != "id" or text != "OPENQASM":
             self._error("expected 'OPENQASM 2.0;' header")
         self._next()
@@ -312,7 +358,7 @@ class _Parser:
         self._expect(";")
 
     def _parse_statement(self) -> None:
-        kind, name, _ = self._peek()
+        kind, name, _ = self.tok
         if kind != "id":
             self._error(f"expected a statement, found {name!r}")
         if name == "include":
@@ -387,12 +433,12 @@ class _Parser:
         t = _Template(len(params), len(qargs), depth=1)
         self.params = {p: k for k, p in enumerate(params, start=1)}
         while not self._at("}"):
-            kind, op_name, op_pos = self._peek()
+            kind, op_name, op_pos = self.tok
             if kind != "id":
                 self._error("expected a gate name in gate body")
             if op_name == "barrier":
                 self._next()
-                while self._peek()[0] not in (";", "eof"):
+                while self.tok[0] not in (";", "eof"):
                     self._next()
                 self._expect(";")
                 continue
@@ -405,7 +451,7 @@ class _Parser:
             t.depth = max(t.depth, sub.depth + 1)
             if t.depth > MAX_GATE_DEPTH:
                 self._error(f"gate {name!r} nests gate definitions deeper than {MAX_GATE_DEPTH} levels", op_pos)
-            angle_exprs = self._parse_angle_args()
+            angle_exprs = list(self._parse_angle_args())
             op_qargs = self._parse_ids("qubit argument")
             self._expect(";")
             for q in op_qargs:
@@ -425,16 +471,14 @@ class _Parser:
         self.params = {}
         self.templates[name] = t
 
-    def _parse_angle_args(self, value=lambda node: node) -> list:
-        """Parenthesized angle arguments, if any, each passed through ``value`` once parsed."""
-        args = []
+    def _parse_angle_args(self):
+        """Parenthesized angle arguments, if any; each is parsed when asked for."""
         if self._accept("("):
             if not self._at(")"):
-                args.append(value(self._parse_expr()))
+                yield self._parse_expr()
                 while self._accept(","):
-                    args.append(value(self._parse_expr()))
+                    yield self._parse_expr()
             self._expect(")")
-        return args
 
     def _check_arity(self, name: str, n_angles: int, n_qubits: int, pos: int) -> _Template:
         """The template of gate ``name``, if a call with these argument counts fits it."""
@@ -453,14 +497,14 @@ class _Parser:
     def _parse_expr(self):
         first = self._parse_term()
         rest = []
-        while self._peek()[0] in ("+", "-"):
+        while self.tok[0] in ("+", "-"):
             rest.append((self._next()[0], self._parse_term()))
         return ("chain", first, tuple(rest)) if rest else first
 
     def _parse_term(self):
         first = self._parse_factor()
         rest = []
-        while self._peek()[0] in ("*", "/"):
+        while self.tok[0] in ("*", "/"):
             rest.append((self._next()[0], self._parse_factor()))
         return ("chain", first, tuple(rest)) if rest else first
 
@@ -476,7 +520,7 @@ class _Parser:
         return node
 
     def _parse_atom(self):
-        kind, text, pos = self._peek()
+        kind, text, pos = self.tok
         if kind == "-":
             self._next()
             return ("neg", self._parse_factor())
@@ -536,6 +580,14 @@ class _Parser:
 
     # -- arguments and broadcast --------------------------------------------
 
+    def _parse_arguments(self):
+        """The comma-separated arguments of a statement, then its ``;``; each
+        is parsed when asked for."""
+        yield self._parse_argument()
+        while self._accept(","):
+            yield self._parse_argument()
+        self._expect(";")
+
     def _parse_argument(self) -> tuple[str, int | None, int]:
         _, name, pos = self._expect("id", "register reference")
         idx = None
@@ -557,17 +609,17 @@ class _Parser:
             self._error(f"qubit index {name}[{idx}] out of range (size {size})", pos)
         return [base + idx]
 
-    def _broadcast(self, operands: list[list[int]], pos: int) -> list[list[int]]:
-        lengths = {len(ops) for ops in operands if len(ops) > 1}
-        if len(lengths) > 1:
-            self._error("mismatched register sizes in broadcast", pos)
-        n = lengths.pop() if lengths else 1
-        rows = []
-        for k in range(n):
-            row = [ops[k] if len(ops) > 1 else ops[0] for ops in operands]
+    def _broadcast(self, operands: list[list[int]], pos: int) -> list[tuple[int, ...]]:
+        """The qubit rows of a call: a whole-register argument gives one qubit to each row."""
+        n = max(map(len, operands))
+        if n > 1:
+            if any(len(ops) not in (1, n) for ops in operands):
+                self._error("mismatched register sizes in broadcast", pos)
+            operands = [ops * n if len(ops) == 1 else ops for ops in operands]
+        rows = list(zip(*operands))
+        for row in rows:
             if len(set(row)) != len(row):
                 self._error("duplicate qubit in gate arguments", pos)
-            rows.append(row)
         return rows
 
     # -- statements that emit or drop gates -----------------------------------
@@ -591,10 +643,8 @@ class _Parser:
 
     def _parse_barrier(self) -> None:
         self._next()
-        self._resolve_qubit_arg(*self._parse_argument())
-        while self._accept(","):
-            self._resolve_qubit_arg(*self._parse_argument())
-        self._expect(";")
+        for arg in self._parse_arguments():
+            self._resolve_qubit_arg(*arg)
 
     def _lower(self, count: int, pos: int) -> None:
         """Count ``count`` more native gates and angle expressions against the budget."""
@@ -604,13 +654,16 @@ class _Parser:
 
     def _parse_gate_application(self) -> None:
         _, name, name_pos = self._next()
+        self._apply_gate(name, name_pos, self._parse_angle_args(), self._parse_arguments())
+
+    def _apply_gate(self, name: str, name_pos: int, angles, args) -> None:
+        """Lower a call of gate ``name`` on ``angles`` (expressions) and ``args``
+        (``(register, index, pos)``), read by the call pattern or from tokens;
+        each is evaluated or resolved before the next is taken."""
         if name not in self.templates:
             self._error(f"unknown gate {name!r}", name_pos)
-        slots = [0.0, *self._parse_angle_args(lambda node: self._eval_angle(node, [], name_pos))]
-        operands = [self._resolve_qubit_arg(*self._parse_argument())]
-        while self._accept(","):
-            operands.append(self._resolve_qubit_arg(*self._parse_argument()))
-        self._expect(";")
+        slots = [0.0, *[self._eval_angle(node, [], name_pos) for node in angles]]
+        operands = [self._resolve_qubit_arg(*arg) for arg in args]
         t = self._check_arity(name, len(slots) - 1, len(operands), name_pos)
         rows = self._broadcast(operands, name_pos)
         self._lower(len(t.evals) + len(rows) * len(t.opcodes), name_pos)

@@ -588,10 +588,14 @@ class TestMalformedInputs:
             (b"1\n48\n18", b"1\n0,0\n", "nearest", "{prog}:3: missing final newline"),
             (b"1\n48\n18\n", b"1\n 1_0 , +2_0\n", "nearest", "{table}:2: bad table entry ' 1_0 , +2_0'"),
             (b"1\n48\n18\n", b"1\n+0.5,1.0\n", "float_reference", "{table}:2: bad table entry '+0.5,1.0'"),
+            # past the 4,300 digits int() converts: these ended in exit 4 without a position
+            (b"9" * 5000 + b"\n", b"0\n", "nearest", "{prog}:1: bad count header '" + "9" * 5000 + "'"),
+            (b"1\n48\n18\n", b"1\n" + b"9" * 5000 + b",0\n", "nearest", "{table}:2: bad table entry '" + "9" * 5000 + ",0'"),
         ],
         ids=[
             "count_header", "count_final_newline", "empty_program", "empty_table",
             "program_word", "program_final_newline", "fixed_table", "float_table",
+            "count_header_5000_digits", "fixed_table_5000_digits",
         ],
     )
     def test_lenient_text_exit_3_naming_file_and_line(self, tmp_path, capsys, prog_text, table_text, rounding, message):

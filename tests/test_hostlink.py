@@ -193,13 +193,20 @@ class TestReadback:
         [
             (b"1099511627776\n0\n0\n0\n", 1, 1099511627776),
             (b"0\n0\n0\n-2147483649\n", 4, -2147483649),
-            (b"0\n" + str(1 << 70).encode() + b"\n0\n0\n", 2, 1 << 70),
+            (b"0\n" + str(1 << 63).encode() + b"\n0\n0\n", 2, 1 << 63),
         ],
     )
     def test_out_of_range_value_rejected(self, data, line, value):
         # beyond the word, the int64 kernels would wrap instead of saturating
         with pytest.raises(ProtocolError, match=f"line {line}: value {value} outside the 32-bit range"):
             decode_readback(data, FixedPointFormat(32), 1)
+
+    @pytest.mark.parametrize("digits", [20, 5000])
+    def test_value_wider_than_int64_is_a_bad_line(self, digits):
+        # read by the line grammar, never converted (int() refuses past 4,300 digits)
+        value = "9" * digits
+        with pytest.raises(ProtocolError, match=f"^readback line 2: bad value '{value}'$"):
+            decode_readback(f"0\n{value}\n0\n0\n".encode(), FixedPointFormat(32), 1)
 
     def test_non_ascii_byte_names_its_line(self):
         with pytest.raises(ProtocolError, match=r"^readback line 2: byte 0xff is not ASCII$"):

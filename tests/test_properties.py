@@ -123,6 +123,52 @@ def test_parser_fuzz_raises_only_qasm_error(text):
     _parses_or_raises_qasm_error(text)
 
 
+# Statements shaped like a gate call on literals, which the call pattern may
+# read, and near misses of it, which it must leave to the tokens.
+_CALLS = [
+    "h q[0];", "cx q[0],q[1];", "cx q[0] , q[1] ;", "rx(0.5) q[2];", "rx( .5 )\tq[2];", "ry(5.) q[1];",
+    "rz(1.0e-3) q[0];", "u1(007) q[1];", "rx(1e5) q[0];", "rx(1.0e999) q[0];", "u3(-1, 2.5,3) q[1];",
+    "u2(0.1,0.2) q[2];", "crz(-.25) q[0],q[2];", "h q // c\n[0];", "h q[0]; // x q[1];\n", "rx(pi/2) q[0];",
+    "barrier q[0];", "qreg s[1];", "measure q[0] -> c[0];", "h q[123456];", "h q[0000002];", "h q[3];", "h z[0];",
+    "cx q[1],q[1];", "h q;", "cx q,q[0];", "g(0.3) q[0],q[1];", "f(0) q[0];", "f(2) q[1];", "d q[0],q[1];",
+    "ccx q[0],q[1],q[2];", "hq[0];", "é q[0];", "h q[٣];",
+]
+_MACROS = "gate g(t) a,b { rz(t/2) a; cx a,b; }\ngate f(t) a { rx(1/t) a; }\ngate d a,b { cx a,a; }\n"
+_EDITS = list(" \t\n;,()[]-.e0123456789qhc/@") + ["//", "é", "٣"]
+
+
+@st.composite
+def call_programs(draw):
+    """Calls after the header and macros, with up to two single-character deletions or insertions."""
+    calls = draw(st.lists(st.sampled_from(_CALLS), min_size=1, max_size=6))
+    text = HEADER + _MACROS + draw(st.sampled_from(["\n", " ", "\t", ""])).join(calls)
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:k] + text[k + 1 :]
+        else:
+            text = text[:k] + draw(st.sampled_from(_EDITS)) + text[k:]
+    return text
+
+
+def _parse_outcome(text: str):
+    try:
+        circuit = parse(text, "f.qasm")
+    except QasmError as exc:
+        return str(exc)
+    gates = circuit.gates
+    return circuit.qubit_count, [col.tobytes() for col in (gates.opcode, gates.target, gates.control, gates.angle)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(call_programs())
+def test_call_pattern_reads_as_the_tokens_do(text):
+    # a pattern that never matches leaves every statement to the tokens
+    with mock.patch("qbemu.qasm._CALL_RE", re.compile("(?!)")):
+        expected = _parse_outcome(text)
+    assert _parse_outcome(text) == expected
+
+
 @settings(max_examples=300, deadline=None)
 @given(expressions(st.sampled_from(NUMBERS)), expressions(st.sampled_from(NUMBERS + ["t"])))
 def test_angle_expressions_evaluate_finite_or_raise_qasm_error(direct, body):

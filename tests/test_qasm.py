@@ -386,6 +386,13 @@ class TestErrorPositions:
             HEADER + "qreg q[1];\nrx(exp(1000)) q[0];\n",
             "f.qasm:4:1: cannot evaluate expression: math range error",
         ),
+        "bad_character_after_an_earlier_error": (HEADER + "qreg q[1];\nh q[9];\n@\n", "f.qasm:5:1: unexpected character '@'"),
+        "name_run_into_register": (HEADER + "qreg q[1];\nhq[0];\n", "f.qasm:4:1: unknown gate 'hq'"),
+        "barrier_on_undeclared_register": (HEADER + "qreg q[1];\nbarrier z[0];\n", "f.qasm:4:9: unknown quantum register 'z'"),
+        "infinite_literal": (
+            HEADER + "qreg q[1];\nrx(1.0e999) q[0];\n",
+            "f.qasm:4:1: cannot evaluate expression: result is inf",
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
