@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .columns import Columns
-from .config import ExecConfig
+from .config import ExecConfig, quote
 from .fixedpoint import FixedPointFormat, from_real, range_error
 from .gates import IS_ROTATIONAL, GateKind
 from .qasm import SourceCircuit
@@ -207,15 +207,20 @@ def decode_words(words: np.ndarray, config: ExecConfig) -> Columns:
 
 def _decode(words: np.ndarray, config: ExecConfig, where) -> Columns:
     """:func:`decode_words`, with ``where(k)`` before the error of bad word ``k``."""
-    width, fbits, ibits = config.instruction_bits, config.qubit_field_bits, config.imm_bits
+    width = config.instruction_bits
     bad = ((words >> width) != 0) | ((words >> (width - 4)) >= len(GateKind))
     if bad.any():
         k = int(bad.argmax())
         raise DecodeError(where(k) + word_error(words.item(k), config))
-    words, fmask = words.astype(np.int64), (1 << fbits) - 1
-    opcode, control = words >> (ibits + 2 * fbits), (words >> (ibits + fbits)) & fmask
-    fields = (opcode, (words >> ibits) & fmask, control, words & ((1 << ibits) - 1))
-    return Columns(_instruction_row, **dict(zip(INSTRUCTION_FIELDS, fields)))
+    return Columns(_instruction_row, **dict(zip(INSTRUCTION_FIELDS, word_fields(words.astype(np.int64), config))))
+
+
+def word_fields(words, config: ExecConfig) -> tuple:
+    """The opcode, target, control and imm fields of instruction ``words``
+    (an int or an int64 array), unchecked."""
+    fbits, ibits = config.qubit_field_bits, config.imm_bits
+    fmask, imask = (1 << fbits) - 1, (1 << ibits) - 1
+    return words >> (ibits + 2 * fbits), (words >> ibits) & fmask, (words >> (ibits + fbits)) & fmask, words & imask
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +243,7 @@ def bad_line(body: bytes, line_pattern: bytes, what: str) -> tuple[int, str] | N
     ``line_pattern`` whole and ended by a newline, found in one regex pass;
     None if every line is.  A line holding a non-ASCII byte is described by
     that byte, a last line lacking only its newline says so, and any other is
-    ``bad <what> '<line>'``."""
+    ``bad <what> '<line>'``, quoted by :func:`~qbemu.config.quote`."""
     end = re.match(b"(?:(?:%s)\n)*" % line_pattern, body).end()
     if end == len(body):
         return None
@@ -247,7 +252,7 @@ def bad_line(body: bytes, line_pattern: bytes, what: str) -> tuple[int, str] | N
         return k, f"byte {next(b for b in line if b > 0x7F):#04x} is not ASCII"
     if end + len(line) == len(body) and re.fullmatch(line_pattern, line):
         return k, "missing final newline"
-    return k, f"bad {what} {line.decode()!r}"
+    return k, f"bad {what} {quote(line.decode())}"
 
 
 def _hex_layout(config: ExecConfig) -> tuple[int, np.ndarray]:
@@ -372,7 +377,7 @@ def load_program_files(
         else:  # Python ints, so a value past int64 is still named exactly
             values = np.array([int(t) for t in tokens], dtype=object)
         lines = tbody.decode().split("\n")
-        value_at = lambda k: f"{table_path}:{k // 2 + 2}: bad table entry {lines[k // 2]!r}: "
+        value_at = lambda k: f"{table_path}:{k // 2 + 2}: bad table entry {quote(lines[k // 2])}: "
     else:
         half = 8 if fmt is None else (config.data_bits + 7) // 8
         if len(tbody) % (2 * half):

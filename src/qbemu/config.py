@@ -37,6 +37,12 @@ class ConfigError(ValueError):
         self.key = key
 
 
+def quote(text: str) -> str:
+    """``text`` as ``repr`` writes it, cut to its first 40 characters and
+    ``...`` if longer: how error messages quote offending input."""
+    return repr(text[:40]) + ("..." if len(text) > 40 else "")
+
+
 @dataclass(frozen=True)
 class ExecConfig:
     n_qubits: int = 5
@@ -58,7 +64,7 @@ class ExecConfig:
         if not 8 <= self.data_bits <= MAX_DATA_BITS:
             raise ConfigError(f"data_bits must be in [8, {MAX_DATA_BITS}]", "data_bits")
         if self.rounding not in ROUNDING_CHOICES:
-            raise ConfigError(f"rounding must be one of {ROUNDING_CHOICES}, got {self.rounding!r}", "rounding")
+            raise ConfigError(f"rounding must be one of {ROUNDING_CHOICES}, got {quote(self.rounding)}", "rounding")
 
     @property
     def qubit_field_bits(self) -> int:
@@ -99,15 +105,15 @@ def parse_config(text: str, base: ExecConfig | None = None) -> ExecConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {quote(raw)}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _KEY_TO_FIELD:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            raise ConfigError(f"line {lineno}: unknown key {quote(key)}")
         field_name = _KEY_TO_FIELD[key]
         key_lines[key] = lineno
         if field_name in _INT_FIELDS:
-            if not re.fullmatch("-?[0-9]+", value):
-                raise ConfigError(f"line {lineno}: {key} expects an integer, got {value!r}")
+            if not re.fullmatch("-?[0-9]{1,19}", value):  # as in the file grammars
+                raise ConfigError(f"line {lineno}: {key} expects an integer, got {quote(value)}")
             values[field_name] = int(value)
         else:
             values[field_name] = value

@@ -38,7 +38,7 @@ import numpy as np
 
 from .columns import Columns
 from .compiler import _HEX_CHARS, _INTEGER, AngleTable, CompiledProgram, bad_line, decode_words, encode_words
-from .compiler import field_error, word_error
+from .compiler import field_error, word_error, word_fields
 from .config import ExecConfig
 from .engine import FixedState, run
 from .fixedpoint import FixedPointFormat, range_error
@@ -304,8 +304,7 @@ class VirtualBoard:
                 raise ProtocolError("instruction before the angle table completed")
             error = word_error(value, self.config)
             if not error:  # fields checked against the announced counts, as they arrive
-                ins = decode_words(np.array([value]), self.config)[0]
-                error = field_error(ins.opcode, ins.target, ins.control, ins.imm, self._used_qubits, self._angle_count)
+                error = field_error(*word_fields(value, self.config), self._used_qubits, self._angle_count)
             if error:
                 raise ProtocolError(f"byte {offset}: {error}")
             self._words.append(value)

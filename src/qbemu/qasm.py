@@ -110,11 +110,12 @@ def _line_col(text: str, pos: int) -> tuple[int, int]:
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
-def _tokens(text: str, filename: str, start: int = 0):
+def _tokens(text: str, start: int = 0):
     """``(kind, text, offset)`` per token from offset ``start`` on, ending with
     an ``eof`` token; each is read when asked for.
 
-    Punctuation tokens use their own text as the kind.
+    Punctuation tokens use their own text as the kind.  A character no token
+    starts with is a ``bad`` token, which no parser step takes.
     """
     for m in _TOKEN_RE.finditer(text, start):
         kind = m.lastgroup
@@ -123,8 +124,6 @@ def _tokens(text: str, filename: str, start: int = 0):
         tok = m.group()
         if kind == "punct":
             kind = tok
-        elif kind == "bad":
-            raise QasmError(f"unexpected character {tok!r}", filename, *_line_col(text, m.start()))
         yield kind, tok, m.start()
     yield "eof", "", len(text)
 
@@ -173,11 +172,11 @@ class _Template:
     ``(message, pos)`` of an error every call raises after ``evals``.  Row
     ``k`` is native opcode ``opcodes[k]`` on the call's qubit arguments
     ``targets[k]`` and ``controls[k]`` (equal when uncontrolled), with the
-    angle in slot ``angles[k]``.  ``depth`` is the gate's macro nesting depth.
+    angle in slot ``angles[k]``.
     """
 
-    def __init__(self, params: int, qubits: int, rows=(), evals=(), depth: int = 0):
-        self.params, self.qubits, self.depth = params, qubits, depth
+    def __init__(self, params: int, qubits: int, rows=(), evals=()):
+        self.params, self.qubits = params, qubits
         self.evals, self.fail = list(evals), None
         columns = list(zip(*((*row, 0)[:4] for row in rows))) or [()] * 4  # no angle: slot 0
         self.opcodes, self.targets, self.controls, self.angles = (list(map(int, col)) for col in columns)
@@ -239,9 +238,9 @@ _BUILTINS = {
 
 # Parser recursion is bounded far below Python's recursion limit: angle
 # expressions nest at most MAX_EXPR_DEPTH levels (parentheses, unary minus,
-# powers, function calls).  Gate definitions nest at most MAX_GATE_DEPTH.
+# powers, function calls).  Gate definitions splice flat lists of rows and
+# expressions, so how deep they nest is no depth of recursion.
 MAX_EXPR_DEPTH = 100
-MAX_GATE_DEPTH = 100
 # Most native gates and angle expressions one parse may lower: the rows and
 # expressions spliced into every gate definition's template plus those of
 # every call.  It is checked before they are added.
@@ -262,15 +261,11 @@ _UNARY_FUNCS = {
 }
 
 
-# The first names of statements other than gate calls.
-_KEYWORDS = frozenset(("include", "qreg", "creg", "gate", "opaque", "if", "reset", "measure", "barrier"))
-
-
 class _Parser:
     def __init__(self, text: str, filename: str):
         self.text = text
         self.filename = filename
-        self.stream = _tokens(text, filename)  # the tokens being read, and the next of them
+        self.stream = _tokens(text)  # the tokens being read, and the next of them
         self.tok = next(self.stream)
         self.qregs: dict[str, tuple[int, int]] = {}  # name -> (base, size)
         self.cregs: dict[str, int] = {}
@@ -300,9 +295,13 @@ class _Parser:
         return False
 
     def _error(self, message: str, pos: int | None = None):
-        """Raise at source offset ``pos``, by default the next token's."""
-        if pos is None:
-            pos = self.tok[2]
+        """Raise at source offset ``pos``, by default the next token's.  If the
+        next token is a bad character and ``pos`` is not before it, the error
+        is that character's: of two errors, the one earlier in the text wins."""
+        kind, text, at = self.tok
+        pos = at if pos is None else pos
+        if kind == "bad" and pos >= at:
+            message, pos = f"unexpected character {text!r}", at
         raise QasmError(message, self.filename, *_line_col(self.text, pos))
 
     def _expect(self, kind: str, what: str | None = None) -> tuple[str, str, int]:
@@ -318,32 +317,25 @@ class _Parser:
     def parse(self) -> SourceCircuit:
         """Read the text statement by statement: each one the call pattern
         matches from its offset, or else from the tokens from there on."""
-        start = 0  # offset of the statement being read
-        try:
-            self._parse_header()
+        self._parse_header()
+        start = self.tok[2]  # offset of the statement being read
+        while True:
+            m = _CALL_RE.match(self.text, start)
+            if m and m[1] not in _STATEMENTS:
+                name, angles, reg1, idx1, reg2, idx2 = m.groups()
+                args = [(reg1, int(idx1), m.start(3))]
+                if reg2:
+                    args.append((reg2, int(idx2), m.start(5)))
+                angles = [("num", float(a)) for a in angles.split(",")] if angles else ()
+                self._apply_gate(name, m.start(1), angles, args)
+                start = m.end()
+                continue
+            self.stream = _tokens(self.text, start)
+            self.tok = next(self.stream)
+            if self._at("eof"):
+                break
+            self._parse_statement()
             start = self.tok[2]
-            while True:
-                m = _CALL_RE.match(self.text, start)
-                if m and m[1] not in _KEYWORDS:
-                    name, angles, reg1, idx1, reg2, idx2 = m.groups()
-                    args = [(reg1, int(idx1), m.start(3))]
-                    if reg2:
-                        args.append((reg2, int(idx2), m.start(5)))
-                    angles = [("num", float(a)) for a in angles.split(",")] if angles else ()
-                    self._apply_gate(name, m.start(1), angles, args)
-                    start = m.end()
-                    continue
-                self.stream = _tokens(self.text, self.filename, start)
-                self.tok = next(self.stream)
-                if self._at("eof"):
-                    break
-                self._parse_statement()
-                start = self.tok[2]
-        except QasmError:
-            # a bad character anywhere in the text is reported ahead of any other error
-            for _ in _tokens(self.text, self.filename, start):
-                pass
-            raise
         c = self.circuit
         return SourceCircuit(self.qubit_count, gate_columns((c.opcodes, c.targets, c.controls, c.angles)))
 
@@ -361,24 +353,10 @@ class _Parser:
         kind, name, _ = self.tok
         if kind != "id":
             self._error(f"expected a statement, found {name!r}")
-        if name == "include":
-            self._parse_include()
-        elif name in ("qreg", "creg"):
-            self._parse_register(name)
-        elif name == "gate":
-            self._parse_gate_definition()
-        elif name == "opaque":
-            self._error("opaque gates are not supported (no semantics to emulate)")
-        elif name == "if":
-            self._error("unsupported: conditional execution")
-        elif name == "reset":
-            self._error("unsupported: reset")
-        elif name == "measure":
-            self._parse_measure()
-        elif name == "barrier":
-            self._parse_barrier()
-        else:
-            self._parse_gate_application()
+        handler = _STATEMENTS.get(name, _Parser._parse_gate_application)
+        if isinstance(handler, str):
+            self._error(handler)
+        handler(self)
 
     def _parse_include(self) -> None:
         self._next()
@@ -387,8 +365,8 @@ class _Parser:
             self._error(f"unsupported include {text}; only \"qelib1.inc\" is built in", pos)
         self._expect(";")
 
-    def _parse_register(self, which: str) -> None:
-        self._next()
+    def _parse_register(self) -> None:
+        which = self._next()[1]
         _, name, name_pos = self._expect("id", "register name")
         if name in self.qregs or name in self.cregs:
             self._error(f"register {name!r} already declared", name_pos)
@@ -430,7 +408,7 @@ class _Parser:
         if len(set(params)) != len(params) or len(set(qargs)) != len(qargs):
             self._error(f"duplicate formal argument in gate {name!r}", name_pos)
         self._expect("{")
-        t = _Template(len(params), len(qargs), depth=1)
+        t = _Template(len(params), len(qargs))
         self.params = {p: k for k, p in enumerate(params, start=1)}
         while not self._at("}"):
             kind, op_name, op_pos = self.tok
@@ -438,7 +416,7 @@ class _Parser:
                 self._error("expected a gate name in gate body")
             if op_name == "barrier":
                 self._next()
-                while self.tok[0] not in (";", "eof"):
+                while self.tok[0] not in (";", "eof", "bad"):
                     self._next()
                 self._expect(";")
                 continue
@@ -448,9 +426,6 @@ class _Parser:
             if op_name not in self.templates:
                 self._error(f"unknown gate {op_name!r} in body of {name!r}", op_pos)
             sub = self.templates[op_name]
-            t.depth = max(t.depth, sub.depth + 1)
-            if t.depth > MAX_GATE_DEPTH:
-                self._error(f"gate {name!r} nests gate definitions deeper than {MAX_GATE_DEPTH} levels", op_pos)
             angle_exprs = list(self._parse_angle_args())
             op_qargs = self._parse_ids("qubit argument")
             self._expect(";")
@@ -673,6 +648,21 @@ class _Parser:
             self._error(*t.fail)
         for qubits in rows:
             self.circuit.append(t, slots, qubits)
+
+
+# Statement keyword -> the method that reads the statement, or the message of
+# one that is not supported.  No gate call may be named by a keyword.
+_STATEMENTS = {
+    "include": _Parser._parse_include,
+    "qreg": _Parser._parse_register,
+    "creg": _Parser._parse_register,
+    "gate": _Parser._parse_gate_definition,
+    "measure": _Parser._parse_measure,
+    "barrier": _Parser._parse_barrier,
+    "opaque": "opaque gates are not supported (no semantics to emulate)",
+    "if": "unsupported: conditional execution",
+    "reset": "unsupported: reset",
+}
 
 
 def parse(source_text: str, filename: str = "<input>") -> SourceCircuit:

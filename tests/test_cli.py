@@ -287,8 +287,10 @@ class TestConfig:
             ("N = 4\nS = 1\n", 2, "unknown key 'S'"),
             ("N = \u0664\n", 1, "N expects an integer, got '\u0664'"),  # ARABIC-INDIC DIGIT FOUR
             ("N = 4\nQ = +0_3\n", 2, "Q expects an integer, got '+0_3'"),
+            # past the 4,300 digits int() converts, quoted by its first 40 characters
+            ("N = " + "9" * 5000 + "\n", 1, "N expects an integer, got '" + "9" * 40 + "'..."),
         ],
-        ids=["N", "Q", "W", "S", "non_ascii_digit", "sign_and_underscore"],
+        ids=["N", "Q", "W", "S", "non_ascii_digit", "sign_and_underscore", "N_5000_digits"],
     )
     def test_bad_key_exit_3_naming_key_and_line(self, tmp_path, bell_qasm, capsys, text, line, message):
         cfg = tmp_path / "bad.cfg"
@@ -588,9 +590,10 @@ class TestMalformedInputs:
             (b"1\n48\n18", b"1\n0,0\n", "nearest", "{prog}:3: missing final newline"),
             (b"1\n48\n18\n", b"1\n 1_0 , +2_0\n", "nearest", "{table}:2: bad table entry ' 1_0 , +2_0'"),
             (b"1\n48\n18\n", b"1\n+0.5,1.0\n", "float_reference", "{table}:2: bad table entry '+0.5,1.0'"),
-            # past the 4,300 digits int() converts: these ended in exit 4 without a position
-            (b"9" * 5000 + b"\n", b"0\n", "nearest", "{prog}:1: bad count header '" + "9" * 5000 + "'"),
-            (b"1\n48\n18\n", b"1\n" + b"9" * 5000 + b",0\n", "nearest", "{table}:2: bad table entry '" + "9" * 5000 + ",0'"),
+            # past the 4,300 digits int() converts: these ended in exit 4 without a position;
+            # a message quotes the first 40 characters of a line
+            (b"9" * 5000 + b"\n", b"0\n", "nearest", "{prog}:1: bad count header '" + "9" * 40 + "'..."),
+            (b"1\n48\n18\n", b"1\n" + b"9" * 5000 + b",0\n", "nearest", "{table}:2: bad table entry '" + "9" * 40 + "'..."),
         ],
         ids=[
             "count_header", "count_final_newline", "empty_program", "empty_table",
