@@ -24,7 +24,7 @@ from .compiler import (
     load_program_files,
     write_program_files,
 )
-from .config import FLOAT_REFERENCE, ROUNDING_CHOICES, ConfigError, ExecConfig, load_config
+from .config import FLOAT_REFERENCE, ROUNDING_CHOICES, ConfigError, ExecConfig, load_config, quote
 from .engine import EngineError, dump_state, run, sample_counts
 from .hostlink import FramingError, ProtocolError, VirtualBoard, encode_session
 from .qasm import QasmError, parse_file
@@ -179,7 +179,7 @@ def _sweep_values(axis: str, text: str) -> list:
         try:
             return [int(v) for v in items]
         except ValueError:
-            raise UsageError(f"{axis} sweep expects integers, got {text!r}") from None
+            raise UsageError(f"{axis} sweep expects integers, got {quote(text)}") from None
     return items
 
 

@@ -6,8 +6,8 @@ call lowers to: the usual qelib1 gates outside the native twelve through
 fixed equivalences (cx/ch/cr*/cu1 become a native opcode with the control
 field set; cz, cy, swap, ccx, u2, u3 expand to short native sequences), and
 a user-defined gate by splicing together the templates of its body's gates,
-once, when it is defined.  A call then appends its template's rows with its
-qubits and evaluated angles.
+once, when it is defined.  Calls wait in a batch that is checked and lowered
+in array passes: each call gathers its template's rows on its qubits.
 
 ``measure`` and ``barrier`` statements are accepted and dropped; ``creg``
 declarations are recorded but otherwise ignored.  ``if``, ``reset`` and
@@ -24,8 +24,12 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .columns import Columns
+from .config import quote
 from .gates import ROTATIONAL, GateKind, gate_columns
 
 
@@ -105,6 +109,11 @@ _CALL_RE = re.compile(
 )
 
 
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Where each of consecutive runs of ``counts`` items starts."""
+    return np.cumsum(counts) - counts
+
+
 def _line_col(text: str, pos: int) -> tuple[int, int]:
     """1-based line and column of character offset ``pos``."""
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
@@ -132,33 +141,9 @@ def _tokens(text: str, start: int = 0):
 # Supported gate surface
 # ---------------------------------------------------------------------------
 
-_NATIVE_1Q = {
-    "x": GateKind.X,
-    "y": GateKind.Y,
-    "z": GateKind.Z,
-    "h": GateKind.H,
-    "s": GateKind.S,
-    "sdg": GateKind.SDG,
-    "t": GateKind.T,
-    "tdg": GateKind.TDG,
-    "rx": GateKind.RX,
-    "ry": GateKind.RY,
-    "rz": GateKind.RZ,
-    "u1": GateKind.U1,
-    "p": GateKind.U1,
-}
-
-# Controlled gates realised directly: the opcode with the control field set.
-_CONTROLLED_NATIVE = {
-    "cx": GateKind.X,
-    "CX": GateKind.X,
-    "ch": GateKind.H,
-    "crx": GateKind.RX,
-    "cry": GateKind.RY,
-    "crz": GateKind.RZ,
-    "cu1": GateKind.U1,
-    "cp": GateKind.U1,
-}
+# Gates named by their opcodes, and controlled ones that set an opcode's control field.
+_NATIVE_1Q = {**{kind.name.lower(): kind for kind in GateKind}, "p": GateKind.U1}
+_CONTROLLED_NATIVE = {"CX": GateKind.X, **{"c" + n: _NATIVE_1Q[n] for n in ("x", "h", "rx", "ry", "rz", "u1", "p")}}
 
 
 class _Template:
@@ -195,15 +180,11 @@ class _Template:
         for node, reads, pos in sub.evals:
             self.evals.append((node, [slots[k] for k in reads], pos))
             slots.append(self.params + len(self.evals))
-        self.append(sub, slots, qubits)
-        self.fail = sub.fail
-
-    def append(self, sub: "_Template", slots: list, qubits: list[int]) -> None:
-        """Append ``sub``'s rows on ``qubits``, each with the entry of ``slots`` at its angle slot."""
         self.opcodes += sub.opcodes
         self.targets += [qubits[k] for k in sub.targets]
         self.controls += [qubits[k] for k in sub.controls]
         self.angles += [slots[k] for k in sub.angles]
+        self.fail = sub.fail
 
 
 def _rot(kind: GateKind) -> int:
@@ -247,6 +228,9 @@ MAX_EXPR_DEPTH = 100
 MAX_NATIVE_GATES = 1 << 20
 # Largest register size; integer tokens with more digits are never converted.
 MAX_REGISTER_SIZE = 1 << 16
+# Rows a pending batch of calls holds at most.  The small objects of a longer
+# batch stay in the allocator's arenas once it is lowered and add to peak memory.
+_BATCH_ROWS = 4096
 _MAX_INT_DIGITS = len(str(MAX_REGISTER_SIZE))
 
 _BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
@@ -274,7 +258,10 @@ class _Parser:
         self.qubit_count = 0
         self.lowered = 0  # native gates and angle expressions lowered so far
         self.templates = dict(_BUILTINS)  # gate name -> template, user gates added when defined
-        self.circuit = _Template(0, 0)  # the lowered circuit: flat qubits and angle values
+        # the pending batch: a row (offset, name, angles, reg, idx, reg, idx) per call, with the angle
+        # values as comma-separated literals, index None for a whole register and register None for none,
+        self.calls: list[tuple] = []  # and a row of None, None, None and two more per two more arguments
+        self.columns: list[tuple] = []  # the native gate columns lowered from each batch
 
     # -- token helpers ----------------------------------------------------
 
@@ -308,36 +295,38 @@ class _Parser:
         tok = self.tok
         if tok[0] != kind:
             text = tok[1]
-            self._error(f"expected {what or kind}, found {text!r}" if text else f"expected {what or kind}", tok[2])
+            self._error(f"expected {what or kind}, found {quote(text)}" if text else f"expected {what or kind}", tok[2])
         self.tok = next(self.stream)
         return tok
 
     # -- top level ---------------------------------------------------------
 
     def parse(self) -> SourceCircuit:
-        """Read the text statement by statement: each one the call pattern
-        matches from its offset, or else from the tokens from there on."""
+        """Read the text statement by statement: each one the call pattern matches from its
+        offset, or else from the tokens from there on.  A call joins the pending batch, lowered
+        when full, before a register or gate declaration, at the end and before an error leaves."""
         self._parse_header()
         start = self.tok[2]  # offset of the statement being read
-        while True:
-            m = _CALL_RE.match(self.text, start)
-            if m and m[1] not in _STATEMENTS:
-                name, angles, reg1, idx1, reg2, idx2 = m.groups()
-                args = [(reg1, int(idx1), m.start(3))]
-                if reg2:
-                    args.append((reg2, int(idx2), m.start(5)))
-                angles = [("num", float(a)) for a in angles.split(",")] if angles else ()
-                self._apply_gate(name, m.start(1), angles, args)
-                start = m.end()
-                continue
-            self.stream = _tokens(self.text, start)
-            self.tok = next(self.stream)
-            if self._at("eof"):
-                break
-            self._parse_statement()
-            start = self.tok[2]
-        c = self.circuit
-        return SourceCircuit(self.qubit_count, gate_columns((c.opcodes, c.targets, c.controls, c.angles)))
+        try:
+            while True:
+                if len(self.calls) >= _BATCH_ROWS:
+                    self._flush()
+                m = _CALL_RE.match(self.text, start)
+                if m and m[1] not in _STATEMENTS:
+                    self.calls.append((start, *m.groups()))
+                    start = m.end()
+                    continue
+                self.stream = _tokens(self.text, start)
+                self.tok = next(self.stream)
+                if self._at("eof"):
+                    break
+                self._parse_statement()
+                start = self.tok[2]
+        except QasmError:
+            self._flush()  # a pending call's error is the earlier one
+            raise
+        self._flush()
+        return SourceCircuit(self.qubit_count, gate_columns(map(np.concatenate, zip(*self.columns))))
 
     def _parse_header(self) -> None:
         kind, text, _ = self.tok
@@ -352,7 +341,7 @@ class _Parser:
     def _parse_statement(self) -> None:
         kind, name, _ = self.tok
         if kind != "id":
-            self._error(f"expected a statement, found {name!r}")
+            self._error(f"expected a statement, found {quote(name)}")
         handler = _STATEMENTS.get(name, _Parser._parse_gate_application)
         if isinstance(handler, str):
             self._error(handler)
@@ -366,6 +355,7 @@ class _Parser:
         self._expect(";")
 
     def _parse_register(self) -> None:
+        self._flush()
         which = self._next()[1]
         _, name, name_pos = self._expect("id", "register name")
         if name in self.qregs or name in self.cregs:
@@ -395,6 +385,7 @@ class _Parser:
         return names
 
     def _parse_gate_definition(self) -> None:
+        self._flush()
         self._next()
         _, name, name_pos = self._expect("id", "gate name")
         if name in self.templates:
@@ -519,7 +510,7 @@ class _Parser:
             if text in self.params:
                 return ("slot", self.params[text])
             return ("param", text, pos)
-        self._error(f"expected an expression, found {text!r}", pos)
+        self._error(f"expected an expression, found {quote(text)}", pos)
 
     def _eval_angle(self, node, slots: list[float], pos: int) -> float:
         """Value of an angle expression over angle ``slots``; failures are positioned at ``pos``."""
@@ -584,19 +575,6 @@ class _Parser:
             self._error(f"qubit index {name}[{idx}] out of range (size {size})", pos)
         return [base + idx]
 
-    def _broadcast(self, operands: list[list[int]], pos: int) -> list[tuple[int, ...]]:
-        """The qubit rows of a call: a whole-register argument gives one qubit to each row."""
-        n = max(map(len, operands))
-        if n > 1:
-            if any(len(ops) not in (1, n) for ops in operands):
-                self._error("mismatched register sizes in broadcast", pos)
-            operands = [ops * n if len(ops) == 1 else ops for ops in operands]
-        rows = list(zip(*operands))
-        for row in rows:
-            if len(set(row)) != len(row):
-                self._error("duplicate qubit in gate arguments", pos)
-        return rows
-
     # -- statements that emit or drop gates -----------------------------------
 
     def _parse_measure(self) -> None:
@@ -628,26 +606,90 @@ class _Parser:
             self._error(f"gate expansion exceeds the limit of {MAX_NATIVE_GATES} native gates", pos)
 
     def _parse_gate_application(self) -> None:
-        _, name, name_pos = self._next()
-        self._apply_gate(name, name_pos, self._parse_angle_args(), self._parse_arguments())
+        name, name_pos, values, args = self._read_call()
+        flat = [x for arg in args for x in arg[:2]] + [None, None]
+        fields = (name_pos, name, ",".join(map(repr, values)) or None)  # repr reads back as the same float
+        self.calls += [(*((None,) * 3 if k else fields), *flat[k : k + 4]) for k in range(0, len(args) * 2, 4)]
 
-    def _apply_gate(self, name: str, name_pos: int, angles, args) -> None:
-        """Lower a call of gate ``name`` on ``angles`` (expressions) and ``args``
-        (``(register, index, pos)``), read by the call pattern or from tokens;
-        each is evaluated or resolved before the next is taken."""
+    def _read_call(self) -> tuple[str, int, list[float], list[tuple[str, int | None, int]]]:
+        """A call read from the tokens: name, position, angle values and ``(register, index, pos)``
+        arguments.  The name, then each angle and argument, is checked before the next is read."""
+        _, name, name_pos = self._next()
         if name not in self.templates:
             self._error(f"unknown gate {name!r}", name_pos)
-        slots = [0.0, *[self._eval_angle(node, [], name_pos) for node in angles]]
+        values = [self._eval_angle(node, [], name_pos) for node in self._parse_angle_args()]
+        return name, name_pos, values, [arg for arg in self._parse_arguments() if self._resolve_qubit_arg(*arg)]
+
+    def _check_call(self, offset: int) -> None:
+        """Read the call at ``offset`` again from the tokens and raise its first error."""
+        self.stream, self.expr_depth = _tokens(self.text, offset), 0
+        self.tok = next(self.stream)
+        name, name_pos, values, args = self._read_call()
         operands = [self._resolve_qubit_arg(*arg) for arg in args]
-        t = self._check_arity(name, len(slots) - 1, len(operands), name_pos)
-        rows = self._broadcast(operands, name_pos)
-        self._lower(len(t.evals) + len(rows) * len(t.opcodes), name_pos)
-        for node, reads, pos in t.evals:
-            slots.append(self._eval_angle(node, [slots[k] for k in reads], pos))
-        if t.fail:
-            self._error(*t.fail)
-        for qubits in rows:
-            self.circuit.append(t, slots, qubits)
+        t = self._check_arity(name, len(values), len(operands), name_pos)
+        n = max(map(len, operands))  # qubit rows: a whole-register argument gives one qubit to each
+        if any(len(ops) not in (1, n) for ops in operands):
+            self._error("mismatched register sizes in broadcast", name_pos)
+        if any(len(set(row)) != len(row) for row in zip(*(ops * n if len(ops) == 1 else ops for ops in operands))):
+            self._error("duplicate qubit in gate arguments", name_pos)
+        self._lower(len(t.evals) + n * len(t.opcodes), name_pos)
+        self._error(*t.fail)  # what is left of a call the masks flag, after its expressions
+
+    def _flush(self) -> None:
+        """Lower the pending calls in array passes.  The first call a mask flags is read again, which raises
+        its error, once the calls before it evaluate their expressions; else each gathers its template's rows."""
+        if not self.calls:
+            return
+        offsets, names, angles, *args = zip(*self.calls)
+        self.calls.clear()
+        used = {name: k for k, name in enumerate(dict.fromkeys(names))}  # None: a row of further arguments
+        temps = [self.templates.get(name, _BUILTINS["id"]) for name in used]  # an unknown name fails below
+        params, width, nrows, nevals, fail = map(np.array, zip(*(
+            (t.params, t.qubits, len(t.opcodes), len(t.evals), t.fail is not None or name not in self.templates)
+            for name, t in zip(used, temps))))
+        tid = np.fromiter(map(used.__getitem__, names), np.int64, len(names))
+        heads = tid != used.get(None, -1)
+        head, tid = np.flatnonzero(heads), tid[heads]  # each call's first row and template
+        nang = np.array([a.count(",") + 1 if a else 0 for a in angles], np.int64)[head]
+        values = list(map(float, filter(None, ",".join(filter(None, angles)).split(","))))
+        ids = {reg: k for k, reg in enumerate(dict.fromkeys(args[0] + args[2]))}  # the batch's registers, None too
+        reg = np.fromiter(map(ids.__getitem__, args[0] + args[2]), np.int64).reshape(2, -1).T.ravel()  # in call order
+        base, size = np.array([self.qregs.get(r, (0, -1) if r else (0, 0)) for r in ids], np.int64)[reg].T
+        index = args[1] + args[3]  # size -1: no such register, 0: no argument; index -1: the whole register
+        index = np.fromiter(map({None: -1}.get, index, index), np.int64).reshape(2, -1).T.ravel()
+        opcall = np.repeat(np.cumsum(heads) - 1, 2)
+        length = np.maximum(np.where(index < 0, size, 1), 1)  # row r of a call takes qubit r of a whole register
+        rows = np.maximum.reduceat(length, 2 * head)
+        a, b = (order := np.lexsort((index, reg, opcall)))[:-1], order[1:]  # by call, register, index (-1 first)
+        dup = (opcall[a] == opcall[b]) & (reg[a] == reg[b]) & ((index[a] < 0) | (index[a] == index[b]))
+        total = self.lowered + np.cumsum(count := nevals[tid] + rows * nrows[tid])
+        bad = (nang != params[tid]) | (np.bincount(opcall, size != 0) != width[tid]) | (total > MAX_NATIVE_GATES)
+        bad[opcall[(size < 0) | (index >= size) | ((length != 1) & (length != rows[opcall]))]] = True
+        bad[np.concatenate((np.repeat(np.arange(len(head)), nang)[~np.isfinite(values)], opcall[b[dup]]))] = True
+        first = int(next(iter(np.flatnonzero(bad | fail[tid])), len(head)))
+        aoff, evals = _starts(nang), []
+        # expressions of the calls before the first flagged one, and its own if only its template fails
+        for i in np.flatnonzero(nevals[tid[: first + (first < len(head) and not bad[first])]]):
+            slots = [0.0, *values[aoff[i] : aoff[i] + nang[i]]]
+            for node, reads, pos in temps[tid[i]].evals:
+                slots.append(self._eval_angle(node, [slots[k] for k in reads], pos))
+            evals += slots[1 + nang[i] :]
+        if first < len(head):
+            self.lowered = int(total[first] - count[first])
+            self._check_call(offsets[head[first]])
+        self.lowered = int(total[-1])
+        # template row k of row r of call c, on the qubits of its arguments in that row
+        rcall = np.repeat(np.arange(len(head)), rows)
+        grow = np.repeat(np.arange(len(rcall)), nrows[tid[rcall]])
+        c, r = rcall[grow], (np.arange(len(rcall)) - _starts(rows)[rcall])[grow]
+        k = _starts(nrows)[tid[c]] + np.arange(len(grow)) - _starts(nrows[tid[rcall]])[grow]
+        opcode, target, control, slot = (np.fromiter(chain.from_iterable(getattr(t, f) for t in temps), np.int64)[k]
+                                         for f in ("opcodes", "targets", "controls", "angles"))
+        target, control = (base[o] + np.where(length[o] > 1, r, np.maximum(index[o], 0)) for o in (2 * head[c] + target,
+                                                                                           2 * head[c] + control))
+        p, eoff = params[tid[c]], _starts(nevals[tid])[c]  # slots: 0.0, angle values, expression values
+        slot = np.where(slot == 0, 0, np.where(slot <= p, aoff[c] + slot, len(values) + eoff + slot - p))
+        self.columns.append((opcode, target, control, np.array([0.0, *values, *evals])[slot]))
 
 
 # Statement keyword -> the method that reads the statement, or the message of

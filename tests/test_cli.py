@@ -375,6 +375,10 @@ class TestSweep:
     def test_bad_axis_usage_error(self, bell_qasm):
         assert main(["sweep", str(bell_qasm), "volume", "1,2"]) == 1
 
+    def test_long_bad_value_list_is_quoted_bounded(self, bell_qasm, capsys):
+        rc = main(["sweep", str(bell_qasm), "bits", "9" * 5000 + "x"])
+        assert (rc, capsys.readouterr().err) == (1, f"usage error: bits sweep expects integers, got {'9' * 40!r}...\n")
+
     def test_each_circuit_parsed_and_referenced_once(self, tmp_path, config_file, capsys, monkeypatch):
         # one parse and one float reference per circuit, one compile and one
         # model run per row; the figures of merit equal compare's, row by row

@@ -132,6 +132,9 @@ _CALLS = [
     "barrier q[0];", "qreg s[1];", "measure q[0] -> c[0];", "h q[123456];", "h q[0000002];", "h q[3];", "h z[0];",
     "cx q[1],q[1];", "h q;", "cx q,q[0];", "g(0.3) q[0],q[1];", "f(0) q[0];", "f(2) q[1];", "d q[0],q[1];",
     "ccx q[0],q[1],q[2];", "hq[0];", "é q[0];", "h q[٣];",
+    # a register declared mid-text, calls on it and whole-register broadcasts, and a gate defined late
+    "qreg r[2];", "h r[1];", "cx r[0],q[2];", "h r;", "crz(0.5) r,q[1];", "cx q[0],r;", "ccx r[0],q,r[1];",
+    "gate late(t) a,b { rx(t) b; cx a,b; }", "late(1.5) q[1],r[0];", "late(.5) r,q[2];",
 ]
 _MACROS = "gate g(t) a,b { rz(t/2) a; cx a,b; }\ngate f(t) a { rx(1/t) a; }\ngate d a,b { cx a,a; }\n"
 _EDITS = list(" \t\n;,()[]-.e0123456789qhc/@") + ["//", "é", "٣"]
@@ -140,7 +143,7 @@ _EDITS = list(" \t\n;,()[]-.e0123456789qhc/@") + ["//", "é", "٣"]
 @st.composite
 def call_programs(draw):
     """Calls after the header and macros, with up to two single-character deletions or insertions."""
-    calls = draw(st.lists(st.sampled_from(_CALLS), min_size=1, max_size=6))
+    calls = draw(st.lists(st.sampled_from(_CALLS), min_size=1, max_size=40))
     text = HEADER + _MACROS + draw(st.sampled_from(["\n", " ", "\t", ""])).join(calls)
     for _ in range(draw(st.integers(0, 2))):
         k = draw(st.integers(0, len(text)))
@@ -259,7 +262,7 @@ def macro_programs(draw):
     top = f"m{len(bodies) - 1}"
     n_args, n_qubits = arity[top]
     rows = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(1, 8))):  # calls, lowered together in one batch
         values = [draw(st.sampled_from([0.0, -0.75, 1.5, math.pi / 3, -2.0])) for _ in range(n_args)]
         picks = [draw(st.sampled_from([None, 0, 1])) for _ in range(n_qubits)]  # None: the whole register
         angle_text = f"({','.join(repr(v) for v in values)})" if values else ""

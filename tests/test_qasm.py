@@ -348,6 +348,11 @@ class TestParserLimits:
         src = HEADER + "qreg q[1];\ncreg c[1];\n" + body + "\n"
         assert self.error(src) == f"f.qasm:5:{col}: {what} exceeds the limit of {MAX_REGISTER_SIZE}"
 
+    def test_long_token_is_quoted_bounded(self):
+        # the found token is cut to 40 characters, as config.quote cuts every quoted input
+        src = HEADER + "qreg q[1];\nh q[0] " + "9" * 5000 + ";\n"
+        assert self.error(src) == f"f.qasm:4:8: expected ;, found {'9' * 40!r}..."
+
     def test_integers_within_the_limit(self):
         circuit = parse(HEADER + f"qreg q[000002];\nqreg r[{MAX_REGISTER_SIZE}];\nx q[0001];\n")
         assert circuit.qubit_count == 2 + MAX_REGISTER_SIZE
@@ -430,6 +435,56 @@ class TestErrorPositions:
         assert str(err.value) == expected
         line, col = (int(part) for part in expected.split(":")[1:3])
         assert (err.value.filename, err.value.line, err.value.col) == ("f.qasm", line, col)
+
+
+class TestBatchedCallErrors:
+    """Calls wait in a batch that is checked and lowered at once; of several
+    errors in it, and in the statements after it, the first in reading order
+    is reported, as when every call was checked on its own."""
+
+    @pytest.fixture(autouse=True, params=[1, 3, qasm._BATCH_ROWS], ids=lambda rows: f"batch{rows}")
+    def batch_rows(self, request, monkeypatch):
+        monkeypatch.setattr(qasm, "_BATCH_ROWS", request.param)  # also lowered in batches of 1 and 3 rows
+
+    def error(self, body: str) -> str:
+        with pytest.raises(QasmError) as err:
+            parse(HEADER + "qreg q[2];\n" + body, filename="f.qasm")
+        return str(err.value)
+
+    def test_unknown_gate_at_call_3_before_a_bad_index_at_call_5(self):
+        calls = ["h q[0];", "x q[1];", "bogus q[0];", "cx q[0],q[1];", "h q[7];"]
+        assert self.error("\n".join(calls) + "\n") == "f.qasm:6:1: unknown gate 'bogus'"
+        calls[2], calls[4] = calls[4], calls[2]
+        assert self.error("\n".join(calls) + "\n") == "f.qasm:6:3: qubit index q[7] out of range (size 2)"
+
+    def test_a_batched_error_before_a_later_syntax_error(self):
+        body = "h q[1];\ncx q[0],q[0];\nh q[1];\nrx(pi/2 q[0];\n"
+        assert self.error(body) == "f.qasm:5:1: duplicate qubit in gate arguments"
+
+    def test_a_call_on_a_register_declared_after_it(self):
+        assert self.error("h q[0];\nh r[0];\nqreg r[2];\nh r[1];\n") == "f.qasm:5:3: unknown quantum register 'r'"
+
+    def test_a_call_of_a_gate_defined_after_it(self):
+        assert self.error("h q[0];\ng q[0];\ngate g a { h a; }\ng q[1];\n") == "f.qasm:5:1: unknown gate 'g'"
+
+    def test_budget_crossed_mid_batch_at_the_crossing_call(self, monkeypatch):
+        monkeypatch.setattr(qasm, "MAX_NATIVE_GATES", 10)
+        body = "h q[0];\n" * 8 + "cz q[0],q[1];\n" + "h q[1];\n" * 8  # 8 + 3 > 10 at the cz
+        assert self.error(body) == "f.qasm:12:1: gate expansion exceeds the limit of 10 native gates"
+        assert len(parse(HEADER + "qreg q[2];\n" + "h q[0];\n" * 7 + "cz q[0],q[1];\n").gates) == 10
+
+    def test_a_failing_template_evaluates_its_expressions_first(self):
+        body = "gate bf(t) a,b { rx(1/t) a; cx a,a; }\nh q[0];\nbf(1) q[0],q[1];\n"
+        assert self.error(body) == "f.qasm:4:29: duplicate qubit in expansion of 'bf'"
+        body = body.replace("bf(1)", "bf(0)")
+        assert self.error(body) == "f.qasm:4:18: cannot evaluate expression: float division by zero"
+
+    def test_infinite_literal_inside_a_long_run(self):
+        body = "cx q[0],q[1];\nrz(pi/4) q[1];\n" * 50 + "rx(1.0e999) q[0];\n" + "h q[1];\n" * 50
+        assert self.error(body) == "f.qasm:104:1: cannot evaluate expression: result is inf"
+        # without a point, 1e999 is no real literal in OpenQASM 2.0: the e999 after the 1 is read as a name
+        body = "cx q[0],q[1];\n" * 50 + "rx(1e999) q[0];\n"
+        assert self.error(body) == "f.qasm:54:5: expected ), found 'e999'"
 
 
 # Defining matrices for the lowered equivalences, written directly.
