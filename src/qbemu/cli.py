@@ -25,7 +25,7 @@ from .compiler import (
     write_program_files,
 )
 from .config import FLOAT_REFERENCE, ROUNDING_CHOICES, ConfigError, ExecConfig, load_config, quote
-from .engine import EngineError, dump_state, run, sample_counts
+from .engine import EngineError, FixedState, dump_state, run, sample_counts
 from .hostlink import FramingError, ProtocolError, VirtualBoard, encode_session
 from .qasm import QasmError, parse_file
 
@@ -141,6 +141,8 @@ def cmd_run(args) -> int:
     config = _resolve_config(args)
     program = load_program_files(*_inputs(args.program, args.table), config, args.format)
     state = run(program, config)
+    if isinstance(state, FixedState) and state.overflow:
+        print("warning: fixed-point arithmetic saturated; the state holds clipped words", file=sys.stderr)
     _write_text(args.out, dump_state(state))
     if args.seed is not None:
         counts = sample_counts(state, SAMPLE_SHOTS, args.seed)

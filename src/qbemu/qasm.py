@@ -288,7 +288,7 @@ class _Parser:
         kind, text, at = self.tok
         pos = at if pos is None else pos
         if kind == "bad" and pos >= at:
-            message, pos = f"unexpected character {text!r}", at
+            message, pos = f"unexpected character {quote(text)}", at
         raise QasmError(message, self.filename, *_line_col(self.text, pos))
 
     def _expect(self, kind: str, what: str | None = None) -> tuple[str, str, int]:
@@ -359,7 +359,7 @@ class _Parser:
         which = self._next()[1]
         _, name, name_pos = self._expect("id", "register name")
         if name in self.qregs or name in self.cregs:
-            self._error(f"register {name!r} already declared", name_pos)
+            self._error(f"register {quote(name)} already declared", name_pos)
         self._expect("[")
         _, text, size_pos = self._expect("int", "register size")
         # the digit count is checked before int() converts the token
@@ -389,7 +389,7 @@ class _Parser:
         self._next()
         _, name, name_pos = self._expect("id", "gate name")
         if name in self.templates:
-            self._error(f"gate {name!r} already defined", name_pos)
+            self._error(f"gate {quote(name)} already defined", name_pos)
         params: list[str] = []
         if self._accept("("):
             if not self._at(")"):
@@ -397,7 +397,7 @@ class _Parser:
             self._expect(")")
         qargs = self._parse_ids("qubit argument")
         if len(set(params)) != len(params) or len(set(qargs)) != len(qargs):
-            self._error(f"duplicate formal argument in gate {name!r}", name_pos)
+            self._error(f"duplicate formal argument in gate {quote(name)}", name_pos)
         self._expect("{")
         t = _Template(len(params), len(qargs))
         self.params = {p: k for k, p in enumerate(params, start=1)}
@@ -413,23 +413,23 @@ class _Parser:
                 continue
             self._next()
             if op_name == name:
-                self._error(f"recursive gate definition: {name!r} references itself", op_pos)
+                self._error(f"recursive gate definition: {quote(name)} references itself", op_pos)
             if op_name not in self.templates:
-                self._error(f"unknown gate {op_name!r} in body of {name!r}", op_pos)
+                self._error(f"unknown gate {quote(op_name)} in body of {quote(name)}", op_pos)
             sub = self.templates[op_name]
             angle_exprs = list(self._parse_angle_args())
             op_qargs = self._parse_ids("qubit argument")
             self._expect(";")
             for q in op_qargs:
                 if q not in qargs:
-                    self._error(f"unknown qubit argument {q!r} in body of {name!r}", op_pos)
+                    self._error(f"unknown qubit argument {quote(q)} in body of {quote(name)}", op_pos)
             self._check_arity(op_name, len(angle_exprs), len(op_qargs), op_pos)
             if t.fail:  # every call fails, so nothing after the failing op is lowered
                 continue
             args = [t.eval(node, op_pos) for node in angle_exprs]
             qubits = [qargs.index(q) for q in op_qargs]
             if len(set(qubits)) != len(qubits):
-                t.fail = (f"duplicate qubit in expansion of {name!r}", op_pos)
+                t.fail = (f"duplicate qubit in expansion of {quote(name)}", op_pos)
                 continue
             self._lower(len(sub.opcodes) + len(sub.evals), op_pos)
             t.splice(sub, args, qubits)
@@ -450,9 +450,9 @@ class _Parser:
         """The template of gate ``name``, if a call with these argument counts fits it."""
         t = self.templates[name]
         if n_angles != t.params:
-            self._error(f"gate {name!r} takes {t.params} parameter(s), got {n_angles}", pos)
+            self._error(f"gate {quote(name)} takes {t.params} parameter(s), got {n_angles}", pos)
         if n_qubits != t.qubits:
-            self._error(f"gate {name!r} takes {t.qubits} qubit argument(s), got {n_qubits}", pos)
+            self._error(f"gate {quote(name)} takes {t.qubits} qubit argument(s), got {n_qubits}", pos)
         return t
 
     # -- expressions -------------------------------------------------------
@@ -533,7 +533,7 @@ class _Parser:
         if tag == "fun":
             return _UNARY_FUNCS[node[1]](self._eval_expr(node[2], slots))
         if tag == "param":  # a parameter no enclosing gate defines
-            self._error(f"undefined parameter {node[1]!r}", node[2])
+            self._error(f"undefined parameter {quote(node[1])}", node[2])
         if tag == "chain":
             value = self._eval_expr(node[1], slots)
             for op, rhs in node[2]:
@@ -567,7 +567,7 @@ class _Parser:
 
     def _resolve_qubit_arg(self, name: str, idx: int | None, pos: int) -> list[int]:
         if name not in self.qregs:
-            self._error(f"unknown quantum register {name!r}", pos)
+            self._error(f"unknown quantum register {quote(name)}", pos)
         base, size = self.qregs[name]
         if idx is None:
             return [base + k for k in range(size)]
@@ -585,7 +585,7 @@ class _Parser:
         self._expect(";")
         qubits = self._resolve_qubit_arg(qname, qidx, qpos)
         if cname not in self.cregs:
-            self._error(f"unknown classical register {cname!r}", cpos)
+            self._error(f"unknown classical register {quote(cname)}", cpos)
         csize = self.cregs[cname]
         if cidx is None:
             if qidx is None and len(qubits) != csize:
@@ -616,7 +616,7 @@ class _Parser:
         arguments.  The name, then each angle and argument, is checked before the next is read."""
         _, name, name_pos = self._next()
         if name not in self.templates:
-            self._error(f"unknown gate {name!r}", name_pos)
+            self._error(f"unknown gate {quote(name)}", name_pos)
         values = [self._eval_angle(node, [], name_pos) for node in self._parse_angle_args()]
         return name, name_pos, values, [arg for arg in self._parse_arguments() if self._resolve_qubit_arg(*arg)]
 

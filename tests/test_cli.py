@@ -145,6 +145,24 @@ class TestRun:
         assert abs(amps[0] - INV_SQRT2) < 1e-4
         assert abs(amps[7] - INV_SQRT2) < 1e-4
 
+    @pytest.mark.parametrize("entry, warned", [("127,127", True), ("16,62", False)])
+    def test_saturation_warned_on_stderr(self, tmp_path, capsys, entry, warned):
+        # two RY gates on one qubit from |0>: with the 8-bit table entry
+        # (127, 127) the second saturates, leaving re [0, 127]
+        config = tmp_path / "sat.cfg"
+        config.write_text("N = 1\ndata_bits = 8\n")
+        prog, table, dump = tmp_path / "ry.prog.txt", tmp_path / "ry.table.txt", tmp_path / "state.txt"
+        prog.write_text("1\n90\n90\n")
+        table.write_text(f"1\n{entry}\n")
+        rc = main(["run", str(prog), str(table), "--config", str(config), "--out", str(dump)])
+        err = capsys.readouterr().err
+        assert rc == 0
+        if warned:
+            assert dump.read_text() == "0 0\n127 0\n"
+            assert err == "warning: fixed-point arithmetic saturated; the state holds clipped words\n"
+        else:
+            assert err == ""
+
     def test_tampered_program_exit_3(self, tmp_path, bell_qasm, config_file):
         prog, table = compile_bell(tmp_path, bell_qasm, config_file)
         lines = prog.read_text().splitlines()

@@ -3,15 +3,23 @@
 from __future__ import annotations
 
 import math
+import os
+import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qbemu
 from qbemu.compiler import compile_circuit
 from qbemu.config import ExecConfig
-from qbemu.engine import run
+from qbemu.engine import FixedState, FloatState, run
+from qbemu.fixedpoint import FixedPointFormat
 from qbemu.gates import GateApplication, GateKind
-from qbemu.metrics import complex_distances, hellinger_fidelity, kld, report
+from qbemu.metrics import KLD_EPSILON, QualityReport, complex_distances, hellinger_fidelity, kld, report
 
 from _helpers import gates_as_circuit
 
@@ -149,3 +157,119 @@ class TestReport:
         ref = np.array([math.sqrt(0.5), math.sqrt(0.5)], dtype=complex)
         q = report(model, ref)
         assert q.kld == pytest.approx(math.log(2.0))
+
+
+def planes(state) -> tuple[np.ndarray, np.ndarray]:
+    if isinstance(state, FixedState):
+        return state.re * state.fmt.lsb, state.im * state.fmt.lsb
+    return state.amp.real, state.amp.imag
+
+
+def whole_array_report(model, reference) -> QualityReport:
+    """The figures of merit computed over whole arrays, as one formula each."""
+    (ar, ai), (br, bi) = planes(model), planes(reference)
+    p, r = ar * ar + ai * ai, br * br + bi * bi
+    h = np.sum((np.sqrt(p) - np.sqrt(r)) ** 2)
+    m = p > 0
+    d = np.sqrt((ar - br) ** 2 + (ai - bi) ** 2)
+    return QualityReport(
+        fidelity=(1 - 0.5 * h) ** 2,
+        kld=np.sum(p[m] * np.log(p[m] / np.maximum(r[m], KLD_EPSILON))),
+        mcd=d.max(),
+        acd=d.mean(),
+        prob_sum_model=p.sum(),
+        prob_sum_reference=r.sum(),
+    )
+
+
+def state_pair(n: int, model_kind: str, seed: int):
+    """A seeded float reference of 2**n amplitudes and an unnormalized model
+    (fixed 16-bit or float) near 1.6 times it; each has its own
+    zero-probability entries."""
+    rng = np.random.default_rng(seed)
+    size = 1 << n
+    re, im = rng.normal(size=(2, size)) / math.sqrt(2 * size)
+    re[::3] = im[::3] = 0.0
+    model_re, model_im = 1.6 * (re + 1e-3 * rng.normal(size=(2, size)))
+    model_re[1::4] = model_im[1::4] = 0.0
+    reference = FloatState(n, re + 1j * im)
+    if model_kind == "float":
+        return FloatState(n, model_re + 1j * model_im), reference
+    fmt = FixedPointFormat(16)
+    words = [np.clip(np.round(x / fmt.lsb), fmt.min_raw, fmt.max_raw) for x in (model_re, model_im)]
+    return FixedState(n, fmt, *words), reference
+
+
+class TestBlockedReport:
+    """``report`` is one pass over L2-sized blocks; it must give what the
+    whole-array formulas give, without a state-sized temporary."""
+
+    @pytest.mark.parametrize("model_kind", ["fixed", "float"])
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_equals_whole_array_formulas(self, n, model_kind):
+        model, reference = state_pair(n, model_kind, seed=n)
+        got, want = report(model, reference), whole_array_report(model, reference)
+        assert got.prob_sum_model != pytest.approx(1.0, abs=1e-3)  # unnormalized
+        for field, value in vars(want).items():
+            assert getattr(got, field) == pytest.approx(float(value), rel=1e-12, abs=0), field
+
+    @pytest.mark.parametrize("n", [1, 14, 15])
+    def test_single_figures_share_the_report_terms(self, n):
+        model, reference = state_pair(n, "fixed", seed=100 + n)
+        q = report(model, reference)
+        (ar, ai), (br, bi) = planes(model), planes(reference)
+        p, r = ar * ar + ai * ai, br * br + bi * bi
+        assert hellinger_fidelity(p, r) == q.fidelity
+        assert kld(p, r) == q.kld
+        assert complex_distances(model, reference) == (q.mcd, q.acd)
+
+    def test_peak_memory_below_half_a_state(self):
+        model, reference = state_pair(18, "fixed", seed=0)
+        tracemalloc.start()
+        try:
+            report(model, reference)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < reference.amp.nbytes / 2
+
+
+DISPATCH_SCRIPT = """
+import numpy as np
+from qbemu.engine import FixedState, FloatState
+from qbemu.fixedpoint import FixedPointFormat
+from qbemu.metrics import report
+
+def complex_of(re, im):  # no complex arithmetic: numpy may fuse its products
+    amp = np.empty(re.shape, dtype=complex)
+    amp.real, amp.imag = re, im
+    return amp
+
+for seed in range(12):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 17))
+    fmt = FixedPointFormat(int(rng.integers(8, 25)))
+    re, im = rng.normal(size=(2, 1 << n)) / np.sqrt(2 << n)
+    reference = FloatState(n, complex_of(re, im))
+    fixed = FixedState(n, fmt, np.round(re / fmt.lsb), np.round(im / fmt.lsb))
+    model = FloatState(n, complex_of(re + 1e-3 * rng.normal(size=1 << n), im))
+    print(repr(report(fixed, reference)))
+    print(repr(report(model, reference)))
+"""
+
+
+def test_report_does_not_depend_on_simd_dispatch():
+    """Under numpy's default SIMD dispatch and its baseline loops, ``report``
+    gives the same figures, bit for bit, except ``kld``, whose ``log`` is
+    dispatched."""
+    src = str(Path(qbemu.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    baseline = dict(env, NPY_DISABLE_CPU_FEATURES="AVX2 FMA3 AVX512F AVX512_SKX X86_V3 X86_V4 AVX512_ICL AVX512_SPR")
+    outputs = [
+        subprocess.run([sys.executable, "-c", DISPATCH_SCRIPT], env=e, capture_output=True, text=True, check=True).stdout
+        for e in (env, baseline)
+    ]
+    default, base = (re.sub(r"kld=[^,]*, ", "", out).splitlines() for out in outputs)
+    assert len(default) == 24
+    assert default == base

@@ -353,6 +353,22 @@ class TestParserLimits:
         src = HEADER + "qreg q[1];\nh q[0] " + "9" * 5000 + ";\n"
         assert self.error(src) == f"f.qasm:4:8: expected ;, found {'9' * 40!r}..."
 
+    @pytest.mark.parametrize(
+        "call, col, message",
+        [
+            ("g" * 5000 + " q[0];", 1, "unknown gate " + repr("g" * 40) + "..."),
+            ("h " + "r" * 5000 + "[0];", 3, "unknown quantum register " + repr("r" * 40) + "..."),
+            ("g" * 40 + " q[0];", 1, "unknown gate " + repr("g" * 40)),
+            ("h " + "r" * 40 + "[0];", 3, "unknown quantum register " + repr("r" * 40)),
+        ],
+        ids=["long_gate", "long_register", "gate_at_40", "register_at_40"],
+    )
+    def test_long_identifier_is_quoted_bounded(self, call, col, message):
+        # identifiers are quoted as config.quote quotes them: whole up to 40 characters
+        error = self.error(HEADER + "qreg q[1];\n" + call + "\n")
+        assert error == f"f.qasm:4:{col}: {message}"
+        assert len(error.encode()) < 100
+
     def test_integers_within_the_limit(self):
         circuit = parse(HEADER + f"qreg q[000002];\nqreg r[{MAX_REGISTER_SIZE}];\nx q[0001];\n")
         assert circuit.qubit_count == 2 + MAX_REGISTER_SIZE
