@@ -1,13 +1,15 @@
 """OpenQASM 2.0 frontend for the native gate set.
 
 Parses a supported subset of OpenQASM 2.0 into native gate columns (see
-:mod:`qbemu.columns`).  Every gate name has a template of the native rows a
-call lowers to: the usual qelib1 gates outside the native twelve through
-fixed equivalences (cx/ch/cr*/cu1 become a native opcode with the control
-field set; cz, cy, swap, ccx, u2, u3 expand to short native sequences), and
-a user-defined gate by splicing together the templates of its body's gates,
-once, when it is defined.  Calls wait in a batch that is checked and lowered
-in array passes: each call gathers its template's rows on its qubits.
+:mod:`qbemu.columns`).  Every gate of qelib1.inc is built in, and every gate
+name has a template of the native rows a call lowers to.  The native twelve
+(``p`` is ``u1``) and ``CX cx ch crx cry crz cu1 cp`` are primitives; ``U u3 u
+u2 id u0 sx sxdg cz cy swap ccx cswap cu3 csx cu rxx rzz rccx rc3x c3x c3sqrtx
+c4x`` are ``gate`` lines in ``_PRELUDE``, read once as a user's are: a gate's
+template splices together its body's templates when it is defined, and a name
+cannot be defined twice.  ``U`` is RZ(phi) RY(theta) RZ(lambda), qelib1's U
+times exp(-i(phi+lambda)/2).  Calls wait in a batch that is checked and
+lowered in array passes: each call gathers its template's rows on its qubits.
 
 ``measure`` and ``barrier`` statements are accepted and dropped; ``creg``
 declarations are recorded but otherwise ignored.  ``if``, ``reset`` and
@@ -153,17 +155,17 @@ class _Template:
     arguments, and each later slot the value of one of ``evals``, an
     ``(expression, reads, pos)`` evaluated in order at every call, where
     slot ``k`` of the parsed expression reads our slot ``reads[k]``: a splice
-    shares the expression tree and maps only its slots.  ``fail`` is the
-    ``(message, pos)`` of an error every call raises after ``evals``.  Row
-    ``k`` is native opcode ``opcodes[k]`` on the call's qubit arguments
-    ``targets[k]`` and ``controls[k]`` (equal when uncontrolled), with the
-    angle in slot ``angles[k]``.
+    shares the expression tree and maps only its slots; a built-in's ``pos``
+    is None, the call's.  ``fail`` is the ``(message, pos)`` of an error every
+    call raises after ``evals``.  Row ``k`` is native opcode ``opcodes[k]`` on
+    the call's qubit arguments ``targets[k]`` and ``controls[k]`` (equal when
+    uncontrolled), with the angle in slot ``angles[k]``.
     """
 
-    def __init__(self, params: int, qubits: int, rows=(), evals=()):
+    def __init__(self, params: int, qubits: int, rows=()):
         self.params, self.qubits = params, qubits
-        self.evals, self.fail = list(evals), None
-        columns = list(zip(*((*row, 0)[:4] for row in rows))) or [()] * 4  # no angle: slot 0
+        self.evals, self.fail = [], None
+        columns = list(zip(*rows)) or [()] * 4
         self.opcodes, self.targets, self.controls, self.angles = (list(map(int, col)) for col in columns)
 
     def eval(self, node, pos: int) -> int:
@@ -173,12 +175,12 @@ class _Template:
         self.evals.append((node, range(self.params + 1), pos))
         return self.params + len(self.evals)
 
-    def splice(self, sub: "_Template", args: list[int], qubits: list[int]) -> None:
-        """Append a call of ``sub``: ``args`` are the slots of its angle
+    def splice(self, sub: "_Template", args: list[int], qubits: list[int], pos: int) -> None:
+        """Append a call of ``sub`` at ``pos``: ``args`` are the slots of its angle
         arguments and ``qubits`` the indices of its qubits among ours."""
         slots = [0, *args]
-        for node, reads, pos in sub.evals:
-            self.evals.append((node, [slots[k] for k in reads], pos))
+        for node, reads, at in sub.evals:
+            self.evals.append((node, [slots[k] for k in reads], pos if at is None else at))
             slots.append(self.params + len(self.evals))
         self.opcodes += sub.opcodes
         self.targets += [qubits[k] for k in sub.targets]
@@ -191,26 +193,40 @@ def _rot(kind: GateKind) -> int:
     return int(kind in ROTATIONAL)
 
 
-_K = GateKind
-_CCX = (
-    (_K.H, 2, 2), (_K.X, 2, 1), (_K.TDG, 2, 2), (_K.X, 2, 0), (_K.T, 2, 2), (_K.X, 2, 1), (_K.TDG, 2, 2),
-    (_K.X, 2, 0), (_K.T, 1, 1), (_K.T, 2, 2), (_K.H, 2, 2), (_K.X, 1, 0), (_K.T, 0, 0), (_K.TDG, 1, 1), (_K.X, 1, 0),
-)
-_U3 = ((_K.RZ, 0, 0, 3), (_K.RY, 0, 0, 1), (_K.RZ, 0, 0, 2))  # u3(theta, phi, lam) = RZ(phi) RY(theta) RZ(lam)
-
-# name -> template, over the whole built-in surface
+# name -> template, over the whole built-in surface: these primitives, and below the gates of _PRELUDE
 _BUILTINS = {
     **{name: _Template(_rot(k), 1, [(k, 0, 0, _rot(k))]) for name, k in _NATIVE_1Q.items()},
     **{name: _Template(_rot(k), 2, [(k, 1, 0, _rot(k))]) for name, k in _CONTROLLED_NATIVE.items()},
-    "cz": _Template(0, 2, [(_K.H, 1, 1), (_K.X, 1, 0), (_K.H, 1, 1)]),
-    "cy": _Template(0, 2, [(_K.SDG, 1, 1), (_K.X, 1, 0), (_K.S, 1, 1)]),
-    "swap": _Template(0, 2, [(_K.X, 1, 0), (_K.X, 0, 1), (_K.X, 1, 0)]),
-    "ccx": _Template(0, 3, _CCX),
-    **{name: _Template(3, 1, _U3) for name in ("u3", "u", "U")},
-    # u2(phi, lam) = u3(pi/2, phi, lam), with pi/2 in slot 3
-    "u2": _Template(2, 1, [(_K.RZ, 0, 0, 2), (_K.RY, 0, 0, 3), (_K.RZ, 0, 0, 1)], [(("num", math.pi / 2.0), (), 0)]),
-    "id": _Template(0, 1),
 }
+
+# The rest of qelib1.inc, one gate a line, as Qiskit ships it but where a comment says otherwise.
+_PRELUDE = """OPENQASM 2.0;
+// the primitives' lowering: U is RZ RY RZ, and id and u0 lower to nothing
+gate U(theta,phi,lambda) q { rz(lambda) q; ry(theta) q; rz(phi) q; }
+gate u3(theta,phi,lambda) q { U(theta,phi,lambda) q; }
+gate u(theta,phi,lambda) q { U(theta,phi,lambda) q; }
+gate u2(phi,lambda) q { U(pi/2,phi,lambda) q; }
+gate id a { }
+gate u0(gamma) q { }
+gate sx a { sdg a; h a; sdg a; }
+gate sxdg a { s a; h a; s a; }
+gate cz a,b { h b; cx a,b; h b; }
+gate cy a,b { sdg b; cx a,b; s b; }
+gate swap a,b { cx a,b; cx b,a; cx a,b; }
+gate ccx a,b,c { h c; cx b,c; tdg c; cx a,c; t c; cx b,c; tdg c; cx a,c; t b; t c; h c; cx a,b; t a; tdg b; cx a,b; }
+gate cswap a,b,c { cx c,b; ccx a,b,c; cx c,b; }
+gate cu3(theta,phi,lambda) c,t { u1((lambda+phi)/2) c; u1((lambda-phi)/2) t; cx c,t; u3(-theta/2,0,-(phi+lambda)/2) t; cx c,t; u3(theta/2,phi,0) t; }
+gate csx a,b { h b; cu1(pi/2) a,b; h b; }
+gate cu(theta,phi,lambda,gamma) c,t { p(gamma) c; p((lambda+phi)/2) c; p((lambda-phi)/2) t; cx c,t; u(-theta/2,0,-(phi+lambda)/2) t; cx c,t; u(theta/2,phi,0) t; }
+gate rxx(theta) a,b { u3(pi/2,theta,0) a; h b; cx a,b; u1(-theta) b; cx a,b; h b; u2(-pi,pi-theta) a; }
+gate rzz(theta) a,b { cx a,b; u1(theta) b; cx a,b; }
+gate rccx a,b,c { u2(0,pi) c; u1(pi/4) c; cx b,c; u1(-pi/4) c; cx a,c; u1(pi/4) c; cx b,c; u1(-pi/4) c; u2(0,pi) c; }
+gate rc3x a,b,c,d { u2(0,pi) d; u1(pi/4) d; cx c,d; u1(-pi/4) d; u2(0,pi) d; cx a,d; u1(pi/4) d; cx b,d; u1(-pi/4) d; cx a,d; u1(pi/4) d; cx b,d; u1(-pi/4) d; u2(0,pi) d; u1(pi/4) d; cx c,d; u1(-pi/4) d; u2(0,pi) d; }
+gate c3x a,b,c,d { h d; p(pi/8) a; p(pi/8) b; p(pi/8) c; p(pi/8) d; cx a,b; p(-pi/8) b; cx a,b; cx b,c; p(-pi/8) c; cx a,c; p(pi/8) c; cx b,c; p(-pi/8) c; cx a,c; cx c,d; p(-pi/8) d; cx b,d; p(pi/8) d; cx c,d; p(-pi/8) d; cx a,d; p(pi/8) d; cx c,d; p(-pi/8) d; cx b,d; p(pi/8) d; cx c,d; p(-pi/8) d; cx a,d; h d; }
+gate c3sqrtx a,b,c,d { h d; cu1(pi/8) a,d; h d; cx a,b; h d; cu1(-pi/8) b,d; h d; cx a,b; h d; cu1(pi/8) b,d; h d; cx b,c; h d; cu1(-pi/8) c,d; h d; cx a,c; h d; cu1(pi/8) c,d; h d; cx b,c; h d; cu1(-pi/8) c,d; h d; cx a,c; h d; cu1(pi/8) c,d; h d; }
+// qelib1's text calls rc3x twice, but rc3x is not its own inverse: the second is written out as its inverse
+gate c4x a,b,c,d,e { h e; cu1(pi/2) d,e; h e; rc3x a,b,c,d; h e; cu1(-pi/2) d,e; h e; u2(0,pi) d; u1(pi/4) d; cx c,d; u1(-pi/4) d; u2(0,pi) d; u1(pi/4) d; cx b,d; u1(-pi/4) d; cx a,d; u1(pi/4) d; cx b,d; u1(-pi/4) d; cx a,d; u2(0,pi) d; u1(pi/4) d; cx c,d; u1(-pi/4) d; u2(0,pi) d; c3sqrtx a,b,c,e; }
+"""
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +274,7 @@ class _Parser:
         self.qubit_count = 0
         self.lowered = 0  # native gates and angle expressions lowered so far
         self.templates = dict(_BUILTINS)  # gate name -> template, user gates added when defined
-        # the pending batch: a row (offset, name, angles, reg, idx, reg, idx) per call, with the angle
+        # the pending batch: a row (name offset, name, angles, reg, idx, reg, idx) per call, with the angle
         # values as comma-separated literals, index None for a whole register and register None for none,
         self.calls: list[tuple] = []  # and a row of None, None, None and two more per two more arguments
         self.columns: list[tuple] = []  # the native gate columns lowered from each batch
@@ -313,7 +329,7 @@ class _Parser:
                     self._flush()
                 m = _CALL_RE.match(self.text, start)
                 if m and m[1] not in _STATEMENTS:
-                    self.calls.append((start, *m.groups()))
+                    self.calls.append((m.start("name"), *m.groups()))
                     start = m.end()
                     continue
                 self.stream = _tokens(self.text, start)
@@ -432,7 +448,7 @@ class _Parser:
                 t.fail = (f"duplicate qubit in expansion of {quote(name)}", op_pos)
                 continue
             self._lower(len(sub.opcodes) + len(sub.evals), op_pos)
-            t.splice(sub, args, qubits)
+            t.splice(sub, args, qubits, op_pos)
         self._expect("}")
         self.params = {}
         self.templates[name] = t
@@ -672,7 +688,7 @@ class _Parser:
         for i in np.flatnonzero(nevals[tid[: first + (first < len(head) and not bad[first])]]):
             slots = [0.0, *values[aoff[i] : aoff[i] + nang[i]]]
             for node, reads, pos in temps[tid[i]].evals:
-                slots.append(self._eval_angle(node, [slots[k] for k in reads], pos))
+                slots.append(self._eval_angle(node, [slots[k] for k in reads], offsets[head[i]] if pos is None else pos))
             evals += slots[1 + nang[i] :]
         if first < len(head):
             self.lowered = int(total[first] - count[first])
@@ -705,6 +721,18 @@ _STATEMENTS = {
     "if": "unsupported: conditional execution",
     "reset": "unsupported: reset",
 }
+
+
+def _read_prelude() -> dict[str, _Template]:
+    """The primitives and the gates of ``_PRELUDE``, whose expressions fail at the call that evaluates them."""
+    parser = _Parser(_PRELUDE, "qelib1.inc")
+    parser.parse()
+    for t in parser.templates.values():
+        t.evals = [(node, reads, None) for node, reads, _ in t.evals]
+    return parser.templates
+
+
+_BUILTINS = _read_prelude()
 
 
 def parse(source_text: str, filename: str = "<input>") -> SourceCircuit:

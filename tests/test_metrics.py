@@ -258,18 +258,48 @@ for seed in range(12):
 """
 
 
-def test_report_does_not_depend_on_simd_dispatch():
-    """Under numpy's default SIMD dispatch and its baseline loops, ``report``
-    gives the same figures, bit for bit, except ``kld``, whose ``log`` is
-    dispatched."""
+def _outputs_under_both_dispatches(script: str) -> list[str]:
+    """Standard output of ``script`` under numpy's default SIMD dispatch, then under its baseline loops."""
     src = str(Path(qbemu.__file__).parents[1])
     env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
     env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
     baseline = dict(env, NPY_DISABLE_CPU_FEATURES="AVX2 FMA3 AVX512F AVX512_SKX X86_V3 X86_V4 AVX512_ICL AVX512_SPR")
-    outputs = [
-        subprocess.run([sys.executable, "-c", DISPATCH_SCRIPT], env=e, capture_output=True, text=True, check=True).stdout
+    return [
+        subprocess.run([sys.executable, "-c", script], env=e, capture_output=True, text=True, check=True).stdout
         for e in (env, baseline)
     ]
+
+
+def test_report_does_not_depend_on_simd_dispatch():
+    """Under numpy's default SIMD dispatch and its baseline loops, ``report``
+    gives the same figures, bit for bit, except ``kld``, whose ``log`` is
+    dispatched."""
+    outputs = _outputs_under_both_dispatches(DISPATCH_SCRIPT)
     default, base = (re.sub(r"kld=[^,]*, ", "", out).splitlines() for out in outputs)
     assert len(default) == 24
+    assert default == base
+
+
+PROBABILITIES_SCRIPT = """
+import hashlib
+import numpy as np
+from qbemu.engine import FixedState, FloatState, sample_counts
+from qbemu.fixedpoint import FixedPointFormat
+
+fmt = FixedPointFormat(16)
+for seed in range(6):
+    rng = np.random.default_rng(seed)
+    re, im = rng.normal(size=(2, 1 << 12)) / np.sqrt(2 << 12)
+    amp = np.empty(re.shape, dtype=complex)
+    amp.real, amp.imag = re, im
+    for state in (FloatState(12, amp), FixedState(12, fmt, np.round(re / fmt.lsb), np.round(im / fmt.lsb))):
+        print(hashlib.sha256(state.probabilities().tobytes()).hexdigest(), sample_counts(state, 1000, seed))
+"""
+
+
+def test_probabilities_do_not_depend_on_simd_dispatch():
+    """``probabilities``, and so ``sample_counts`` and ``qbemu run --seed``,
+    give the same bytes under numpy's default SIMD dispatch and its baseline loops."""
+    default, base = (out.splitlines() for out in _outputs_under_both_dispatches(PROBABILITIES_SCRIPT))
+    assert len(default) == 12
     assert default == base

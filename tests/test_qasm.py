@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -441,6 +442,7 @@ class TestErrorPositions:
             HEADER + "qreg q[1];\nrx(1.0e999) q[0];\n",
             "f.qasm:4:1: cannot evaluate expression: result is inf",
         ),
+        "redefined_qelib1_gate": (HEADER + "gate sx a { h a; }\n", "f.qasm:3:6: gate 'sx' already defined"),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -503,16 +505,144 @@ class TestBatchedCallErrors:
         assert self.error(body) == "f.qasm:54:5: expected ), found 'e999'"
 
 
+class TestBuiltinErrorsAtTheCall:
+    """An expression of a built-in that fails to evaluate is positioned at the
+    call: at its name at top level, at the body statement inside a gate."""
+
+    @pytest.fixture(autouse=True, params=[1, qasm._BATCH_ROWS], ids=lambda rows: f"batch{rows}")
+    def batch_rows(self, request, monkeypatch):
+        monkeypatch.setattr(qasm, "_BATCH_ROWS", request.param)
+
+    def error(self, body: str) -> str:
+        with pytest.raises(QasmError) as err:
+            parse(HEADER + body, filename="f.qasm")
+        return str(err.value)
+
+    # cu3's first expression, (lambda+phi)/2, overflows
+    @pytest.mark.parametrize("call", ["cu3(1,1.0e308,1.0e308) q[0],q[1];", "  cu3(1, 1.0e308, (1.0e308)) q[0],q[1];"],
+                             ids=["pattern", "tokens"])
+    def test_at_the_call_name(self, call):
+        col = call.index("cu3") + 1
+        message = f"f.qasm:4:{col}: cannot evaluate expression: result is inf"
+        assert self.error("qreg q[2];\n" + call + "\n") == message
+        assert self.error("qreg q[2];\n" + call + "\nh q[0];\n" * 20) == message
+        assert self.error("qreg q[2]; h q[1];\n" + call + " h q[0];\n") == message
+
+    def test_at_the_body_statement(self):
+        body = "gate g a,b {\n  h a;\n  cu3(1,1.0e308,1.0e308) a,b;\n}\nqreg q[2];\nh q[0];\ng q[0],q[1];\n"
+        message = "f.qasm:5:3: cannot evaluate expression: result is inf"
+        assert self.error(body) == message
+        nested = body.replace("qreg", "gate outer a,b { g b,a; }\nqreg").replace("g q[0]", "outer q[0]")
+        assert self.error(nested) == message
+
+
+# The rows the built-ins now read from the prelude were written by hand before,
+# as (opcode, target, control, angle slot) on the call's qubits: slot 0 no
+# angle, slots 1.. the call's angles, and u2's slot 3 pi/2.  They are kept
+# here as the reference that lowering must still match byte for byte.
+_K = GateKind
+_CCX = (
+    (_K.H, 2, 2), (_K.X, 2, 1), (_K.TDG, 2, 2), (_K.X, 2, 0), (_K.T, 2, 2), (_K.X, 2, 1), (_K.TDG, 2, 2),
+    (_K.X, 2, 0), (_K.T, 1, 1), (_K.T, 2, 2), (_K.H, 2, 2), (_K.X, 1, 0), (_K.T, 0, 0), (_K.TDG, 1, 1), (_K.X, 1, 0),
+)
+_U3 = ((_K.RZ, 0, 0, 3), (_K.RY, 0, 0, 1), (_K.RZ, 0, 0, 2))
+_HAND_WRITTEN = {
+    "cz": [(_K.H, 1, 1), (_K.X, 1, 0), (_K.H, 1, 1)],
+    "cy": [(_K.SDG, 1, 1), (_K.X, 1, 0), (_K.S, 1, 1)],
+    "swap": [(_K.X, 1, 0), (_K.X, 0, 1), (_K.X, 1, 0)],
+    "ccx": _CCX,
+    **{name: _U3 for name in ("u3", "u", "U")},
+    "u2": [(_K.RZ, 0, 0, 2), (_K.RY, 0, 0, 3), (_K.RZ, 0, 0, 1)],
+    "id": [],
+}
+
+
+def _hand_lowered(calls) -> list[bytes]:
+    """Bytes of the opcode, target, control and angle columns of ``(name, angles, qubits)`` calls."""
+    rows = []
+    for name, angles, qubits in calls:
+        slots = [0.0, *angles, math.pi / 2.0]
+        rows += [(op, qubits[t], qubits[c], slots[(*slot, 0)[0]]) for op, t, c, *slot in _HAND_WRITTEN[name]]
+    return [np.array(col, dtype).tobytes() for col, dtype in zip(zip(*rows), (np.int64, np.int64, np.int64, np.float64))]
+
+
+def _column_bytes(text: str) -> list[bytes]:
+    gates = parse(text).gates
+    return [col.tobytes() for col in (gates.opcode, gates.target, gates.control, gates.angle)]
+
+
+def _g_calls(a: float, b: float, x: int, y: int, z: int) -> list:
+    """The calls of gate ``g`` below, with parameters ``a, b`` on flat qubits ``x, y, z``."""
+    return [("cz", (), (x, y)), ("cy", (), (z, x)), ("swap", (), (y, z)), ("ccx", (), (z, x, y)),
+            ("u3", (a, b, a * b), (y,)), ("u", (b, a, 0.5), (z,)), ("U", (a, -b, b), (x,)), ("u2", (a, b), (z,)),
+            ("id", (), (x,))]
+
+
+# Every gate qelib1.inc defines, as Qiskit ships it.
+QELIB1_NAMES = (
+    "u3 u2 u1 cx id u0 u p x y z h s sdg t tdg rx ry rz sx sxdg cz cy swap ch ccx cswap crx cry crz cu1 cp cu3 csx cu "
+    "rxx rzz rccx rc3x c3x c3sqrtx c4x"
+).split()
+
+
+class TestPreludeKeepsHandWrittenLowering:
+    REGS = "qreg q[2];\nqreg r[2];\nqreg s[2];\n"  # flat qubits q 0-1, r 2-3, s 4-5
+    CALLS = [("cz", (), (0, 5)), ("cy", (), (3, 0)), ("swap", (), (4, 1)), ("ccx", (), (2, 0, 5)),
+             ("u3", (0.1, -0.2, 0.3), (1,)), ("u", (1.5, 2.5, -3.5), (4,)), ("U", (-0.7, 0.0, 4.25), (0,)),
+             ("u2", (0.5, -0.25), (3,)), ("id", (), (2,))]
+    G = "gate g(a,b) x,y,z { cz x,y; cy z,x; swap y,z; ccx z,x,y; u3(a,b,a*b) y; u(b,a,0.5) z; U(a,-b,b) x; u2(a,b) z; id x; }\n"
+
+    @pytest.mark.parametrize("form", ["{!r}", "({!r})"], ids=["pattern", "tokens"])
+    def test_plain_calls(self, form):
+        qubit = "qqrrss"
+        text = "".join(
+            name + (f"({','.join(map(form.format, angles))})" if angles else "")
+            + " " + ",".join(f"{qubit[k]}[{k % 2}]" for k in qubits) + ";\n"
+            for name, angles, qubits in self.CALLS
+        )
+        assert _column_bytes(HEADER + self.REGS + text) == _hand_lowered(self.CALLS)
+
+    def test_whole_register_broadcast(self):
+        text = ("cz q,r;\ncy r,s[0];\nswap s,q;\nccx q,r,s;\nu3(0.1,-0.2,0.3) r;\nu(1.5,2.5,-3.5) s;\n"
+                "U(-0.7,0.0,4.25) q;\nu2(0.5,-0.25) r;\nid s;\n")
+        calls = [[("cz", (), (k, 2 + k))] for k in range(2)] + [[("cy", (), (2 + k, 4))] for k in range(2)]
+        calls += [[("swap", (), (4 + k, k))] for k in range(2)] + [[("ccx", (), (k, 2 + k, 4 + k))] for k in range(2)]
+        calls += [[(name, angles, (base + k,))] for (name, angles, _), base in zip(self.CALLS[4:], (2, 4, 0, 2, 4))
+                  for k in range(2)]
+        assert _column_bytes(HEADER + self.REGS + text) == _hand_lowered(sum(calls, []))
+
+    def test_calls_inside_a_user_gate(self):
+        text = HEADER + self.REGS + self.G + "g(0.3,0.7) q[1],s[0],r[1];\ng(-1.5,2.0) q,r,s;\n"
+        calls = _g_calls(0.3, 0.7, 1, 4, 3) + _g_calls(-1.5, 2.0, 0, 2, 4) + _g_calls(-1.5, 2.0, 1, 3, 5)
+        assert _column_bytes(text) == _hand_lowered(calls)
+
+    def test_every_other_builtin_is_read_from_the_prelude(self):
+        defined = re.findall(r"^gate (\w+)", qasm._PRELUDE, re.MULTILINE)
+        assert len(set(defined)) == len(defined) == qasm._PRELUDE.count("\ngate ")
+        primitives = {*qasm._NATIVE_1Q, *qasm._CONTROLLED_NATIVE}
+        assert not primitives & set(defined)
+        assert set(qasm._BUILTINS) == primitives | set(defined)
+        assert set(qasm._BUILTINS) == {"U", "CX", *QELIB1_NAMES}
+
+
 # Defining matrices for the lowered equivalences, written directly.
 _CZ = np.diag([1, 1, 1, -1]).astype(complex)
 _SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
 
-def _controlled(u: np.ndarray) -> np.ndarray:
-    """Control on qubit 0 (LSB), unitary on qubit 1, in this index convention."""
-    m = np.eye(4, dtype=complex)
-    m[1, 1], m[1, 3] = u[0, 0], u[0, 1]
-    m[3, 1], m[3, 3] = u[1, 0], u[1, 1]
+def _controlled(u: np.ndarray, controls: int = 1) -> np.ndarray:
+    """Control on qubits ``0..controls-1`` (LSB first), unitary on the next, in this index convention."""
+    on = (1 << controls) - 1
+    m = np.eye(2 << controls, dtype=complex)
+    m[np.ix_([on, on | 1 << controls], [on, on | 1 << controls])] = u
+    return m
+
+
+def _identity_with(qubits: int, entries: dict) -> np.ndarray:
+    """The identity on ``qubits`` with the ``(row, column): value`` entries set."""
+    m = np.eye(1 << qubits, dtype=complex)
+    for (r, c), value in entries.items():
+        m[r, c] = value
     return m
 
 
@@ -533,6 +663,42 @@ def _u3(theta, phi, lam) -> np.ndarray:
         ],
         dtype=complex,
     )
+
+
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_SX = np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]]) / 2  # the square root of X that csx and c3sqrtx control
+
+
+def _rxx(theta: float) -> np.ndarray:
+    return math.cos(theta / 2) * np.eye(4) - 1j * math.sin(theta / 2) * np.kron(_X, _X)
+
+
+def _rzz(theta: float) -> np.ndarray:
+    return np.diag(np.exp(-0.5j * theta * np.array([1, -1, -1, 1])))  # exp(-i theta/2 Z(x)Z)
+
+
+# The qelib1 gates the prelude adds: gate -> (call, matrix, qubits).  rccx and
+# rc3x are Toffolis up to relative phases, as Qiskit's RCCXGate and RC3XGate.
+QELIB1_MATRICES = {
+    "sx": ("sx q[0];", _SX, 1),
+    "sxdg": ("sxdg q[0];", _SX.conj().T, 1),
+    "u0": ("u0(0.3) q[0];", np.eye(2), 1),
+    "cswap": ("cswap q[0],q[1],q[2];", _identity_with(3, {(3, 3): 0, (5, 5): 0, (3, 5): 1, (5, 3): 1}), 3),
+    "csx": ("csx q[0],q[1];", _controlled(_SX), 2),
+    "cu3": ("cu3(1.1,0.4,2.3) q[0],q[1];", _controlled(_u3(1.1, 0.4, 2.3)), 2),
+    "cu": ("cu(1.1,0.4,2.3,0.7) q[0],q[1];", _controlled(np.exp(0.7j) * _u3(1.1, 0.4, 2.3)), 2),
+    "rxx": ("rxx(0.9) q[0],q[1];", _rxx(0.9), 2),
+    "rzz": ("rzz(0.9) q[0],q[1];", _rzz(0.9), 2),
+    "rccx": ("rccx q[0],q[1],q[2];", _identity_with(3, {(3, 3): 0, (7, 7): 0, (3, 7): -1j, (7, 3): 1j, (5, 5): -1}), 3),
+    "rc3x": (
+        "rc3x q[0],q[1],q[2],q[3];",
+        _identity_with(4, {(3, 3): 1j, (7, 7): 0, (15, 15): 0, (7, 15): 1, (15, 7): -1, (11, 11): -1j}),
+        4,
+    ),
+    "c3x": ("c3x q[0],q[1],q[2],q[3];", _controlled(_X, 3), 4),
+    "c3sqrtx": ("c3sqrtx q[0],q[1],q[2],q[3];", _controlled(_SX, 3), 4),
+    "c4x": ("c4x q[0],q[1],q[2],q[3],q[4];", _controlled(_X, 4), 5),
+}
 
 
 class TestLoweringSoundness:
@@ -575,6 +741,11 @@ class TestLoweringSoundness:
             ("cu1(0.8)", np.diag([1.0, np.exp(0.8j)])),
         ]:
             self.check(f"{name} q[0],q[1];\n", _controlled(np.asarray(mat, complex)), 2)
+
+    @pytest.mark.parametrize("gate", sorted(QELIB1_MATRICES))
+    def test_qelib1_gate(self, gate):
+        call, matrix, qubits = QELIB1_MATRICES[gate]
+        self.check(call + "\n", matrix, qubits)
 
     def test_cnot_matrix_msq_target(self):
         # control on the LSQ, target on the MSQ
