@@ -1,7 +1,7 @@
 """ASCII host<->board protocol: framing, incremental decoding, loopback.
 
-Frames are uppercase hex with no leading zeros, wrapped in a one-byte start
-symbol and a ``#`` terminator:
+Frames are uppercase hex (written with no leading zeros, read with any),
+wrapped in a one-byte start symbol and a ``#`` terminator:
 
 * ``?value#`` -- number of (sine, cosine) pairs about to be loaded,
 * ``*value#`` -- number of qubits in use,
@@ -21,8 +21,9 @@ the frame the last feed ended inside again, ahead of the new ones: one
 regex match takes the run of complete frames, and what follows must be one
 frame cut short, which is held for the next feed; anything else is an error
 naming its first offending byte.  A payload has at most
-:data:`MAX_PAYLOAD_DIGITS` hex digits, so a value is a Python int of that
-many digits at most and the held bytes stay bounded.  A session's angle
+:data:`MAX_PAYLOAD_DIGITS` hex digits, so the held bytes stay bounded; the
+values are summed from the digits in one array pass, as 16-digit uint64
+limbs joined into Python ints.  A session's angle
 values and instruction words are framed from their columns in one array
 pass.  :class:`VirtualBoard` binds the decoder to the fixed-point engine so
 a full session can run loopback with no hardware attached.
@@ -33,11 +34,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 
 import numpy as np
 
 from .columns import Columns
-from .compiler import _HEX_CHARS, _INTEGER, AngleTable, CompiledProgram, bad_line, decode_words, encode_words
+from .compiler import _HEX_CHARS, _HEX_VALUES, _INTEGER, AngleTable, CompiledProgram, bad_line, decode_words, encode_words
 from .compiler import field_error, word_error, word_fields
 from .config import ExecConfig
 from .engine import FixedState, run
@@ -65,14 +67,13 @@ class MessageKind(Enum):
 
 
 _KINDS = tuple(MessageKind)
-_KIND_OF_BYTE = np.full(256, -1, dtype=np.int64)  # -1 for a byte that starts no frame
+_KIND_OF_BYTE = np.full(256, -1, dtype=np.int8)  # -1 for a byte that starts no frame
 _KIND_OF_BYTE[[ord(kind.value) for kind in _KINDS]] = np.arange(len(_KINDS))
 
 MAX_PAYLOAD_DIGITS = 64  # bounds a value and the bytes held between feeds
 _FRAME_RUN = re.compile(rb"(?:[?*>][0-9A-F]{1,%(m)d}#|<[0-9A-F]{1,%(m)d}-?#|!)*" % {b"m": MAX_PAYLOAD_DIGITS})
 # A frame cut short (or nothing); the signed form first, so a match is the longest
 _PARTIAL = re.compile(rb"(?:[?*>][0-9A-F]{0,%(m)d}|<(?:[0-9A-F]{1,%(m)d}-|[0-9A-F]{0,%(m)d}))?" % {b"m": MAX_PAYLOAD_DIGITS})
-_FRAME = re.compile(rb"[?*<>]([0-9A-F]+)(-?)#|!")
 _TERMINATOR, _SIGN = b"#-"
 
 
@@ -157,11 +158,19 @@ class StreamDecoder:
         self._held, self._offset = data[stop:], base + len(data)
         if not stop:
             return _NO_MESSAGES
-        codes = _KIND_OF_BYTE[np.frombuffer(data, dtype=np.uint8, count=stop)]
-        starts = (codes >= 0).nonzero()[0]
-        frames = _FRAME.findall(data, 0, stop)  # (digits, sign); both empty for "!"
-        values = np.array([(-int(d, 16) if s else int(d, 16)) if d else 0 for d, s in frames], dtype=object)
-        return Columns(_message_row, kind=codes[starts], value=values, offset=starts + base)
+        buf = np.frombuffer(data, dtype=np.uint8, count=stop)
+        starts = (_KIND_OF_BYTE[buf] >= 0).nonzero()[0]
+        ends = np.append(starts[1:], stop)
+        sign = buf[ends - 2] == _SIGN  # a "!" frame's is the byte before it, and its value 0 either way
+        last, digits = ends - 2 - sign, np.maximum(ends - starts - 2 - sign, 0)
+        # Digit column j is each frame's j-th digit from the right, read in place (a shorter frame's reads
+        # earlier bytes, which the where masks); 16 columns shift and sum to a uint64 limb, lowest first.
+        limbs = [sum((np.where(digits > j, _HEX_VALUES[buf[last - j]], 0) << np.uint64(4 * (j - lo))
+                      for j in range(lo, min(lo + 16, digits.max()))), np.zeros(len(starts), np.uint64))
+                 for lo in range(0, max(digits.max(), 1), 16)]
+        value = reduce(lambda high, low: high << 64 | low, [limb.astype(object) for limb in reversed(limbs)])
+        value[sign] = -value[sign]
+        return Columns(_message_row, kind=_KIND_OF_BYTE[buf[starts]].astype(np.int64), value=value, offset=starts + base)
 
 
 _NO_MESSAGES = Columns.of(_message_row, MESSAGE_FIELDS, ())

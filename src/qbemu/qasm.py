@@ -7,9 +7,11 @@ name has a template of the native rows a call lowers to.  The native twelve
 u2 id u0 sx sxdg cz cy swap ccx cswap cu3 csx cu rxx rzz rccx rc3x c3x c3sqrtx
 c4x`` are ``gate`` lines in ``_PRELUDE``, read once as a user's are: a gate's
 template splices together its body's templates when it is defined, and a name
-cannot be defined twice.  ``U`` is RZ(phi) RY(theta) RZ(lambda), qelib1's U
-times exp(-i(phi+lambda)/2).  Calls wait in a batch that is checked and
-lowered in array passes: each call gathers its template's rows on its qubits.
+cannot be defined twice; a body's angle expression that reads no argument is
+evaluated then.  ``U`` is RZ(phi) RY(theta) RZ(lambda), qelib1's U times
+exp(-i(phi+lambda)/2).  A call is resolved when it is read, its argument text
+checked and broadcast once per parse, and waits as ints and angle text in a
+batch lowered in array passes: each call gathers its template's rows.
 
 ``measure`` and ``barrier`` statements are accepted and dropped; ``creg``
 declarations are recorded but otherwise ignored.  ``if``, ``reset`` and
@@ -98,16 +100,16 @@ _TOKEN_RE = re.compile(
 
 # The commonest statement in one match, after the whitespace and comments
 # before it: a gate name, optionally number literals (each maybe negated) in
-# parentheses, one or two ``reg[i]`` of at most five index digits, and ``;``,
-# with no comment inside.  What may follow each part cannot continue it, so a
-# part only matches as the whole token the tokenizer reads there.
+# parentheses, one or two ``reg[i]`` of at most five index digits (``args``),
+# and ``;``, with no comment inside.  What may follow each part cannot continue
+# it, so a part only matches as the whole token the tokenizer reads there.
 _S = r"[ \t\r\n]*"  # never two in a row: a failing match backtracks through whitespace once
 _NUMBER = rf"{_S}-?(?:{_REAL}|{_INT}){_S}"
 _CALL_RE = re.compile(
     rf"{_SKIP}*(?P<name>{_ID})(?=[( \t\r\n]){_S}"
     rf"(?:\((?P<angles>{_NUMBER}(?:,{_NUMBER})*)\){_S})?"
-    rf"(?P<reg1>{_ID}){_S}\[{_S}(?P<idx1>[0-9]{{1,5}}){_S}\]{_S}"
-    rf"(?:,{_S}(?P<reg2>{_ID}){_S}\[{_S}(?P<idx2>[0-9]{{1,5}}){_S}\]{_S})?;"
+    rf"(?P<args>(?P<reg1>{_ID}){_S}\[{_S}(?P<idx1>[0-9]{{1,5}}){_S}\]{_S}"
+    rf"(?:,{_S}(?P<reg2>{_ID}){_S}\[{_S}(?P<idx2>[0-9]{{1,5}}){_S}\]{_S})?);"
 )
 
 
@@ -152,36 +154,44 @@ class _Template:
     """The native rows one call of a gate lowers to.
 
     Angle slot 0 holds 0.0 (no angle), slots ``1..params`` the call's angle
-    arguments, and each later slot the value of one of ``evals``, an
-    ``(expression, reads, pos)`` evaluated in order at every call, where
-    slot ``k`` of the parsed expression reads our slot ``reads[k]``: a splice
-    shares the expression tree and maps only its slots; a built-in's ``pos``
-    is None, the call's.  ``fail`` is the ``(message, pos)`` of an error every
-    call raises after ``evals``.  Row ``k`` is native opcode ``opcodes[k]`` on
-    the call's qubit arguments ``targets[k]`` and ``controls[k]`` (equal when
+    arguments, and each later slot the value of one expression of the body:
+    ``known[slot]`` if the definition fixes it, else (None) one of ``evals``, an
+    ``(expression, reads, pos)`` evaluated in order at every call, where slot
+    ``k`` of the parsed expression reads our slot ``reads[k]``: a splice shares
+    the expression tree and maps only its slots; a built-in's ``pos`` is None,
+    the call's.  ``fail`` is the ``(message, pos)`` of an error every call
+    raises after ``evals``.  Row ``k`` is native opcode ``opcodes[k]`` on the
+    call's qubit arguments ``targets[k]`` and ``controls[k]`` (equal when
     uncontrolled), with the angle in slot ``angles[k]``.
     """
 
     def __init__(self, params: int, qubits: int, rows=()):
         self.params, self.qubits = params, qubits
+        self.known = [0.0, *[None] * params]
         self.evals, self.fail = [], None
         columns = list(zip(*rows)) or [()] * 4
         self.opcodes, self.targets, self.controls, self.angles = (list(map(int, col)) for col in columns)
 
     def eval(self, node, pos: int) -> int:
-        """Slot of the value of ``node``, parsed in our body; a bare slot needs no evaluation."""
+        """Slot of the value of ``node``, parsed in our body: a bare slot, else a new one, known if the
+        value is finite and reads no argument (arithmetic on an argument's None raises TypeError)."""
         if node[0] == "slot":
             return node[1]
-        self.evals.append((node, range(self.params + 1), pos))
-        return self.params + len(self.evals)
+        try:
+            value = v if math.isfinite(v := _evaluate(node, self.known)) else None
+        except (ArithmeticError, ValueError, TypeError, _Undefined):
+            value = None
+        if value is None:
+            self.evals.append((node, range(self.params + 1), pos))
+        self.known.append(value)
+        return len(self.known) - 1
 
     def splice(self, sub: "_Template", args: list[int], qubits: list[int], pos: int) -> None:
         """Append a call of ``sub`` at ``pos``: ``args`` are the slots of its angle
         arguments and ``qubits`` the indices of its qubits among ours."""
-        slots = [0, *args]
-        for node, reads, at in sub.evals:
-            self.evals.append((node, [slots[k] for k in reads], pos if at is None else at))
-            slots.append(self.params + len(self.evals))
+        slots = [0, *args, *range(len(self.known), len(self.known) + len(sub.known) - sub.params - 1)]
+        self.known += sub.known[sub.params + 1 :]
+        self.evals += [(node, [slots[k] for k in reads], pos if at is None else at) for node, reads, at in sub.evals]
         self.opcodes += sub.opcodes
         self.targets += [qubits[k] for k in sub.targets]
         self.controls += [qubits[k] for k in sub.controls]
@@ -244,7 +254,7 @@ MAX_EXPR_DEPTH = 100
 MAX_NATIVE_GATES = 1 << 20
 # Largest register size; integer tokens with more digits are never converted.
 MAX_REGISTER_SIZE = 1 << 16
-# Rows a pending batch of calls holds at most.  The small objects of a longer
+# Calls a pending batch holds at most (four fields each).  The small objects of a longer
 # batch stay in the allocator's arenas once it is lowered and add to peak memory.
 _BATCH_ROWS = 4096
 _MAX_INT_DIGITS = len(str(MAX_REGISTER_SIZE))
@@ -261,6 +271,34 @@ _UNARY_FUNCS = {
 }
 
 
+class _Undefined(Exception):
+    """An expression reads a parameter no enclosing gate defines: ``(name, pos)``."""
+
+
+def _evaluate(node, slots: list) -> float:
+    """Value of a parsed angle expression over angle ``slots``."""
+    tag = node[0]
+    if tag == "num":
+        return node[1]
+    if tag == "slot":
+        return slots[node[1]]
+    if tag == "neg":
+        return -_evaluate(node[1], slots)
+    if tag == "fun":
+        return _UNARY_FUNCS[node[1]](_evaluate(node[2], slots))
+    if tag == "param":
+        raise _Undefined(node[1], node[2])
+    if tag == "chain":
+        value = _evaluate(node[1], slots)
+        for op, rhs in node[2]:
+            value = _BINARY_OPS[op](value, _evaluate(rhs, slots))
+        return value
+    power = _evaluate(node[1], slots) ** _evaluate(node[2], slots)
+    if isinstance(power, complex):  # negative base, fractional exponent
+        raise ValueError("math domain error")
+    return power
+
+
 class _Parser:
     def __init__(self, text: str, filename: str):
         self.text = text
@@ -272,11 +310,13 @@ class _Parser:
         self.params: dict[str, int] = {}  # angle parameter -> slot, inside a gate definition
         self.expr_depth = 0
         self.qubit_count = 0
-        self.lowered = 0  # native gates and angle expressions lowered so far
+        self.lowered = 0  # native gates and angle expressions of the templates and the calls read so far
         self.templates = dict(_BUILTINS)  # gate name -> template, user gates added when defined
-        # the pending batch: a row (name offset, name, angles, reg, idx, reg, idx) per call, with the angle
-        # values as comma-separated literals, index None for a whole register and register None for none,
-        self.calls: list[tuple] = []  # and a row of None, None, None and two more per two more arguments
+        self.ids, self.temps = {name: k for k, name in enumerate(self.templates)}, list(self.templates.values())
+        self.resolved: dict[tuple, tuple] = {}  # (gate name, arguments) -> call, see _resolve
+        self.arg_ids: dict = {}  # call pattern's argument text, or (register, index) list -> index in arglists
+        self.arglists: list[tuple] = []  # (qubit rows, qubits per row, flat qubits) of each argument list
+        self.calls: list = []  # name offset, template and argument list ids, angle literals (or None) per pending call
         self.columns: list[tuple] = []  # the native gate columns lowered from each batch
 
     # -- token helpers ----------------------------------------------------
@@ -319,19 +359,23 @@ class _Parser:
 
     def parse(self) -> SourceCircuit:
         """Read the text statement by statement: each one the call pattern matches from its
-        offset, or else from the tokens from there on.  A call joins the pending batch, lowered
-        when full, before a register or gate declaration, at the end and before an error leaves."""
+        offset, if its call is resolved and fits, or else from the tokens from there on.  A call
+        joins the pending batch, lowered when full, at the end and before an error leaves."""
         self._parse_header()
         start = self.tok[2]  # offset of the statement being read
+        match, text, resolved, calls = _CALL_RE.match, self.text, self.resolved, self.calls
         try:
             while True:
-                if len(self.calls) >= _BATCH_ROWS:
+                if len(calls) >= 4 * _BATCH_ROWS:
                     self._flush()
-                m = _CALL_RE.match(self.text, start)
-                if m and m[1] not in _STATEMENTS:
-                    self.calls.append((m.start("name"), *m.groups()))
-                    start = m.end()
-                    continue
+                if m := match(text, start):  # groups: 1 name, 2 angles, 3 args, 4-7 its registers and indices
+                    call, angles = resolved.get(key := m.group(1, 3)) or self._resolve(key, m.group(4, 5, 6, 7)), m[2]
+                    if (call and (angles.count(",") + 1 if angles else 0) == call[2]
+                            and self.lowered + call[3] <= MAX_NATIVE_GATES):
+                        calls += m.start(1), call[0], call[1], angles
+                        self.lowered += call[3]
+                        start = m.end()
+                        continue
                 self.stream = _tokens(self.text, start)
                 self.tok = next(self.stream)
                 if self._at("eof"):
@@ -371,7 +415,6 @@ class _Parser:
         self._expect(";")
 
     def _parse_register(self) -> None:
-        self._flush()
         which = self._next()[1]
         _, name, name_pos = self._expect("id", "register name")
         if name in self.qregs or name in self.cregs:
@@ -401,7 +444,6 @@ class _Parser:
         return names
 
     def _parse_gate_definition(self) -> None:
-        self._flush()
         self._next()
         _, name, name_pos = self._expect("id", "gate name")
         if name in self.templates:
@@ -447,11 +489,12 @@ class _Parser:
             if len(set(qubits)) != len(qubits):
                 t.fail = (f"duplicate qubit in expansion of {quote(name)}", op_pos)
                 continue
-            self._lower(len(sub.opcodes) + len(sub.evals), op_pos)
+            self._lower(len(sub.opcodes) + len(sub.known) - sub.params - 1, op_pos)
             t.splice(sub, args, qubits, op_pos)
         self._expect("}")
         self.params = {}
-        self.templates[name] = t
+        self.templates[name], self.ids[name] = t, len(self.temps)
+        self.temps.append(t)
 
     def _parse_angle_args(self):
         """Parenthesized angle arguments, if any; each is parsed when asked for."""
@@ -531,34 +574,14 @@ class _Parser:
     def _eval_angle(self, node, slots: list[float], pos: int) -> float:
         """Value of an angle expression over angle ``slots``; failures are positioned at ``pos``."""
         try:
-            value = self._eval_expr(node, slots)
+            value = _evaluate(node, slots)
+        except _Undefined as exc:
+            self._error(f"undefined parameter {quote(exc.args[0])}", exc.args[1])
         except (ZeroDivisionError, OverflowError, ValueError) as exc:
             self._error(f"cannot evaluate expression: {exc}", pos)
         if not math.isfinite(value):
             self._error(f"cannot evaluate expression: result is {value}", pos)
         return value
-
-    def _eval_expr(self, node, slots: list[float]) -> float:
-        tag = node[0]
-        if tag == "num":
-            return node[1]
-        if tag == "slot":
-            return slots[node[1]]
-        if tag == "neg":
-            return -self._eval_expr(node[1], slots)
-        if tag == "fun":
-            return _UNARY_FUNCS[node[1]](self._eval_expr(node[2], slots))
-        if tag == "param":  # a parameter no enclosing gate defines
-            self._error(f"undefined parameter {quote(node[1])}", node[2])
-        if tag == "chain":
-            value = self._eval_expr(node[1], slots)
-            for op, rhs in node[2]:
-                value = _BINARY_OPS[op](value, self._eval_expr(rhs, slots))
-            return value
-        power = self._eval_expr(node[1], slots) ** self._eval_expr(node[2], slots)
-        if isinstance(power, complex):  # negative base, fractional exponent
-            raise ValueError("math domain error")
-        return power
 
     # -- arguments and broadcast --------------------------------------------
 
@@ -623,9 +646,11 @@ class _Parser:
 
     def _parse_gate_application(self) -> None:
         name, name_pos, values, args = self._read_call()
-        flat = [x for arg in args for x in arg[:2]] + [None, None]
-        fields = (name_pos, name, ",".join(map(repr, values)) or None)  # repr reads back as the same float
-        self.calls += [(*((None,) * 3 if k else fields), *flat[k : k + 4]) for k in range(0, len(args) * 2, 4)]
+        call = self.resolved.get(key := (name, regs := tuple(x for arg in args for x in arg[:2]))) or self._resolve(key, regs)
+        if call is None or len(values) != call[2] or self.lowered + call[3] > MAX_NATIVE_GATES:
+            self._check_call(name_pos)
+        self.calls += name_pos, call[0], call[1], ",".join(map(repr, values)) or None  # repr reads back as the same float
+        self.lowered += call[3]
 
     def _read_call(self) -> tuple[str, int, list[float], list[tuple[str, int | None, int]]]:
         """A call read from the tokens: name, position, angle values and ``(register, index, pos)``
@@ -636,6 +661,37 @@ class _Parser:
         values = [self._eval_angle(node, [], name_pos) for node in self._parse_angle_args()]
         return name, name_pos, values, [arg for arg in self._parse_arguments() if self._resolve_qubit_arg(*arg)]
 
+    def _broadcast(self, operands: list[list[int]], pos: int) -> list[tuple[int, ...]]:
+        """The qubit rows of a call's resolved arguments: a whole-register argument gives one qubit to each."""
+        n = max(map(len, operands))
+        if any(len(ops) not in (1, n) for ops in operands):
+            self._error("mismatched register sizes in broadcast", pos)
+        rows = list(zip(*(ops * n if len(ops) == 1 else ops for ops in operands)))
+        if any(len(set(row)) != len(row) for row in rows):
+            self._error("duplicate qubit in gate arguments", pos)
+        return rows
+
+    def _resolve(self, key: tuple, regs: tuple) -> tuple | None:
+        """The call of gate ``key[0]`` on arguments ``key[1]``, the ``(register, index)`` pairs flat in ``regs``:
+        ``(template id, argument list id, angle count, lowered count)``, kept for the same key if the gate
+        and arguments fit and the gate does not fail, else None.  The arguments are checked and broadcast
+        the first time ``key[1]`` is read."""
+        if (tid := None if key[0] in _STATEMENTS else self.ids.get(key[0])) is None:
+            return None
+        if (aid := self.arg_ids.get(key[1])) is None:
+            try:
+                rows = self._broadcast([self._resolve_qubit_arg(reg, None if i is None else int(i), 0)
+                                        for reg, i in zip(regs[::2], regs[1::2]) if reg], 0)
+            except QasmError:
+                return None
+            aid = self.arg_ids[key[1]] = len(self.arglists)
+            self.arglists.append((len(rows), len(rows[0]), [q for row in rows for q in row]))
+        n, width, _ = self.arglists[aid]
+        if width != (t := self.temps[tid]).qubits or t.fail:
+            return None
+        self.resolved[key] = call = (tid, aid, t.params, len(t.known) - t.params - 1 + n * len(t.opcodes))
+        return call
+
     def _check_call(self, offset: int) -> None:
         """Read the call at ``offset`` again from the tokens and raise its first error."""
         self.stream, self.expr_depth = _tokens(self.text, offset), 0
@@ -643,69 +699,51 @@ class _Parser:
         name, name_pos, values, args = self._read_call()
         operands = [self._resolve_qubit_arg(*arg) for arg in args]
         t = self._check_arity(name, len(values), len(operands), name_pos)
-        n = max(map(len, operands))  # qubit rows: a whole-register argument gives one qubit to each
-        if any(len(ops) not in (1, n) for ops in operands):
-            self._error("mismatched register sizes in broadcast", name_pos)
-        if any(len(set(row)) != len(row) for row in zip(*(ops * n if len(ops) == 1 else ops for ops in operands))):
-            self._error("duplicate qubit in gate arguments", name_pos)
-        self._lower(len(t.evals) + n * len(t.opcodes), name_pos)
-        self._error(*t.fail)  # what is left of a call the masks flag, after its expressions
+        rows = self._broadcast(operands, name_pos)
+        self._lower(len(t.known) - t.params - 1 + len(rows) * len(t.opcodes), name_pos)
+        self._expressions(t, values, name_pos)
+        self._error(*t.fail)  # what is left of a call that does not fit
+
+    def _expressions(self, t: _Template, args: list[float], pos: int) -> list[float]:
+        """Values of the expression slots of a call of ``t`` at ``pos`` with angles ``args``, in order."""
+        slots = [0.0, *args, *t.known[t.params + 1 :]]
+        for s, (node, reads, at) in zip([s for s, v in enumerate(slots) if v is None], t.evals):
+            slots[s] = self._eval_angle(node, [slots[k] for k in reads], pos if at is None else at)
+        return slots[t.params + 1 :]
 
     def _flush(self) -> None:
-        """Lower the pending calls in array passes.  The first call a mask flags is read again, which raises
-        its error, once the calls before it evaluate their expressions; else each gathers its template's rows."""
+        """Lower the pending calls in array passes: in call order, angle values are checked finite and
+        expressions evaluated, and the first call with an angle that is not is read again for its error.
+        Else each call gathers its template's rows on its qubit rows."""
         if not self.calls:
             return
-        offsets, names, angles, *args = zip(*self.calls)
+        offsets, angles, (used, tid), (uarg, aid) = self.calls[::4], self.calls[3::4], *(
+            np.unique(self.calls[k::4], return_inverse=True) for k in (1, 2))
         self.calls.clear()
-        used = {name: k for k, name in enumerate(dict.fromkeys(names))}  # None: a row of further arguments
-        temps = [self.templates.get(name, _BUILTINS["id"]) for name in used]  # an unknown name fails below
-        params, width, nrows, nevals, fail = map(np.array, zip(*(
-            (t.params, t.qubits, len(t.opcodes), len(t.evals), t.fail is not None or name not in self.templates)
-            for name, t in zip(used, temps))))
-        tid = np.fromiter(map(used.__getitem__, names), np.int64, len(names))
-        heads = tid != used.get(None, -1)
-        head, tid = np.flatnonzero(heads), tid[heads]  # each call's first row and template
-        nang = np.array([a.count(",") + 1 if a else 0 for a in angles], np.int64)[head]
+        temps = [self.temps[k] for k in used.tolist()]
+        params, nrows, nknown, nevals = np.array([(t.params, len(t.opcodes), len(t.known), len(t.evals)) for t in temps]).T
+        nang = params[tid]
         values = list(map(float, filter(None, ",".join(filter(None, angles)).split(","))))
-        ids = {reg: k for k, reg in enumerate(dict.fromkeys(args[0] + args[2]))}  # the batch's registers, None too
-        reg = np.fromiter(map(ids.__getitem__, args[0] + args[2]), np.int64).reshape(2, -1).T.ravel()  # in call order
-        base, size = np.array([self.qregs.get(r, (0, -1) if r else (0, 0)) for r in ids], np.int64)[reg].T
-        index = args[1] + args[3]  # size -1: no such register, 0: no argument; index -1: the whole register
-        index = np.fromiter(map({None: -1}.get, index, index), np.int64).reshape(2, -1).T.ravel()
-        opcall = np.repeat(np.cumsum(heads) - 1, 2)
-        length = np.maximum(np.where(index < 0, size, 1), 1)  # row r of a call takes qubit r of a whole register
-        rows = np.maximum.reduceat(length, 2 * head)
-        a, b = (order := np.lexsort((index, reg, opcall)))[:-1], order[1:]  # by call, register, index (-1 first)
-        dup = (opcall[a] == opcall[b]) & (reg[a] == reg[b]) & ((index[a] < 0) | (index[a] == index[b]))
-        total = self.lowered + np.cumsum(count := nevals[tid] + rows * nrows[tid])
-        bad = (nang != params[tid]) | (np.bincount(opcall, size != 0) != width[tid]) | (total > MAX_NATIVE_GATES)
-        bad[opcall[(size < 0) | (index >= size) | ((length != 1) & (length != rows[opcall]))]] = True
-        bad[np.concatenate((np.repeat(np.arange(len(head)), nang)[~np.isfinite(values)], opcall[b[dup]]))] = True
-        first = int(next(iter(np.flatnonzero(bad | fail[tid])), len(head)))
-        aoff, evals = _starts(nang), []
-        # expressions of the calls before the first flagged one, and its own if only its template fails
-        for i in np.flatnonzero(nevals[tid[: first + (first < len(head) and not bad[first])]]):
-            slots = [0.0, *values[aoff[i] : aoff[i] + nang[i]]]
-            for node, reads, pos in temps[tid[i]].evals:
-                slots.append(self._eval_angle(node, [slots[k] for k in reads], offsets[head[i]] if pos is None else pos))
-            evals += slots[1 + nang[i] :]
-        if first < len(head):
-            self.lowered = int(total[first] - count[first])
-            self._check_call(offsets[head[first]])
-        self.lowered = int(total[-1])
-        # template row k of row r of call c, on the qubits of its arguments in that row
-        rcall = np.repeat(np.arange(len(head)), rows)
-        grow = np.repeat(np.arange(len(rcall)), nrows[tid[rcall]])
-        c, r = rcall[grow], (np.arange(len(rcall)) - _starts(rows)[rcall])[grow]
-        k = _starts(nrows)[tid[c]] + np.arange(len(grow)) - _starts(nrows[tid[rcall]])[grow]
-        opcode, target, control, slot = (np.fromiter(chain.from_iterable(getattr(t, f) for t in temps), np.int64)[k]
-                                         for f in ("opcodes", "targets", "controls", "angles"))
-        target, control = (base[o] + np.where(length[o] > 1, r, np.maximum(index[o], 0)) for o in (2 * head[c] + target,
-                                                                                           2 * head[c] + control))
-        p, eoff = params[tid[c]], _starts(nevals[tid])[c]  # slots: 0.0, angle values, expression values
-        slot = np.where(slot == 0, 0, np.where(slot <= p, aoff[c] + slot, len(values) + eoff + slot - p))
-        self.columns.append((opcode, target, control, np.array([0.0, *values, *evals])[slot]))
+        aoff = _starts(nang)
+        first_bad, evals = min(np.repeat(np.arange(len(tid)), nang)[~np.isfinite(values)], default=len(tid)), []
+        for i in np.flatnonzero(nevals[tid[:first_bad]]).tolist():
+            evals += self._expressions(temps[tid[i]], values[aoff[i] : aoff[i] + nang[i]], offsets[i])
+        if first_bad < len(tid):
+            self._check_call(offsets[first_bad])
+        arows, width = np.array([self.arglists[k][:2] for k in uarg.tolist()]).T
+        flat = np.fromiter(chain.from_iterable(self.arglists[k][2] for k in uarg.tolist()), np.int64)
+        # template row j on qubit row r of call c
+        c = np.repeat(np.arange(len(tid)), per := arows[aid] * nrows[tid])
+        r, j = np.divmod(np.arange(len(c)) - _starts(per)[c], nrows[tid[c]])
+        opcode, target, control, slot = (np.fromiter(chain.from_iterable(getattr(t, f) for t in temps), np.int64)[
+            _starts(nrows)[tid[c]] + j] for f in ("opcodes", "targets", "controls", "angles"))
+        q = _starts(arows * width)[aid[c]] + r * width[aid[c]]
+        # the angle of a slot the template knows (not NaN), else of the call's argument or evaluated expression
+        known = np.array([np.nan if v is None else v for t in temps for v in t.known])[_starts(nknown)[tid[c]] + slot]
+        p, eoff = params[tid[c]], len(values) + _starts(np.where(nevals[tid] > 0, nknown[tid] - params[tid] - 1, 0))[c]
+        index = np.where(np.isnan(known), np.where(slot <= p, aoff[c] + slot - 1, eoff + slot - p - 1), -1)
+        angle = np.where(np.isnan(known), np.array([*values, *evals, 0.0])[index], known)
+        self.columns.append((opcode, flat[q + target], flat[q + control], angle))
 
 
 # Statement keyword -> the method that reads the statement, or the message of

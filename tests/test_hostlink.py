@@ -93,6 +93,36 @@ class TestFraming:
         messages = [HostMessage(MessageKind.INSTRUCTION, widest), HostMessage(MessageKind.ANGLE_VALUE, -widest)]
         assert decode_stream(b"".join(encode_message(m) for m in messages)) == messages
 
+    def test_leading_zeros_decode(self):
+        assert decode_stream(b">007#<000A-#?0#*00#!<0-#") == [
+            HostMessage(MessageKind.INSTRUCTION, 7),
+            HostMessage(MessageKind.ANGLE_VALUE, -10),
+            HostMessage(MessageKind.ANGLE_COUNT, 0),
+            HostMessage(MessageKind.QUBIT_COUNT, 0),
+            HostMessage(MessageKind.END_OF_EMULATION),
+            HostMessage(MessageKind.ANGLE_VALUE, 0),
+        ]
+
+    @pytest.mark.parametrize("digits", [15, 16, 17, 32, 33, 48, 49, 64])
+    def test_payloads_at_the_limb_edges_fed_split_at_every_byte(self, digits):
+        # values are read as 16-digit limbs: payloads of exactly ``digits`` digits, leading zeros and
+        # all-F among them, in both signs, between payloads of other widths
+        rng = np.random.default_rng(digits)
+        payloads = ["F" * digits, "0" * digits, "1" + "0" * (digits - 1), "0" + "F" * (digits - 1)]
+        payloads.append("".join(rng.choice(list("0123456789ABCDEF"), digits)))
+        stream = b"".join(b"<%s-#>%s#<%s#?1#" % (p.encode(), p.encode(), p.encode()) for p in payloads)
+        messages = []
+        for p in payloads:
+            value = int(p, 16)
+            messages += [HostMessage(MessageKind.ANGLE_VALUE, -value), HostMessage(MessageKind.INSTRUCTION, value),
+                         HostMessage(MessageKind.ANGLE_VALUE, value), HostMessage(MessageKind.ANGLE_COUNT, 1)]
+        for cut in range(len(stream) + 1):
+            decoder = StreamDecoder()
+            assert [*decoder.feed(stream[:cut]), *decoder.feed(stream[cut:])] == messages
+            assert not decoder.pending
+        decoder = StreamDecoder()
+        assert [m for k in range(len(stream)) for m in decoder.feed(stream[k : k + 1])] == messages
+
     @pytest.mark.parametrize("value", [16**MAX_PAYLOAD_DIGITS, -(16**MAX_PAYLOAD_DIGITS)])
     def test_message_wider_than_the_decoder_refused(self, value):
         # whatever encode_message frames, the decoder reads back

@@ -34,6 +34,7 @@ from qbemu.engine import FixedState, apply_gate
 from qbemu.fixedpoint import FixedPointFormat, Rounding, round_shift
 from qbemu.gates import INV_SQRT2, ROTATIONAL, GateApplication, GateKind
 from qbemu.hostlink import (
+    MAX_PAYLOAD_DIGITS,
     FramingError,
     HostMessage,
     MessageKind,
@@ -431,7 +432,7 @@ def test_columnar_compile_equals_per_gate_loop(rounding, bits, circuit, imm_bits
 # Wire framing: round trip and chunking invariance
 # ---------------------------------------------------------------------------
 
-_WORDS = st.one_of(st.integers(0, 1 << 20), st.integers(0, (1 << 63) - 1), st.integers(1 << 63, 1 << 70))
+_WORDS = st.one_of(st.integers(0, 1 << 20), st.integers(0, (1 << 63) - 1), st.integers(1 << 63, 16**MAX_PAYLOAD_DIGITS - 1))
 
 
 @st.composite
@@ -482,6 +483,29 @@ def streams(draw):
 def test_stream_decoder_is_chunking_invariant(stream, cuts):
     cuts = [c for c in cuts if c <= len(stream)]
     assert _decode_in_chunks(stream, cuts) == _decode_in_chunks(stream, [])
+
+
+def _read_frames(stream: bytes) -> list[HostMessage]:
+    """The messages of a well-framed stream, each payload converted on its own by ``int(digits, 16)``."""
+    messages = []
+    for m in re.finditer(rb"([?*<>])([0-9A-F]+)(-?)#|!", stream):
+        if m[1] is None:
+            messages.append(HostMessage(MessageKind.END_OF_EMULATION))
+        else:
+            messages.append(HostMessage(MessageKind(m[1].decode()), (-1 if m[3] else 1) * int(m[2], 16)))
+    return messages
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from("?*<>!"), st.text("0123456789ABCDEF", min_size=1, max_size=MAX_PAYLOAD_DIGITS),
+                       st.booleans()), max_size=16),
+    st.lists(st.integers(0, 1200), max_size=8),
+)
+def test_decoded_values_equal_a_per_frame_reader(frames, cuts):
+    # digits as written, leading zeros too, so a payload may be any width up to the limit
+    stream = b"".join(b"!" if k == "!" else f"{k}{d}{'-' if neg and k == '<' else ''}#".encode() for k, d, neg in frames)
+    assert _decode_in_chunks(stream, [c for c in cuts if c <= len(stream)]) == (_read_frames(stream), False)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 
@@ -534,6 +535,100 @@ class TestBuiltinErrorsAtTheCall:
         assert self.error(body) == message
         nested = body.replace("qreg", "gate outer a,b { g b,a; }\nqreg").replace("g q[0]", "outer q[0]")
         assert self.error(nested) == message
+
+
+class TestConstantExpressions:
+    """An angle expression of a gate body that reads no angle argument is
+    evaluated once, when the gate is defined; one that fails to evaluate still
+    raises at every call, positioned as when it was evaluated there."""
+
+    # (rows, SHA-256 prefix of the opcode, target, control and angle column
+    # bytes) as lowered when every expression was evaluated at every call
+    PINNED = {
+        "c3x q[3],q[0],q[4],q[1];": (31, "b4a539a0e8a418c3143f4c5c9ede964e"),
+        "c4x q[4],q[2],q[0],q[3],q[1];": (85, "21040e6cd37a26484239d47455aa4b57"),
+        "rc3x q[1],q[3],q[0],q[2];": (26, "a2eba52d534b8b0b4dc633a319e24721"),
+        "cu3(0.3,-1.2,2.5) q[2],q[4]; cu3(pi/3, -pi/7, 2*pi/5) q[4],q[0];": (20, "d9749db994cba57bd7e57b977c33a0b7"),
+        "gate k(t) a,b { cu3(t, 0.25, pi) a,b; cu3(0.5, t, 1) b,a; }\nk(0.7) q[0],q[3];": (
+            20, "88bf1c52b4446d09d9546765457fcb6b"),
+    }
+
+    @pytest.mark.parametrize("body", sorted(PINNED))
+    def test_columns_as_when_evaluated_at_every_call(self, body):
+        gates = parse(HEADER + "qreg q[5];\n" + body + "\n").gates
+        digest = hashlib.sha256(b"".join(c.tobytes() for c in (gates.opcode, gates.target, gates.control, gates.angle)))
+        assert (len(gates), digest.hexdigest()[:32]) == self.PINNED[body]
+
+    def test_prelude_gates_evaluate_nothing_at_a_call(self, monkeypatch):
+        # only expressions that read an angle argument are left to the call
+        assert [name for name, t in qasm._BUILTINS.items() if t.evals] == ["cu3", "cu", "rxx"]
+        evaluated = []
+        monkeypatch.setattr(qasm, "_evaluate", lambda node, slots: evaluated.append(node) or 0.0)
+        gates = parse(HEADER + "qreg q[5];\n" + "c4x q[0],q[1],q[2],q[3],q[4];\nc3x q[1],q[2],q[3],q[4];\n" * 50).gates
+        assert evaluated == [] and len(gates) == 50 * (85 + 31)
+
+    def test_an_argument_read_keeps_an_expression_at_the_call(self):
+        parser = qasm._Parser(HEADER + "gate g(t) a { rx(pi/4) a; rz(t/2) a; ry(2*(0.5+pi)) a; }\n", "f.qasm")
+        parser.parse()
+        t = parser.templates["g"]
+        assert [node for node, _, _ in t.evals] == [("chain", ("slot", 1), (("/", ("num", 2.0)),))]
+        assert t.known == [0.0, None, math.pi / 4, None, 2 * (0.5 + math.pi)]
+
+    def test_a_failing_constant_raises_at_every_call(self):
+        defs = "gate g a {\n  h a;\n  rx(1/0) a;\n}\n"
+        assert parse(HEADER + defs + "qreg q[1];\n").gates == []  # never called: no error
+        for calls in ("g q[0];\n", "h q[0];\ng q[0];\ng q[0];\n"):
+            with pytest.raises(QasmError) as err:
+                parse(HEADER + defs + "qreg q[1];\n" + calls, filename="f.qasm")
+            assert str(err.value) == "f.qasm:5:3: cannot evaluate expression: float division by zero"
+
+    def test_a_failing_constant_keeps_its_place_among_the_expressions(self):
+        # rz(1/t) fails first for t = 0, and the constant ln(0) after it for every other t
+        defs = "gate g(t) a {\n  rz(1/t) a;\n  rx(ln(0)) a;\n}\nqreg q[1];\n"
+        with pytest.raises(QasmError) as err:
+            parse(HEADER + defs + "g(0) q[0];\n", filename="f.qasm")
+        assert str(err.value) == "f.qasm:4:3: cannot evaluate expression: float division by zero"
+        with pytest.raises(QasmError) as err:
+            parse(HEADER + defs + "g(2) q[0];\n", filename="f.qasm")
+        assert str(err.value) == "f.qasm:5:3: cannot evaluate expression: math domain error"
+
+
+class TestDeclarationsBetweenCalls:
+    """Calls are resolved when they are read, so a register or gate declared
+    between calls lowers nothing early: texts that alternate declarations and
+    calls lower as the same text with its declarations first."""
+
+    N = 2000
+
+    def texts(self, kind: str) -> tuple[str, str]:
+        """The alternating text of ``kind`` and the same statements with the declarations first."""
+        if kind == "qreg":
+            pairs = [(f"qreg r{k}[1];", f"h r{k}[0];") for k in range(self.N)]
+        else:
+            pairs = [(f"gate g{k} a {{ h a; rz({k}/7) a; }}", f"g{k} q[{k % 3}];") for k in range(self.N)]
+        head = HEADER + "qreg q[3];\n"
+        return head + "".join(f"{d}\n{c}\n" for d, c in pairs), head + "".join(f"{d}\n" for d, _ in pairs) + "".join(
+            f"{c}\n" for _, c in pairs)
+
+    @pytest.mark.parametrize("kind", ["qreg", "gate"])
+    def test_alternating_lowers_as_declarations_first(self, kind, monkeypatch):
+        alternating, first = self.texts(kind)
+        flushes = []
+        flush = qasm._Parser._flush
+        monkeypatch.setattr(qasm._Parser, "_flush", lambda self: flushes.append(len(self.calls)) or flush(self))
+        assert _column_bytes(alternating) == _column_bytes(first)
+        assert len(parse(alternating).gates) == self.N * (1 if kind == "qreg" else 2)
+        assert sum(map(bool, flushes)) == 3  # in each of the three parses, one flush lowers all the calls
+
+    @pytest.mark.parametrize("kind, message", [("qreg", "unknown quantum register 'r1000'"), ("gate", "unknown gate 'g1000'")])
+    def test_a_call_before_its_declaration_fails_there(self, kind, message):
+        lines = self.texts(kind)[0].splitlines()
+        at = 3 + 2 * 1000  # 0-based line of the 1000th declaration, with its call after it
+        lines[at], lines[at + 1] = lines[at + 1], lines[at]
+        col = 3 if kind == "qreg" else 1
+        with pytest.raises(QasmError) as err:
+            parse("\n".join(lines) + "\n", filename="f.qasm")
+        assert str(err.value) == f"f.qasm:{at + 1}:{col}: {message}"
 
 
 # The rows the built-ins now read from the prelude were written by hand before,
