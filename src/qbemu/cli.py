@@ -182,6 +182,10 @@ def _sweep_values(axis: str, text: str) -> list:
             return [int(v) for v in items]
         except ValueError:
             raise UsageError(f"{axis} sweep expects integers, got {quote(text)}") from None
+    modes = [mode for mode in ROUNDING_CHOICES if mode != FLOAT_REFERENCE]  # sweep models the fixed-point hardware
+    bad = next((v for v in items if v not in modes), None)
+    if bad is not None:
+        raise UsageError(f"rounding sweep expects one of {', '.join(modes)}, got {quote(bad)}")
     return items
 
 

@@ -4,10 +4,10 @@ A gate on target ``t`` couples the pairs ``(i, i + 2**t)`` with bit ``t`` of
 ``i`` clear; a control keeps the pairs whose control bit is 1.  Reshaping the
 state so that target and control bits are axes of length 2 makes all couples
 one basic-slice view, the couple tensor: no index arrays.  Both backends walk
-it the same way, a gate above 2**14 amplitudes per plane block by block (the
-in-place float Z, S and Sdg at once).  A kernel computes a block's outputs
-from its pre-gate amplitudes, in place or through one block-sized scratch, so
-the couple order cannot affect the result and no temporary outgrows a block.
+it the same way, every gate above 2**14 amplitudes per plane block by block.
+A kernel computes a block's outputs from its pre-gate amplitudes, in place
+or through one block-sized scratch, so the couple order cannot affect the
+result and no temporary outgrows a block.
 
 Two interchangeable backends execute the same instruction streams:
 
@@ -17,13 +17,13 @@ Two interchangeable backends execute the same instruction streams:
   two-multiplier rotational) and round every multiplier output individually;
   no kernel performs a general 2x2 complex multiply.  Its real and imaginary
   parts are the two planes of its tensor, so each kernel step covers both.
+  A run computes through one saturating ALU, which quantizes 1/sqrt(2) and
+  finds the products that need no range check once, for the whole table.
 
 Measurement statistics can be sampled from either backend.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -174,30 +174,27 @@ def initial_state(n_qubits: int, config: ExecConfig) -> State:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1 << 12)
-def _product_in_range(k: int, fmt: FixedPointFormat) -> bool:
-    """Whether every in-range word times ``k`` rounds into the word's range.
-
-    Rounding is monotone, so the rounded products of ``min_raw`` and
-    ``max_raw`` bound all others.
-    """
-    ends = np.array([fmt.min_raw, fmt.max_raw], dtype=np.int64) * np.int64(k)
-    round_shift(ends, fmt.fractional_bits, fmt.rounding)
-    return fmt.min_raw <= ends.min() and ends.max() <= fmt.max_raw
-
-
 class _FixedAlu:
-    """Saturating kernel arithmetic over raw arrays, with a sticky flag.
+    """Saturating kernel arithmetic over raw arrays, with a sticky flag; one
+    serves a whole run.
 
     Kernels add and subtract with numpy into their own temporaries and pass
     the results through :meth:`sat`; :meth:`neg` and :meth:`mul` saturate
-    themselves.  Operands hold in-range words.
+    themselves.  Operands hold in-range words.  ``inv_sqrt2`` is the shared
+    1/sqrt(2) constant, and ``safe`` holds the constants, it and the raw
+    ``(sin, cos)`` ``entries``, whose product with any in-range word rounds
+    into the range: rounding is monotone, so the rounded products of
+    ``min_raw`` and ``max_raw`` bound all others.
     """
 
-    def __init__(self, fmt: FixedPointFormat):
+    def __init__(self, fmt: FixedPointFormat, entries=()):
         self.fmt = fmt
         self.overflow = False
         self._pair: np.ndarray | None = None
+        self.inv_sqrt2 = from_real(INV_SQRT2, fmt)
+        k = np.array([self.inv_sqrt2, *(x for pair in entries for x in pair)], dtype=np.int64)
+        ends = round_shift(k[:, None] * np.array([fmt.min_raw, fmt.max_raw]), fmt.fractional_bits, fmt.rounding)
+        self.safe = set(k[((fmt.min_raw <= ends) & (ends <= fmt.max_raw)).all(axis=1)].tolist())
 
     def sat(self, raw: np.ndarray) -> np.ndarray:
         """Clip ``raw`` to the word's range in place, flagging any clip."""
@@ -212,27 +209,19 @@ class _FixedAlu:
         return self.sat(np.negative(raw, out=raw))
 
     def mul(self, a: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Rounded products ``a * k``; the range check is skipped where
-        :func:`_product_in_range` proves it cannot fire."""
+        """Rounded products ``a * k``; the range check is skipped for a constant in ``safe``."""
         wide = np.multiply(a, np.int64(k), out=out)
         round_shift(wide, self.fmt.fractional_bits, self.fmt.rounding)
-        return wide if _product_in_range(k, self.fmt) else self.sat(wide)
+        return wide if k in self.safe else self.sat(wide)
 
     def mul_pair(self, a: np.ndarray, c: int, s: int) -> tuple[np.ndarray, np.ndarray]:
-        """``mul(a, c)`` and ``mul(a, s)`` in two buffers that every block of
-        one gate reuses: allocating both per block, beside the rounding
-        temporary, makes malloc hand the memory back to the system and
-        page-fault it in again for every block."""
+        """``mul(a, c)`` and ``mul(a, s)`` in two buffers that every block of its
+        shape reuses: allocated per block beside the rounding temporary, malloc
+        hands them back to the system and page-faults them in for every block."""
         if self._pair is None or self._pair.shape[1:] != a.shape:
             self._pair = np.empty((2, *a.shape), dtype=np.int64)
         p, q = self._pair
         return self.mul(a, c, out=p), self.mul(a, s, out=q)
-
-
-@lru_cache(maxsize=None)
-def _inv_sqrt2_raw(fmt: FixedPointFormat) -> int:
-    """The shared 1/sqrt(2) constant, quantized once per format."""
-    return from_real(INV_SQRT2, fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +262,9 @@ def _blocks(v: np.ndarray):
 
 
 def _float_block(v: np.ndarray, kind: GateKind, sincos, t: np.ndarray) -> None:
-    """Apply a gate other than Z, S, Sdg to a block ``v`` of the complex couple
-    tensor via a scratch ``t`` shaped like ``v``.  A complex scalar comes first in
-    its product, which never overwrites its operand: else numpy may round it apart."""
+    """Apply one gate to a block ``v`` of the complex couple tensor via a scratch
+    ``t`` shaped like ``v``.  A complex scalar comes first in its product, which
+    never overwrites its operand: else numpy may round it apart."""
     a, b, ta, tb = v[..., 0, :], v[..., 1, :], t[..., 0, :], t[..., 1, :]
     if kind is GateKind.X:
         ta[...] = a
@@ -284,6 +273,10 @@ def _float_block(v: np.ndarray, kind: GateKind, sincos, t: np.ndarray) -> None:
         np.multiply(-1j, b, out=ta)
         np.multiply(1j, a, out=b)
         a[...] = ta
+    elif kind is GateKind.Z:
+        np.negative(b, out=b)
+    elif kind in (GateKind.S, GateKind.SDG):  # products by 0 and +-1 are exact, so in place
+        b *= 1j if kind is GateKind.S else -1j
     elif kind is GateKind.H:  # (a, b) -> k (a + b, a - b)
         np.add(a, b, out=ta)
         np.subtract(a, b, out=tb)
@@ -335,7 +328,7 @@ def _fixed_block(v: np.ndarray, kind: GateKind, alu: _FixedAlu, sincos) -> None:
         t = np.empty(v.shape, dtype=np.int64)
         np.add(a, b, out=t[..., 0, :])
         np.subtract(a, b, out=t[..., 1, :])
-        v[...] = alu.mul(alu.sat(t), _inv_sqrt2_raw(alu.fmt), out=t)
+        v[...] = alu.mul(alu.sat(t), alu.inv_sqrt2, out=t)
     elif kind in (GateKind.T, GateKind.TDG):
         b = v[..., 1, :]
         (rb, ib), t = b, np.empty(b.shape, dtype=np.int64)
@@ -345,7 +338,7 @@ def _fixed_block(v: np.ndarray, kind: GateKind, alu: _FixedAlu, sincos) -> None:
         else:  # b' = k (rb + ib) + i k (ib - rb)
             np.add(rb, ib, out=t[0])
             np.subtract(ib, rb, out=t[1])
-        b[...] = alu.mul(alu.sat(t), _inv_sqrt2_raw(alu.fmt), out=t)
+        b[...] = alu.mul(alu.sat(t), alu.inv_sqrt2, out=t)
     else:
         # Negating a product in ``q`` is exact: only the sums saturate.
         s, c = sincos
@@ -369,27 +362,17 @@ def _fixed_block(v: np.ndarray, kind: GateKind, alu: _FixedAlu, sincos) -> None:
         v[...] = alu.sat(p)
 
 
-def _apply_float(state: FloatState, kind: GateKind, target: int, control: int | None, sincos) -> None:
-    v = _couple_tensor(state.amp[None], target, control)
-    b = v[..., 1, :]
-    if kind is GateKind.Z:  # sign gates work in place with no scratch, so unblocked
-        np.negative(b, out=b)
-    elif kind in (GateKind.S, GateKind.SDG):
-        b *= 1j if kind is GateKind.S else -1j
-    else:
-        scratch = None
-        for block in (v,) if v[0].size <= _BLOCK else _blocks(v):
-            if scratch is None:  # blocks share one shape, so one scratch serves them all
-                scratch = np.empty_like(block)
-            _float_block(block, kind, sincos, scratch)
-
-
-def _apply_fixed(state: FixedState, kind: GateKind, target: int, control: int | None, sincos) -> None:
-    alu = _FixedAlu(state.fmt)
-    v = _couple_tensor(state.raw, target, control)
+def _apply(state: State, kind: GateKind, target: int, control: int | None, sincos, alu: _FixedAlu | None) -> None:
+    """Apply one gate in place block by block: a fixed state's planes through ``alu``,
+    a float state's plane through one scratch, as blocks share one shape."""
+    v = _couple_tensor(state.amp[None] if alu is None else state.raw, target, control)
+    scratch = None
     for block in (v,) if v[0].size <= _BLOCK else _blocks(v):
-        _fixed_block(block, kind, alu, sincos)
-    state.overflow = state.overflow or alu.overflow
+        if alu is not None:
+            _fixed_block(block, kind, alu, sincos)
+        else:
+            scratch = np.empty_like(block) if scratch is None else scratch
+            _float_block(block, kind, sincos, scratch)
 
 
 def _table_error(state: State, table: AngleTable) -> str | None:
@@ -415,8 +398,10 @@ def apply_gate(state: State, instr: Instruction, table: AngleTable | None = None
         if error:
             raise EngineError(error)
         sincos = table.entries[instr.imm]
-    apply = _apply_float if isinstance(state, FloatState) else _apply_fixed
-    apply(state, instr.opcode, instr.target, control, sincos)
+    alu = None if isinstance(state, FloatState) else _FixedAlu(state.fmt, [sincos] if sincos else ())
+    _apply(state, instr.opcode, instr.target, control, sincos, alu)
+    if alu is not None:
+        state.overflow = state.overflow or alu.overflow
     return state
 
 
@@ -428,7 +413,8 @@ def run(program: CompiledProgram, config: ExecConfig, initial: State | None = No
 
     The instruction columns are range-checked once, raising what
     :func:`apply_gate` raises for the first bad instruction, and each
-    instruction then goes straight to its kernel.
+    instruction then goes straight to its kernel.  A fixed run's kernels
+    share one ALU, whose sticky flag the state takes at the end.
     """
     n = program.used_qubits
     if n > config.n_qubits:
@@ -453,11 +439,14 @@ def run(program: CompiledProgram, config: ExecConfig, initial: State | None = No
     error = first_field_error(ins, n, len(table))
     if error:
         raise EngineError(error[1])
-    apply, pairs = (_apply_float if isinstance(state, FloatState) else _apply_fixed), table.entries
+    pairs, alu = table.entries, None if isinstance(state, FloatState) else _FixedAlu(state.fmt, table.entries)
     columns = (ins.opcode, ins.target, ins.control, ins.imm)
     for opcode, target, control, imm in zip(*(col.tolist() for col in columns)):
         kind = _KINDS[opcode]
-        apply(state, kind, target, None if control == target else control, pairs[imm] if kind in ROTATIONAL else None)
+        sincos = pairs[imm] if kind in ROTATIONAL else None
+        _apply(state, kind, target, None if control == target else control, sincos, alu)
+    if alu is not None:
+        state.overflow = state.overflow or alu.overflow
     return state
 
 

@@ -9,9 +9,10 @@ c4x`` are ``gate`` lines in ``_PRELUDE``, read once as a user's are: a gate's
 template splices together its body's templates when it is defined, and a name
 cannot be defined twice; a body's angle expression that reads no argument is
 evaluated then.  ``U`` is RZ(phi) RY(theta) RZ(lambda), qelib1's U times
-exp(-i(phi+lambda)/2).  A call is resolved when it is read, its argument text
-checked and broadcast once per parse, and waits as ints and angle text in a
-batch lowered in array passes: each call gathers its template's rows.
+exp(-i(phi+lambda)/2).  A call is checked whole when it is read (its argument
+text checked and broadcast once per parse, expressions reading its angles
+evaluated) and waits as ints and angle text in a batch that only lowers, in
+array passes: each call gathers its template's rows.
 
 ``measure`` and ``barrier`` statements are accepted and dropped; ``creg``
 declarations are recorded but otherwise ignored.  ``if``, ``reset`` and
@@ -102,9 +103,12 @@ _TOKEN_RE = re.compile(
 # before it: a gate name, optionally number literals (each maybe negated) in
 # parentheses, one or two ``reg[i]`` of at most five index digits (``args``),
 # and ``;``, with no comment inside.  What may follow each part cannot continue
-# it, so a part only matches as the whole token the tokenizer reads there.
+# it, so a part only matches as the whole token the tokenizer reads there.  A
+# literal matches only if its digit counts make it finite (below 10**299 with at
+# most 200 digits before the point and 2 in the exponent, or 300 in an int);
+# a longer one is left to the tokens, which raise if it is not finite.
 _S = r"[ \t\r\n]*"  # never two in a row: a failing match backtracks through whitespace once
-_NUMBER = rf"{_S}-?(?:{_REAL}|{_INT}){_S}"
+_NUMBER = rf"{_S}-?(?:(?:[0-9]{{1,200}}\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]{{1,2}})?|[0-9]{{1,300}}){_S}"
 _CALL_RE = re.compile(
     rf"{_SKIP}*(?P<name>{_ID})(?=[( \t\r\n]){_S}"
     rf"(?:\((?P<angles>{_NUMBER}(?:,{_NUMBER})*)\){_S})?"
@@ -254,7 +258,7 @@ MAX_EXPR_DEPTH = 100
 MAX_NATIVE_GATES = 1 << 20
 # Largest register size; integer tokens with more digits are never converted.
 MAX_REGISTER_SIZE = 1 << 16
-# Calls a pending batch holds at most (four fields each).  The small objects of a longer
+# Calls a pending batch holds at most (three fields each).  The small objects of a longer
 # batch stay in the allocator's arenas once it is lowered and add to peak memory.
 _BATCH_ROWS = 4096
 _MAX_INT_DIGITS = len(str(MAX_REGISTER_SIZE))
@@ -316,7 +320,8 @@ class _Parser:
         self.resolved: dict[tuple, tuple] = {}  # (gate name, arguments) -> call, see _resolve
         self.arg_ids: dict = {}  # call pattern's argument text, or (register, index) list -> index in arglists
         self.arglists: list[tuple] = []  # (qubit rows, qubits per row, flat qubits) of each argument list
-        self.calls: list = []  # name offset, template and argument list ids, angle literals (or None) per pending call
+        self.calls: list = []  # template and argument list ids, angle literals (or None) per pending call
+        self.evals: list[float] = []  # the values of the pending calls' template expressions, in call order
         self.columns: list[tuple] = []  # the native gate columns lowered from each batch
 
     # -- token helpers ----------------------------------------------------
@@ -360,31 +365,26 @@ class _Parser:
     def parse(self) -> SourceCircuit:
         """Read the text statement by statement: each one the call pattern matches from its
         offset, if its call is resolved and fits, or else from the tokens from there on.  A call
-        joins the pending batch, lowered when full, at the end and before an error leaves."""
+        is checked as it is read and joins the pending batch, lowered when full and at the end."""
         self._parse_header()
         start = self.tok[2]  # offset of the statement being read
         match, text, resolved, calls = _CALL_RE.match, self.text, self.resolved, self.calls
-        try:
-            while True:
-                if len(calls) >= 4 * _BATCH_ROWS:
-                    self._flush()
-                if m := match(text, start):  # groups: 1 name, 2 angles, 3 args, 4-7 its registers and indices
-                    call, angles = resolved.get(key := m.group(1, 3)) or self._resolve(key, m.group(4, 5, 6, 7)), m[2]
-                    if (call and (angles.count(",") + 1 if angles else 0) == call[2]
-                            and self.lowered + call[3] <= MAX_NATIVE_GATES):
-                        calls += m.start(1), call[0], call[1], angles
-                        self.lowered += call[3]
-                        start = m.end()
-                        continue
-                self.stream = _tokens(self.text, start)
-                self.tok = next(self.stream)
-                if self._at("eof"):
-                    break
-                self._parse_statement()
-                start = self.tok[2]
-        except QasmError:
-            self._flush()  # a pending call's error is the earlier one
-            raise
+        while True:
+            if len(calls) >= 3 * _BATCH_ROWS:
+                self._flush()
+            if m := match(text, start):  # groups: 1 name, 2 angles, 3 args, 4-7 its registers and indices
+                call, angles = resolved.get(key := m.group(1, 3)) or self._resolve(key, m.group(4, 5, 6, 7)), m[2]
+                if (call and (angles.count(",") + 1 if angles else 0) == call[2]
+                        and self.lowered + call[3] <= MAX_NATIVE_GATES):
+                    self._pend(call, angles, m.start(1))
+                    start = m.end()
+                    continue
+            self.stream = _tokens(self.text, start)
+            self.tok = next(self.stream)
+            if self._at("eof"):
+                break
+            self._parse_statement()
+            start = self.tok[2]
         self._flush()
         return SourceCircuit(self.qubit_count, gate_columns(map(np.concatenate, zip(*self.columns))))
 
@@ -463,25 +463,21 @@ class _Parser:
             kind, op_name, op_pos = self.tok
             if kind != "id":
                 self._error("expected a gate name in gate body")
-            if op_name == "barrier":
-                self._next()
-                while self.tok[0] not in (";", "eof", "bad"):
-                    self._next()
-                self._expect(";")
-                continue
             self._next()
-            if op_name == name:
+            barrier = op_name == "barrier"  # dropped once its operands are checked, as at top level
+            if op_name == name and not barrier:
                 self._error(f"recursive gate definition: {quote(name)} references itself", op_pos)
-            if op_name not in self.templates:
+            if op_name not in self.templates and not barrier:
                 self._error(f"unknown gate {quote(op_name)} in body of {quote(name)}", op_pos)
-            sub = self.templates[op_name]
-            angle_exprs = list(self._parse_angle_args())
+            angle_exprs = [] if barrier else list(self._parse_angle_args())
             op_qargs = self._parse_ids("qubit argument")
             self._expect(";")
             for q in op_qargs:
                 if q not in qargs:
                     self._error(f"unknown qubit argument {quote(q)} in body of {quote(name)}", op_pos)
-            self._check_arity(op_name, len(angle_exprs), len(op_qargs), op_pos)
+            if barrier:
+                continue
+            sub = self._check_arity(op_name, len(angle_exprs), len(op_qargs), op_pos)
             if t.fail:  # every call fails, so nothing after the failing op is lowered
                 continue
             args = [t.eval(node, op_pos) for node in angle_exprs]
@@ -645,21 +641,22 @@ class _Parser:
             self._error(f"gate expansion exceeds the limit of {MAX_NATIVE_GATES} native gates", pos)
 
     def _parse_gate_application(self) -> None:
-        name, name_pos, values, args = self._read_call()
-        call = self.resolved.get(key := (name, regs := tuple(x for arg in args for x in arg[:2]))) or self._resolve(key, regs)
-        if call is None or len(values) != call[2] or self.lowered + call[3] > MAX_NATIVE_GATES:
-            self._check_call(name_pos)
-        self.calls += name_pos, call[0], call[1], ",".join(map(repr, values)) or None  # repr reads back as the same float
-        self.lowered += call[3]
-
-    def _read_call(self) -> tuple[str, int, list[float], list[tuple[str, int | None, int]]]:
-        """A call read from the tokens: name, position, angle values and ``(register, index, pos)``
-        arguments.  The name, then each angle and argument, is checked before the next is read."""
-        _, name, name_pos = self._next()
+        """A call read from the tokens.  The name, then each angle and argument, is checked before the
+        next is read, and then the call as a whole: one that does not resolve or fit raises here."""
+        _, name, pos = self._next()
         if name not in self.templates:
-            self._error(f"unknown gate {quote(name)}", name_pos)
-        values = [self._eval_angle(node, [], name_pos) for node in self._parse_angle_args()]
-        return name, name_pos, values, [arg for arg in self._parse_arguments() if self._resolve_qubit_arg(*arg)]
+            self._error(f"unknown gate {quote(name)}", pos)
+        values = [self._eval_angle(node, [], pos) for node in self._parse_angle_args()]
+        args = [arg for arg in self._parse_arguments() if self._resolve_qubit_arg(*arg)]  # each before the next is read
+        call = self.resolved.get(key := (name, regs := tuple(x for arg in args for x in arg[:2]))) or self._resolve(key, regs)
+        angles = ",".join(map(repr, values)) or None  # repr reads back as the same float
+        if call is None or len(values) != call[2] or self.lowered + call[3] > MAX_NATIVE_GATES:
+            t = self._check_arity(name, len(values), len(args), pos)
+            rows = self._broadcast([self._resolve_qubit_arg(*arg) for arg in args], pos)
+            self._lower(len(t.known) - t.params - 1 + len(rows) * len(t.opcodes), pos)
+            self._expressions(t, angles, pos)
+            self._error(*t.fail)  # what is left of a call that does not fit
+        self._pend(call, angles, pos)
 
     def _broadcast(self, operands: list[list[int]], pos: int) -> list[tuple[int, ...]]:
         """The qubit rows of a call's resolved arguments: a whole-register argument gives one qubit to each."""
@@ -673,9 +670,9 @@ class _Parser:
 
     def _resolve(self, key: tuple, regs: tuple) -> tuple | None:
         """The call of gate ``key[0]`` on arguments ``key[1]``, the ``(register, index)`` pairs flat in ``regs``:
-        ``(template id, argument list id, angle count, lowered count)``, kept for the same key if the gate
-        and arguments fit and the gate does not fail, else None.  The arguments are checked and broadcast
-        the first time ``key[1]`` is read."""
+        ``(template id, argument list id, angle count, lowered count, whether the template has expressions)``,
+        kept for the same key if the gate and arguments fit and the gate does not fail, else None.  The
+        arguments are checked and broadcast the first time ``key[1]`` is read."""
         if (tid := None if key[0] in _STATEMENTS else self.ids.get(key[0])) is None:
             return None
         if (aid := self.arg_ids.get(key[1])) is None:
@@ -689,47 +686,37 @@ class _Parser:
         n, width, _ = self.arglists[aid]
         if width != (t := self.temps[tid]).qubits or t.fail:
             return None
-        self.resolved[key] = call = (tid, aid, t.params, len(t.known) - t.params - 1 + n * len(t.opcodes))
+        self.resolved[key] = call = (tid, aid, t.params, len(t.known) - t.params - 1 + n * len(t.opcodes), bool(t.evals))
         return call
 
-    def _check_call(self, offset: int) -> None:
-        """Read the call at ``offset`` again from the tokens and raise its first error."""
-        self.stream, self.expr_depth = _tokens(self.text, offset), 0
-        self.tok = next(self.stream)
-        name, name_pos, values, args = self._read_call()
-        operands = [self._resolve_qubit_arg(*arg) for arg in args]
-        t = self._check_arity(name, len(values), len(operands), name_pos)
-        rows = self._broadcast(operands, name_pos)
-        self._lower(len(t.known) - t.params - 1 + len(rows) * len(t.opcodes), name_pos)
-        self._expressions(t, values, name_pos)
-        self._error(*t.fail)  # what is left of a call that does not fit
-
-    def _expressions(self, t: _Template, args: list[float], pos: int) -> list[float]:
-        """Values of the expression slots of a call of ``t`` at ``pos`` with angles ``args``, in order."""
-        slots = [0.0, *args, *t.known[t.params + 1 :]]
+    def _expressions(self, t: _Template, angles: str | None, pos: int) -> list[float]:
+        """Values of the expression slots of a call of ``t`` at ``pos`` with angle literals ``angles``, in order."""
+        slots = [0.0, *map(float, angles.split(",") if angles else ()), *t.known[t.params + 1 :]]
         for s, (node, reads, at) in zip([s for s, v in enumerate(slots) if v is None], t.evals):
             slots[s] = self._eval_angle(node, [slots[k] for k in reads], pos if at is None else at)
         return slots[t.params + 1 :]
 
+    def _pend(self, call: tuple, angles: str | None, pos: int) -> None:
+        """Add a resolved call that fits, read at ``pos``, to the pending batch; if its template has expressions
+        that read its angles, they are evaluated now."""
+        if call[4]:
+            self.evals += self._expressions(self.temps[call[0]], angles, pos)
+        self.calls += call[0], call[1], angles
+        self.lowered += call[3]
+
     def _flush(self) -> None:
-        """Lower the pending calls in array passes: in call order, angle values are checked finite and
-        expressions evaluated, and the first call with an angle that is not is read again for its error.
-        Else each call gathers its template's rows on its qubit rows."""
+        """Lower the pending calls, each checked when it was read, in array passes: each call gathers its
+        template's rows on its qubit rows, with its angle literals and its expressions' values."""
         if not self.calls:
             return
-        offsets, angles, (used, tid), (uarg, aid) = self.calls[::4], self.calls[3::4], *(
-            np.unique(self.calls[k::4], return_inverse=True) for k in (1, 2))
+        (used, tid), (uarg, aid) = (np.unique(self.calls[k::3], return_inverse=True) for k in (0, 1))
+        values = list(map(float, filter(None, ",".join(filter(None, self.calls[2::3])).split(","))))
+        pool = np.array([*values, *self.evals, 0.0])  # angle arguments, then expression values
         self.calls.clear()
+        self.evals.clear()
         temps = [self.temps[k] for k in used.tolist()]
         params, nrows, nknown, nevals = np.array([(t.params, len(t.opcodes), len(t.known), len(t.evals)) for t in temps]).T
-        nang = params[tid]
-        values = list(map(float, filter(None, ",".join(filter(None, angles)).split(","))))
-        aoff = _starts(nang)
-        first_bad, evals = min(np.repeat(np.arange(len(tid)), nang)[~np.isfinite(values)], default=len(tid)), []
-        for i in np.flatnonzero(nevals[tid[:first_bad]]).tolist():
-            evals += self._expressions(temps[tid[i]], values[aoff[i] : aoff[i] + nang[i]], offsets[i])
-        if first_bad < len(tid):
-            self._check_call(offsets[first_bad])
+        aoff = _starts(params[tid])
         arows, width = np.array([self.arglists[k][:2] for k in uarg.tolist()]).T
         flat = np.fromiter(chain.from_iterable(self.arglists[k][2] for k in uarg.tolist()), np.int64)
         # template row j on qubit row r of call c
@@ -742,7 +729,7 @@ class _Parser:
         known = np.array([np.nan if v is None else v for t in temps for v in t.known])[_starts(nknown)[tid[c]] + slot]
         p, eoff = params[tid[c]], len(values) + _starts(np.where(nevals[tid] > 0, nknown[tid] - params[tid] - 1, 0))[c]
         index = np.where(np.isnan(known), np.where(slot <= p, aoff[c] + slot - 1, eoff + slot - p - 1), -1)
-        angle = np.where(np.isnan(known), np.array([*values, *evals, 0.0])[index], known)
+        angle = np.where(np.isnan(known), pool[index], known)
         self.columns.append((opcode, flat[q + target], flat[q + control], angle))
 
 

@@ -393,6 +393,13 @@ class TestSweep:
     def test_bad_axis_usage_error(self, bell_qasm):
         assert main(["sweep", str(bell_qasm), "volume", "1,2"]) == 1
 
+    @pytest.mark.parametrize("value", ["float_reference", "bogus"])
+    def test_rounding_axis_takes_only_fixed_point_modes(self, bell_qasm, capsys, value):
+        # sweep models the fixed-point hardware: a float-vs-float row would be priced as fixed hardware
+        rc = main(["sweep", str(bell_qasm), "rounding", f"nearest,{value}"])
+        expected = f"usage error: rounding sweep expects one of truncation, nearest, nearest_even, got '{value}'\n"
+        assert (rc, capsys.readouterr()) == (1, ("", expected))
+
     def test_long_bad_value_list_is_quoted_bounded(self, bell_qasm, capsys):
         rc = main(["sweep", str(bell_qasm), "bits", "9" * 5000 + "x"])
         assert (rc, capsys.readouterr().err) == (1, f"usage error: bits sweep expects integers, got {'9' * 40!r}...\n")

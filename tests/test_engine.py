@@ -551,9 +551,10 @@ class TestSaturationShortcut:
     def test_product_in_range_matches_brute_force(self, mode):
         fmt = FixedPointFormat(8, mode)
         words = range(fmt.min_raw, fmt.max_raw + 1)
+        safe = engine._FixedAlu(fmt, [(k, k) for k in words]).safe
         for k in words:
             expect = all(fmt.min_raw <= oracle_mul_raw(x, k, fmt) <= fmt.max_raw for x in words)
-            assert engine._product_in_range(k, fmt) == expect, k
+            assert (k in safe) == expect, k
 
     @pytest.mark.parametrize("bits", [8, 24, 32])
     @pytest.mark.parametrize("mode", MODES)
@@ -565,7 +566,7 @@ class TestSaturationShortcut:
         program = compile_circuit(gates_as_circuit([gate], 2), config)
         s, c = program.table.entries[program.instructions[0].imm]
         assert (s, c) == (0, -(1 << fmt.fractional_bits))
-        assert not engine._product_in_range(c, fmt)
+        assert c not in engine._FixedAlu(fmt, program.table.entries).safe
         initial = FixedState(2, fmt, np.full(4, fmt.min_raw), np.full(4, fmt.min_raw))
         state = run(program, config, initial=initial)
         assert state.re.tolist() == state.im.tolist() == [fmt.max_raw] * 4
@@ -581,8 +582,9 @@ class TestSaturationShortcut:
         table = AngleTable(fmt)
         imm = table.intern(1.1) if kind in ROTATIONAL else 0
         sincos = table.entries[imm] if kind in ROTATIONAL else None
+        safe = engine._FixedAlu(fmt, table.entries).safe
         for m in sincos or (k,):
-            assert engine._product_in_range(m, fmt)
+            assert m in safe
         a = (fmt.min_raw, fmt.max_raw)
         alu = OracleAlu(fmt)
         expect_a, expect_b = scalar_fixed_kernel(kind, a, (0, 0), k, sincos, alu)

@@ -136,6 +136,10 @@ _CALLS = [
     # a register declared mid-text, calls on it and whole-register broadcasts, and a gate defined late
     "qreg r[2];", "h r[1];", "cx r[0],q[2];", "h r;", "crz(0.5) r,q[1];", "cx q[0],r;", "ccx r[0],q,r[1];",
     "gate late(t) a,b { rx(t) b; cx a,b; }", "late(1.5) q[1],r[0];", "late(.5) r,q[2];",
+    # literals at and past the digit counts the pattern reads as finite: 200 digits before the point,
+    # 2 exponent digits and 300 integer digits; a 400-digit real overflows, and 1.0e-400 underflows to 0
+    f"rx({'9' * 200}.5) q[0];", f"rx({'9' * 201}.5) q[0];", f"ry(-{'9' * 200}.9e99) q[1];", "ry(1.5e100) q[1];",
+    f"rz({'9' * 300}) q[2];", f"rz(-{'9' * 301}) q[2];", f"rx({'9' * 400}.0) q[0];", "rx(1.0e-400) q[0];",
 ]
 _MACROS = "gate g(t) a,b { rz(t/2) a; cx a,b; }\ngate f(t) a { rx(1/t) a; }\ngate d a,b { cx a,a; }\n"
 _EDITS = list(" \t\n;,()[]-.e0123456789qhc/@") + ["//", "é", "٣"]

@@ -437,6 +437,14 @@ class TestErrorPositions:
             "f.qasm:4:1: gate 'cx' takes 2 qubit argument(s), got 3",
         ),
         "bad_character_in_a_body_barrier": (HEADER + "gate g a { barrier @ a; }\n", "f.qasm:3:20: unexpected character '@'"),
+        "expression_in_a_body_barrier": (
+            HEADER + "gate g a { barrier 1+2*pi; h a; }\n",
+            "f.qasm:3:20: expected qubit argument, found '1'",
+        ),
+        "undeclared_name_in_a_body_barrier": (
+            HEADER + "gate g a { barrier zz; }\n",
+            "f.qasm:3:12: unknown qubit argument 'zz' in body of 'g'",
+        ),
         "name_run_into_register": (HEADER + "qreg q[1];\nhq[0];\n", "f.qasm:4:1: unknown gate 'hq'"),
         "barrier_on_undeclared_register": (HEADER + "qreg q[1];\nbarrier z[0];\n", "f.qasm:4:9: unknown quantum register 'z'"),
         "infinite_literal": (
@@ -457,9 +465,9 @@ class TestErrorPositions:
 
 
 class TestBatchedCallErrors:
-    """Calls wait in a batch that is checked and lowered at once; of several
-    errors in it, and in the statements after it, the first in reading order
-    is reported, as when every call was checked on its own."""
+    """Each call is checked whole when it is read and then waits in a batch
+    that only lowers, so of several errors among the calls and the statements
+    after them the first in reading order is reported, at any batch size."""
 
     @pytest.fixture(autouse=True, params=[1, 3, qasm._BATCH_ROWS], ids=lambda rows: f"batch{rows}")
     def batch_rows(self, request, monkeypatch):
