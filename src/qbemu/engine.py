@@ -25,6 +25,8 @@ Measurement statistics can be sampled from either backend.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .compiler import AngleTable, CompiledProgram, Instruction, field_error, first_field_error
@@ -184,7 +186,8 @@ class _FixedAlu:
     1/sqrt(2) constant, and ``safe`` holds the constants, it and the raw
     ``(sin, cos)`` ``entries``, whose product with any in-range word rounds
     into the range: rounding is monotone, so the rounded products of
-    ``min_raw`` and ``max_raw`` bound all others.
+    ``min_raw`` and ``max_raw`` bound all others.  An entry outside the
+    word's range is refused as a table file's is, before int64 holds it.
     """
 
     def __init__(self, fmt: FixedPointFormat, entries=()):
@@ -192,7 +195,10 @@ class _FixedAlu:
         self.overflow = False
         self._pair: np.ndarray | None = None
         self.inv_sqrt2 = from_real(INV_SQRT2, fmt)
-        k = np.array([self.inv_sqrt2, *(x for pair in entries for x in pair)], dtype=np.int64)
+        values = [x for pair in entries for x in pair]
+        if values and not fmt.min_raw <= min(values) <= max(values) <= fmt.max_raw:
+            raise EngineError("angle table " + next(filter(None, (range_error(x, fmt.total_bits) for x in values))))
+        k = np.array([self.inv_sqrt2, *values], dtype=np.int64)
         ends = round_shift(k[:, None] * np.array([fmt.min_raw, fmt.max_raw]), fmt.fractional_bits, fmt.rounding)
         self.safe = set(k[((fmt.min_raw <= ends) & (ends <= fmt.max_raw)).all(axis=1)].tolist())
 
@@ -375,6 +381,15 @@ def _apply(state: State, kind: GateKind, target: int, control: int | None, sinco
             _float_block(block, kind, sincos, scratch)
 
 
+def _alu(state: State, entries) -> _FixedAlu | None:
+    """A fixed ``state``'s ALU over table ``entries``, or None for a float state whose entries are finite."""
+    if isinstance(state, FixedState):
+        return _FixedAlu(state.fmt, entries)
+    if bad := [x for pair in entries for x in pair if not math.isfinite(x)]:
+        raise EngineError(f"angle table value {bad[0]!r} is not finite")
+    return None
+
+
 def _table_error(state: State, table: AngleTable) -> str | None:
     """Why ``state``'s backend cannot read ``table``'s entries as stored; None if it can."""
     if isinstance(state, FloatState):
@@ -388,17 +403,13 @@ def apply_gate(state: State, instr: Instruction, table: AngleTable | None = None
     """Apply one decoded instruction in place and return the state."""
     if instr.opcode in ROTATIONAL and table is None:
         raise EngineError(f"{instr.opcode.name} requires an angle table")
-    error = field_error(instr.opcode, instr.target, instr.control, instr.imm, state.n_qubits, len(table or ()))
-    if error:
+    if error := field_error(instr.opcode, instr.target, instr.control, instr.imm, state.n_qubits, len(table or ())):
         raise EngineError(error)
     control = None if instr.control == instr.target else instr.control
-    sincos = None
-    if instr.opcode in ROTATIONAL:
-        error = _table_error(state, table)
-        if error:
-            raise EngineError(error)
-        sincos = table.entries[instr.imm]
-    alu = None if isinstance(state, FloatState) else _FixedAlu(state.fmt, [sincos] if sincos else ())
+    if instr.opcode in ROTATIONAL and (error := _table_error(state, table)):
+        raise EngineError(error)
+    sincos = table.entries[instr.imm] if instr.opcode in ROTATIONAL else None
+    alu = _alu(state, [sincos] if sincos else ())
     _apply(state, instr.opcode, instr.target, control, sincos, alu)
     if alu is not None:
         state.overflow = state.overflow or alu.overflow
@@ -433,13 +444,11 @@ def run(program: CompiledProgram, config: ExecConfig, initial: State | None = No
             raise EngineError("initial state format does not match configuration")
         state = initial.copy()
     table, ins = program.table, program.instructions
-    error = _table_error(state, table) if len(table) else None  # an empty table is read by no gate
-    if error:
+    if len(table) and (error := _table_error(state, table)):  # an empty table is read by no gate
         raise EngineError(error)
-    error = first_field_error(ins, n, len(table))
-    if error:
+    if error := first_field_error(ins, n, len(table)):
         raise EngineError(error[1])
-    pairs, alu = table.entries, None if isinstance(state, FloatState) else _FixedAlu(state.fmt, table.entries)
+    pairs, alu = table.entries, _alu(state, table.entries)
     columns = (ins.opcode, ins.target, ins.control, ins.imm)
     for opcode, target, control, imm in zip(*(col.tolist() for col in columns)):
         kind = _KINDS[opcode]

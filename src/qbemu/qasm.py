@@ -7,12 +7,13 @@ name has a template of the native rows a call lowers to.  The native twelve
 u2 id u0 sx sxdg cz cy swap ccx cswap cu3 csx cu rxx rzz rccx rc3x c3x c3sqrtx
 c4x`` are ``gate`` lines in ``_PRELUDE``, read once as a user's are: a gate's
 template splices together its body's templates when it is defined, and a name
-cannot be defined twice; a body's angle expression that reads no argument is
-evaluated then.  ``U`` is RZ(phi) RY(theta) RZ(lambda), qelib1's U times
-exp(-i(phi+lambda)/2).  A call is checked whole when it is read (its argument
-text checked and broadcast once per parse, expressions reading its angles
-evaluated) and waits as ints and angle text in a batch that only lowers, in
-array passes: each call gathers its template's rows.
+is neither defined twice nor a statement keyword; a body's angle expression
+that reads no argument is evaluated then.  ``U`` is RZ(phi) RY(theta)
+RZ(lambda), qelib1's U times exp(-i(phi+lambda)/2).  One check, where a call
+is read (by the call pattern or the tokens), checks it whole and raises if it
+fails: its argument text checked and broadcast once per parse, expressions
+reading its angles evaluated.  It waits as ints and angle text in a batch that
+only lowers, in array passes: each call gathers its template's rows.
 
 ``measure`` and ``barrier`` statements are accepted and dropped; ``creg``
 declarations are recorded but otherwise ignored.  ``if``, ``reset`` and
@@ -315,8 +316,8 @@ class _Parser:
         self.expr_depth = 0
         self.qubit_count = 0
         self.lowered = 0  # native gates and angle expressions of the templates and the calls read so far
-        self.templates = dict(_BUILTINS)  # gate name -> template, user gates added when defined
-        self.ids, self.temps = {name: k for k, name in enumerate(self.templates)}, list(self.templates.values())
+        self.ids = {name: k for k, name in enumerate(_BUILTINS)}  # gate name -> index in temps
+        self.temps = list(_BUILTINS.values())  # gate templates, user gates appended when defined
         self.resolved: dict[tuple, tuple] = {}  # (gate name, arguments) -> call, see _resolve
         self.arg_ids: dict = {}  # call pattern's argument text, or (register, index) list -> index in arglists
         self.arglists: list[tuple] = []  # (qubit rows, qubits per row, flat qubits) of each argument list
@@ -325,9 +326,6 @@ class _Parser:
         self.columns: list[tuple] = []  # the native gate columns lowered from each batch
 
     # -- token helpers ----------------------------------------------------
-
-    def _at(self, kind: str) -> bool:
-        return self.tok[0] == kind
 
     def _next(self) -> tuple[str, str, int]:
         tok = self.tok
@@ -363,9 +361,9 @@ class _Parser:
     # -- top level ---------------------------------------------------------
 
     def parse(self) -> SourceCircuit:
-        """Read the text statement by statement: each one the call pattern matches from its
-        offset, if its call is resolved and fits, or else from the tokens from there on.  A call
-        is checked as it is read and joins the pending batch, lowered when full and at the end."""
+        """Read the text statement by statement: a call the call pattern matches from its offset,
+        else the statement from the tokens from there on.  A call is checked where it is read and
+        joins the pending batch, lowered when full and at the end."""
         self._parse_header()
         start = self.tok[2]  # offset of the statement being read
         match, text, resolved, calls = _CALL_RE.match, self.text, self.resolved, self.calls
@@ -373,15 +371,15 @@ class _Parser:
             if len(calls) >= 3 * _BATCH_ROWS:
                 self._flush()
             if m := match(text, start):  # groups: 1 name, 2 angles, 3 args, 4-7 its registers and indices
-                call, angles = resolved.get(key := m.group(1, 3)) or self._resolve(key, m.group(4, 5, 6, 7)), m[2]
-                if (call and (angles.count(",") + 1 if angles else 0) == call[2]
-                        and self.lowered + call[3] <= MAX_NATIVE_GATES):
-                    self._pend(call, angles, m.start(1))
+                key, angles = m.group(1, 3), m[2]
+                if call := resolved.get(key) or self._resolve(key, m.start(1), angles.count(",") + 1 if angles else 0,
+                                                              ((m[4], m[5], m.start(4)), (m[6], m[7], m.start(6)))):
+                    self._pend(key[0], call, angles, m.start(1))
                     start = m.end()
                     continue
             self.stream = _tokens(self.text, start)
             self.tok = next(self.stream)
-            if self._at("eof"):
+            if self.tok[0] == "eof":
                 break
             self._parse_statement()
             start = self.tok[2]
@@ -446,11 +444,13 @@ class _Parser:
     def _parse_gate_definition(self) -> None:
         self._next()
         _, name, name_pos = self._expect("id", "gate name")
-        if name in self.templates:
+        if name in _STATEMENTS:  # a call of it would be read as the statement
+            self._error(f"gate name {quote(name)} is a statement keyword", name_pos)
+        if name in self.ids:
             self._error(f"gate {quote(name)} already defined", name_pos)
         params: list[str] = []
         if self._accept("("):
-            if not self._at(")"):
+            if self.tok[0] != ")":
                 params = self._parse_ids("parameter name")
             self._expect(")")
         qargs = self._parse_ids("qubit argument")
@@ -459,7 +459,7 @@ class _Parser:
         self._expect("{")
         t = _Template(len(params), len(qargs))
         self.params = {p: k for k, p in enumerate(params, start=1)}
-        while not self._at("}"):
+        while self.tok[0] != "}":
             kind, op_name, op_pos = self.tok
             if kind != "id":
                 self._error("expected a gate name in gate body")
@@ -467,7 +467,7 @@ class _Parser:
             barrier = op_name == "barrier"  # dropped once its operands are checked, as at top level
             if op_name == name and not barrier:
                 self._error(f"recursive gate definition: {quote(name)} references itself", op_pos)
-            if op_name not in self.templates and not barrier:
+            if op_name not in self.ids and not barrier:
                 self._error(f"unknown gate {quote(op_name)} in body of {quote(name)}", op_pos)
             angle_exprs = [] if barrier else list(self._parse_angle_args())
             op_qargs = self._parse_ids("qubit argument")
@@ -489,13 +489,13 @@ class _Parser:
             t.splice(sub, args, qubits, op_pos)
         self._expect("}")
         self.params = {}
-        self.templates[name], self.ids[name] = t, len(self.temps)
+        self.ids[name] = len(self.temps)
         self.temps.append(t)
 
     def _parse_angle_args(self):
         """Parenthesized angle arguments, if any; each is parsed when asked for."""
         if self._accept("("):
-            if not self._at(")"):
+            if self.tok[0] != ")":
                 yield self._parse_expr()
                 while self._accept(","):
                     yield self._parse_expr()
@@ -503,7 +503,7 @@ class _Parser:
 
     def _check_arity(self, name: str, n_angles: int, n_qubits: int, pos: int) -> _Template:
         """The template of gate ``name``, if a call with these argument counts fits it."""
-        t = self.templates[name]
+        t = self.temps[self.ids[name]]
         if n_angles != t.params:
             self._error(f"gate {quote(name)} takes {t.params} parameter(s), got {n_angles}", pos)
         if n_qubits != t.qubits:
@@ -642,67 +642,57 @@ class _Parser:
 
     def _parse_gate_application(self) -> None:
         """A call read from the tokens.  The name, then each angle and argument, is checked before the
-        next is read, and then the call as a whole: one that does not resolve or fit raises here."""
+        next is read, and then the call as a whole, as the call pattern's calls are."""
         _, name, pos = self._next()
-        if name not in self.templates:
+        if name not in self.ids:
             self._error(f"unknown gate {quote(name)}", pos)
         values = [self._eval_angle(node, [], pos) for node in self._parse_angle_args()]
         args = [arg for arg in self._parse_arguments() if self._resolve_qubit_arg(*arg)]  # each before the next is read
-        call = self.resolved.get(key := (name, regs := tuple(x for arg in args for x in arg[:2]))) or self._resolve(key, regs)
-        angles = ",".join(map(repr, values)) or None  # repr reads back as the same float
-        if call is None or len(values) != call[2] or self.lowered + call[3] > MAX_NATIVE_GATES:
-            t = self._check_arity(name, len(values), len(args), pos)
-            rows = self._broadcast([self._resolve_qubit_arg(*arg) for arg in args], pos)
-            self._lower(len(t.known) - t.params - 1 + len(rows) * len(t.opcodes), pos)
-            self._expressions(t, angles, pos)
-            self._error(*t.fail)  # what is left of a call that does not fit
-        self._pend(call, angles, pos)
+        call = self.resolved.get(key := (name, tuple(arg[:2] for arg in args))) or self._resolve(key, pos, len(values), args)
+        self._pend(name, call, ",".join(map(repr, values)) or None, pos)  # repr reads back as the same float
 
-    def _broadcast(self, operands: list[list[int]], pos: int) -> list[tuple[int, ...]]:
-        """The qubit rows of a call's resolved arguments: a whole-register argument gives one qubit to each."""
-        n = max(map(len, operands))
-        if any(len(ops) not in (1, n) for ops in operands):
-            self._error("mismatched register sizes in broadcast", pos)
-        rows = list(zip(*(ops * n if len(ops) == 1 else ops for ops in operands)))
-        if any(len(set(row)) != len(row) for row in rows):
-            self._error("duplicate qubit in gate arguments", pos)
-        return rows
-
-    def _resolve(self, key: tuple, regs: tuple) -> tuple | None:
-        """The call of gate ``key[0]`` on arguments ``key[1]``, the ``(register, index)`` pairs flat in ``regs``:
-        ``(template id, argument list id, angle count, lowered count, whether the template has expressions)``,
-        kept for the same key if the gate and arguments fit and the gate does not fail, else None.  The
-        arguments are checked and broadcast the first time ``key[1]`` is read."""
-        if (tid := None if key[0] in _STATEMENTS else self.ids.get(key[0])) is None:
+    def _resolve(self, key: tuple, pos: int, n_angles: int, args) -> tuple | None:
+        """The call at ``pos`` of gate ``key[0]`` with ``n_angles`` angles on arguments ``key[1]``, read as ``args``
+        of ``(register or None, index or None, offset)``: ``(template id, argument list id, angle count, lowered
+        count, whether the template has expressions or fails)``, kept for the key; None for a statement keyword.  A
+        failing call raises its first failing check: unknown gate, each argument, angle and qubit counts, broadcast."""
+        if key[0] in _STATEMENTS:
             return None
+        if (tid := self.ids.get(key[0])) is None:
+            self._error(f"unknown gate {quote(key[0])}", pos)
         if (aid := self.arg_ids.get(key[1])) is None:
-            try:
-                rows = self._broadcast([self._resolve_qubit_arg(reg, None if i is None else int(i), 0)
-                                        for reg, i in zip(regs[::2], regs[1::2]) if reg], 0)
-            except QasmError:
-                return None
+            operands = [self._resolve_qubit_arg(reg, None if i is None else int(i), at) for reg, i, at in args if reg]
+            self._check_arity(key[0], n_angles, len(operands), pos)
+            n = max(map(len, operands))
+            if any(len(ops) not in (1, n) for ops in operands):
+                self._error("mismatched register sizes in broadcast", pos)
+            rows = list(zip(*(ops * n if len(ops) == 1 else ops for ops in operands)))
+            if any(len(set(row)) != len(row) for row in rows):
+                self._error("duplicate qubit in gate arguments", pos)
             aid = self.arg_ids[key[1]] = len(self.arglists)
             self.arglists.append((len(rows), len(rows[0]), [q for row in rows for q in row]))
         n, width, _ = self.arglists[aid]
-        if width != (t := self.temps[tid]).qubits or t.fail:
-            return None
-        self.resolved[key] = call = (tid, aid, t.params, len(t.known) - t.params - 1 + n * len(t.opcodes), bool(t.evals))
+        t = self._check_arity(key[0], n_angles, width, pos)
+        count = len(t.known) - t.params - 1 + n * len(t.opcodes)  # its native gates and expressions
+        self.resolved[key] = call = (tid, aid, t.params, count, bool(t.evals or t.fail))
         return call
 
-    def _expressions(self, t: _Template, angles: str | None, pos: int) -> list[float]:
-        """Values of the expression slots of a call of ``t`` at ``pos`` with angle literals ``angles``, in order."""
-        slots = [0.0, *map(float, angles.split(",") if angles else ()), *t.known[t.params + 1 :]]
-        for s, (node, reads, at) in zip([s for s, v in enumerate(slots) if v is None], t.evals):
-            slots[s] = self._eval_angle(node, [slots[k] for k in reads], pos if at is None else at)
-        return slots[t.params + 1 :]
-
-    def _pend(self, call: tuple, angles: str | None, pos: int) -> None:
-        """Add a resolved call that fits, read at ``pos``, to the pending batch; if its template has expressions
-        that read its angles, they are evaluated now."""
-        if call[4]:
-            self.evals += self._expressions(self.temps[call[0]], angles, pos)
-        self.calls += call[0], call[1], angles
-        self.lowered += call[3]
+    def _pend(self, name: str, call: tuple, angles: str | None, pos: int) -> None:
+        """Add a resolved call of gate ``name`` read at ``pos`` to the pending batch once the rest of it passes: angle
+        count (unchecked on a memo hit), budget, and if its template has any, its expressions and its failure."""
+        tid, aid, params, count, slow = call
+        if (n := angles.count(",") + 1 if angles else 0) != params:
+            self._check_arity(name, n, self.temps[tid].qubits, pos)
+        self._lower(count, pos)
+        if slow:
+            t = self.temps[tid]
+            slots = [0.0, *map(float, angles.split(",") if angles else ()), *t.known[params + 1 :]]
+            for s, (node, reads, at) in zip([s for s, v in enumerate(slots) if v is None], t.evals):
+                slots[s] = self._eval_angle(node, [slots[k] for k in reads], pos if at is None else at)
+            self.evals += slots[params + 1 :]
+            if t.fail:
+                self._error(*t.fail)
+        self.calls += tid, aid, angles
 
     def _flush(self) -> None:
         """Lower the pending calls, each checked when it was read, in array passes: each call gathers its
@@ -752,9 +742,9 @@ def _read_prelude() -> dict[str, _Template]:
     """The primitives and the gates of ``_PRELUDE``, whose expressions fail at the call that evaluates them."""
     parser = _Parser(_PRELUDE, "qelib1.inc")
     parser.parse()
-    for t in parser.templates.values():
+    for t in parser.temps:
         t.evals = [(node, reads, None) for node, reads, _ in t.evals]
-    return parser.templates
+    return dict(zip(parser.ids, parser.temps))
 
 
 _BUILTINS = _read_prelude()

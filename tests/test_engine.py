@@ -6,6 +6,7 @@ import functools
 import io
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -405,6 +406,27 @@ class TestApplyGateFixed:
         with pytest.raises(EngineError, match=f"^{message}$"):
             apply_gate(initial_state(1, config), Instruction(GateKind.RY, 0, 0, 0), table)
         with pytest.raises(EngineError, match=f"^{message}$"):
+            run(CompiledProgram([Instruction(GateKind.RY, 0, 0, 0)], table, 1), config)
+
+    @pytest.mark.parametrize(
+        "rounding, entry, message",
+        [
+            ("nearest", (1 << 40, 0), "value 1099511627776 outside the 32-bit range [-2147483648, 2147483647]"),
+            ("nearest", (0, -(1 << 70)), f"value {-(1 << 70)} outside the 32-bit range [-2147483648, 2147483647]"),
+            ("float_reference", (math.nan, 1.0), "value nan is not finite"),
+            ("float_reference", (0.0, -math.inf), "value -inf is not finite"),
+        ],
+        ids=["wraps_in_int64", "past_int64", "nan", "inf"],
+    )
+    def test_out_of_range_or_non_finite_entry_refused(self, rounding, entry, message):
+        # a fixed entry past the word's range wraps inside an int64 product, or past int64 cannot be held,
+        # and a float NaN spreads through the state: apply_gate and run refuse them as a table file's are
+        config = ExecConfig(n_qubits=1, data_bits=32, rounding=rounding)
+        table = AngleTable(None if config.is_float_reference else config.fixed_format, [entry])
+        match = "^angle table " + re.escape(message) + "$"
+        with pytest.raises(EngineError, match=match):
+            apply_gate(initial_state(1, config), Instruction(GateKind.RY, 0, 0, 0), table)
+        with pytest.raises(EngineError, match=match):
             run(CompiledProgram([Instruction(GateKind.RY, 0, 0, 0)], table, 1), config)
 
     def test_rotational_imm_out_of_range(self):

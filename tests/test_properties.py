@@ -140,6 +140,8 @@ _CALLS = [
     # 2 exponent digits and 300 integer digits; a 400-digit real overflows, and 1.0e-400 underflows to 0
     f"rx({'9' * 200}.5) q[0];", f"rx({'9' * 201}.5) q[0];", f"ry(-{'9' * 200}.9e99) q[1];", "ry(1.5e100) q[1];",
     f"rz({'9' * 300}) q[2];", f"rz(-{'9' * 301}) q[2];", f"rx({'9' * 400}.0) q[0];", "rx(1.0e-400) q[0];",
+    # wrong arity: both counts are wrong in the last, and the angle count is reported
+    "h(0.5) q[0];", "rx q[0];", "cx q[0];", "rx(0.5) q[0],q[1];", "h(0.5) q[0],q[1];",
 ]
 _MACROS = "gate g(t) a,b { rz(t/2) a; cx a,b; }\ngate f(t) a { rx(1/t) a; }\ngate d a,b { cx a,a; }\n"
 _EDITS = list(" \t\n;,()[]-.e0123456789qhc/@") + ["//", "é", "٣"]

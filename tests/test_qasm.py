@@ -249,8 +249,8 @@ class TestMacroExpansion:
         src = HEADER + "gate inner(t) a { rx(t + 1) a; }\ngate outer(t) a { inner(2 * t) a; inner(t) a; }\n"
         parser = qasm._Parser(src + "qreg q[1];\nouter(0.5) q[0];\n", "f.qasm")
         circuit = parser.parse()
-        ((node, _, _),) = parser.templates["inner"].evals
-        (double, _, _), (first, first_reads, _), (second, second_reads, _) = parser.templates["outer"].evals
+        ((node, _, _),) = parser.temps[parser.ids["inner"]].evals
+        (double, _, _), (first, first_reads, _), (second, second_reads, _) = parser.temps[parser.ids["outer"]].evals
         assert first is node and second is node
         assert (list(first_reads), list(second_reads)) == ([0, 2], [0, 1])  # slot 2 holds 2 * t
         assert circuit.gates.angle.tolist() == [2.0, 1.5]
@@ -454,6 +454,14 @@ class TestErrorPositions:
         "redefined_qelib1_gate": (HEADER + "gate sx a { h a; }\n", "f.qasm:3:6: gate 'sx' already defined"),
     }
 
+    @pytest.mark.parametrize("keyword", sorted(qasm._STATEMENTS))
+    def test_a_statement_keyword_is_no_gate_name(self, keyword):
+        # a call of such a gate would be read as the statement: `barrier q[0];` would drop it unseen
+        src = HEADER + f"qreg q[1];\ngate {keyword} a {{ h a; }}\n{keyword} q[0];\n"
+        with pytest.raises(QasmError) as err:
+            parse(src, filename="f.qasm")
+        assert str(err.value) == f"f.qasm:4:6: gate name '{keyword}' is a statement keyword"
+
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_exact_message(self, name):
         src, expected = self.CASES[name]
@@ -505,6 +513,27 @@ class TestBatchedCallErrors:
         assert self.error(body) == "f.qasm:4:29: duplicate qubit in expansion of 'bf'"
         body = body.replace("bf(1)", "bf(0)")
         assert self.error(body) == "f.qasm:4:18: cannot evaluate expression: float division by zero"
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            ("cx q[0];", "4:1: gate 'cx' takes 2 qubit argument(s), got 1"),
+            ("h q[7];", "4:3: qubit index q[7] out of range (size 2)"),
+            ("h(0.5) q[0],q[1];", "4:1: gate 'h' takes 0 parameter(s), got 1"),
+            ("rx(0.5) q[0]; rx q[0];", "4:15: gate 'rx' takes 1 parameter(s), got 0"),  # the memo's call
+            ("cx q[0],q[0];", "4:1: duplicate qubit in gate arguments"),
+            ("bogus q[0];", "4:1: unknown gate 'bogus'"),
+            ("cz q[0],q[1];", "4:1: gate expansion exceeds the limit of 2 native gates"),
+            ("gate d a,b { cx a,a; } d q[0],q[1];", "4:14: duplicate qubit in expansion of 'd'"),
+        ],
+    )
+    def test_a_failing_pattern_read_call_is_not_read_again(self, monkeypatch, call, message):
+        def read_again(parser):
+            raise AssertionError("read again from the tokens")
+
+        monkeypatch.setattr(qasm._Parser, "_parse_gate_application", read_again)
+        monkeypatch.setattr(qasm, "MAX_NATIVE_GATES", 2)
+        assert self.error(call + "\nh q[0];\n") == "f.qasm:" + message
 
     def test_infinite_literal_inside_a_long_run(self):
         body = "cx q[0],q[1];\nrz(pi/4) q[1];\n" * 50 + "rx(1.0e999) q[0];\n" + "h q[1];\n" * 50
@@ -578,7 +607,7 @@ class TestConstantExpressions:
     def test_an_argument_read_keeps_an_expression_at_the_call(self):
         parser = qasm._Parser(HEADER + "gate g(t) a { rx(pi/4) a; rz(t/2) a; ry(2*(0.5+pi)) a; }\n", "f.qasm")
         parser.parse()
-        t = parser.templates["g"]
+        t = parser.temps[parser.ids["g"]]
         assert [node for node, _, _ in t.evals] == [("chain", ("slot", 1), (("/", ("num", 2.0)),))]
         assert t.known == [0.0, None, math.pi / 4, None, 2 * (0.5 + math.pi)]
 
