@@ -30,6 +30,8 @@ from .gates import IS_ROTATIONAL, GateKind
 from .qasm import SourceCircuit
 
 PROGRAM_FORMATS = ("integer_text", "binary")
+# Largest magnitude of a float-reference table entry, a sine or cosine with slack for its rounding.
+FLOAT_ENTRY_MAX = 1.0 + 1e-9
 
 
 class CompileError(Exception):
@@ -396,7 +398,7 @@ def load_program_files(
     entries = list(zip(values[0::2].tolist(), values[1::2].tolist()))
     if len(entries) != count:
         raise DecodeError(f"{table_path}: header says {count} pairs, found {len(entries)}")
-    if fmt is None and any(abs(v) > 1.0 + 1e-9 for pair in entries for v in pair):
+    if fmt is None and any(abs(v) > FLOAT_ENTRY_MAX for pair in entries for v in pair):
         raise DecodeError(
             f"{table_path}: entries out of range for float-reference mode; "
             f"was the table written for a fixed-point configuration?"

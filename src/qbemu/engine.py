@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .compiler import AngleTable, CompiledProgram, Instruction, field_error, first_field_error
+from .compiler import FLOAT_ENTRY_MAX, AngleTable, CompiledProgram, Instruction, field_error, first_field_error
 from .config import MAX_DATA_BITS, MAX_QUBITS, MAX_STATE_BYTES, ExecConfig
 from .fixedpoint import FixedPointFormat, from_real, range_error, round_shift
 from .gates import INV_SQRT2, ROTATIONAL, GateKind
@@ -186,8 +186,9 @@ class _FixedAlu:
     1/sqrt(2) constant, and ``safe`` holds the constants, it and the raw
     ``(sin, cos)`` ``entries``, whose product with any in-range word rounds
     into the range: rounding is monotone, so the rounded products of
-    ``min_raw`` and ``max_raw`` bound all others.  An entry outside the
-    word's range is refused as a table file's is, before int64 holds it.
+    ``min_raw`` and ``max_raw`` bound all others.  An entry that is no
+    integer, or is outside the word's range, is refused as a table file's
+    is, before int64 holds it.
     """
 
     def __init__(self, fmt: FixedPointFormat, entries=()):
@@ -196,6 +197,8 @@ class _FixedAlu:
         self._pair: np.ndarray | None = None
         self.inv_sqrt2 = from_real(INV_SQRT2, fmt)
         values = [x for pair in entries for x in pair]
+        if bad := [x for x in values if not isinstance(x, (int, np.integer))]:
+            raise EngineError(f"angle table value {bad[0]!r} is not an integer")
         if values and not fmt.min_raw <= min(values) <= max(values) <= fmt.max_raw:
             raise EngineError("angle table " + next(filter(None, (range_error(x, fmt.total_bits) for x in values))))
         k = np.array([self.inv_sqrt2, *values], dtype=np.int64)
@@ -382,11 +385,13 @@ def _apply(state: State, kind: GateKind, target: int, control: int | None, sinco
 
 
 def _alu(state: State, entries) -> _FixedAlu | None:
-    """A fixed ``state``'s ALU over table ``entries``, or None for a float state whose entries are finite."""
+    """A fixed ``state``'s ALU over table ``entries``, or None for a float state whose entries a table file may hold."""
     if isinstance(state, FixedState):
         return _FixedAlu(state.fmt, entries)
     if bad := [x for pair in entries for x in pair if not math.isfinite(x)]:
         raise EngineError(f"angle table value {bad[0]!r} is not finite")
+    if bad := [x for pair in entries for x in pair if abs(x) > FLOAT_ENTRY_MAX]:
+        raise EngineError(f"angle table value {bad[0]!r} out of range for float-reference mode")
     return None
 
 

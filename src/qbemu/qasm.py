@@ -12,8 +12,8 @@ that reads no argument is evaluated then.  ``U`` is RZ(phi) RY(theta)
 RZ(lambda), qelib1's U times exp(-i(phi+lambda)/2).  One check, where a call
 is read (by the call pattern or the tokens), checks it whole and raises if it
 fails: its argument text checked and broadcast once per parse, expressions
-reading its angles evaluated.  It waits as ints and angle text in a batch that
-only lowers, in array passes: each call gathers its template's rows.
+reading its angles evaluated.  It is lowered there: its block of native rows,
+kept per gate and argument text, and its angles join the output arrays.
 
 ``measure`` and ``barrier`` statements are accepted and dropped; ``creg``
 declarations are recorded but otherwise ignored.  ``if``, ``reset`` and
@@ -29,8 +29,9 @@ from __future__ import annotations
 import math
 import operator
 import re
+from array import array
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
 
 import numpy as np
 
@@ -118,11 +119,6 @@ _CALL_RE = re.compile(
 )
 
 
-def _starts(counts: np.ndarray) -> np.ndarray:
-    """Where each of consecutive runs of ``counts`` items starts."""
-    return np.cumsum(counts) - counts
-
-
 def _line_col(text: str, pos: int) -> tuple[int, int]:
     """1-based line and column of character offset ``pos``."""
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
@@ -203,6 +199,16 @@ class _Template:
         self.angles += [slots[k] for k in sub.angles]
         self.fail = sub.fail
 
+    @cached_property
+    def lowering(self) -> tuple:
+        """A call's rows on one qubit row, built once the template is whole: ``(opcode, target, control)`` on our
+        qubits per row, their angles in an ``array('d')`` with NaN where the call supplies one, the slots of the
+        NaNs in row order, and whether they are the call's angles in order with nothing else to check."""
+        angle = array("d", [math.nan if self.known[s] is None else self.known[s] for s in self.angles])
+        slots = [s for s in self.angles if self.known[s] is None]
+        plain = slots == [*range(1, self.params + 1)] and not (self.evals or self.fail)
+        return list(zip(self.opcodes, self.targets, self.controls)), angle, slots, plain
+
 
 def _rot(kind: GateKind) -> int:
     return int(kind in ROTATIONAL)
@@ -259,9 +265,6 @@ MAX_EXPR_DEPTH = 100
 MAX_NATIVE_GATES = 1 << 20
 # Largest register size; integer tokens with more digits are never converted.
 MAX_REGISTER_SIZE = 1 << 16
-# Calls a pending batch holds at most (three fields each).  The small objects of a longer
-# batch stay in the allocator's arenas once it is lowered and add to peak memory.
-_BATCH_ROWS = 4096
 _MAX_INT_DIGITS = len(str(MAX_REGISTER_SIZE))
 
 _BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
@@ -319,11 +322,10 @@ class _Parser:
         self.ids = {name: k for k, name in enumerate(_BUILTINS)}  # gate name -> index in temps
         self.temps = list(_BUILTINS.values())  # gate templates, user gates appended when defined
         self.resolved: dict[tuple, tuple] = {}  # (gate name, arguments) -> call, see _resolve
-        self.arg_ids: dict = {}  # call pattern's argument text, or (register, index) list -> index in arglists
-        self.arglists: list[tuple] = []  # (qubit rows, qubits per row, flat qubits) of each argument list
-        self.calls: list = []  # template and argument list ids, angle literals (or None) per pending call
-        self.evals: list[float] = []  # the values of the pending calls' template expressions, in call order
-        self.columns: list[tuple] = []  # the native gate columns lowered from each batch
+        self.qubit_rows: dict = {}  # call pattern's argument text, or (register, index) list -> its qubit rows
+        self.rows = array("q")  # (opcode, target, control) of each native gate lowered so far
+        self.angle = array("d")  # the angle of each, NaN where a call supplies it
+        self.values = array("d")  # the values of the NaNs, in order
 
     # -- token helpers ----------------------------------------------------
 
@@ -362,14 +364,12 @@ class _Parser:
 
     def parse(self) -> SourceCircuit:
         """Read the text statement by statement: a call the call pattern matches from its offset,
-        else the statement from the tokens from there on.  A call is checked where it is read and
-        joins the pending batch, lowered when full and at the end."""
+        else the statement from the tokens from there on.  A call is checked and lowered where it
+        is read; the NaN angles are filled at the end."""
         self._parse_header()
         start = self.tok[2]  # offset of the statement being read
-        match, text, resolved, calls = _CALL_RE.match, self.text, self.resolved, self.calls
+        match, text, resolved = _CALL_RE.match, self.text, self.resolved
         while True:
-            if len(calls) >= 3 * _BATCH_ROWS:
-                self._flush()
             if m := match(text, start):  # groups: 1 name, 2 angles, 3 args, 4-7 its registers and indices
                 key, angles = m.group(1, 3), m[2]
                 if call := resolved.get(key) or self._resolve(key, m.start(1), angles.count(",") + 1 if angles else 0,
@@ -383,8 +383,10 @@ class _Parser:
                 break
             self._parse_statement()
             start = self.tok[2]
-        self._flush()
-        return SourceCircuit(self.qubit_count, gate_columns(map(np.concatenate, zip(*self.columns))))
+        angle = np.frombuffer(self.angle)
+        angle[np.isnan(angle)] = self.values
+        rows = np.frombuffer(self.rows, np.int64).reshape(-1, 3)
+        return SourceCircuit(self.qubit_count, gate_columns([*rows.T, angle]))
 
     def _parse_header(self) -> None:
         kind, text, _ = self.tok
@@ -653,14 +655,15 @@ class _Parser:
 
     def _resolve(self, key: tuple, pos: int, n_angles: int, args) -> tuple | None:
         """The call at ``pos`` of gate ``key[0]`` with ``n_angles`` angles on arguments ``key[1]``, read as ``args``
-        of ``(register or None, index or None, offset)``: ``(template id, argument list id, angle count, lowered
-        count, whether the template has expressions or fails)``, kept for the key; None for a statement keyword.  A
-        failing call raises its first failing check: unknown gate, each argument, angle and qubit counts, broadcast."""
+        of ``(register or None, index or None, offset)``: ``(template, lowered count, rows, angles, slots)``, kept for
+        the key, with its rows and angles on every qubit row as :meth:`_Template.lowering` has them on one, and the
+        slots of the NaNs, or None if they are plainly the call's angles; None for a statement keyword.  A failing
+        call raises its first failing check: unknown gate, each argument, angle and qubit counts, broadcast."""
         if key[0] in _STATEMENTS:
             return None
-        if (tid := self.ids.get(key[0])) is None:
+        if key[0] not in self.ids:
             self._error(f"unknown gate {quote(key[0])}", pos)
-        if (aid := self.arg_ids.get(key[1])) is None:
+        if (rows := self.qubit_rows.get(key[1])) is None:
             operands = [self._resolve_qubit_arg(reg, None if i is None else int(i), at) for reg, i, at in args if reg]
             self._check_arity(key[0], n_angles, len(operands), pos)
             n = max(map(len, operands))
@@ -669,58 +672,32 @@ class _Parser:
             rows = list(zip(*(ops * n if len(ops) == 1 else ops for ops in operands)))
             if any(len(set(row)) != len(row) for row in rows):
                 self._error("duplicate qubit in gate arguments", pos)
-            aid = self.arg_ids[key[1]] = len(self.arglists)
-            self.arglists.append((len(rows), len(rows[0]), [q for row in rows for q in row]))
-        n, width, _ = self.arglists[aid]
-        t = self._check_arity(key[0], n_angles, width, pos)
+            self.qubit_rows[key[1]] = rows
+        t = self._check_arity(key[0], n_angles, len(rows[0]), pos)
+        triples, angle, slots, plain = t.lowering
+        n, block = len(rows), array("q", [x for row in rows for op, a, b in triples for x in (op, row[a], row[b])])
         count = len(t.known) - t.params - 1 + n * len(t.opcodes)  # its native gates and expressions
-        self.resolved[key] = call = (tid, aid, t.params, count, bool(t.evals or t.fail))
+        self.resolved[key] = call = (t, count, block, *((angle, None) if plain and n == 1 else (angle * n, slots * n)))
         return call
 
     def _pend(self, name: str, call: tuple, angles: str | None, pos: int) -> None:
-        """Add a resolved call of gate ``name`` read at ``pos`` to the pending batch once the rest of it passes: angle
-        count (unchecked on a memo hit), budget, and if its template has any, its expressions and its failure."""
-        tid, aid, params, count, slow = call
-        if (n := angles.count(",") + 1 if angles else 0) != params:
-            self._check_arity(name, n, self.temps[tid].qubits, pos)
+        """Lower a resolved call of gate ``name`` read at ``pos`` once the rest of it passes: angle count (unchecked on a
+        memo hit), budget, its template's expressions and failure.  Its NaNs' values are its angles or from its slots."""
+        t, count, block, angle, slots = call
+        if (n := angles.count(",") + 1 if angles else 0) != t.params:
+            self._check_arity(name, n, t.qubits, pos)
         self._lower(count, pos)
-        if slow:
-            t = self.temps[tid]
-            slots = [0.0, *map(float, angles.split(",") if angles else ()), *t.known[params + 1 :]]
-            for s, (node, reads, at) in zip([s for s, v in enumerate(slots) if v is None], t.evals):
-                slots[s] = self._eval_angle(node, [slots[k] for k in reads], pos if at is None else at)
-            self.evals += slots[params + 1 :]
+        if slots is not None:
+            vec = [0.0, *map(float, angles.split(",") if angles else ()), *t.known[t.params + 1 :]]
+            for s, (node, reads, at) in zip([s for s, v in enumerate(vec) if v is None], t.evals):
+                vec[s] = self._eval_angle(node, [vec[k] for k in reads], pos if at is None else at)
             if t.fail:
                 self._error(*t.fail)
-        self.calls += tid, aid, angles
-
-    def _flush(self) -> None:
-        """Lower the pending calls, each checked when it was read, in array passes: each call gathers its
-        template's rows on its qubit rows, with its angle literals and its expressions' values."""
-        if not self.calls:
-            return
-        (used, tid), (uarg, aid) = (np.unique(self.calls[k::3], return_inverse=True) for k in (0, 1))
-        values = list(map(float, filter(None, ",".join(filter(None, self.calls[2::3])).split(","))))
-        pool = np.array([*values, *self.evals, 0.0])  # angle arguments, then expression values
-        self.calls.clear()
-        self.evals.clear()
-        temps = [self.temps[k] for k in used.tolist()]
-        params, nrows, nknown, nevals = np.array([(t.params, len(t.opcodes), len(t.known), len(t.evals)) for t in temps]).T
-        aoff = _starts(params[tid])
-        arows, width = np.array([self.arglists[k][:2] for k in uarg.tolist()]).T
-        flat = np.fromiter(chain.from_iterable(self.arglists[k][2] for k in uarg.tolist()), np.int64)
-        # template row j on qubit row r of call c
-        c = np.repeat(np.arange(len(tid)), per := arows[aid] * nrows[tid])
-        r, j = np.divmod(np.arange(len(c)) - _starts(per)[c], nrows[tid[c]])
-        opcode, target, control, slot = (np.fromiter(chain.from_iterable(getattr(t, f) for t in temps), np.int64)[
-            _starts(nrows)[tid[c]] + j] for f in ("opcodes", "targets", "controls", "angles"))
-        q = _starts(arows * width)[aid[c]] + r * width[aid[c]]
-        # the angle of a slot the template knows (not NaN), else of the call's argument or evaluated expression
-        known = np.array([np.nan if v is None else v for t in temps for v in t.known])[_starts(nknown)[tid[c]] + slot]
-        p, eoff = params[tid[c]], len(values) + _starts(np.where(nevals[tid] > 0, nknown[tid] - params[tid] - 1, 0))[c]
-        index = np.where(np.isnan(known), np.where(slot <= p, aoff[c] + slot - 1, eoff + slot - p - 1), -1)
-        angle = np.where(np.isnan(known), pool[index], known)
-        self.columns.append((opcode, flat[q + target], flat[q + control], angle))
+            self.values.extend([vec[s] for s in slots])
+        elif angles:
+            self.values.extend(map(float, angles.split(",")))
+        self.rows += block
+        self.angle += angle
 
 
 # Statement keyword -> the method that reads the statement, or the message of

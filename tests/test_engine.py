@@ -415,12 +415,15 @@ class TestApplyGateFixed:
             ("nearest", (0, -(1 << 70)), f"value {-(1 << 70)} outside the 32-bit range [-2147483648, 2147483647]"),
             ("float_reference", (math.nan, 1.0), "value nan is not finite"),
             ("float_reference", (0.0, -math.inf), "value -inf is not finite"),
+            ("nearest", (0.9, 1.7), "value 0.9 is not an integer"),
+            ("float_reference", (3.0, 4.0), "value 3.0 out of range for float-reference mode"),
         ],
-        ids=["wraps_in_int64", "past_int64", "nan", "inf"],
+        ids=["wraps_in_int64", "past_int64", "nan", "inf", "non_integer", "past_one"],
     )
     def test_out_of_range_or_non_finite_entry_refused(self, rounding, entry, message):
         # a fixed entry past the word's range wraps inside an int64 product, or past int64 cannot be held,
-        # and a float NaN spreads through the state: apply_gate and run refuse them as a table file's are
+        # a fixed entry that is no integer would be truncated, a float NaN spreads through the state and a
+        # float entry past 1 scales it: apply_gate and run refuse them as a table file's are
         config = ExecConfig(n_qubits=1, data_bits=32, rounding=rounding)
         table = AngleTable(None if config.is_float_reference else config.fixed_format, [entry])
         match = "^angle table " + re.escape(message) + "$"

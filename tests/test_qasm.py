@@ -22,6 +22,19 @@ def parse_body(body: str, qubits: int = 3) -> list[GateApplication]:
     return parse(HEADER + f"qreg q[{qubits}];\n" + body).gates
 
 
+@pytest.fixture(params=["cold", "warm"])
+def builtin_lowerings(request, monkeypatch):
+    """A built-in's lowering is built once for the process and its angles shared by every one-row call, so a
+    test runs with none built yet, and with all of them built and used by an earlier parse of every built-in."""
+    for t in qasm._BUILTINS.values():
+        monkeypatch.delitem(vars(t), "lowering", raising=False)
+    if request.param == "warm":
+        calls = [f"{name}{'(' + ','.join(['0.5'] * t.params) + ')' if t.params else ''} "
+                 + ",".join(f"q[{k}]" for k in range(t.qubits)) + ";\n" for name, t in qasm._BUILTINS.items()]
+        assert len(parse(HEADER + "qreg q[5];\n" + "".join(calls)).gates) > len(calls)
+        assert all("lowering" in vars(t) for t in qasm._BUILTINS.values())
+
+
 class TestParseBasics:
     def test_native_mapping(self):
         gates = parse_body("h q[1];\ncx q[1],q[0];\n")
@@ -472,14 +485,11 @@ class TestErrorPositions:
         assert (err.value.filename, err.value.line, err.value.col) == ("f.qasm", line, col)
 
 
+@pytest.mark.usefixtures("builtin_lowerings")
 class TestBatchedCallErrors:
-    """Each call is checked whole when it is read and then waits in a batch
-    that only lowers, so of several errors among the calls and the statements
-    after them the first in reading order is reported, at any batch size."""
-
-    @pytest.fixture(autouse=True, params=[1, 3, qasm._BATCH_ROWS], ids=lambda rows: f"batch{rows}")
-    def batch_rows(self, request, monkeypatch):
-        monkeypatch.setattr(qasm, "_BATCH_ROWS", request.param)  # also lowered in batches of 1 and 3 rows
+    """Each call is checked whole and lowered when it is read, so of several
+    errors among the calls and the statements after them the first in reading
+    order is reported."""
 
     def error(self, body: str) -> str:
         with pytest.raises(QasmError) as err:
@@ -543,13 +553,10 @@ class TestBatchedCallErrors:
         assert self.error(body) == "f.qasm:54:5: expected ), found 'e999'"
 
 
+@pytest.mark.usefixtures("builtin_lowerings")
 class TestBuiltinErrorsAtTheCall:
     """An expression of a built-in that fails to evaluate is positioned at the
     call: at its name at top level, at the body statement inside a gate."""
-
-    @pytest.fixture(autouse=True, params=[1, qasm._BATCH_ROWS], ids=lambda rows: f"batch{rows}")
-    def batch_rows(self, request, monkeypatch):
-        monkeypatch.setattr(qasm, "_BATCH_ROWS", request.param)
 
     def error(self, body: str) -> str:
         with pytest.raises(QasmError) as err:
@@ -648,14 +655,10 @@ class TestDeclarationsBetweenCalls:
             f"{c}\n" for _, c in pairs)
 
     @pytest.mark.parametrize("kind", ["qreg", "gate"])
-    def test_alternating_lowers_as_declarations_first(self, kind, monkeypatch):
+    def test_alternating_lowers_as_declarations_first(self, kind):
         alternating, first = self.texts(kind)
-        flushes = []
-        flush = qasm._Parser._flush
-        monkeypatch.setattr(qasm._Parser, "_flush", lambda self: flushes.append(len(self.calls)) or flush(self))
         assert _column_bytes(alternating) == _column_bytes(first)
         assert len(parse(alternating).gates) == self.N * (1 if kind == "qreg" else 2)
-        assert sum(map(bool, flushes)) == 3  # in each of the three parses, one flush lowers all the calls
 
     @pytest.mark.parametrize("kind, message", [("qreg", "unknown quantum register 'r1000'"), ("gate", "unknown gate 'g1000'")])
     def test_a_call_before_its_declaration_fails_there(self, kind, message):
@@ -755,6 +758,43 @@ class TestPreludeKeepsHandWrittenLowering:
         assert not primitives & set(defined)
         assert set(qasm._BUILTINS) == primitives | set(defined)
         assert set(qasm._BUILTINS) == {"U", "CX", *QELIB1_NAMES}
+
+
+@pytest.mark.usefixtures("builtin_lowerings")
+class TestCallLowering:
+    """A call lowers to its template's rows with NaN where it supplies the angle, and the NaNs are filled
+    in order from its angles or its slot vector.  Each shape is read by the call pattern and from the
+    tokens; the pattern reads no broadcast, so its text writes the broadcast out call by call."""
+
+    G = "gate g(a,b,c) x { rx(b) x; ry(a) x; rz(b) x; }\n"  # parameters out of order, twice and not at all
+    SHAPES = {
+        "reordered": (G + "g(0.1,0.2,0.3) q[1];", G + "g((0.1), 0.2, 0.3) q[1];",
+                      [(_K.RX, 1, 1, 0.2), (_K.RY, 1, 1, 0.1), (_K.RZ, 1, 1, 0.2)]),
+        "broadcast": ("rx(0.5) q[0]; rx(0.5) q[1]; rx(0.5) q[2];", "rx(0.5) q;",
+                      [(_K.RX, 0, 0, 0.5), (_K.RX, 1, 1, 0.5), (_K.RX, 2, 2, 0.5)]),
+        # u2 folds U's pi/2, and cu3 folds constants and evaluates expressions of its angles
+        "u2_cu3": ("u2(0.5,0.25) q[0]; cu3(0.5,0.25,0.125) q[0],q[1];", "u2(0.5,1/4) q[0]; cu3(1/2,0.25,0.125) q[0],q[1];",
+                   [(_K.RZ, 0, 0, 0.25), (_K.RY, 0, 0, math.pi / 2), (_K.RZ, 0, 0, 0.5),
+                    (_K.U1, 0, 0, 0.1875), (_K.U1, 1, 1, -0.0625), (_K.X, 1, 0, 0.0),
+                    (_K.RZ, 1, 1, -0.1875), (_K.RY, 1, 1, -0.25), (_K.RZ, 1, 1, 0.0), (_K.X, 1, 0, 0.0),
+                    (_K.RZ, 1, 1, 0.0), (_K.RY, 1, 1, 0.25), (_K.RZ, 1, 1, 0.25)]),
+        "negative_zero": (G + "rz(-0.0) q[2]; g(-0.0,0.5,1) q[0];", G + "rz(-(0.0)) q[2]; g(-0.0,0.5,(1)) q[0];",
+                          [(_K.RZ, 2, 2, -0.0), (_K.RX, 0, 0, 0.5), (_K.RY, 0, 0, -0.0), (_K.RZ, 0, 0, 0.5)]),
+    }
+
+    @pytest.mark.parametrize("reader", ["pattern", "tokens"])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_columns_written_out(self, shape, reader, monkeypatch):
+        read = []
+        from_tokens = qasm._Parser._parse_gate_application
+        monkeypatch.setattr(qasm._Parser, "_parse_gate_application", lambda p: read.append(p) or from_tokens(p))
+        text = self.SHAPES[shape][reader == "tokens"]
+        gates = parse(HEADER + "qreg q[3];\n" + text + "\n").gates
+        assert bool(read) == (reader == "tokens")
+        opcode, target, control, angle = zip(*self.SHAPES[shape][2])
+        assert [gates.opcode.tolist(), gates.target.tolist(), gates.control.tolist()] == [[*map(int, opcode)],
+                                                                                          [*target], [*control]]
+        assert gates.angle.tobytes() == np.array(angle).tobytes()  # as bytes, so the sign of -0.0 counts
 
 
 # Defining matrices for the lowered equivalences, written directly.
