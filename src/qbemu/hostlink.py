@@ -17,10 +17,11 @@ The decoder is incremental: bytes may arrive split at arbitrary boundaries,
 so any chunking of a stream yields the same message sequence.  It returns
 columns (kind, value and the byte offset of each frame) with
 :class:`HostMessage` rows built on demand.  Each feed reads the bytes of
-the frame the last feed ended inside again, ahead of the new ones: one
-regex match takes the run of complete frames, and what follows must be one
-frame cut short, which is held for the next feed; anything else is an error
-naming its first offending byte.  A payload has at most
+the frame the last feed ended inside again, ahead of the new ones, cut at
+the start bytes into frames whose shapes are checked in arrays: the run of
+complete frames is taken, and what follows must be one frame cut short,
+which is held for the next feed; anything else is an error naming its first
+offending byte, found by the frame patterns.  A payload has at most
 :data:`MAX_PAYLOAD_DIGITS` hex digits, so the held bytes stay bounded; the
 values are summed from the digits in one array pass, as 16-digit uint64
 limbs joined into Python ints.  A session's angle
@@ -75,6 +76,10 @@ _FRAME_RUN = re.compile(rb"(?:[?*>][0-9A-F]{1,%(m)d}#|<[0-9A-F]{1,%(m)d}-?#|!)*"
 # A frame cut short (or nothing); the signed form first, so a match is the longest
 _PARTIAL = re.compile(rb"(?:[?*>][0-9A-F]{0,%(m)d}|<(?:[0-9A-F]{1,%(m)d}-|[0-9A-F]{0,%(m)d}))?" % {b"m": MAX_PAYLOAD_DIGITS})
 _TERMINATOR, _SIGN = b"#-"
+_ANGLE_VALUE, _END = _KINDS.index(MessageKind.ANGLE_VALUE), _KINDS.index(MessageKind.END_OF_EMULATION)
+# bytes.translate tables: 1 for a start byte, and 1 for a byte that is no hex digit
+_STARTS = (_KIND_OF_BYTE >= 0).astype(np.uint8).tobytes()
+_NOT_HEX = bytes(c not in _HEX_CHARS.tobytes() for c in range(256))
 
 
 @dataclass(frozen=True)
@@ -146,31 +151,42 @@ class StreamDecoder:
     def feed(self, data: bytes) -> Columns:
         """Consume bytes, returning (as columns) every message completed by them.
 
-        The held bytes are read again ahead of ``data``: one regex match takes
-        the run of complete frames, and what follows is held if it is one
-        frame cut short.  Anything else raises the :class:`FramingError` of
-        its first offending byte, and the decoder is left as it was.
+        The held bytes are read again ahead of ``data``: the frames' shapes are
+        checked in arrays to find the run of complete frames, and what follows
+        is held if it is one frame cut short.  Anything else raises the
+        :class:`FramingError` of its first offending byte, and the decoder is
+        left as it was.
         """
         data, base = self._held + data, self._offset - len(self._held)
-        stop = _FRAME_RUN.match(data).end()
+        buf = np.frombuffer(data, dtype=np.uint8)
+        starts = np.frombuffer(b"\1"[: len(data)] + data.translate(_STARTS)[1:], bool).nonzero()[0]
+        ends = np.append(starts, len(data))[1:]
+        kind = _KIND_OF_BYTE[buf[starts]]
+        # Frames run from each start byte (and byte 0) to the next.  A whole one is "!" alone, or its start byte,
+        # 1 to MAX_PAYLOAD_DIGITS hex digits, "-" in a "<" frame and "#": 2 + sign bytes that are no hex digit,
+        # counted in uint8, which wraps only in a frame too long to be whole.
+        sign = (kind == _ANGLE_VALUE) & (buf[ends - 2] == _SIGN)
+        digits = ends - starts - 2 - sign
+        not_hex = np.add.reduceat(np.frombuffer(data.translate(_NOT_HEX), np.uint8), starts, dtype=np.uint8)
+        whole = np.where(kind == _END, ends - starts == 1, (kind >= 0) & (buf[ends - 1] == _TERMINATOR)
+                         & (digits > 0) & (digits <= MAX_PAYLOAD_DIGITS) & (not_hex == 2 + sign))
+        n = int(np.append(whole, False).argmin())  # whole frames before the first that is not
+        stop = _FRAME_RUN.match(data, ends[n - 1] if n else 0).end()
         if not _PARTIAL.fullmatch(data, stop):
             raise _malformed(data, stop, base)
+        # A frame the pattern took after the run leaves bytes that are no frame cut short, so here the run is n frames.
         self._held, self._offset = data[stop:], base + len(data)
-        if not stop:
+        if not n:
             return _NO_MESSAGES
-        buf = np.frombuffer(data, dtype=np.uint8, count=stop)
-        starts = (_KIND_OF_BYTE[buf] >= 0).nonzero()[0]
-        ends = np.append(starts[1:], stop)
-        sign = buf[ends - 2] == _SIGN  # a "!" frame's is the byte before it, and its value 0 either way
-        last, digits = ends - 2 - sign, np.maximum(ends - starts - 2 - sign, 0)
+        starts, last, sign, digits = starts[:n], (ends - 2 - sign)[:n], sign[:n], digits[:n]
         # Digit column j is each frame's j-th digit from the right, read in place (a shorter frame's reads
         # earlier bytes, which the where masks); 16 columns shift and sum to a uint64 limb, lowest first.
-        limbs = [sum((np.where(digits > j, _HEX_VALUES[buf[last - j]], 0) << np.uint64(4 * (j - lo))
-                      for j in range(lo, min(lo + 16, digits.max()))), np.zeros(len(starts), np.uint64))
+        limbs = [sum((np.where(digits > j, _HEX_VALUES.take(buf[last - j]), 0) << np.uint64(4 * (j - lo))
+                      for j in range(lo, min(lo + 16, digits.max()))), np.zeros(n, np.uint64))
                  for lo in range(0, max(digits.max(), 1), 16)]
         value = reduce(lambda high, low: high << 64 | low, [limb.astype(object) for limb in reversed(limbs)])
         value[sign] = -value[sign]
-        return Columns(_message_row, kind=_KIND_OF_BYTE[buf[starts]].astype(np.int64), value=value, offset=starts + base)
+        return Columns(_message_row, kind=kind[:n].astype(np.int64), value=value, offset=starts + base)
 
 
 _NO_MESSAGES = Columns.of(_message_row, MESSAGE_FIELDS, ())

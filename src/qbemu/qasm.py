@@ -263,6 +263,7 @@ MAX_EXPR_DEPTH = 100
 # expressions spliced into every gate definition's template plus those of
 # every call.  It is checked before they are added.
 MAX_NATIVE_GATES = 1 << 20
+_ANGLE_TEXTS = 1 << 10  # angle texts one parse keeps as floats; then it starts again, so memory stays flat
 # Largest register size; integer tokens with more digits are never converted.
 MAX_REGISTER_SIZE = 1 << 16
 _MAX_INT_DIGITS = len(str(MAX_REGISTER_SIZE))
@@ -323,9 +324,6 @@ class _Parser:
         self.temps = list(_BUILTINS.values())  # gate templates, user gates appended when defined
         self.resolved: dict[tuple, tuple] = {}  # (gate name, arguments) -> call, see _resolve
         self.qubit_rows: dict = {}  # call pattern's argument text, or (register, index) list -> its qubit rows
-        self.rows = array("q")  # (opcode, target, control) of each native gate lowered so far
-        self.angle = array("d")  # the angle of each, NaN where a call supplies it
-        self.values = array("d")  # the values of the NaNs, in order
 
     # -- token helpers ----------------------------------------------------
 
@@ -363,30 +361,60 @@ class _Parser:
     # -- top level ---------------------------------------------------------
 
     def parse(self) -> SourceCircuit:
-        """Read the text statement by statement: a call the call pattern matches from its offset,
-        else the statement from the tokens from there on.  A call is checked and lowered where it
-        is read; the NaN angles are filled at the end."""
+        """Read the text statement by statement: a call the call pattern matches from its offset, else the statement
+        from the tokens.  Either reader hands on a call's key, resolved call (see :meth:`_resolve`), angle values and
+        offset, and the loop lowers it once the rest passes: angle count (unchecked on a memo hit), budget, its
+        template's expressions and failure.  The NaN angles are filled at the end."""
         self._parse_header()
         start = self.tok[2]  # offset of the statement being read
-        match, text, resolved = _CALL_RE.match, self.text, self.resolved
+        match, text, resolved, floats = _CALL_RE.match, self.text, self.resolved, {None: array("d")}
+        # each native gate's (opcode, target, control) and angle, NaN where a call supplies it; the NaNs' values
+        rows, angle, values, lowered = array("q"), array("d"), array("d"), self.lowered
         while True:
             if m := match(text, start):  # groups: 1 name, 2 angles, 3 args, 4-7 its registers and indices
                 key, angles = m.group(1, 3), m[2]
-                if call := resolved.get(key) or self._resolve(key, m.start(1), angles.count(",") + 1 if angles else 0,
-                                                              ((m[4], m[5], m.start(4)), (m[6], m[7], m.start(6)))):
-                    self._pend(key[0], call, angles, m.start(1))
-                    start = m.end()
+                if (vals := floats.get(angles)) is None:
+                    if len(floats) > _ANGLE_TEXTS:
+                        floats = {None: array("d")}
+                    vals = floats[angles] = array("d", map(float, angles.split(",")))
+                call = resolved.get(key) or self._resolve(key, m.start(1), len(vals),
+                                                          ((m[4], m[5], m.start(4)), (m[6], m[7], m.start(6))))
+            if m and call:
+                pos, start = m.start(1), m.end()
+            else:
+                self.stream = _tokens(text, start)
+                kind, name, _ = self.tok = next(self.stream)
+                if kind == "eof":
+                    break
+                if kind != "id":
+                    self._error(f"expected a statement, found {quote(name)}")
+                if isinstance(handler := _STATEMENTS.get(name, _Parser._parse_gate_application), str):
+                    self._error(handler)
+                self.lowered = lowered  # gate definitions count against the same budget
+                read = handler(self)
+                lowered, start = self.lowered, self.tok[2]
+                if read is None:
                     continue
-            self.stream = _tokens(self.text, start)
-            self.tok = next(self.stream)
-            if self.tok[0] == "eof":
-                break
-            self._parse_statement()
-            start = self.tok[2]
-        angle = np.frombuffer(self.angle)
-        angle[np.isnan(angle)] = self.values
-        rows = np.frombuffer(self.rows, np.int64).reshape(-1, 3)
-        return SourceCircuit(self.qubit_count, gate_columns([*rows.T, angle]))
+                key, call, vals, pos = read
+            params, count, block, call_angle, slots, t = call
+            if len(vals) != params:
+                self._check_arity(key[0], len(vals), t.qubits, pos)
+            if (lowered := lowered + count) > MAX_NATIVE_GATES:
+                self._budget(lowered, pos)
+            if slots is None:
+                values += vals
+            else:  # the NaNs' values picked from the call's slot vector
+                vec = [0.0, *vals, *t.known[params + 1 :]]
+                for s, (node, reads, at) in zip([s for s, v in enumerate(vec) if v is None], t.evals):
+                    vec[s] = self._eval_angle(node, [vec[k] for k in reads], pos if at is None else at)
+                if t.fail:
+                    self._error(*t.fail)
+                values.extend([vec[s] for s in slots])
+            rows += block
+            angle += call_angle
+        angle = np.frombuffer(angle)
+        angle[np.isnan(angle)] = values
+        return SourceCircuit(self.qubit_count, gate_columns([*np.frombuffer(rows, np.int64).reshape(-1, 3).T, angle]))
 
     def _parse_header(self) -> None:
         kind, text, _ = self.tok
@@ -397,15 +425,6 @@ class _Parser:
         if version != "2.0":
             self._error(f"unsupported OpenQASM version {version}", pos)
         self._expect(";")
-
-    def _parse_statement(self) -> None:
-        kind, name, _ = self.tok
-        if kind != "id":
-            self._error(f"expected a statement, found {quote(name)}")
-        handler = _STATEMENTS.get(name, _Parser._parse_gate_application)
-        if isinstance(handler, str):
-            self._error(handler)
-        handler(self)
 
     def _parse_include(self) -> None:
         self._next()
@@ -487,7 +506,7 @@ class _Parser:
             if len(set(qubits)) != len(qubits):
                 t.fail = (f"duplicate qubit in expansion of {quote(name)}", op_pos)
                 continue
-            self._lower(len(sub.opcodes) + len(sub.known) - sub.params - 1, op_pos)
+            self.lowered = self._budget(self.lowered + len(sub.opcodes) + len(sub.known) - sub.params - 1, op_pos)
             t.splice(sub, args, qubits, op_pos)
         self._expect("}")
         self.params = {}
@@ -636,29 +655,29 @@ class _Parser:
         for arg in self._parse_arguments():
             self._resolve_qubit_arg(*arg)
 
-    def _lower(self, count: int, pos: int) -> None:
-        """Count ``count`` more native gates and angle expressions against the budget."""
-        self.lowered += count
-        if self.lowered > MAX_NATIVE_GATES:
+    def _budget(self, lowered: int, pos: int) -> int:
+        """``lowered``, the native gates and angle expressions so far, if it is within the budget."""
+        if lowered > MAX_NATIVE_GATES:
             self._error(f"gate expansion exceeds the limit of {MAX_NATIVE_GATES} native gates", pos)
+        return lowered
 
-    def _parse_gate_application(self) -> None:
-        """A call read from the tokens.  The name, then each angle and argument, is checked before the
-        next is read, and then the call as a whole, as the call pattern's calls are."""
+    def _parse_gate_application(self) -> tuple:
+        """A call read from the tokens, as ``(key, call, angle values, offset)`` for :meth:`parse` to lower.  The
+        name, then each angle and argument, is checked before the next is read, and then the call as a whole."""
         _, name, pos = self._next()
         if name not in self.ids:
             self._error(f"unknown gate {quote(name)}", pos)
-        values = [self._eval_angle(node, [], pos) for node in self._parse_angle_args()]
+        values = array("d", [self._eval_angle(node, [], pos) for node in self._parse_angle_args()])
         args = [arg for arg in self._parse_arguments() if self._resolve_qubit_arg(*arg)]  # each before the next is read
         call = self.resolved.get(key := (name, tuple(arg[:2] for arg in args))) or self._resolve(key, pos, len(values), args)
-        self._pend(name, call, ",".join(map(repr, values)) or None, pos)  # repr reads back as the same float
+        return key, call, values, pos
 
     def _resolve(self, key: tuple, pos: int, n_angles: int, args) -> tuple | None:
         """The call at ``pos`` of gate ``key[0]`` with ``n_angles`` angles on arguments ``key[1]``, read as ``args``
-        of ``(register or None, index or None, offset)``: ``(template, lowered count, rows, angles, slots)``, kept for
-        the key, with its rows and angles on every qubit row as :meth:`_Template.lowering` has them on one, and the
-        slots of the NaNs, or None if they are plainly the call's angles; None for a statement keyword.  A failing
-        call raises its first failing check: unknown gate, each argument, angle and qubit counts, broadcast."""
+        of ``(register or None, index or None, offset)``: ``(params, lowered count, rows, angles, slots, template)``,
+        kept for the key, with its rows and angles on every qubit row as :meth:`_Template.lowering` has them on one,
+        and the slots of the NaNs, or None if they are plainly the call's angles; None for a statement keyword.  A
+        failing call raises its first failing check: unknown gate, each argument, angle and qubit counts, broadcast."""
         if key[0] in _STATEMENTS:
             return None
         if key[0] not in self.ids:
@@ -677,27 +696,9 @@ class _Parser:
         triples, angle, slots, plain = t.lowering
         n, block = len(rows), array("q", [x for row in rows for op, a, b in triples for x in (op, row[a], row[b])])
         count = len(t.known) - t.params - 1 + n * len(t.opcodes)  # its native gates and expressions
-        self.resolved[key] = call = (t, count, block, *((angle, None) if plain and n == 1 else (angle * n, slots * n)))
+        self.resolved[key] = call = (t.params, count, block,
+                                     *((angle, None) if plain and n == 1 else (angle * n, slots * n)), t)
         return call
-
-    def _pend(self, name: str, call: tuple, angles: str | None, pos: int) -> None:
-        """Lower a resolved call of gate ``name`` read at ``pos`` once the rest of it passes: angle count (unchecked on a
-        memo hit), budget, its template's expressions and failure.  Its NaNs' values are its angles or from its slots."""
-        t, count, block, angle, slots = call
-        if (n := angles.count(",") + 1 if angles else 0) != t.params:
-            self._check_arity(name, n, t.qubits, pos)
-        self._lower(count, pos)
-        if slots is not None:
-            vec = [0.0, *map(float, angles.split(",") if angles else ()), *t.known[t.params + 1 :]]
-            for s, (node, reads, at) in zip([s for s, v in enumerate(vec) if v is None], t.evals):
-                vec[s] = self._eval_angle(node, [vec[k] for k in reads], pos if at is None else at)
-            if t.fail:
-                self._error(*t.fail)
-            self.values.extend([vec[s] for s in slots])
-        elif angles:
-            self.values.extend(map(float, angles.split(",")))
-        self.rows += block
-        self.angle += angle
 
 
 # Statement keyword -> the method that reads the statement, or the message of

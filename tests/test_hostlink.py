@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -303,6 +305,22 @@ class TestSession:
         stream = encode_session(program, config)
         assert stream == b"".join(encode_message(m) for m in messages)
         assert decode_stream(stream) == messages
+
+    def test_decoding_a_long_session_peaks_under_a_bound(self):
+        # the frames are checked in arrays: one regex match over the whole run kept about 34 bytes of
+        # backtracking state per input byte, a 4.11 MiB peak on this 135 KB session
+        rng = np.random.default_rng(7)
+        config = ExecConfig(n_qubits=8, data_bits=24, imm_bits=8)
+        program = compile_circuit(gates_as_circuit(random_gates(rng, 8, 200) * 100, 8), config)
+        stream = encode_session(program, config)
+        tracemalloc.start()
+        try:
+            messages = decode_stream(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(messages) == 20_000 + 2 * len(program.table) + 3
+        assert peak < 2.5 * (1 << 20), peak
 
     def test_empty_program_returns_initial_state(self):
         config = ExecConfig(n_qubits=2)

@@ -34,6 +34,8 @@ from qbemu.engine import FixedState, apply_gate
 from qbemu.fixedpoint import FixedPointFormat, Rounding, round_shift
 from qbemu.gates import INV_SQRT2, ROTATIONAL, GateApplication, GateKind
 from qbemu.hostlink import (
+    _FRAME_RUN,
+    _PARTIAL,
     MAX_PAYLOAD_DIGITS,
     FramingError,
     HostMessage,
@@ -41,6 +43,7 @@ from qbemu.hostlink import (
     ProtocolError,
     StreamDecoder,
     decode_readback,
+    _malformed,
     decode_stream,
     encode_message,
     encode_readback,
@@ -470,13 +473,19 @@ def _decode_in_chunks(stream: bytes, cuts: list[int]):
     return got, decoder.pending
 
 
+# frames one digit past the payload limit, unsigned and signed
+_LONG_FRAMES = [b">" + b"F" * (MAX_PAYLOAD_DIGITS + 1) + b"#", b"<" + b"1" * (MAX_PAYLOAD_DIGITS + 1) + b"-#"]
+
+
 @st.composite
 def streams(draw):
-    """A framed message stream, sometimes corrupted by a few byte edits."""
-    stream = bytearray(b"".join(encode_message(m) for m in draw(st.lists(messages(), max_size=12))))
+    """A framed message stream, maybe with a payload past the limit, sometimes corrupted by a few byte edits of
+    any value: the protocol's own bytes (a stray ``!`` among them), lowercase hex, NUL and non-ASCII bytes."""
+    frames = draw(st.lists(st.one_of(messages().map(encode_message), st.sampled_from(_LONG_FRAMES)), max_size=12))
+    stream = bytearray(b"".join(frames))
     for _ in range(draw(st.integers(0, 3))):
         pos = draw(st.integers(0, len(stream)))
-        byte = draw(st.sampled_from(b"?*<>!#-09AFaz \n"))
+        byte = draw(st.one_of(st.sampled_from(b"?*<>!#-09AFaz \n\0\x80\xff"), st.integers(0, 255)))
         if draw(st.booleans()) or pos == len(stream):
             stream[pos:pos] = bytes([byte])
         else:
@@ -489,6 +498,51 @@ def streams(draw):
 def test_stream_decoder_is_chunking_invariant(stream, cuts):
     cuts = [c for c in cuts if c <= len(stream)]
     assert _decode_in_chunks(stream, cuts) == _decode_in_chunks(stream, [])
+
+
+class _RunReference:
+    """A stream decoder that finds each feed's run of complete frames with one ``_FRAME_RUN`` match over
+    the held and new bytes, and reads each frame's value with ``int``: the reference for StreamDecoder."""
+
+    def __init__(self):
+        self.held, self.offset = b"", 0
+
+    def feed(self, data: bytes) -> list[tuple]:
+        data, base = self.held + data, self.offset - len(self.held)
+        stop = _FRAME_RUN.match(data).end()
+        if not _PARTIAL.fullmatch(data, stop):
+            raise _malformed(data, stop, base)
+        self.held, self.offset = data[stop:], base + len(data)
+        return [(m[0][:1].decode(), (-1 if m[2] else 1) * int(m[1] or b"0", 16), base + m.start())
+                for m in re.finditer(rb"[?*<>]([0-9A-F]+)(-?)#|!", data[:stop])]
+
+
+def _feeds(decoder, stream: bytes, cuts: list[int]) -> list:
+    """What each feed of ``stream`` split at ``cuts`` gives: its ``(kind, value, offset)`` messages, or the
+    FramingError text and offset (the decoder takes the next chunk as it was), and then ``pending``.  Any
+    other exception escapes."""
+    outcomes = []
+    bounds = [0, *sorted(set(cuts)), len(stream)]
+    for start, stop in zip(bounds, bounds[1:]):
+        try:
+            got = decoder.feed(stream[start:stop])
+        except FramingError as exc:
+            outcomes.append((str(exc), exc.offset))
+        else:
+            if isinstance(decoder, StreamDecoder):
+                got = [(m.kind.value, m.value, offset) for m, offset in zip(got, got.offset.tolist())]
+            outcomes.append(got)
+        outcomes.append(decoder.pending if isinstance(decoder, StreamDecoder) else bool(decoder.held))
+    return outcomes
+
+
+@settings(max_examples=500, deadline=None)
+@given(streams(), st.lists(st.integers(0, 200), max_size=8))
+def test_stream_decoder_equals_one_pattern_match_per_feed(stream, cuts):
+    # the frames' shapes are checked in arrays; a reference that takes the run with the frame pattern alone
+    # gives the same messages, pending state and FramingError text and offset, in any chunking
+    cuts = [c for c in cuts if c <= len(stream)]
+    assert _feeds(StreamDecoder(), stream, cuts) == _feeds(_RunReference(), stream, cuts)
 
 
 def _read_frames(stream: bytes) -> list[HostMessage]:

@@ -797,6 +797,56 @@ class TestCallLowering:
         assert gates.angle.tobytes() == np.array(angle).tobytes()  # as bytes, so the sign of -0.0 counts
 
 
+@pytest.mark.usefixtures("builtin_lowerings")
+class TestOneLoweringStep:
+    """Both readers hand a call to one lowering step in the parse loop, so a call that fails there fails with
+    the same message at the same position whichever reader read it.  The tokens read every call when the call
+    pattern never matches, and a spy on the token reader tells which one did."""
+
+    HEAD = HEADER + "qreg q[2];\ngate d a,b { cx a,a; }\ngate f(t) a { h a; rx(1/t) a; }\n"
+    CASES = {  # body after HEAD, and the message
+        # the second rx hits the call memo and the angle-text memo that u2 filled, so only the step counts angles
+        "angle_count_on_a_memo_hit": ("rx(0.5) q[0];\nu2(0.5,0.25) q[0];\nrx(0.5,0.25) q[0];\n",
+                                      "f.qasm:8:1: gate 'rx' takes 1 parameter(s), got 2"),
+        "budget_crossed_at_the_call": ("h q[0];\n" * 8 + "cz q[0],q[1];\nh q[1];\n",
+                                       "f.qasm:14:1: gate expansion exceeds the limit of 10 native gates"),
+        "failing_template": ("h q[0];\nd q[0],q[1];\n", "f.qasm:4:14: duplicate qubit in expansion of 'd'"),
+        "failing_expression_on_the_slot_path": ("f(2) q[0];\nf(0) q[1];\n",
+                                                "f.qasm:5:20: cannot evaluate expression: float division by zero"),
+    }
+
+    @pytest.mark.parametrize("reader", ["pattern", "tokens"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_error_from_either_reader(self, case, reader, monkeypatch):
+        read = []
+        from_tokens = qasm._Parser._parse_gate_application
+        monkeypatch.setattr(qasm._Parser, "_parse_gate_application", lambda p: read.append(p) or from_tokens(p))
+        monkeypatch.setattr(qasm, "MAX_NATIVE_GATES", 10)
+        if reader == "tokens":
+            monkeypatch.setattr(qasm, "_CALL_RE", re.compile("(?!)"))
+        body, message = self.CASES[case]
+        with pytest.raises(QasmError) as err:
+            parse(self.HEAD + body, filename="f.qasm")
+        assert str(err.value) == message
+        assert bool(read) == (reader == "tokens")
+
+    # angle texts read again from the memo, and texts of equal values
+    REPEATED = "rz(-0.0) q[0];\nrx(0.10) q[1];\nrz(-0.0) q[1];\nrx(0.1) q[0];\nu2(-0.0,0.10) q[1];\nrx(0.10) q[0];\n"
+
+    def test_repeated_angle_texts_lower_as_each_written_once(self):
+        alone = [_column_bytes(HEADER + "qreg q[2];\n" + call + "\n") for call in self.REPEATED.splitlines()]
+        assert _column_bytes(HEADER + "qreg q[2];\n" + self.REPEATED) == [b"".join(col) for col in zip(*alone)]
+        angle = parse(HEADER + "qreg q[2];\n" + self.REPEATED).gates.angle
+        assert np.signbit(angle[[0, 2, 6]]).all() and angle[1] == angle[3] == angle[7] == 0.1
+
+    def test_a_full_angle_memo_starts_again(self, monkeypatch):
+        calls = (f"rx({k % 7}.5) q[{k % 2}];\nh q[1];\nu2({k}.0,-0.0) q[0];\n" for k in range(40))
+        text = HEADER + "qreg q[2];\n" + "".join(calls)
+        expected = _column_bytes(text)
+        monkeypatch.setattr(qasm, "_ANGLE_TEXTS", 2)
+        assert _column_bytes(text) == expected
+
+
 # Defining matrices for the lowered equivalences, written directly.
 _CZ = np.diag([1, 1, 1, -1]).astype(complex)
 _SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
