@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import hwmodel, metrics
 from .compiler import (
+    PROGRAM_FORMATS,
     CompileError,
     DecodeError,
     compile_circuit,
@@ -253,7 +254,7 @@ _FLAGS = {
     "--rounding": {"choices": ROUNDING_CHOICES, "help": "override rounding mode"},
     "--window": {"type": int, "help": "override windowing order W"},
     "--seed": {"type": int, "help": "seed for measurement sampling"},
-    "--format": {"choices": ("integer_text", "binary"), "default": "integer_text", "help": "program/table file format"},
+    "--format": {"choices": PROGRAM_FORMATS, "default": "integer_text", "help": "program/table file format"},
     "--out": {"help": "output file or directory"},
 }
 

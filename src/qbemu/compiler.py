@@ -390,19 +390,21 @@ def load_program_files(
             shift = 64 - 8 * half  # sign-extends each word from its top bit
             values = (_from_le(tbody, half) << shift).view(np.int64) >> shift
         value_at = lambda k: f"{table_path}: "
-    bad = ~np.isfinite(values) if fmt is None else (values < fmt.min_raw) | (values > fmt.max_raw)
+    bad = ~(np.abs(values) <= FLOAT_ENTRY_MAX) if fmt is None else (values < fmt.min_raw) | (values > fmt.max_raw)
     if bad.any():
         k = int(bad.argmax())
-        error = f"value {values.item(k)!r} is not finite" if fmt is None else range_error(values.item(k), fmt.total_bits)
+        value = values.item(k)
+        if fmt is not None:
+            error = range_error(value, fmt.total_bits)
+        elif math.isfinite(value):
+            error = (f"value {value!r} out of range for float-reference mode; "
+                     "was the table written for a fixed-point configuration?")
+        else:
+            error = f"value {value!r} is not finite"
         raise DecodeError(value_at(k) + error)
     entries = list(zip(values[0::2].tolist(), values[1::2].tolist()))
     if len(entries) != count:
         raise DecodeError(f"{table_path}: header says {count} pairs, found {len(entries)}")
-    if fmt is None and any(abs(v) > FLOAT_ENTRY_MAX for pair in entries for v in pair):
-        raise DecodeError(
-            f"{table_path}: entries out of range for float-reference mode; "
-            f"was the table written for a fixed-point configuration?"
-        )
     error = first_field_error(instructions, used_qubits, count)
     if error:
         raise DecodeError(where(error[0]) + error[1])

@@ -43,7 +43,7 @@ def _blocks(size: int, count: int):
     """``(slice, buffers)`` per block of at most ``engine._BLOCK`` entries
     covering ``range(size)``: ``count`` float rows of the block's length,
     allocated once and reused by every block."""
-    step = min(size, engine._BLOCK) or 1
+    step = min(size, engine._BLOCK)
     buffers = np.empty((count, step))
     for start in range(0, size, step):
         stop = min(start + step, size)
@@ -100,14 +100,16 @@ def _as_distribution(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise ValueError("distribution must be one-dimensional")
-    if np.any(arr < 0):
-        raise ValueError("distribution entries must be non-negative")
+    if not np.all(arr >= 0):  # False for NaN too
+        raise ValueError("distribution entries must be non-negative numbers, not NaN")
     return arr
 
 
 def _check_lengths(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
+    if not a.size:
+        raise ValueError("no entries to compare")
 
 
 def _planes(x) -> tuple[np.ndarray, np.ndarray, float | None]:

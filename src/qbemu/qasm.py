@@ -6,14 +6,15 @@ name has a template of the native rows a call lowers to.  The native twelve
 (``p`` is ``u1``) and ``CX cx ch crx cry crz cu1 cp`` are primitives; ``U u3 u
 u2 id u0 sx sxdg cz cy swap ccx cswap cu3 csx cu rxx rzz rccx rc3x c3x c3sqrtx
 c4x`` are ``gate`` lines in ``_PRELUDE``, read once as a user's are: a gate's
-template splices together its body's templates when it is defined, and a name
-is neither defined twice nor a statement keyword; a body's angle expression
-that reads no argument is evaluated then.  ``U`` is RZ(phi) RY(theta)
-RZ(lambda), qelib1's U times exp(-i(phi+lambda)/2).  One check, where a call
-is read (by the call pattern or the tokens), checks it whole and raises if it
-fails: its argument text checked and broadcast once per parse, expressions
-reading its angles evaluated.  It is lowered there: its block of native rows,
-kept per gate and argument text, and its angles join the output arrays.
+template splices together its body's templates when it is defined, and the
+definition is checked whole there, called or not: a name is neither defined
+twice nor a statement keyword, and a body's angle expression that reads no
+argument is evaluated.  ``U`` is RZ(phi) RY(theta) RZ(lambda), qelib1's U
+times exp(-i(phi+lambda)/2).  One check, where a call is read (by the call
+pattern or the tokens), checks it whole and raises if it fails: its argument
+text checked and broadcast once per parse, expressions reading its angles
+evaluated.  It is lowered there: its block of native rows, kept per gate
+and argument text, and its angles join the output arrays.
 
 ``measure`` and ``barrier`` statements are accepted and dropped; ``creg``
 declarations are recorded but otherwise ignored.  ``if``, ``reset`` and
@@ -160,29 +161,27 @@ class _Template:
     ``(expression, reads, pos)`` evaluated in order at every call, where slot
     ``k`` of the parsed expression reads our slot ``reads[k]``: a splice shares
     the expression tree and maps only its slots; a built-in's ``pos`` is None,
-    the call's.  ``fail`` is the ``(message, pos)`` of an error every call
-    raises after ``evals``.  Row ``k`` is native opcode ``opcodes[k]`` on the
-    call's qubit arguments ``targets[k]`` and ``controls[k]`` (equal when
+    the call's.  Row ``k`` is native opcode ``opcodes[k]`` on the call's
+    qubit arguments ``targets[k]`` and ``controls[k]`` (equal when
     uncontrolled), with the angle in slot ``angles[k]``.
     """
 
     def __init__(self, params: int, qubits: int, rows=()):
         self.params, self.qubits = params, qubits
         self.known = [0.0, *[None] * params]
-        self.evals, self.fail = [], None
+        self.evals = []
         columns = list(zip(*rows)) or [()] * 4
         self.opcodes, self.targets, self.controls, self.angles = (list(map(int, col)) for col in columns)
 
-    def eval(self, node, pos: int) -> int:
-        """Slot of the value of ``node``, parsed in our body: a bare slot, else a new one, known if the
-        value is finite and reads no argument (arithmetic on an argument's None raises TypeError)."""
+    def eval(self, node, pos: int, evaluate) -> int:
+        """Slot of the value of ``node``, read in our body at ``pos``: a bare slot, else a new one, known as
+        ``evaluate(node, known, pos)`` gives it (or raises) unless it reads an argument (its None raises TypeError)."""
         if node[0] == "slot":
             return node[1]
         try:
-            value = v if math.isfinite(v := _evaluate(node, self.known)) else None
-        except (ArithmeticError, ValueError, TypeError, _Undefined):
+            value = evaluate(node, self.known, pos)
+        except TypeError:
             value = None
-        if value is None:
             self.evals.append((node, range(self.params + 1), pos))
         self.known.append(value)
         return len(self.known) - 1
@@ -197,7 +196,6 @@ class _Template:
         self.targets += [qubits[k] for k in sub.targets]
         self.controls += [qubits[k] for k in sub.controls]
         self.angles += [slots[k] for k in sub.angles]
-        self.fail = sub.fail
 
     @cached_property
     def lowering(self) -> tuple:
@@ -206,7 +204,7 @@ class _Template:
         NaNs in row order, and whether they are the call's angles in order with nothing else to check."""
         angle = array("d", [math.nan if self.known[s] is None else self.known[s] for s in self.angles])
         slots = [s for s in self.angles if self.known[s] is None]
-        plain = slots == [*range(1, self.params + 1)] and not (self.evals or self.fail)
+        plain = slots == [*range(1, self.params + 1)] and not self.evals
         return list(zip(self.opcodes, self.targets, self.controls)), angle, slots, plain
 
 
@@ -280,10 +278,6 @@ _UNARY_FUNCS = {
 }
 
 
-class _Undefined(Exception):
-    """An expression reads a parameter no enclosing gate defines: ``(name, pos)``."""
-
-
 def _evaluate(node, slots: list) -> float:
     """Value of a parsed angle expression over angle ``slots``."""
     tag = node[0]
@@ -295,8 +289,6 @@ def _evaluate(node, slots: list) -> float:
         return -_evaluate(node[1], slots)
     if tag == "fun":
         return _UNARY_FUNCS[node[1]](_evaluate(node[2], slots))
-    if tag == "param":
-        raise _Undefined(node[1], node[2])
     if tag == "chain":
         value = _evaluate(node[1], slots)
         for op, rhs in node[2]:
@@ -364,7 +356,7 @@ class _Parser:
         """Read the text statement by statement: a call the call pattern matches from its offset, else the statement
         from the tokens.  Either reader hands on a call's key, resolved call (see :meth:`_resolve`), angle values and
         offset, and the loop lowers it once the rest passes: angle count (unchecked on a memo hit), budget, its
-        template's expressions and failure.  The NaN angles are filled at the end."""
+        template's expressions.  The NaN angles are filled at the end."""
         self._parse_header()
         start = self.tok[2]  # offset of the statement being read
         match, text, resolved, floats = _CALL_RE.match, self.text, self.resolved, {None: array("d")}
@@ -407,8 +399,6 @@ class _Parser:
                 vec = [0.0, *vals, *t.known[params + 1 :]]
                 for s, (node, reads, at) in zip([s for s, v in enumerate(vec) if v is None], t.evals):
                     vec[s] = self._eval_angle(node, [vec[k] for k in reads], pos if at is None else at)
-                if t.fail:
-                    self._error(*t.fail)
                 values.extend([vec[s] for s in slots])
             rows += block
             angle += call_angle
@@ -499,13 +489,10 @@ class _Parser:
             if barrier:
                 continue
             sub = self._check_arity(op_name, len(angle_exprs), len(op_qargs), op_pos)
-            if t.fail:  # every call fails, so nothing after the failing op is lowered
-                continue
-            args = [t.eval(node, op_pos) for node in angle_exprs]
+            args = [t.eval(node, op_pos, self._eval_angle) for node in angle_exprs]
             qubits = [qargs.index(q) for q in op_qargs]
             if len(set(qubits)) != len(qubits):
-                t.fail = (f"duplicate qubit in expansion of {quote(name)}", op_pos)
-                continue
+                self._error(f"duplicate qubit in expansion of {quote(name)}", op_pos)
             self.lowered = self._budget(self.lowered + len(sub.opcodes) + len(sub.known) - sub.params - 1, op_pos)
             t.splice(sub, args, qubits, op_pos)
         self._expect("}")
@@ -585,15 +572,13 @@ class _Parser:
                 return ("fun", text, node)
             if text in self.params:
                 return ("slot", self.params[text])
-            return ("param", text, pos)
+            self._error(f"undefined parameter {quote(text)}", pos)
         self._error(f"expected an expression, found {quote(text)}", pos)
 
     def _eval_angle(self, node, slots: list[float], pos: int) -> float:
         """Value of an angle expression over angle ``slots``; failures are positioned at ``pos``."""
         try:
             value = _evaluate(node, slots)
-        except _Undefined as exc:
-            self._error(f"undefined parameter {quote(exc.args[0])}", exc.args[1])
         except (ZeroDivisionError, OverflowError, ValueError) as exc:
             self._error(f"cannot evaluate expression: {exc}", pos)
         if not math.isfinite(value):

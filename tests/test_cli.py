@@ -12,7 +12,7 @@ import pytest
 
 import qbemu
 from qbemu.cli import build_parser, main
-from qbemu.config import MAX_QUBITS, ConfigError, ExecConfig
+from qbemu.config import MAX_QUBITS, ROUNDING_CHOICES, ConfigError, ExecConfig, parse_config
 from qbemu.fixedpoint import FixedPointFormat
 from qbemu.qasm import MAX_NATIVE_GATES
 
@@ -307,14 +307,25 @@ class TestConfig:
             ("N = 4\nQ = +0_3\n", 2, "Q expects an integer, got '+0_3'"),
             # past the 4,300 digits int() converts, quoted by its first 40 characters
             ("N = " + "9" * 5000 + "\n", 1, "N expects an integer, got '" + "9" * 40 + "'..."),
+            ("N = 4\n\n# Q = 4\n   \nQ = 0\n", 5, "Q must be at least 1"),  # blank and comment lines count
+            ("data_bits = 7 # too narrow\n", 1, "data_bits must be in [8, 32]"),
+            ("N = 4\nrounding = round\n", 2, f"rounding must be one of {ROUNDING_CHOICES}, got 'round'"),
+            ("N = 4\nW 1\n", 2, "expected 'key = value', got 'W 1'"),
         ],
-        ids=["N", "Q", "W", "S", "non_ascii_digit", "sign_and_underscore", "N_5000_digits"],
+        ids=["N", "Q", "W", "S", "non_ascii_digit", "sign_and_underscore", "N_5000_digits", "Q_after_blank_lines",
+             "data_bits", "rounding", "no_equals_sign"],
     )
     def test_bad_key_exit_3_naming_key_and_line(self, tmp_path, bell_qasm, capsys, text, line, message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text, encoding="utf-8")
         assert main(["sweep", str(bell_qasm), "bits", "8", "--config", str(cfg)]) == 3
         assert capsys.readouterr().err == f"error: line {line}: {message}\n"
+
+    def test_float_reference_has_no_fixed_format(self):
+        config = parse_config("# the float backend\n\nrounding = float_reference\n")
+        assert config.is_float_reference
+        with pytest.raises(ConfigError, match="^float_reference mode has no fixed-point format$"):
+            config.fixed_format
 
     def test_instruction_word_bound(self):
         # 4 opcode bits, two ceil(log2 N)-bit qubit fields and Q immediate bits
@@ -389,6 +400,16 @@ class TestSweep:
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1 + 2 * 2
+
+    @pytest.mark.parametrize("values", ["", ",", " , ,"])
+    def test_empty_value_list_usage_error(self, bell_qasm, capsys, values):
+        rc = main(["sweep", str(bell_qasm), "bits", values])
+        assert (rc, capsys.readouterr()) == (1, ("", "usage error: empty sweep value list\n"))
+
+    def test_directory_without_circuits_io_error(self, tmp_path, capsys):
+        (tmp_path / "notes.txt").write_text("no circuits here\n")
+        rc = main(["sweep", str(tmp_path), "bits", "8"])
+        assert (rc, capsys.readouterr()) == (2, ("", f"i/o error: no .qasm files in {tmp_path}\n"))
 
     def test_bad_axis_usage_error(self, bell_qasm):
         assert main(["sweep", str(bell_qasm), "volume", "1,2"]) == 1
@@ -672,6 +693,54 @@ class TestMalformedInputs:
         capsys.readouterr()
         rc = main([verb, str(prog), str(table), *common, "--out", str(tmp_path / "o")])
         assert (rc, capsys.readouterr()) == (3, ("", f"error: {table}: 3 angle pairs, Q=1 allows 2\n"))
+
+    @pytest.mark.parametrize("which", ["program", "table"])
+    def test_truncated_binary_file_names_the_file(self, tmp_path, capsys, which):
+        qasm = tmp_path / "ry.qasm"
+        qasm.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nry(0.5) q[0];\ncx q[0],q[1];\n')
+        assert main(["compile", str(qasm), "--format", "binary", "--out", str(tmp_path)]) == 0
+        paths = {"program": tmp_path / "ry.prog.bin", "table": tmp_path / "ry.table.bin"}
+        paths[which].write_bytes(paths[which].read_bytes()[:-1])
+        message = "truncated instruction stream" if which == "program" else "truncated table"
+        capsys.readouterr()
+        rc = main(["run", *map(str, paths.values()), "--format", "binary"])
+        assert (rc, capsys.readouterr()) == (3, ("", f"error: {paths[which]}: {message}\n"))
+
+    def test_fixed_table_run_as_float_names_the_entry(self, tmp_path, capsys):
+        # the fixed table's raw integers are finite floats past 1: the first names its line, with the hint
+        qasm = tmp_path / "ry.qasm"
+        qasm.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nry(0.5) q[0];\n')
+        assert main(["compile", str(qasm), "--out", str(tmp_path)]) == 0
+        table = tmp_path / "ry.table.txt"
+        entry = table.read_text().splitlines()[1]
+        capsys.readouterr()
+        rc = main(["run", str(tmp_path / "ry.prog.txt"), str(table), "--rounding", "float_reference"])
+        value = float(entry.split(",")[0])
+        message = (f"error: {table}:2: bad table entry {entry!r}: value {value!r} out of range for float-reference "
+                   "mode; was the table written for a fixed-point configuration?\n")
+        assert (rc, capsys.readouterr()) == (3, ("", message))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a definition's own error, with no call of the gate
+            ("gate d a,b {\n  cx a,a;\n}\n", "5:3: duplicate qubit in expansion of 'd'"),
+            ("gate g a { rx(t) a; }\n", "4:15: undefined parameter 't'"),
+            ("gate k a { h a; rx(1/0) a; }\n", "4:17: cannot evaluate expression: float division by zero"),
+            ("gate g(t, t) a { }\n", "4:6: duplicate formal argument in gate 'g'"),
+            ("measure q[0] -> c[0];\n", "4:17: unknown classical register 'c'"),
+            ("creg c[3];\nmeasure q -> c;\n", "5:14: measure register size mismatch"),
+            ("creg c[2];\nmeasure q[0] -> c[2];\n", "5:17: bit index c[2] out of range (size 2)"),
+            ("qreg r[3];\ncx q,r;\n", "5:1: mismatched register sizes in broadcast"),
+        ],
+        ids=["duplicate_qubit_in_body", "undefined_name_in_body", "failing_constant_in_body", "duplicate_parameter",
+             "measure_register", "measure_size", "measure_index", "broadcast_sizes"],
+    )
+    def test_qasm_error_exit_3_at_its_position(self, tmp_path, capsys, text, message):
+        qasm = tmp_path / "bad.qasm"
+        qasm.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n' + text)
+        rc = main(["compile", str(qasm), "--out", str(tmp_path)])
+        assert (rc, capsys.readouterr()) == (3, ("", f"error: {qasm}:{message}\n"))
 
     def test_non_utf8_qasm_names_line_and_column(self, tmp_path, config_file, capsys):
         qasm = tmp_path / "bad.qasm"

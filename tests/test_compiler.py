@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
+from qbemu.columns import Columns
 from qbemu.compiler import (
     AngleTable,
     CompileError,
@@ -268,6 +270,38 @@ class TestProgramFiles:
         (tmp_path / "t.txt").write_text("\n".join(lines) + "\n")
         with pytest.raises(DecodeError, match="header says"):
             load_program_files(tmp_path / "p.txt", tmp_path / "t.txt", config)
+
+    def test_unknown_file_format_refused(self, tmp_path):
+        config = cfg(n_qubits=3)
+        program = compile_circuit(parse(self.SRC), config)
+        message = r"^file_format must be one of \('integer_text', 'binary'\)$"
+        with pytest.raises(ValueError, match=message):
+            write_program_files(program, config, tmp_path / "p", tmp_path / "t", "hex")
+        write_program_files(program, config, tmp_path / "p", tmp_path / "t")
+        with pytest.raises(ValueError, match=message):
+            load_program_files(tmp_path / "p", tmp_path / "t", config, "hex")
+
+    @pytest.mark.parametrize("file_format", ["integer_text", "binary"])
+    def test_float_entry_past_one_named_where_a_non_finite_one_is(self, tmp_path, file_format):
+        # a fixed-point table's raw integers read as floats are finite, and past 1 in magnitude
+        config = cfg(n_qubits=3, rounding="float_reference")
+        p, t = tmp_path / "p", tmp_path / "t"
+        write_program_files(compile_circuit(parse(self.SRC), config), config, p, t, file_format)
+        if file_format == "integer_text":
+            t.write_text("2\n0.25,0.5\n0.5,262144.0\n")
+            where = f"{t}:3: bad table entry '0.5,262144.0'"
+        else:
+            t.write_bytes(b"2\n" + struct.pack("<4d", 0.25, 0.5, 0.5, 262144.0))
+            where = str(t)
+        message = "value 262144.0 out of range for float-reference mode; was the table written for a fixed-point configuration?"
+        with pytest.raises(DecodeError) as err:
+            load_program_files(p, t, config, file_format)
+        assert str(err.value) == f"{where}: {message}"
+
+    def test_sliced_instructions_are_columns(self):
+        instructions = compile_circuit(parse(self.SRC), cfg(n_qubits=3)).instructions
+        part = instructions[1:3]
+        assert isinstance(part, Columns) and len(part) == 2 and part == list(instructions)[1:3]
 
     @pytest.mark.parametrize(
         "raw",

@@ -713,6 +713,44 @@ class TestRun:
         with pytest.raises(EngineError, match="supports"):
             run(program, config)
 
+    def test_rotational_gate_without_a_table_rejected(self):
+        with pytest.raises(EngineError, match="^RY requires an angle table$"):
+            apply_gate(FloatState(1), Instruction(GateKind.RY, 0, 0, 0))
+
+    @pytest.mark.parametrize(
+        "initial, message",
+        [
+            (FixedState(1, FixedPointFormat(20)), "initial state size does not match program"),
+            (FixedState(2, FixedPointFormat(12)), "initial state format does not match configuration"),
+        ],
+        ids=["size", "format"],
+    )
+    def test_initial_state_of_another_size_or_format_rejected(self, initial, message):
+        config = ExecConfig(n_qubits=3)
+        program = CompiledProgram((), AngleTable(config.fixed_format), 2)
+        with pytest.raises(EngineError, match=f"^{message}$"):
+            run(program, config, initial=initial)
+
+    def test_instruction_past_the_used_qubits_rejected(self):
+        # the second instruction's control is qubit 2 of a 2-qubit program
+        config = ExecConfig(n_qubits=3)
+        ins = [Instruction(GateKind.H, 0, 0), Instruction(GateKind.X, 1, 2)]
+        with pytest.raises(EngineError, match="^control 2 out of range for 2 qubits$"):
+            run(CompiledProgram(ins, AngleTable(config.fixed_format), 2), config)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: FloatState(2, np.zeros(3, dtype=complex)),
+            lambda: FixedState(2, FixedPointFormat(16), [0] * 4, [0] * 3),
+            lambda: FixedState(2, FixedPointFormat(16), [0] * 8, [0] * 8),
+        ],
+        ids=["float", "fixed_imaginary", "fixed_both"],
+    )
+    def test_amplitude_count_of_another_size_rejected(self, make):
+        with pytest.raises(ValueError, match="^amplitude count does not match qubit count$"):
+            make()
+
     def test_table_format_mismatch_rejected(self):
         fixed_cfg = ExecConfig(n_qubits=1)
         float_cfg = ExecConfig(n_qubits=1, rounding="float_reference")

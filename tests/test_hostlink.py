@@ -354,6 +354,22 @@ class TestSession:
         with pytest.raises(ProtocolError, match="before the session completed"):
             board.feed(b"?1#*2#!")
 
+    @pytest.mark.parametrize(
+        "stream, message",
+        [
+            (b"?0#*1#!?0#", "message received after end of emulation"),
+            (b"?0#?0#", "duplicate angle count"),
+            (b"?0#*1#*1#", "duplicate qubit count"),
+            (b"?1#<0#", "angle value before counts"),
+            (b"?1#*1#<0#>0#", "instruction before the angle table completed"),
+        ],
+        ids=["after_end", "angle_count_twice", "qubit_count_twice", "angle_before_qubit_count", "short_table"],
+    )
+    def test_board_refuses_a_message_out_of_order(self, stream, message):
+        board = VirtualBoard(ExecConfig(n_qubits=3))
+        with pytest.raises(ProtocolError, match=f"^{message}$"):
+            board.feed(stream)
+
     def test_board_rejects_extra_angles(self):
         config = ExecConfig(n_qubits=3)
         board = VirtualBoard(config)

@@ -121,6 +121,37 @@ class TestComplexDistances:
             assert acd <= mcd + 1e-15
 
 
+class TestDegenerateInputs:
+    """Inputs no figure is defined on raise one named ``ValueError`` in every figure."""
+
+    FIGURES = {"hellinger_fidelity": hellinger_fidelity, "kld": kld, "complex_distances": complex_distances,
+               "report": report}
+
+    @pytest.mark.parametrize("figure", sorted(FIGURES))
+    def test_empty_inputs(self, figure):
+        with pytest.raises(ValueError, match="^no entries to compare$"):
+            self.FIGURES[figure]([], [])
+
+    @pytest.mark.parametrize("figure", ["hellinger_fidelity", "kld"])
+    @pytest.mark.parametrize("nan_in", ["model", "reference"])
+    def test_nan_probability(self, figure, nan_in):
+        inputs = {"model": [0.5, 0.5], "reference": [0.5, 0.5]}
+        inputs[nan_in] = [math.nan, 1.0]
+        with pytest.raises(ValueError, match="^distribution entries must be non-negative numbers, not NaN$"):
+            self.FIGURES[figure](inputs["model"], inputs["reference"])
+
+    @pytest.mark.parametrize("figure", ["hellinger_fidelity", "kld"])
+    def test_distribution_not_one_dimensional(self, figure):
+        with pytest.raises(ValueError, match="^distribution must be one-dimensional$"):
+            self.FIGURES[figure]([[0.5, 0.5]], [[0.5, 0.5]])
+
+    @pytest.mark.parametrize("figure", ["complex_distances", "report"])
+    def test_state_not_one_dimensional(self, figure):
+        state = np.full((2, 2), 0.5, dtype=complex)
+        with pytest.raises(ValueError, match="^state must be one-dimensional$"):
+            self.FIGURES[figure](state, state)
+
+
 class TestReport:
     def test_identical_inputs(self):
         rng = np.random.default_rng(6)

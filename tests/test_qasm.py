@@ -122,6 +122,11 @@ class TestParseBasics:
         assert gates[0].angle == pytest.approx(math.pi / 2)
         assert gates[1].angle == pytest.approx(-math.pi)
 
+    def test_barrier_in_a_gate_body_is_dropped(self):
+        defs = "gate g a,b { h a; barrier a,b; cx a,b; barrier b; }\n"
+        assert _column_bytes(HEADER + defs + "qreg q[2];\ng q[1],q[0];\n") == _column_bytes(
+            HEADER + "qreg q[2];\nh q[1];\ncx q[1],q[0];\n")
+
     def test_id_gate_is_noop(self):
         assert parse_body("id q[0];\n") == []
 
@@ -237,25 +242,26 @@ def doubling_chain(levels: int) -> str:
 
 
 class TestMacroExpansion:
-    """A definition's template is built once, when it is defined; errors it
-    records are raised by every call, positioned at the body op at fault."""
+    """A definition's template is built once, when it is defined, and the
+    definition's errors are raised there, whether or not the gate is called,
+    positioned at the body op or name at fault."""
 
     def error(self, src: str) -> str:
         with pytest.raises(QasmError) as err:
             parse(src, filename="f.qasm")
         return str(err.value)
 
-    def test_duplicate_qubit_in_expansion_raised_at_call(self):
-        defs = "gate inner a,b {\n  cx a,b;\n  cx b,b;\n}\ngate outer a,b { h a; inner b,a; }\n"
-        assert parse(HEADER + defs + "qreg q[2];\n").gates == []  # never called: no error
-        assert self.error(HEADER + defs + "qreg q[2];\nouter q[0],q[1];\n") == (
-            "f.qasm:5:3: duplicate qubit in expansion of 'inner'"
-        )
+    def test_duplicate_qubit_in_expansion_raised_at_the_definition(self):
+        defs = "gate inner a,b {\n  cx a,b;\n  cx b,b;\n}\n"
+        message = "f.qasm:5:3: duplicate qubit in expansion of 'inner'"
+        assert self.error(HEADER + defs + "qreg q[2];\n") == message  # never called
+        assert self.error(HEADER + defs + "gate outer a,b { h a; inner b,a; }\nqreg q[2];\nouter q[0],q[1];\n") == message
 
     def test_undefined_parameter_is_not_taken_from_the_caller(self):
-        defs = "gate inner a {\n  rx(t) a;\n}\ngate outer(t) a { inner a; }\n"
-        assert parse(HEADER + defs + "qreg q[1];\n").gates == []
-        assert self.error(HEADER + defs + "qreg q[1];\nouter(0.5) q[0];\n") == "f.qasm:4:6: undefined parameter 't'"
+        defs = "gate inner a {\n  rx(t) a;\n}\n"
+        message = "f.qasm:4:6: undefined parameter 't'"
+        assert self.error(HEADER + defs + "qreg q[1];\n") == message  # never called
+        assert self.error(HEADER + defs + "gate outer(t) a { inner a; }\nqreg q[1];\nouter(0.5) q[0];\n") == message
 
     def test_splice_shares_the_parsed_expression_tree(self):
         # each splice maps the expression's slots to the caller's, never copying the tree
@@ -465,6 +471,29 @@ class TestErrorPositions:
             "f.qasm:4:1: cannot evaluate expression: result is inf",
         ),
         "redefined_qelib1_gate": (HEADER + "gate sx a { h a; }\n", "f.qasm:3:6: gate 'sx' already defined"),
+        # an undefined name is raised where it is read, before the rest of its expression
+        "undefined_name_before_a_later_syntax_error": (
+            HEADER + "qreg q[1];\nrx(w+) q[0];\n",
+            "f.qasm:4:4: undefined parameter 'w'",
+        ),
+        "duplicate_parameter": (HEADER + "gate g(t,t) a { }\n", "f.qasm:3:6: duplicate formal argument in gate 'g'"),
+        "duplicate_qubit_argument": (HEADER + "gate  gg a,b,a { }\n", "f.qasm:3:7: duplicate formal argument in gate 'gg'"),
+        "measure_into_an_undeclared_register": (
+            HEADER + "qreg q[1];\nmeasure q[0] -> c[0];\n",
+            "f.qasm:4:17: unknown classical register 'c'",
+        ),
+        "measure_register_size_mismatch": (
+            HEADER + "qreg q[2];\ncreg c[3];\nmeasure q -> c;\n",
+            "f.qasm:5:14: measure register size mismatch",
+        ),
+        "measure_bit_index_out_of_range": (
+            HEADER + "qreg q[1];\ncreg c[2];\nmeasure q[0] -> c[2];\n",
+            "f.qasm:5:17: bit index c[2] out of range (size 2)",
+        ),
+        "mismatched_register_sizes_in_broadcast": (
+            HEADER + "qreg q[2];\nqreg r[3];\nh q;\n  cx q,r;\n",
+            "f.qasm:6:3: mismatched register sizes in broadcast",
+        ),
     }
 
     @pytest.mark.parametrize("keyword", sorted(qasm._STATEMENTS))
@@ -518,11 +547,13 @@ class TestBatchedCallErrors:
         assert self.error(body) == "f.qasm:12:1: gate expansion exceeds the limit of 10 native gates"
         assert len(parse(HEADER + "qreg q[2];\n" + "h q[0];\n" * 7 + "cz q[0],q[1];\n").gates) == 10
 
-    def test_a_failing_template_evaluates_its_expressions_first(self):
-        body = "gate bf(t) a,b { rx(1/t) a; cx a,a; }\nh q[0];\nbf(1) q[0],q[1];\n"
-        assert self.error(body) == "f.qasm:4:29: duplicate qubit in expansion of 'bf'"
-        body = body.replace("bf(1)", "bf(0)")
-        assert self.error(body) == "f.qasm:4:18: cannot evaluate expression: float division by zero"
+    def test_a_broken_definition_raises_before_a_call_evaluates_its_expressions(self):
+        # rx(1/t) reads the argument, so only a call evaluates it; the duplicate qubit raises at the definition
+        definition = "gate bf(t) a,b { rx(1/t) a; cx a,a; }\n"
+        message = "f.qasm:4:29: duplicate qubit in expansion of 'bf'"
+        assert self.error(definition + "h q[0];\n") == message  # never called
+        for call in ("bf(1) q[0],q[1];\n", "bf(0) q[0],q[1];\n"):
+            assert self.error(definition + "h q[0];\n" + call) == message
 
     @pytest.mark.parametrize(
         "call, message",
@@ -534,7 +565,7 @@ class TestBatchedCallErrors:
             ("cx q[0],q[0];", "4:1: duplicate qubit in gate arguments"),
             ("bogus q[0];", "4:1: unknown gate 'bogus'"),
             ("cz q[0],q[1];", "4:1: gate expansion exceeds the limit of 2 native gates"),
-            ("gate d a,b { cx a,a; } d q[0],q[1];", "4:14: duplicate qubit in expansion of 'd'"),
+            ("gate f(t) a { u0(1/t) a; } f(0) q[0];", "4:15: cannot evaluate expression: float division by zero"),
         ],
     )
     def test_a_failing_pattern_read_call_is_not_read_again(self, monkeypatch, call, message):
@@ -583,8 +614,8 @@ class TestBuiltinErrorsAtTheCall:
 
 class TestConstantExpressions:
     """An angle expression of a gate body that reads no angle argument is
-    evaluated once, when the gate is defined; one that fails to evaluate still
-    raises at every call, positioned as when it was evaluated there."""
+    evaluated once, when the gate is defined; one that fails to evaluate
+    raises there, at its body op, whether or not the gate is called."""
 
     # (rows, SHA-256 prefix of the opcode, target, control and angle column
     # bytes) as lowered when every expression was evaluated at every call
@@ -618,23 +649,22 @@ class TestConstantExpressions:
         assert [node for node, _, _ in t.evals] == [("chain", ("slot", 1), (("/", ("num", 2.0)),))]
         assert t.known == [0.0, None, math.pi / 4, None, 2 * (0.5 + math.pi)]
 
-    def test_a_failing_constant_raises_at_every_call(self):
-        defs = "gate g a {\n  h a;\n  rx(1/0) a;\n}\n"
-        assert parse(HEADER + defs + "qreg q[1];\n").gates == []  # never called: no error
-        for calls in ("g q[0];\n", "h q[0];\ng q[0];\ng q[0];\n"):
-            with pytest.raises(QasmError) as err:
-                parse(HEADER + defs + "qreg q[1];\n" + calls, filename="f.qasm")
-            assert str(err.value) == "f.qasm:5:3: cannot evaluate expression: float division by zero"
+    def error(self, src: str) -> str:
+        with pytest.raises(QasmError) as err:
+            parse(src, filename="f.qasm")
+        return str(err.value)
 
-    def test_a_failing_constant_keeps_its_place_among_the_expressions(self):
-        # rz(1/t) fails first for t = 0, and the constant ln(0) after it for every other t
+    def test_a_failing_constant_raises_at_the_definition(self):
+        defs = "gate g a {\n  h a;\n  rx(1/0) a;\n}\n"
+        for calls in ("", "g q[0];\n", "h q[0];\ng q[0];\ng q[0];\n"):  # never called, called once and twice
+            assert self.error(HEADER + defs + "qreg q[1];\n" + calls) == (
+                "f.qasm:5:3: cannot evaluate expression: float division by zero")
+
+    def test_a_failing_constant_raises_before_an_expression_of_an_argument(self):
+        # rz(1/t) fails for t = 0, but only a call evaluates it; the constant ln(0) after it fails at the definition
         defs = "gate g(t) a {\n  rz(1/t) a;\n  rx(ln(0)) a;\n}\nqreg q[1];\n"
-        with pytest.raises(QasmError) as err:
-            parse(HEADER + defs + "g(0) q[0];\n", filename="f.qasm")
-        assert str(err.value) == "f.qasm:4:3: cannot evaluate expression: float division by zero"
-        with pytest.raises(QasmError) as err:
-            parse(HEADER + defs + "g(2) q[0];\n", filename="f.qasm")
-        assert str(err.value) == "f.qasm:5:3: cannot evaluate expression: math domain error"
+        for calls in ("", "g(0) q[0];\n", "g(2) q[0];\n"):
+            assert self.error(HEADER + defs + calls) == "f.qasm:5:3: cannot evaluate expression: math domain error"
 
 
 class TestDeclarationsBetweenCalls:
@@ -803,16 +833,15 @@ class TestOneLoweringStep:
     the same message at the same position whichever reader read it.  The tokens read every call when the call
     pattern never matches, and a spy on the token reader tells which one did."""
 
-    HEAD = HEADER + "qreg q[2];\ngate d a,b { cx a,a; }\ngate f(t) a { h a; rx(1/t) a; }\n"
+    HEAD = HEADER + "qreg q[2];\ngate f(t) a { h a; rx(1/t) a; }\n"
     CASES = {  # body after HEAD, and the message
         # the second rx hits the call memo and the angle-text memo that u2 filled, so only the step counts angles
         "angle_count_on_a_memo_hit": ("rx(0.5) q[0];\nu2(0.5,0.25) q[0];\nrx(0.5,0.25) q[0];\n",
-                                      "f.qasm:8:1: gate 'rx' takes 1 parameter(s), got 2"),
+                                      "f.qasm:7:1: gate 'rx' takes 1 parameter(s), got 2"),
         "budget_crossed_at_the_call": ("h q[0];\n" * 8 + "cz q[0],q[1];\nh q[1];\n",
-                                       "f.qasm:14:1: gate expansion exceeds the limit of 10 native gates"),
-        "failing_template": ("h q[0];\nd q[0],q[1];\n", "f.qasm:4:14: duplicate qubit in expansion of 'd'"),
+                                       "f.qasm:13:1: gate expansion exceeds the limit of 10 native gates"),
         "failing_expression_on_the_slot_path": ("f(2) q[0];\nf(0) q[1];\n",
-                                                "f.qasm:5:20: cannot evaluate expression: float division by zero"),
+                                                "f.qasm:4:20: cannot evaluate expression: float division by zero"),
     }
 
     @pytest.mark.parametrize("reader", ["pattern", "tokens"])
