@@ -153,15 +153,18 @@ def compile_circuit(circuit: SourceCircuit, config: ExecConfig) -> CompiledProgr
 
 def encode_words(instructions, config: ExecConfig) -> np.ndarray:
     """Instruction words, MSB-first [opcode|control|target|imm], of
-    instructions (columns or rows), as int64; a field overflow is that of
-    the first offending instruction."""
+    instructions (columns or rows), as int64; an invalid opcode or a field
+    overflow is that of the first offending instruction."""
     ins = instruction_columns(instructions)
     fbits, ibits = config.qubit_field_bits, config.imm_bits
     fields = (("target", ins.target, fbits), ("control", ins.control, fbits), ("imm", ins.imm, ibits))
-    outside = np.array([(column >> bits) != 0 for _, column, bits in fields])
+    invalid = (ins.opcode < 0) | (ins.opcode >= len(GateKind))
+    outside = np.array([invalid, *((column >> bits) != 0 for _, column, bits in fields)])
     if outside.any():
         k = int(outside.any(axis=0).argmax())
-        name, column, bits = fields[int(outside[:, k].argmax())]
+        if invalid[k]:
+            raise CompileError(f"invalid opcode {ins.opcode.item(k)}")
+        name, column, bits = fields[int(outside[1:, k].argmax())]
         raise CompileError(f"field overflow: {name} {column.item(k)} needs more than {bits} bits")
     return (((ins.opcode << fbits | ins.control) << fbits | ins.target) << ibits) | ins.imm
 
@@ -177,9 +180,11 @@ def word_error(word: int, config: ExecConfig) -> str | None:
 
 
 def field_error(opcode: int, target: int, control: int, imm: int, n_qubits: int, n_pairs: int) -> str | None:
-    """Why an instruction reaches past ``n_qubits`` qubits or, if rotational,
-    past ``n_pairs`` table entries; None if it does neither."""
-    if IS_ROTATIONAL[opcode] and imm >= n_pairs:
+    """Why an instruction has no native opcode, a negative immediate, or reaches past
+    ``n_qubits`` qubits or, if rotational, past ``n_pairs`` table entries; None if none."""
+    if not 0 <= opcode < len(GateKind):
+        return f"invalid opcode {opcode}"
+    if imm < 0 or IS_ROTATIONAL[opcode] and imm >= n_pairs:
         return f"immediate {imm} out of range for angle table of length {n_pairs}"
     if not 0 <= target < n_qubits:
         return f"target {target} out of range for {n_qubits} qubits"
@@ -190,7 +195,8 @@ def field_error(opcode: int, target: int, control: int, imm: int, n_qubits: int,
 
 def first_field_error(ins: Columns, n_qubits: int, n_pairs: int) -> tuple[int, str] | None:
     """Index and :func:`field_error` of the first such instruction, found in one array pass."""
-    bad = (IS_ROTATIONAL[ins.opcode] & (ins.imm >= n_pairs)) | (ins.target < 0) | (ins.target >= n_qubits)
+    bad = (ins.opcode < 0) | (ins.opcode >= len(GateKind)) | (ins.imm < 0) | (ins.target < 0) | (ins.target >= n_qubits)
+    bad |= IS_ROTATIONAL.take(ins.opcode, mode="clip") & (ins.imm >= n_pairs)  # a clipped opcode is bad already
     bad |= (ins.control != ins.target) & ((ins.control < 0) | (ins.control >= n_qubits))
     if not bad.any():
         return None

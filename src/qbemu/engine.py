@@ -404,24 +404,24 @@ def _table_error(state: State, table: AngleTable) -> str | None:
     return None if table.fmt == state.fmt else "angle table format does not match state format"
 
 
+_KINDS = tuple(GateKind)
+
+
 def apply_gate(state: State, instr: Instruction, table: AngleTable | None = None) -> State:
     """Apply one decoded instruction in place and return the state."""
     if instr.opcode in ROTATIONAL and table is None:
-        raise EngineError(f"{instr.opcode.name} requires an angle table")
+        raise EngineError(f"{GateKind(instr.opcode).name} requires an angle table")
     if error := field_error(instr.opcode, instr.target, instr.control, instr.imm, state.n_qubits, len(table or ())):
         raise EngineError(error)
-    control = None if instr.control == instr.target else instr.control
-    if instr.opcode in ROTATIONAL and (error := _table_error(state, table)):
+    kind, control = _KINDS[instr.opcode], None if instr.control == instr.target else instr.control
+    if kind in ROTATIONAL and (error := _table_error(state, table)):
         raise EngineError(error)
-    sincos = table.entries[instr.imm] if instr.opcode in ROTATIONAL else None
+    sincos = table.entries[instr.imm] if kind in ROTATIONAL else None
     alu = _alu(state, [sincos] if sincos else ())
-    _apply(state, instr.opcode, instr.target, control, sincos, alu)
+    _apply(state, kind, instr.target, control, sincos, alu)
     if alu is not None:
         state.overflow = state.overflow or alu.overflow
     return state
-
-
-_KINDS = tuple(GateKind)
 
 
 def run(program: CompiledProgram, config: ExecConfig, initial: State | None = None) -> State:

@@ -10,7 +10,8 @@ All arithmetic is double precision regardless of the model backend.
 Every figure is a sum (or maximum) of per-entry terms, computed block by
 block over at most ``engine._BLOCK`` entries with a few reused block-sized
 buffers, so no temporary is the size of the state.  Each figure has one
-term function, which :func:`report` and the single-figure functions share.
+term function, which :func:`report` and the two distribution figures share;
+:func:`complex_distances` is the report's ``mcd`` and ``acd``.
 The arithmetic is real: ``p = re^2 + im^2`` and ``|a - b| =
 sqrt(dr^2 + di^2)``, which round the same under every SIMD dispatch, and
 block sums are added by :func:`math.fsum`.  Only :func:`kld`'s ``log`` may
@@ -96,20 +97,22 @@ def _fidelity(h: float) -> float:
 # --- inputs -----------------------------------------------------------------
 
 
-def _as_distribution(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("distribution must be one-dimensional")
-    if not np.all(arr >= 0):  # False for NaN too
-        raise ValueError("distribution entries must be non-negative numbers, not NaN")
-    return arr
-
-
 def _check_lengths(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
     if not a.size:
         raise ValueError("no entries to compare")
+
+
+def _distributions(model, reference) -> tuple[np.ndarray, np.ndarray]:
+    """The model and reference distributions, checked for shape and entries."""
+    p, r = np.asarray(model, dtype=float), np.asarray(reference, dtype=float)
+    if p.ndim != 1 or r.ndim != 1:
+        raise ValueError("distribution must be one-dimensional")
+    if not (np.all(p >= 0) and np.all(r >= 0)):  # False for NaN too
+        raise ValueError("distribution entries must be non-negative numbers, not NaN")
+    _check_lengths(p, r)
+    return p, r
 
 
 def _planes(x) -> tuple[np.ndarray, np.ndarray, float | None]:
@@ -139,9 +142,7 @@ def _read(planes, s: slice, re_out: np.ndarray, im_out: np.ndarray) -> tuple[np.
 
 def hellinger_fidelity(model, reference) -> float:
     """(1 - H^2)^2 with H the Hellinger distance between the distributions."""
-    p = _as_distribution(model)
-    r = _as_distribution(reference)
-    _check_lengths(p, r)
+    p, r = _distributions(model, reference)
     return _fidelity(math.fsum(_hellinger_term(p[s], r[s], t, u) for s, (t, u) in _blocks(len(p), 2)))
 
 
@@ -151,33 +152,24 @@ def kld(model, reference) -> float:
     Zero model entries contribute nothing; reference entries below
     :data:`KLD_EPSILON` are floored at it to keep the sum finite.
     """
-    p = _as_distribution(model)
-    r = _as_distribution(reference)
-    _check_lengths(p, r)
+    p, r = _distributions(model, reference)
     return math.fsum(_kld_term(p[s], r[s], t) for s, (t,) in _blocks(len(p), 1))
 
 
 def complex_distances(model, reference) -> tuple[float, float]:
-    """Maximum and average |model_i - reference_i| over complex amplitudes."""
-    a, b = _planes(model), _planes(reference)
-    _check_lengths(a[0], b[0])
-    terms = [
-        _distance_term(*_read(a, s, ar, ai), *_read(b, s, br, bi), t, u)
-        for s, (ar, ai, br, bi, t, u) in _blocks(len(a[0]), 6)
-    ]
-    maxima, sums = zip(*terms)
-    return max(maxima), math.fsum(sums) / len(a[0])
+    """Maximum and average |model_i - reference_i|: :func:`report`'s ``mcd`` and ``acd``."""
+    q = report(model, reference)
+    return q.mcd, q.acd
 
 
 def report(model_state, reference_state) -> QualityReport:
     """All four figures of merit plus the raw probability sums, in one pass
-    over both states."""
+    over both states; a sum that is not finite raises ``ValueError``."""
     a, b = _planes(model_state), _planes(reference_state)
     _check_lengths(a[0], b[0])
     terms = []
     for s, (ar, ai, br, bi, p, r, t, u) in _blocks(len(a[0]), 8):
-        ar, ai = _read(a, s, ar, ai)
-        br, bi = _read(b, s, br, bi)
+        (ar, ai), (br, bi) = _read(a, s, ar, ai), _read(b, s, br, bi)
         _probabilities(ar, ai, p, t)
         _probabilities(br, bi, r, t)
         terms.append(
@@ -190,7 +182,7 @@ def report(model_state, reference_state) -> QualityReport:
             )
         )
     h, k, maxima, d, p_sum, r_sum = zip(*terms)
-    return QualityReport(
+    q = QualityReport(
         fidelity=_fidelity(math.fsum(h)),
         kld=math.fsum(k),
         mcd=max(maxima),
@@ -198,3 +190,6 @@ def report(model_state, reference_state) -> QualityReport:
         prob_sum_model=math.fsum(p_sum),
         prob_sum_reference=math.fsum(r_sum),
     )
+    if not math.isfinite(q.prob_sum_model) or not math.isfinite(q.prob_sum_reference):
+        raise ValueError(f"probability sums must be finite: model {q.prob_sum_model}, reference {q.prob_sum_reference}")
+    return q

@@ -161,17 +161,16 @@ class _Template:
     ``(expression, reads, pos)`` evaluated in order at every call, where slot
     ``k`` of the parsed expression reads our slot ``reads[k]``: a splice shares
     the expression tree and maps only its slots; a built-in's ``pos`` is None,
-    the call's.  Row ``k`` is native opcode ``opcodes[k]`` on the call's
-    qubit arguments ``targets[k]`` and ``controls[k]`` (equal when
-    uncontrolled), with the angle in slot ``angles[k]``.
+    the call's.  Each of ``rows`` is an ``(opcode, target, control, slot)``
+    tuple: native ``opcode`` on the call's qubit arguments ``target`` and
+    ``control`` (equal when uncontrolled), with the angle in ``slot``.
     """
 
     def __init__(self, params: int, qubits: int, rows=()):
         self.params, self.qubits = params, qubits
         self.known = [0.0, *[None] * params]
         self.evals = []
-        columns = list(zip(*rows)) or [()] * 4
-        self.opcodes, self.targets, self.controls, self.angles = (list(map(int, col)) for col in columns)
+        self.rows = [tuple(map(int, row)) for row in rows]
 
     def eval(self, node, pos: int, evaluate) -> int:
         """Slot of the value of ``node``, read in our body at ``pos``: a bare slot, else a new one, known as
@@ -192,20 +191,17 @@ class _Template:
         slots = [0, *args, *range(len(self.known), len(self.known) + len(sub.known) - sub.params - 1)]
         self.known += sub.known[sub.params + 1 :]
         self.evals += [(node, [slots[k] for k in reads], pos if at is None else at) for node, reads, at in sub.evals]
-        self.opcodes += sub.opcodes
-        self.targets += [qubits[k] for k in sub.targets]
-        self.controls += [qubits[k] for k in sub.controls]
-        self.angles += [slots[k] for k in sub.angles]
+        self.rows += [(op, qubits[a], qubits[b], slots[k]) for op, a, b, k in sub.rows]
 
     @cached_property
     def lowering(self) -> tuple:
-        """A call's rows on one qubit row, built once the template is whole: ``(opcode, target, control)`` on our
-        qubits per row, their angles in an ``array('d')`` with NaN where the call supplies one, the slots of the
-        NaNs in row order, and whether they are the call's angles in order with nothing else to check."""
-        angle = array("d", [math.nan if self.known[s] is None else self.known[s] for s in self.angles])
-        slots = [s for s in self.angles if self.known[s] is None]
+        """A call's angles, built once the template is whole: per row in an ``array('d')`` with NaN where the
+        call supplies one, the slots of the NaNs in row order, and whether they are the call's angles in order
+        with nothing else to check."""
+        angle = array("d", [math.nan if self.known[s] is None else self.known[s] for *_, s in self.rows])
+        slots = [s for *_, s in self.rows if self.known[s] is None]
         plain = slots == [*range(1, self.params + 1)] and not self.evals
-        return list(zip(self.opcodes, self.targets, self.controls)), angle, slots, plain
+        return angle, slots, plain
 
 
 def _rot(kind: GateKind) -> int:
@@ -279,7 +275,7 @@ _UNARY_FUNCS = {
 
 
 def _evaluate(node, slots: list) -> float:
-    """Value of a parsed angle expression over angle ``slots``."""
+    """Value of a parsed angle expression over angle ``slots``; ``^`` is :func:`math.pow`."""
     tag = node[0]
     if tag == "num":
         return node[1]
@@ -294,10 +290,7 @@ def _evaluate(node, slots: list) -> float:
         for op, rhs in node[2]:
             value = _BINARY_OPS[op](value, _evaluate(rhs, slots))
         return value
-    power = _evaluate(node[1], slots) ** _evaluate(node[2], slots)
-    if isinstance(power, complex):  # negative base, fractional exponent
-        raise ValueError("math domain error")
-    return power
+    return math.pow(_evaluate(node[1], slots), _evaluate(node[2], slots))
 
 
 class _Parser:
@@ -312,8 +305,7 @@ class _Parser:
         self.expr_depth = 0
         self.qubit_count = 0
         self.lowered = 0  # native gates and angle expressions of the templates and the calls read so far
-        self.ids = {name: k for k, name in enumerate(_BUILTINS)}  # gate name -> index in temps
-        self.temps = list(_BUILTINS.values())  # gate templates, user gates appended when defined
+        self.templates = dict(_BUILTINS)  # gate name -> template, user gates added when defined
         self.resolved: dict[tuple, tuple] = {}  # (gate name, arguments) -> call, see _resolve
         self.qubit_rows: dict = {}  # call pattern's argument text, or (register, index) list -> its qubit rows
 
@@ -457,7 +449,7 @@ class _Parser:
         _, name, name_pos = self._expect("id", "gate name")
         if name in _STATEMENTS:  # a call of it would be read as the statement
             self._error(f"gate name {quote(name)} is a statement keyword", name_pos)
-        if name in self.ids:
+        if name in self.templates:
             self._error(f"gate {quote(name)} already defined", name_pos)
         params: list[str] = []
         if self._accept("("):
@@ -478,7 +470,7 @@ class _Parser:
             barrier = op_name == "barrier"  # dropped once its operands are checked, as at top level
             if op_name == name and not barrier:
                 self._error(f"recursive gate definition: {quote(name)} references itself", op_pos)
-            if op_name not in self.ids and not barrier:
+            if op_name not in self.templates and not barrier:
                 self._error(f"unknown gate {quote(op_name)} in body of {quote(name)}", op_pos)
             angle_exprs = [] if barrier else list(self._parse_angle_args())
             op_qargs = self._parse_ids("qubit argument")
@@ -493,12 +485,11 @@ class _Parser:
             qubits = [qargs.index(q) for q in op_qargs]
             if len(set(qubits)) != len(qubits):
                 self._error(f"duplicate qubit in expansion of {quote(name)}", op_pos)
-            self.lowered = self._budget(self.lowered + len(sub.opcodes) + len(sub.known) - sub.params - 1, op_pos)
+            self.lowered = self._budget(self.lowered + len(sub.rows) + len(sub.known) - sub.params - 1, op_pos)
             t.splice(sub, args, qubits, op_pos)
         self._expect("}")
         self.params = {}
-        self.ids[name] = len(self.temps)
-        self.temps.append(t)
+        self.templates[name] = t
 
     def _parse_angle_args(self):
         """Parenthesized angle arguments, if any; each is parsed when asked for."""
@@ -511,7 +502,7 @@ class _Parser:
 
     def _check_arity(self, name: str, n_angles: int, n_qubits: int, pos: int) -> _Template:
         """The template of gate ``name``, if a call with these argument counts fits it."""
-        t = self.temps[self.ids[name]]
+        t = self.templates[name]
         if n_angles != t.params:
             self._error(f"gate {quote(name)} takes {t.params} parameter(s), got {n_angles}", pos)
         if n_qubits != t.qubits:
@@ -520,21 +511,14 @@ class _Parser:
 
     # -- expressions -------------------------------------------------------
 
-    # Left-associative runs of + - or * / become one flat ("chain", first,
-    # ((op, operand), ...)) node, so no run length deepens the tree.
-
-    def _parse_expr(self):
-        first = self._parse_term()
+    def _parse_expr(self, level: int = 0):
+        """A left-associative run of ``+ -`` (level 0) over runs of ``* /`` (level 1) over factors.  A run is one
+        flat ("chain", first, ((op, operand), ...)) node, so no run length deepens the tree."""
+        first = self._parse_factor() if level else self._parse_expr(1)
         rest = []
-        while self.tok[0] in ("+", "-"):
-            rest.append((self._next()[0], self._parse_term()))
-        return ("chain", first, tuple(rest)) if rest else first
-
-    def _parse_term(self):
-        first = self._parse_factor()
-        rest = []
-        while self.tok[0] in ("*", "/"):
-            rest.append((self._next()[0], self._parse_factor()))
+        while (op := self.tok[0]) in (("*", "/") if level else ("+", "-")):
+            self._next()
+            rest.append((op, self._parse_factor() if level else self._parse_expr(1)))
         return ("chain", first, tuple(rest)) if rest else first
 
     def _parse_factor(self):
@@ -650,7 +634,7 @@ class _Parser:
         """A call read from the tokens, as ``(key, call, angle values, offset)`` for :meth:`parse` to lower.  The
         name, then each angle and argument, is checked before the next is read, and then the call as a whole."""
         _, name, pos = self._next()
-        if name not in self.ids:
+        if name not in self.templates:
             self._error(f"unknown gate {quote(name)}", pos)
         values = array("d", [self._eval_angle(node, [], pos) for node in self._parse_angle_args()])
         args = [arg for arg in self._parse_arguments() if self._resolve_qubit_arg(*arg)]  # each before the next is read
@@ -660,12 +644,12 @@ class _Parser:
     def _resolve(self, key: tuple, pos: int, n_angles: int, args) -> tuple | None:
         """The call at ``pos`` of gate ``key[0]`` with ``n_angles`` angles on arguments ``key[1]``, read as ``args``
         of ``(register or None, index or None, offset)``: ``(params, lowered count, rows, angles, slots, template)``,
-        kept for the key, with its rows and angles on every qubit row as :meth:`_Template.lowering` has them on one,
-        and the slots of the NaNs, or None if they are plainly the call's angles; None for a statement keyword.  A
+        kept for the key, with its template's rows on every qubit row and their angles as :meth:`_Template.lowering`
+        has them on one, and the slots of the NaNs, or None if they are plainly the call's angles; None for a statement keyword.  A
         failing call raises its first failing check: unknown gate, each argument, angle and qubit counts, broadcast."""
         if key[0] in _STATEMENTS:
             return None
-        if key[0] not in self.ids:
+        if key[0] not in self.templates:
             self._error(f"unknown gate {quote(key[0])}", pos)
         if (rows := self.qubit_rows.get(key[1])) is None:
             operands = [self._resolve_qubit_arg(reg, None if i is None else int(i), at) for reg, i, at in args if reg]
@@ -678,9 +662,9 @@ class _Parser:
                 self._error("duplicate qubit in gate arguments", pos)
             self.qubit_rows[key[1]] = rows
         t = self._check_arity(key[0], n_angles, len(rows[0]), pos)
-        triples, angle, slots, plain = t.lowering
-        n, block = len(rows), array("q", [x for row in rows for op, a, b in triples for x in (op, row[a], row[b])])
-        count = len(t.known) - t.params - 1 + n * len(t.opcodes)  # its native gates and expressions
+        angle, slots, plain = t.lowering
+        n, block = len(rows), array("q", [x for row in rows for op, a, b, _ in t.rows for x in (op, row[a], row[b])])
+        count = len(t.known) - t.params - 1 + n * len(t.rows)  # its native gates and expressions
         self.resolved[key] = call = (t.params, count, block,
                                      *((angle, None) if plain and n == 1 else (angle * n, slots * n)), t)
         return call
@@ -705,9 +689,9 @@ def _read_prelude() -> dict[str, _Template]:
     """The primitives and the gates of ``_PRELUDE``, whose expressions fail at the call that evaluates them."""
     parser = _Parser(_PRELUDE, "qelib1.inc")
     parser.parse()
-    for t in parser.temps:
+    for t in parser.templates.values():
         t.evals = [(node, reads, None) for node, reads, _ in t.evals]
-    return dict(zip(parser.ids, parser.temps))
+    return parser.templates
 
 
 _BUILTINS = _read_prelude()

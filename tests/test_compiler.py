@@ -184,6 +184,20 @@ class TestEncodeDecode:
         with pytest.raises(CompileError, match="^field overflow: control 5 needs more than 2 bits$"):
             encode_words(rows, config)
 
+    @pytest.mark.parametrize("opcode", [12, 16, -1])
+    def test_invalid_opcode_refused_at_encoding(self, opcode):
+        # 12 fits the 4-bit field but is no gate; 16 and -1 do not fit it
+        with pytest.raises(CompileError, match=f"^invalid opcode {opcode}$"):
+            encode_one(Instruction(opcode, 0, 0, 0), cfg(n_qubits=4, imm_bits=4))
+
+    def test_invalid_opcode_and_field_overflow_name_the_first_offending_instruction(self):
+        config = cfg(n_qubits=4, imm_bits=4)
+        rows = [Instruction(GateKind.X, 0, 0, 0), Instruction(GateKind.X, 4, 0, 0), Instruction(12, 0, 0, 0)]
+        with pytest.raises(CompileError, match="^field overflow: target 4 needs more than 2 bits$"):
+            encode_words(rows, config)
+        with pytest.raises(CompileError, match="^invalid opcode 12$"):
+            encode_words(rows[::-1], config)
+
     def test_word_width_mismatch(self):
         with pytest.raises(DecodeError, match="width mismatch"):
             decode_one(1 << 12, cfg(n_qubits=4, imm_bits=4))

@@ -760,6 +760,44 @@ class TestRun:
             run(float_prog, fixed_cfg)
 
 
+class TestInstructionFieldsFromTheApi:
+    """An instruction built in Python, not decoded from a word, is checked for its opcode and immediate by both
+    ``run`` and ``apply_gate``, on both backends, before any kernel reads it."""
+
+    @staticmethod
+    def ways(rounding: str, ins: Instruction) -> dict:
+        """``run`` and ``apply_gate`` of ``ins`` on 2 qubits with a one-entry angle table, each a call returning
+        the state."""
+        config = ExecConfig(n_qubits=2, rounding=rounding)
+        table = compile_circuit(gates_as_circuit([GateApplication(GateKind.RX, 0, angle=0.3)], 2), config).table
+        return {"run": lambda: run(CompiledProgram([ins], table, 2), config),
+                "apply_gate": lambda: apply_gate(initial_state(2, config), ins, table)}
+
+    @pytest.mark.parametrize("rounding", ["nearest", "float_reference"])
+    @pytest.mark.parametrize("use", ["run", "apply_gate"])
+    @pytest.mark.parametrize(
+        "ins, message",
+        [
+            (Instruction(GateKind.RY, 0, 0, -1), "immediate -1 out of range for angle table of length 1"),
+            (Instruction(GateKind.H, 0, 0, -1), "immediate -1 out of range for angle table of length 1"),
+            (Instruction(13, 0, 0), "invalid opcode 13"),
+            (Instruction(-1, 0, 0), "invalid opcode -1"),
+        ],
+        ids=["negative_rotational_imm", "negative_imm", "opcode_13", "opcode_minus_1"],
+    )
+    def test_refused_with_a_named_message(self, rounding, use, ins, message):
+        with pytest.raises(EngineError, match=f"^{message}$"):
+            self.ways(rounding, ins)[use]()
+
+    @pytest.mark.parametrize("rounding", ["nearest", "float_reference"])
+    def test_an_integer_opcode_is_its_gate(self, rounding):
+        # opcode 3 is H, whether given as an int or as GateKind.H, and run and apply_gate agree on it
+        as_int = [dump_state(way()) for way in self.ways(rounding, Instruction(3, 1, 1)).values()]
+        as_kind = [dump_state(way()) for way in self.ways(rounding, Instruction(GateKind.H, 1, 1)).values()]
+        assert as_int == as_kind and as_int[0] == as_int[1]
+        assert as_int[0] != dump_state(initial_state(2, ExecConfig(n_qubits=2, rounding=rounding)))
+
+
 class TestFixedVsFloat:
     def test_20_bit_nearest_stays_close(self):
         rng = np.random.default_rng(11)

@@ -140,6 +140,17 @@ class TestDegenerateInputs:
         with pytest.raises(ValueError, match="^distribution entries must be non-negative numbers, not NaN$"):
             self.FIGURES[figure](inputs["model"], inputs["reference"])
 
+    @pytest.mark.parametrize("figure", ["complex_distances", "report"])
+    @pytest.mark.parametrize("nan_in", ["model", "reference"])
+    def test_nan_amplitude(self, figure, nan_in):
+        # checked once on the probability sums after the pass, so a NaN anywhere in either state shows
+        states = {"model": np.array([0.5, 0.5], dtype=complex), "reference": np.array([0.5, 0.5], dtype=complex)}
+        states[nan_in] = np.array([math.nan, 1.0], dtype=complex)
+        sums = {which: "nan" if which == nan_in else "0.5" for which in states}
+        message = f"^probability sums must be finite: model {sums['model']}, reference {sums['reference']}$"
+        with pytest.raises(ValueError, match=message):
+            self.FIGURES[figure](states["model"], states["reference"])
+
     @pytest.mark.parametrize("figure", ["hellinger_fidelity", "kld"])
     def test_distribution_not_one_dimensional(self, figure):
         with pytest.raises(ValueError, match="^distribution must be one-dimensional$"):

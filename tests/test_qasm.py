@@ -268,11 +268,21 @@ class TestMacroExpansion:
         src = HEADER + "gate inner(t) a { rx(t + 1) a; }\ngate outer(t) a { inner(2 * t) a; inner(t) a; }\n"
         parser = qasm._Parser(src + "qreg q[1];\nouter(0.5) q[0];\n", "f.qasm")
         circuit = parser.parse()
-        ((node, _, _),) = parser.temps[parser.ids["inner"]].evals
-        (double, _, _), (first, first_reads, _), (second, second_reads, _) = parser.temps[parser.ids["outer"]].evals
+        ((node, _, _),) = parser.templates["inner"].evals
+        (double, _, _), (first, first_reads, _), (second, second_reads, _) = parser.templates["outer"].evals
         assert first is node and second is node
         assert (list(first_reads), list(second_reads)) == ([0, 2], [0, 1])  # slot 2 holds 2 * t
         assert circuit.gates.angle.tolist() == [2.0, 1.5]
+
+    def test_splice_remaps_the_rows_qubits_and_slots(self):
+        # outer's qubits x, y, z are 0, 1, 2: inner's a is z and b is x; inner's t reads outer's slot 2, u * 2
+        src = HEADER + "gate inner(t) a,b { cx a,b; rz(t) b; h a; }\ngate outer(u) x,y,z { h y; inner(u * 2) z,x; }\n"
+        parser = qasm._Parser(src, "f.qasm")
+        parser.parse()
+        inner, outer = parser.templates["inner"].rows, parser.templates["outer"].rows
+        assert inner == [(GateKind.X, 1, 0, 0), (GateKind.RZ, 1, 1, 1), (GateKind.H, 0, 0, 0)]
+        qubits, slots = [2, 0], [0, 2]
+        assert outer == [(GateKind.H, 1, 1, 0), *((op, qubits[a], qubits[b], slots[s]) for op, a, b, s in inner)]
 
     def test_budget_at_a_definition(self):
         # after g19 the templates hold 2^20 - 1 gates; g20's first op goes over
@@ -612,6 +622,47 @@ class TestBuiltinErrorsAtTheCall:
         assert self.error(nested) == message
 
 
+class TestPower:
+    """``^`` is ``math.pow``: the float ``**`` gives wherever that is a float, and its own two errors elsewhere."""
+
+    def error(self, src: str) -> str:
+        with pytest.raises(QasmError) as err:
+            parse(src, filename="f.qasm")
+        return str(err.value)
+
+    def test_overflow_is_a_range_error_at_top_level(self):
+        assert self.error(HEADER + "qreg q[1];\nrx(1.0e308^1.0e308) q[0];\n") == (
+            "f.qasm:4:1: cannot evaluate expression: math range error")
+
+    def test_overflow_is_a_range_error_in_a_body_expression_of_an_argument(self):
+        src = HEADER + "gate g(t) a {\n  h a;\n  rx(t^1.0e308) a;\n}\nqreg q[1];\ng(2) q[0];\n"
+        assert self.error(src) == "f.qasm:5:3: cannot evaluate expression: math range error"
+        assert len(parse(src.replace("g(2)", "g(1)")).gates) == 2  # 1^1.0e308 is 1
+
+    @pytest.mark.parametrize("expr", ["0^-1", "(-8)^(1/3)"])
+    def test_no_real_power_is_a_domain_error(self, expr):
+        assert self.error(HEADER + f"qreg q[1];\nrx({expr}) q[0];\n") == (
+            "f.qasm:4:1: cannot evaluate expression: math domain error")
+
+    def test_equals_float_power_wherever_that_is_a_float(self):
+        # signed zeros, integers (a negative base's sign), extremes, and random reals of both signs
+        operands = [0.0, -0.0, 0.5, -0.5, 1 / 3, math.pi, -math.pi, 1e-300, 1e10, -1e10, 1e300, 0.1, 53.0, -1074.0,
+                    1023.0, *map(float, range(-7, 8)), *np.random.default_rng(25).uniform(-20, 20, 20).tolist()]
+        compared = 0
+        for base in operands:
+            for exponent in operands:
+                try:
+                    want = base ** exponent
+                except (ZeroDivisionError, OverflowError):
+                    continue
+                if isinstance(want, complex):
+                    continue
+                got = qasm._evaluate(("pow", ("num", base), ("num", exponent)), [])
+                assert got == want and math.copysign(1, got) == math.copysign(1, want), (base, exponent)
+                compared += 1
+        assert compared > 1000
+
+
 class TestConstantExpressions:
     """An angle expression of a gate body that reads no angle argument is
     evaluated once, when the gate is defined; one that fails to evaluate
@@ -645,7 +696,7 @@ class TestConstantExpressions:
     def test_an_argument_read_keeps_an_expression_at_the_call(self):
         parser = qasm._Parser(HEADER + "gate g(t) a { rx(pi/4) a; rz(t/2) a; ry(2*(0.5+pi)) a; }\n", "f.qasm")
         parser.parse()
-        t = parser.temps[parser.ids["g"]]
+        t = parser.templates["g"]
         assert [node for node, _, _ in t.evals] == [("chain", ("slot", 1), (("/", ("num", 2.0)),))]
         assert t.known == [0.0, None, math.pi / 4, None, 2 * (0.5 + math.pi)]
 
