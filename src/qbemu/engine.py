@@ -6,7 +6,7 @@ state so that target and control bits are axes of length 2 makes all couples
 one basic-slice view, the couple tensor: no index arrays.  Both backends walk
 it the same way, every gate above 2**14 amplitudes per plane block by block.
 A kernel computes a block's outputs from its pre-gate amplitudes, in place
-or through one block-sized scratch, so the couple order cannot affect the
+or through block-sized scratch, so the couple order cannot affect the
 result and no temporary outgrows a block.
 
 Two interchangeable backends execute the same instruction streams:
@@ -18,9 +18,37 @@ Two interchangeable backends execute the same instruction streams:
   no kernel performs a general 2x2 complex multiply.  Its real and imaginary
   parts are the two planes of its tensor, so each kernel step covers both.
   A run computes through one saturating ALU, which quantizes 1/sqrt(2) and
-  finds the products that need no range check once, for the whole table.
+  finds the products that need no range check once, for the whole table,
+  and keeps every kernel temporary in scratch that all its gates reuse.
 
 Measurement statistics can be sampled from either backend.
+
+The fixed kernels' cost is their element passes: at 12 qubits one pass
+over a couple tensor's 8,192 words takes 2-4 us.  Passes over the whole
+couple tensor (a reduction counts as one) and numpy calls per gate class,
+under nearest rounding: in the layout with one rounding bias per product,
+two range reductions per negation and a write-back after every kernel,
+and now::
+
+    class       passes                calls
+    X           1.5  -> 1.5            3 -> 3
+    Y           3.5  -> 3             10 -> 6
+    Z           2.5  -> 1.5            5 -> 3
+    S, SDG      1.75 -> 1.25           5 -> 4
+    H           9    -> 9 (8)         10 -> 10 (9)
+    T, TDG      4.5  -> 4.5           10 -> 10
+    RX, RZ      14.5 -> 12.5 (11.5)   16 -> 12 (11)
+    RY          14   -> 12 (11)       15 -> 11 (10)
+    U1          7    -> 6             15 -> 11
+
+A rotation rounds its two products with one bias when its sine and cosine
+are nonzero with one sign (else each product takes its own: two passes
+and four calls more).  The counts in parentheses are for a couple tensor
+that is one contiguous array, an uncontrolled gate's on an unblocked
+state: H and the rotations leave their results straight in it, with no
+write-back.  What the counts leave out is the couple stride: a
+half-tensor operation whose target or lower control is qubit 1-3 walks
+2-8-word runs and costs several passes.
 """
 
 from __future__ import annotations
@@ -31,12 +59,16 @@ import numpy as np
 
 from .compiler import FLOAT_ENTRY_MAX, AngleTable, CompiledProgram, Instruction, field_error, first_field_error
 from .config import MAX_DATA_BITS, MAX_QUBITS, MAX_STATE_BYTES, ExecConfig
-from .fixedpoint import FixedPointFormat, from_real, range_error, round_shift
+from .fixedpoint import FixedPointFormat, Rounding, from_real, range_error, round_shift
 from .gates import INV_SQRT2, ROTATIONAL, GateKind
 
 # A fixed-point gate whose couple tensor holds more amplitudes per plane than
 # this runs block by block, so its temporaries stay in the L2 cache.
 _BLOCK = 1 << 14
+
+# The kinds as module names: the kernels test the kind of every gate, and an
+# enum class attribute costs several times a global lookup.
+X, Y, Z, H, S, SDG, T, TDG, RX, RY, RZ, U1 = GateKind
 
 
 class EngineError(Exception):
@@ -180,8 +212,8 @@ class _FixedAlu:
     """Saturating kernel arithmetic over raw arrays, with a sticky flag; one
     serves a whole run.
 
-    Kernels add and subtract with numpy into their own temporaries and pass
-    the results through :meth:`sat`; :meth:`neg` and :meth:`mul` saturate
+    Kernels add and subtract with numpy into the ALU's scratch and pass the
+    results through :meth:`sat`; :meth:`neg` and :meth:`mul` saturate
     themselves.  Operands hold in-range words.  ``inv_sqrt2`` is the shared
     1/sqrt(2) constant, and ``safe`` holds the constants, it and the raw
     ``(sin, cos)`` ``entries``, whose product with any in-range word rounds
@@ -192,45 +224,68 @@ class _FixedAlu:
     """
 
     def __init__(self, fmt: FixedPointFormat, entries=()):
-        self.fmt = fmt
+        self.lo, self.hi, self.shift, self.mode = fmt.min_raw, fmt.max_raw, fmt.fractional_bits, fmt.rounding
         self.overflow = False
-        self._pair: np.ndarray | None = None
+        self._flat = np.empty(0, dtype=np.int64)
         self.inv_sqrt2 = from_real(INV_SQRT2, fmt)
         values = [x for pair in entries for x in pair]
         if bad := [x for x in values if not isinstance(x, (int, np.integer))]:
             raise EngineError(f"angle table value {bad[0]!r} is not an integer")
-        if values and not fmt.min_raw <= min(values) <= max(values) <= fmt.max_raw:
+        if values and not self.lo <= min(values) <= max(values) <= self.hi:
             raise EngineError("angle table " + next(filter(None, (range_error(x, fmt.total_bits) for x in values))))
         k = np.array([self.inv_sqrt2, *values], dtype=np.int64)
-        ends = round_shift(k[:, None] * np.array([fmt.min_raw, fmt.max_raw]), fmt.fractional_bits, fmt.rounding)
-        self.safe = set(k[((fmt.min_raw <= ends) & (ends <= fmt.max_raw)).all(axis=1)].tolist())
+        ends = round_shift(k[:, None] * np.array([self.lo, self.hi]), self.shift, self.mode)
+        self.safe = set(k[((self.lo <= ends) & (ends <= self.hi)).all(axis=1)].tolist())
+
+    def scratch(self, count: int, shape: tuple) -> np.ndarray:
+        """``count`` stacked int64 buffers of ``shape``, a view of one flat
+        buffer that every gate of the run reuses, so that no kernel allocates
+        or page-faults in its temporaries."""
+        size = count * math.prod(shape)
+        if self._flat.size < size:
+            self._flat = np.empty(size, dtype=np.int64)
+        return self._flat[:size].reshape(count, *shape)
 
     def sat(self, raw: np.ndarray) -> np.ndarray:
         """Clip ``raw`` to the word's range in place, flagging any clip."""
-        lo, hi = self.fmt.min_raw, self.fmt.max_raw
-        if raw.max() > hi or raw.min() < lo:
+        if np.maximum.reduce(raw, axis=None) > self.hi or np.minimum.reduce(raw, axis=None) < self.lo:
             self.overflow = True
-            np.clip(raw, lo, hi, out=raw)
+            np.clip(raw, self.lo, self.hi, out=raw)
         return raw
 
-    def neg(self, raw: np.ndarray) -> np.ndarray:
-        """Negate ``raw`` in place (``-min_raw`` saturates)."""
-        return self.sat(np.negative(raw, out=raw))
+    def neg(self, raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``-raw`` into ``out``, or in place: an in-range word leaves the range
+        only at ``-min_raw``, upward, so one reduction finds a clip."""
+        out = np.negative(raw, out=raw if out is None else out)
+        if np.maximum.reduce(out, axis=None) > self.hi:
+            self.overflow = True
+            np.minimum(out, self.hi, out=out)
+        return out
 
-    def mul(self, a: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Rounded products ``a * k``; the range check is skipped for a constant in ``safe``."""
-        wide = np.multiply(a, np.int64(k), out=out)
-        round_shift(wide, self.fmt.fractional_bits, self.fmt.rounding)
+    def mul(self, a: np.ndarray, k: int, bias: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+        """Rounded products ``a * k``, formed in ``a`` and left in ``out`` (or
+        ``a``); ``bias``, if given, holds the rounding bias.  The range check
+        is skipped for a constant in ``safe``."""
+        wide = round_shift(np.multiply(a, k, out=a), self.shift, self.mode, bias, out)
         return wide if k in self.safe else self.sat(wide)
 
     def mul_pair(self, a: np.ndarray, c: int, s: int) -> tuple[np.ndarray, np.ndarray]:
-        """``mul(a, c)`` and ``mul(a, s)`` in two buffers that every block of its
-        shape reuses: allocated per block beside the rounding temporary, malloc
-        hands them back to the system and page-faults them in for every block."""
-        if self._pair is None or self._pair.shape[1:] != a.shape:
-            self._pair = np.empty((2, *a.shape), dtype=np.int64)
-        p, q = self._pair
-        return self.mul(a, c, out=p), self.mul(a, s, out=q)
+        """``a * c`` and ``a * s`` rounded, in stacked scratch.  Truncation has
+        no bias, and under nearest rounding constants of one sign give both
+        products one sign, so one bias serves both: then one ``round_shift``
+        rounds the pair."""
+        w = self.scratch(3, a.shape)
+        (p, q, bias), pair = w, w[:2]
+        np.multiply(a, c, out=p)
+        np.multiply(a, s, out=q)
+        one_bias = self.mode is Rounding.TRUNCATION or (self.mode is Rounding.NEAREST and c * s > 0)
+        for wide in (pair,) if one_bias else (p, q):
+            round_shift(wide, self.shift, self.mode, bias)
+        if c not in self.safe:
+            self.sat(pair if s not in self.safe else p)
+        elif s not in self.safe:
+            self.sat(q)
+        return p, q
 
 
 # ---------------------------------------------------------------------------
@@ -275,34 +330,34 @@ def _float_block(v: np.ndarray, kind: GateKind, sincos, t: np.ndarray) -> None:
     ``t`` shaped like ``v``.  A complex scalar comes first in its product, which
     never overwrites its operand: else numpy may round it apart."""
     a, b, ta, tb = v[..., 0, :], v[..., 1, :], t[..., 0, :], t[..., 1, :]
-    if kind is GateKind.X:
+    if kind is X:
         ta[...] = a
         a[...], b[...] = b, ta
-    elif kind is GateKind.Y:  # (a, b) -> (-i b, i a)
+    elif kind is Y:  # (a, b) -> (-i b, i a)
         np.multiply(-1j, b, out=ta)
         np.multiply(1j, a, out=b)
         a[...] = ta
-    elif kind is GateKind.Z:
+    elif kind is Z:
         np.negative(b, out=b)
-    elif kind in (GateKind.S, GateKind.SDG):  # products by 0 and +-1 are exact, so in place
-        b *= 1j if kind is GateKind.S else -1j
-    elif kind is GateKind.H:  # (a, b) -> k (a + b, a - b)
+    elif kind in (S, SDG):  # products by 0 and +-1 are exact, so in place
+        b *= 1j if kind is S else -1j
+    elif kind is H:  # (a, b) -> k (a + b, a - b)
         np.add(a, b, out=ta)
         np.subtract(a, b, out=tb)
         np.multiply(t, INV_SQRT2, out=v)
-    elif kind in (GateKind.T, GateKind.TDG):  # b' = k (1 +- i) b; products by +-1 are exact
-        np.multiply(1 + 1j if kind is GateKind.T else 1 - 1j, b, out=tb)
+    elif kind in (T, TDG):  # b' = k (1 +- i) b; products by +-1 are exact
+        np.multiply(1 + 1j if kind is T else 1 - 1j, b, out=tb)
         np.multiply(tb, INV_SQRT2, out=b)
-    elif kind in (GateKind.RZ, GateKind.U1):  # a' = (c - i s) a (RZ only), b' = (c + i s) b
+    elif kind in (RZ, U1):  # a' = (c - i s) a (RZ only), b' = (c + i s) b
         s, c = sincos
-        if kind is GateKind.RZ:
+        if kind is RZ:
             a[...] = np.multiply(c - 1j * s, a, out=ta)
         b[...] = np.multiply(c + 1j * s, b, out=tb)
     else:  # RX: a' = c a - i s b, b' = c b - i s a; RY: a' = c a - s b, b' = c b + s a
         s, c = sincos
-        np.multiply(1j * s if kind is GateKind.RX else s, v[..., ::-1, :], out=t)
+        np.multiply(1j * s if kind is RX else s, v[..., ::-1, :], out=t)
         np.multiply(c, v, out=v)
-        if kind is GateKind.RY:
+        if kind is RY:
             np.negative(tb, out=tb)
         v -= t
 
@@ -312,63 +367,68 @@ def _fixed_block(v: np.ndarray, kind: GateKind, alu: _FixedAlu, sincos) -> None:
 
     ``v[..., 0, :]``/``v[..., 1, :]`` are the low/high couple amplitudes of
     both planes (``v[0]`` real, ``v[1]`` imaginary), and flipping axis 0
-    swaps the planes.  Arithmetic runs on contiguous temporaries that are
-    written back once.
+    swaps the planes.  Arithmetic runs on contiguous scratch whose results
+    are written back once.
     """
-    if kind is GateKind.X:
-        t = v[..., 0, :].copy()
-        v[..., 0, :] = v[..., 1, :]
-        v[..., 1, :] = t
-    elif kind is GateKind.Y:  # (a, b) -> (-i b, i a)
-        ta, tb = v[::-1, ..., 1, :].copy(), v[::-1, ..., 0, :].copy()
-        alu.neg(ta[1])
-        alu.neg(tb[0])
-        v[..., 0, :], v[..., 1, :] = ta, tb
-    elif kind is GateKind.Z:
-        b = v[..., 1, :]
-        b[...] = alu.neg(b.copy())
-    elif kind in (GateKind.S, GateKind.SDG):  # b -> i b or -i b
-        b = v[..., 1, :]
-        t = b[::-1].copy()
-        alu.neg(t[0] if kind is GateKind.S else t[1])
+    if sincos is not None:  # rotational; negating a product in ``q`` is exact: only the sums saturate
+        s, c = sincos
+        if kind is U1:
+            v = v[..., 1, :]
+        p, q = alu.mul_pair(v, c, s)
+        out = v if v.flags.c_contiguous else p  # sums go straight to a contiguous state
+        if kind is RX:  # a' = c a - i s b, b' = c b - i s a
+            np.negative(q[0], out=q[0])
+            np.add(p[..., 0, :], q[::-1, ..., 1, :], out=out[..., 0, :])
+            np.add(p[..., 1, :], q[::-1, ..., 0, :], out=out[..., 1, :])
+        elif kind is RY:  # a' = c a - s b, b' = c b + s a
+            np.subtract(p[..., 0, :], q[..., 1, :], out=out[..., 0, :])
+            np.add(p[..., 1, :], q[..., 0, :], out=out[..., 1, :])
+        elif kind is RZ:  # a' = (c - i s) a, b' = (c + i s) b
+            np.negative(q[..., 1, :], out=q[..., 1, :])
+            np.add(p[0], q[1], out=out[0])
+            np.subtract(p[1], q[0], out=out[1])
+        else:  # U1: b' = (c + i s) b
+            np.subtract(p[0], q[1], out=out[0])
+            np.add(p[1], q[0], out=out[1])
+        alu.sat(out)
+        if out is p:
+            v[...] = p
+        return
+    a, b = v[..., 0, :], v[..., 1, :]
+    if kind is X:
+        t = alu.scratch(1, a.shape)[0]
+        t[...] = a
+        a[...] = b
         b[...] = t
-    elif kind is GateKind.H:
-        a, b = v[..., 0, :], v[..., 1, :]
-        t = np.empty(v.shape, dtype=np.int64)
+    elif kind is Y:  # (a, b) -> (-i b, i a) = ((bi, -br), (-ai, ar))
+        t = alu.scratch(2, a.shape)
+        t[0], t[1] = b[::-1], a  # (bi, br), (ar, ai): the words to negate are t[:, 1]
+        alu.neg(t[:, 1])
+        a[...], b[...] = t[0], t[1, ::-1]
+    elif kind is Z:
+        b[...] = alu.neg(b, out=alu.scratch(1, b.shape)[0])
+    elif kind in (S, SDG):  # b -> i b = (-bi, br) or -i b = (bi, -br)
+        t, k = alu.scratch(1, b.shape)[0], 0 if kind is S else 1  # t[k] takes the negation
+        alu.neg(b[1 - k], out=t[k])
+        t[1 - k] = b[k]
+        b[...] = t
+    elif kind is H:
+        t, bias = alu.scratch(2, v.shape)
         np.add(a, b, out=t[..., 0, :])
         np.subtract(a, b, out=t[..., 1, :])
-        v[...] = alu.mul(alu.sat(t), alu.inv_sqrt2, out=t)
-    elif kind in (GateKind.T, GateKind.TDG):
-        b = v[..., 1, :]
-        (rb, ib), t = b, np.empty(b.shape, dtype=np.int64)
-        if kind is GateKind.T:  # b' = k (rb - ib) + i k (rb + ib)
+        out = v if v.flags.c_contiguous else t  # the rounding's last shift writes a contiguous state
+        alu.mul(alu.sat(t), alu.inv_sqrt2, bias, out=out)
+        if out is t:
+            v[...] = t
+    else:  # T, TDG
+        (rb, ib), (t, bias) = b, alu.scratch(2, b.shape)
+        if kind is T:  # b' = k (rb - ib) + i k (rb + ib)
             np.subtract(rb, ib, out=t[0])
             np.add(rb, ib, out=t[1])
         else:  # b' = k (rb + ib) + i k (ib - rb)
             np.add(rb, ib, out=t[0])
             np.subtract(ib, rb, out=t[1])
-        b[...] = alu.mul(alu.sat(t), alu.inv_sqrt2, out=t)
-    else:
-        # Negating a product in ``q`` is exact: only the sums saturate.
-        s, c = sincos
-        if kind is GateKind.U1:
-            v = v[..., 1, :]
-        p, q = alu.mul_pair(v, c, s)
-        if kind is GateKind.RX:  # a' = c a - i s b, b' = c b - i s a
-            np.negative(q[0], out=q[0])
-            p[..., 0, :] += q[::-1, ..., 1, :]
-            p[..., 1, :] += q[::-1, ..., 0, :]
-        elif kind is GateKind.RY:  # a' = c a - s b, b' = c b + s a
-            p[..., 0, :] -= q[..., 1, :]
-            p[..., 1, :] += q[..., 0, :]
-        elif kind is GateKind.RZ:  # a' = (c - i s) a, b' = (c + i s) b
-            np.negative(q[..., 1, :], out=q[..., 1, :])
-            p[0] += q[1]
-            p[1] -= q[0]
-        else:  # U1: b' = (c + i s) b
-            p[0] -= q[1]
-            p[1] += q[0]
-        v[...] = alu.sat(p)
+        b[...] = alu.mul(alu.sat(t), alu.inv_sqrt2, bias)
 
 
 def _apply(state: State, kind: GateKind, target: int, control: int | None, sincos, alu: _FixedAlu | None) -> None:

@@ -52,7 +52,7 @@ class FixedPointFormat:
         return (1 << (self.total_bits - 1)) - 1
 
 
-def round_shift(wide, shift: int, mode: Rounding):
+def round_shift(wide, shift: int, mode: Rounding, bias=None, out=None):
     """Drop the low ``shift`` (>= 1) bits of exact products and return them.
 
     ``wide`` is an int64 array, rounded in place, or a Python int.  Each mode
@@ -60,13 +60,26 @@ def round_shift(wide, shift: int, mode: Rounding):
     ``half - [wide < 0]`` for nearest (ties away from zero), and
     ``half - 1 + lsb(quotient)`` for nearest-even.  ``wide >> 63`` is
     ``-[wide < 0]`` (for ``|wide| < 2**63``) without a bool-to-int64 cast.
+
+    ``bias`` is an int64 buffer that receives the bias in place of a
+    temporary.  Under nearest rounding it may be shaped like ``wide[0]``:
+    then ``wide[0]``'s bias rounds every ``wide[i]``, which is exact when
+    each has the signs of ``wide[0]``, as products of one operand by nonzero
+    constants of one sign do.  ``out``, an int64 array, receives the result in
+    place of ``wide``, so that the last shift also writes it where it goes.
     """
     if mode is Rounding.NEAREST:
-        wide += wide >> 63
-        wide += 1 << (shift - 1)
+        signs = wide if bias is None or bias.ndim == wide.ndim else wide[0]
+        bias = signs >> 63 if bias is None else np.right_shift(signs, 63, out=bias)
+        bias += 1 << (shift - 1)
+        wide += bias
     elif mode is Rounding.NEAREST_EVEN:
-        wide += (wide >> shift) & 1
-        wide += (1 << (shift - 1)) - 1
+        bias = wide >> shift if bias is None else np.right_shift(wide, shift, out=bias)
+        bias &= 1
+        bias += (1 << (shift - 1)) - 1
+        wide += bias
+    if out is not None:
+        return np.right_shift(wide, shift, out=out)
     wide >>= shift
     return wide
 

@@ -10,8 +10,7 @@ All arithmetic is double precision regardless of the model backend.
 Every figure is a sum (or maximum) of per-entry terms, computed block by
 block over at most ``engine._BLOCK`` entries with a few reused block-sized
 buffers, so no temporary is the size of the state.  Each figure has one
-term function, which :func:`report` and the two distribution figures share;
-:func:`complex_distances` is the report's ``mcd`` and ``acd``.
+term function, which :func:`report` and the single-figure functions share.
 The arithmetic is real: ``p = re^2 + im^2`` and ``|a - b| =
 sqrt(dr^2 + di^2)``, which round the same under every SIMD dispatch, and
 block sums are added by :func:`math.fsum`.  Only :func:`kld`'s ``log`` may
@@ -157,7 +156,19 @@ def kld(model, reference) -> float:
 
 
 def complex_distances(model, reference) -> tuple[float, float]:
-    """Maximum and average |model_i - reference_i|: :func:`report`'s ``mcd`` and ``acd``."""
+    """Maximum and average |model_i - reference_i|, :func:`report`'s ``mcd`` and
+    ``acd`` from a pass of the distance term alone.  A distance that is not
+    finite hands the states to :func:`report`, which refuses a probability sum
+    that is not finite, as a NaN or infinite amplitude makes it."""
+    a, b = _planes(model), _planes(reference)
+    _check_lengths(a[0], b[0])
+    maxima, sums = zip(*(
+        _distance_term(*_read(a, s, ar, ai), *_read(b, s, br, bi), t, u)
+        for s, (ar, ai, br, bi, t, u) in _blocks(len(a[0]), 6)
+    ))
+    acd = math.fsum(sums) / len(a[0])
+    if math.isfinite(acd):  # so is every distance
+        return max(maxima), acd
     q = report(model, reference)
     return q.mcd, q.acd
 

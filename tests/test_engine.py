@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import io
 import itertools
 import math
@@ -12,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qbemu
 from qbemu import engine
 from qbemu.compiler import AngleTable, CompiledProgram, Instruction, compile_circuit
 from qbemu.config import MAX_QUBITS, ConfigError, ExecConfig
@@ -452,6 +454,16 @@ def couple_pair_array(n: int, target: int, control: int | None) -> np.ndarray:
     return np.array(couple_pairs(n, target, control))
 
 
+# Consumed angles whose (sin, cos) signs are (+,+), (+,-), (-,+) and (-,-), then sin = 0, and
+# cos = -1.0 (a 2 pi rotation), the one constant whose product with min_raw leaves the range.
+SIGN_CASE_ANGLES = (1.1, 2.0, -1.1, -2.0, 0.0, math.pi)
+KIND_ANGLES = [pytest.param(kind, None, id=kind.name) for kind in GateKind if kind not in ROTATIONAL]
+KIND_ANGLES += [
+    pytest.param(kind, a, id=f"{kind.name}-{a:.3g}")
+    for kind in GateKind if kind in ROTATIONAL for a in SIGN_CASE_ANGLES
+]
+
+
 class TestBlockedKernels:
     """Couple tensors above ``engine._BLOCK`` amplitudes per plane run block by
     block.  Target and control sit inside (bits < 14) and outside one block's
@@ -462,18 +474,25 @@ class TestBlockedKernels:
              (1, 12), (12, 1), (3, 15), (15, 3), (14, 15), (15, 14)]
 
     @pytest.mark.parametrize("bits, mode", [(24, "nearest_even"), (8, "truncation"), (32, "nearest")])
-    @pytest.mark.parametrize("kind", list(GateKind), ids=lambda kind: kind.name)
-    def test_sampled_couples_match_fraction_oracle(self, kind, bits, mode):
+    @pytest.mark.parametrize("kind, angle", KIND_ANGLES)
+    def test_sampled_couples_match_fraction_oracle(self, kind, angle, bits, mode):
         n = self.N
         assert 1 << (n - 1) > engine._BLOCK  # controlled couple tensors are blocked too
         rng = np.random.default_rng(bits)
         fmt = FixedPointFormat(bits, mode)
         k = oracle_quantize(INV_SQRT2, fmt)
         table = AngleTable(fmt)
-        imm = table.intern(1.1) if kind in ROTATIONAL else 0
+        imm = table.intern(angle) if kind in ROTATIONAL else 0
         sincos = table.entries[imm] if kind in ROTATIONAL else None
+        # a quarter of the words meet exact ties in a product by each constant, with both signs:
+        # where two products share one rounding bias, each of them meets its ties
+        whole = 1 << fmt.fractional_bits  # a whole-number constant never rounds
+        ties = [sign * tie_operand(m, fmt) for m in sincos or (k,) if m % whole for sign in (1, -1)]
         for target, control in self.CASES:
             state = edge_fixed_state(rng, n, fmt)
+            tied = rng.random(state.raw.shape) < 0.25
+            if ties:
+                state.raw[tied] = rng.choice(ties, int(tied.sum()))
             before_re, before_im = state.re.copy(), state.im.copy()
             apply_gate(state, Instruction(kind, target, target if control is None else control, imm), table)
             pairs = couple_pair_array(n, target, control)
@@ -596,6 +615,28 @@ class TestSaturationShortcut:
         state = run(program, config, initial=initial)
         assert state.re.tolist() == state.im.tolist() == [fmt.max_raw] * 4
         assert state.overflow
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("kind", sorted(ROTATIONAL), ids=lambda kind: kind.name)
+    def test_unsafe_product_clips_before_its_sum(self, kind, mode):
+        # at 8 bits the consumed angle pi + 0.01 quantizes to cos = -1.0 beside sin = -1 lsb:
+        # c * min_raw = 2.0 clips to max_raw before it is summed with the sine's product,
+        # and that sum can land back in the range, one lsb from the unclipped one
+        fmt = FixedPointFormat(8, mode)
+        table = AngleTable(fmt)
+        imm = table.intern(math.pi + 0.01)
+        s, c = table.entries[imm]
+        assert (s, c) == (-1, -(1 << fmt.fractional_bits))
+        assert c not in engine._FixedAlu(fmt, table.entries).safe
+        k = oracle_quantize(INV_SQRT2, fmt)
+        words = (fmt.min_raw, fmt.max_raw, 0, -1)
+        for a, b in itertools.product(itertools.product(words, repeat=2), repeat=2):
+            alu = OracleAlu(fmt)
+            expect = scalar_fixed_kernel(kind, a, b, k, (s, c), alu)
+            state = FixedState(1, fmt, [a[0], b[0]], [a[1], b[1]])
+            apply_gate(state, Instruction(kind, 0, 0, imm), table)
+            assert ((state.re[0], state.im[0]), (state.re[1], state.im[1])) == expect, (a, b)
+            assert state.overflow == alu.overflow, (a, b)
 
     @pytest.mark.parametrize("bits", [8, 24, 32])
     @pytest.mark.parametrize("mode", MODES)
@@ -796,6 +837,63 @@ class TestInstructionFieldsFromTheApi:
         as_kind = [dump_state(way()) for way in self.ways(rounding, Instruction(GateKind.H, 1, 1)).values()]
         assert as_int == as_kind and as_int[0] == as_int[1]
         assert as_int[0] != dump_state(initial_state(2, ExecConfig(n_qubits=2, rounding=rounding)))
+
+
+class TestPinnedDigests:
+    """Fixed-point end states pinned bit for bit: the first 16 hex digits of
+    the sha256 of the raw planes (little-endian int64, the real row first)
+    and the overflow flag, per (truncation, nearest, nearest_even) run.
+
+    The runs are every bundled fixture and a seeded 12-qubit, 400-gate,
+    30%-controlled circuit, from |0...0> and, to make the flag count, from
+    an edge state of min_raw, max_raw and 0 words.  A kernel rewrite must
+    keep every pin; the integer kernels must not depend on numpy's SIMD loops.
+    """
+
+    PINS = {
+        ("bell", 8): ("9dc275e5ccdf3e16", "9dc275e5ccdf3e16", "9dc275e5ccdf3e16"),
+        ("bell", 16): ("25afa26bc279026d", "25afa26bc279026d", "25afa26bc279026d"),
+        ("bell", 24): ("c21bc0c95ef54441", "8b06af9cc5cbdaa8", "8b06af9cc5cbdaa8"),
+        ("ghz4", 8): ("df60c99ed7a3592e", "df60c99ed7a3592e", "df60c99ed7a3592e"),
+        ("ghz4", 16): ("9f2e3f5ddac76e8f", "9f2e3f5ddac76e8f", "9f2e3f5ddac76e8f"),
+        ("ghz4", 24): ("9094b3eaa9b627a7", "d93c864e909f33bd", "d93c864e909f33bd"),
+        ("qft4", 8): ("7fa4117c407391ca", "3d876b6639d5312c", "d219110b9116bdfb"),
+        ("qft4", 16): ("2f60e525a028bcef", "4e90e6e4e72bf3f7", "0a070ff2692b4b59"),
+        ("qft4", 24): ("74c8732de687344a", "9aa16a3cdbcde04c", "9aa16a3cdbcde04c"),
+        ("rot_ladder", 8): ("3f8ec84d2794f770", "ea75197e43848571", "081b6be0af9df17b"),
+        ("rot_ladder", 16): ("1bd33431ea82fe11", "0b03b419d7c1b9e1", "3a738ecddf423d3b"),
+        ("rot_ladder", 24): ("e42dbb3cf634e7b7", "94693b838e1d37d1", "51d3393343fb6861"),
+        ("teleport", 8): ("a42ae3dc857d6ea5", "1f79a40578f6adb4", "1f79a40578f6adb4"),
+        ("teleport", 16): ("e4d98da5c28c70f9", "addd115d2d7341f8", "addd115d2d7341f8"),
+        ("teleport", 24): ("2e98e3782921d364", "8726e92be3afe307", "8726e92be3afe307"),
+        ("seeded12", 8): ("bd5aea9fd4b939ed", "1964599f775546c1", "0545e9bb89388ded"),
+        ("seeded12", 16): ("5ecca89b857fe77a", "64ce2832cb43d7f2", "5efcb47f3b350232"),
+        ("seeded12", 24): ("6710444ea49ab861", "a09abcebcacb9d8c", "a09abcebcacb9d8c"),
+        ("seeded12_edge", 8): ("d3af39c6430894f2", "98714514b3926673", "b81d3ba80603369c"),
+        ("seeded12_edge", 16): ("e19e2ea8d92423ec", "1785c23a8e49b0da", "ba651fb760f46bca"),
+        ("seeded12_edge", 24): ("cb8949ca0234a9c2", "885df17638e8d06c", "1ff1b7bd679f6498"),
+    }
+
+    @staticmethod
+    @functools.cache
+    def circuit(stem: str):
+        if stem.startswith("seeded12"):
+            return gates_as_circuit(random_gates(np.random.default_rng(12), 12, 400, 0.3), 12)
+        return qbemu.parse(qbemu.fixture_path(f"{stem}.qasm").read_text(encoding="ascii"))
+
+    @pytest.mark.parametrize("stem, bits", list(PINS), ids=str)
+    def test_end_state_and_flag_are_pinned(self, stem, bits):
+        circuit = self.circuit(stem)
+        got = []
+        for mode in MODES:
+            config = ExecConfig(n_qubits=12, imm_bits=8, data_bits=bits, rounding=mode)
+            initial = None
+            if stem.endswith("_edge"):
+                initial = edge_fixed_state(np.random.default_rng(bits), 12, config.fixed_format)
+            state = run(compile_circuit(circuit, config), config, initial=initial)
+            got.append((hashlib.sha256(state.raw.astype("<i8").tobytes()).hexdigest()[:16], state.overflow))
+        # only the edge start saturates
+        assert got == [(pin, stem.endswith("_edge")) for pin in self.PINS[stem, bits]]
 
 
 class TestFixedVsFloat:
