@@ -26,20 +26,18 @@ Measurement statistics can be sampled from either backend.
 The fixed kernels' cost is their element passes: at 12 qubits one pass
 over a couple tensor's 8,192 words takes 2-4 us.  Passes over the whole
 couple tensor (a reduction counts as one) and numpy calls per gate class,
-under nearest rounding: in the layout with one rounding bias per product,
-two range reductions per negation and a write-back after every kernel,
-and now::
+under nearest rounding::
 
-    class       passes                calls
-    X           1.5  -> 1.5            3 -> 3
-    Y           3.5  -> 3             10 -> 6
-    Z           2.5  -> 1.5            5 -> 3
-    S, SDG      1.75 -> 1.25           5 -> 4
-    H           9    -> 9 (8)         10 -> 10 (9)
-    T, TDG      4.5  -> 4.5           10 -> 10
-    RX, RZ      14.5 -> 12.5 (11.5)   16 -> 12 (11)
-    RY          14   -> 12 (11)       15 -> 11 (10)
-    U1          7    -> 6             15 -> 11
+    class       passes        calls
+    X           1.5           3
+    Y           3             6
+    Z           1.5           3
+    S, SDG      1.25          4
+    H           9 (8)         10 (9)
+    T, TDG      4.5           10
+    RX, RZ      12.5 (11.5)   12 (11)
+    RY          12 (11)       11 (10)
+    U1          6             11
 
 A rotation rounds its two products with one bias when its sine and cosine
 are nonzero with one sign (else each product takes its own: two passes
@@ -431,23 +429,17 @@ def _fixed_block(v: np.ndarray, kind: GateKind, alu: _FixedAlu, sincos) -> None:
         b[...] = alu.mul(alu.sat(t), alu.inv_sqrt2, bias)
 
 
-def _apply(state: State, kind: GateKind, target: int, control: int | None, sincos, alu: _FixedAlu | None) -> None:
-    """Apply one gate in place block by block: a fixed state's planes through ``alu``,
-    a float state's plane through one scratch, as blocks share one shape."""
-    v = _couple_tensor(state.amp[None] if alu is None else state.raw, target, control)
-    scratch = None
-    for block in (v,) if v[0].size <= _BLOCK else _blocks(v):
-        if alu is not None:
-            _fixed_block(block, kind, alu, sincos)
-        else:
-            scratch = np.empty_like(block) if scratch is None else scratch
-            _float_block(block, kind, sincos, scratch)
-
-
-def _alu(state: State, entries) -> _FixedAlu | None:
-    """A fixed ``state``'s ALU over table ``entries``, or None for a float state whose entries a table file may hold."""
+def _alu(state: State, table: AngleTable | None) -> _FixedAlu | None:
+    """The one table check, of backend and format (an empty table is read by no gate), then of every
+    entry: a fixed ``state``'s ALU over the entries, or None for a float state."""
+    entries = table.entries if table else ()
     if isinstance(state, FixedState):
+        if entries and table.fmt != state.fmt:
+            raise EngineError("fixed backend requires a fixed-point angle table" if table.fmt is None
+                              else "angle table format does not match state format")
         return _FixedAlu(state.fmt, entries)
+    if entries and table.fmt is not None:
+        raise EngineError("float backend requires a float-reference angle table")
     if bad := [x for pair in entries for x in pair if not math.isfinite(x)]:
         raise EngineError(f"angle table value {bad[0]!r} is not finite")
     if bad := [x for pair in entries for x in pair if abs(x) > FLOAT_ENTRY_MAX]:
@@ -455,73 +447,72 @@ def _alu(state: State, entries) -> _FixedAlu | None:
     return None
 
 
-def _table_error(state: State, table: AngleTable) -> str | None:
-    """Why ``state``'s backend cannot read ``table``'s entries as stored; None if it can."""
-    if isinstance(state, FloatState):
-        return None if table.fmt is None else "float backend requires a float-reference angle table"
-    if table.fmt is None:
-        return "fixed backend requires a fixed-point angle table"
-    return None if table.fmt == state.fmt else "angle table format does not match state format"
-
-
 _KINDS = tuple(GateKind)
 
 
-def apply_gate(state: State, instr: Instruction, table: AngleTable | None = None) -> State:
-    """Apply one decoded instruction in place and return the state."""
-    if instr.opcode in ROTATIONAL and table is None:
-        raise EngineError(f"{GateKind(instr.opcode).name} requires an angle table")
-    if error := field_error(instr.opcode, instr.target, instr.control, instr.imm, state.n_qubits, len(table or ())):
-        raise EngineError(error)
-    kind, control = _KINDS[instr.opcode], None if instr.control == instr.target else instr.control
-    if kind in ROTATIONAL and (error := _table_error(state, table)):
-        raise EngineError(error)
-    sincos = table.entries[instr.imm] if kind in ROTATIONAL else None
-    alu = _alu(state, [sincos] if sincos else ())
-    _apply(state, kind, instr.target, control, sincos, alu)
+def _execute(state: State, rows, table: AngleTable | None) -> State:
+    """Apply checked ``(opcode, target, control, imm)`` ``rows`` to ``state``
+    in place, each block by block, and return it.  The table is checked once,
+    and a fixed state's kernels share one ALU, whose sticky flag the state
+    takes at the end.  The loop body is the one per-instruction step, where
+    a trace record, an error bound or a row per format (ROADMAP items 2, 3
+    and 7) hooks in.
+    """
+    alu = _alu(state, table)
+    pairs, planes = table.entries if table else (), state.amp[None] if alu is None else state.raw
+    for opcode, target, control, imm in rows:
+        kind = _KINDS[opcode]
+        sincos = pairs[imm] if kind in ROTATIONAL else None
+        v = _couple_tensor(planes, target, None if control == target else control)
+        scratch = None  # a float gate's blocks share one shape, so one scratch
+        for block in (v,) if v[0].size <= _BLOCK else _blocks(v):
+            if alu is not None:
+                _fixed_block(block, kind, alu, sincos)
+            else:
+                scratch = np.empty_like(block) if scratch is None else scratch
+                _float_block(block, kind, sincos, scratch)
     if alu is not None:
         state.overflow = state.overflow or alu.overflow
     return state
+
+
+def apply_gate(state: State, instr: Instruction, table: AngleTable | None = None) -> State:
+    """Apply one decoded instruction in place and return the state, reading ``table`` as :func:`run` does."""
+    if instr.opcode in ROTATIONAL and table is None:
+        raise EngineError(f"{GateKind(instr.opcode).name} requires an angle table")
+    row = (instr.opcode, instr.target, instr.control, instr.imm)
+    if error := field_error(*row, state.n_qubits, len(table or ())):
+        raise EngineError(error)
+    return _execute(state, (row,), table)
 
 
 def run(program: CompiledProgram, config: ExecConfig, initial: State | None = None) -> State:
     """Execute a compiled program from |0...0> by default.
 
     The instruction columns are range-checked once, raising what
-    :func:`apply_gate` raises for the first bad instruction, and each
-    instruction then goes straight to its kernel.  A fixed run's kernels
-    share one ALU, whose sticky flag the state takes at the end.
+    :func:`apply_gate` raises for the first bad instruction, and then go
+    row by row through :func:`_execute`, the per-instruction step that
+    ROADMAP items 2, 3 and 7 hook into.
     """
-    n = program.used_qubits
+    n, table, ins = program.used_qubits, program.table, program.instructions
     if n > config.n_qubits:
-        raise EngineError(
-            f"program uses {n} qubits, architecture supports {config.n_qubits}"
-        )
+        raise EngineError(f"program uses {n} qubits, architecture supports {config.n_qubits}")
+    if len(table) > 1 << config.imm_bits:
+        raise EngineError(f"{len(table)} angle pairs, Q={config.imm_bits} allows {1 << config.imm_bits}")
     if initial is None:
         state = initial_state(n, config)
     else:
         if initial.n_qubits != n:
             raise EngineError("initial state size does not match program")
-        expect_float = config.is_float_reference
-        if expect_float != isinstance(initial, FloatState):
+        if config.is_float_reference != isinstance(initial, FloatState):
             raise EngineError("initial state backend does not match configuration")
         if isinstance(initial, FixedState) and initial.fmt != config.fixed_format:
             raise EngineError("initial state format does not match configuration")
         state = initial.copy()
-    table, ins = program.table, program.instructions
-    if len(table) and (error := _table_error(state, table)):  # an empty table is read by no gate
-        raise EngineError(error)
     if error := first_field_error(ins, n, len(table)):
         raise EngineError(error[1])
-    pairs, alu = table.entries, _alu(state, table.entries)
     columns = (ins.opcode, ins.target, ins.control, ins.imm)
-    for opcode, target, control, imm in zip(*(col.tolist() for col in columns)):
-        kind = _KINDS[opcode]
-        sincos = pairs[imm] if kind in ROTATIONAL else None
-        _apply(state, kind, target, None if control == target else control, sincos, alu)
-    if alu is not None:
-        state.overflow = state.overflow or alu.overflow
-    return state
+    return _execute(state, zip(*(col.tolist() for col in columns)), table)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +529,9 @@ def sample_counts(state: State, shots: int, seed: int | None = None) -> dict[int
     if shots <= 0:
         raise ValueError("shots must be positive")
     probs = state.probabilities()
-    total = probs.sum()
+    total = float(probs.sum())
+    if not math.isfinite(total):
+        raise EngineError(f"cannot sample from a state whose probability sum is {total}")
     if total <= 0.0:
         raise EngineError("cannot sample from an all-zero state")
     probs /= total

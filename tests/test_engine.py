@@ -391,43 +391,45 @@ class TestApplyGateFixed:
         assert np.array_equal(state.im, expect_im)
 
     @pytest.mark.parametrize(
-        "rounding, fmt, message",
+        "rounding, fmt, kind, message",
         [
-            ("float_reference", FixedPointFormat(20), "float backend requires a float-reference angle table"),
-            ("nearest", None, "fixed backend requires a fixed-point angle table"),
-            ("nearest", FixedPointFormat(12), "angle table format does not match state format"),
+            ("float_reference", FixedPointFormat(20), GateKind.RY, "float backend requires a float-reference angle table"),
+            ("nearest", None, GateKind.RY, "fixed backend requires a fixed-point angle table"),
+            ("nearest", FixedPointFormat(12), GateKind.RY, "angle table format does not match state format"),
+            ("nearest", None, GateKind.X, "fixed backend requires a fixed-point angle table"),
         ],
-        ids=["float_state", "fixed_state", "other_format"],
+        ids=["float_state", "fixed_state", "other_format", "gate_reading_no_entry"],
     )
-    def test_table_of_the_other_backend_refused(self, rounding, fmt, message):
-        # the kernels read table entries as stored, so a table must match its state's backend;
-        # apply_gate and run share one check and one set of messages
+    def test_table_of_the_other_backend_refused(self, rounding, fmt, kind, message):
+        # the kernels read table entries as stored, so a nonempty table must match its state's backend;
+        # apply_gate and run share one check and one set of messages, under any gate
         config = ExecConfig(n_qubits=1, rounding=rounding)
         table = AngleTable(fmt)
         table.intern(0.5)
         with pytest.raises(EngineError, match=f"^{message}$"):
-            apply_gate(initial_state(1, config), Instruction(GateKind.RY, 0, 0, 0), table)
+            apply_gate(initial_state(1, config), Instruction(kind, 0, 0, 0), table)
         with pytest.raises(EngineError, match=f"^{message}$"):
-            run(CompiledProgram([Instruction(GateKind.RY, 0, 0, 0)], table, 1), config)
+            run(CompiledProgram([Instruction(kind, 0, 0, 0)], table, 1), config)
 
     @pytest.mark.parametrize(
-        "rounding, entry, message",
+        "rounding, entries, message",
         [
-            ("nearest", (1 << 40, 0), "value 1099511627776 outside the 32-bit range [-2147483648, 2147483647]"),
-            ("nearest", (0, -(1 << 70)), f"value {-(1 << 70)} outside the 32-bit range [-2147483648, 2147483647]"),
-            ("float_reference", (math.nan, 1.0), "value nan is not finite"),
-            ("float_reference", (0.0, -math.inf), "value -inf is not finite"),
-            ("nearest", (0.9, 1.7), "value 0.9 is not an integer"),
-            ("float_reference", (3.0, 4.0), "value 3.0 out of range for float-reference mode"),
+            ("nearest", [(1 << 40, 0)], "value 1099511627776 outside the 32-bit range [-2147483648, 2147483647]"),
+            ("nearest", [(0, -(1 << 70))], f"value {-(1 << 70)} outside the 32-bit range [-2147483648, 2147483647]"),
+            ("float_reference", [(math.nan, 1.0)], "value nan is not finite"),
+            ("float_reference", [(0.0, -math.inf)], "value -inf is not finite"),
+            ("nearest", [(0.9, 1.7)], "value 0.9 is not an integer"),
+            ("float_reference", [(3.0, 4.0)], "value 3.0 out of range for float-reference mode"),
+            ("nearest", [(0, 1 << 30), (1 << 40, 0)], "value 1099511627776 outside the 32-bit range [-2147483648, 2147483647]"),
         ],
-        ids=["wraps_in_int64", "past_int64", "nan", "inf", "non_integer", "past_one"],
+        ids=["wraps_in_int64", "past_int64", "nan", "inf", "non_integer", "past_one", "entry_the_gate_does_not_read"],
     )
-    def test_out_of_range_or_non_finite_entry_refused(self, rounding, entry, message):
+    def test_out_of_range_or_non_finite_entry_refused(self, rounding, entries, message):
         # a fixed entry past the word's range wraps inside an int64 product, or past int64 cannot be held,
         # a fixed entry that is no integer would be truncated, a float NaN spreads through the state and a
-        # float entry past 1 scales it: apply_gate and run refuse them as a table file's are
+        # float entry past 1 scales it: apply_gate and run refuse them as a table file's are, in every entry
         config = ExecConfig(n_qubits=1, data_bits=32, rounding=rounding)
-        table = AngleTable(None if config.is_float_reference else config.fixed_format, [entry])
+        table = AngleTable(None if config.is_float_reference else config.fixed_format, entries)
         match = "^angle table " + re.escape(message) + "$"
         with pytest.raises(EngineError, match=match):
             apply_gate(initial_state(1, config), Instruction(GateKind.RY, 0, 0, 0), table)
@@ -754,6 +756,38 @@ class TestRun:
         with pytest.raises(EngineError, match="supports"):
             run(program, config)
 
+    def test_table_longer_than_q_allows_rejected(self, monkeypatch):
+        # as the program files and the board refuse it, before the state is allocated
+        config = ExecConfig(n_qubits=4)
+        program = CompiledProgram([Instruction(GateKind.H, 0, 0)], AngleTable(config.fixed_format, [(0, 1 << 18)] * 17), 1)
+        monkeypatch.setattr(engine, "initial_state", None)
+        with pytest.raises(EngineError, match="^17 angle pairs, Q=4 allows 16$"):
+            run(program, config)
+
+    @pytest.mark.parametrize("rounding", ["float_reference", "truncation", "nearest", "nearest_even"])
+    def test_stepping_equals_running(self, rounding):
+        # apply_gate over the instructions one at a time gives run's planes, flag and amplitudes bit for bit;
+        # edge states make the fixed kernels saturate
+        rng = np.random.default_rng(27)
+        flags = []
+        for bits in (8, 13, 20, 32):
+            config = ExecConfig(n_qubits=5, data_bits=bits, rounding=rounding, imm_bits=6)
+            for _ in range(3):
+                program = compile_circuit(gates_as_circuit(random_gates(rng, 5, 40), 5), config)
+                if config.is_float_reference:
+                    initial = random_float_state(rng, 5)
+                else:
+                    initial = edge_fixed_state(rng, 5, config.fixed_format)
+                ran, stepped = run(program, config, initial=initial), initial.copy()
+                for instr in program.instructions:
+                    apply_gate(stepped, instr, program.table)
+                if config.is_float_reference:
+                    assert np.array_equal(stepped.amp.view(np.int64), ran.amp.view(np.int64))
+                else:
+                    assert np.array_equal(stepped.raw, ran.raw) and stepped.overflow == ran.overflow
+                    flags.append(ran.overflow)
+        assert config.is_float_reference or any(flags)
+
     def test_rotational_gate_without_a_table_rejected(self):
         with pytest.raises(EngineError, match="^RY requires an angle table$"):
             apply_gate(FloatState(1), Instruction(GateKind.RY, 0, 0, 0))
@@ -947,6 +981,12 @@ class TestSampling:
         fmt = FixedPointFormat(10, "nearest")
         state = FixedState(1, fmt, np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64))
         with pytest.raises(EngineError, match="all-zero"):
+            sample_counts(state, 10, seed=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_probability_sum_rejected(self, bad):
+        state = FloatState(1, np.array([bad, 0.5]))
+        with pytest.raises(EngineError, match=f"^cannot sample from a state whose probability sum is {bad}$"):
             sample_counts(state, 10, seed=0)
 
     def test_positive_shots_required(self):
