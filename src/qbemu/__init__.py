@@ -29,6 +29,7 @@ from .engine import (
     dump_state,
     initial_state,
     run,
+    run_formats,
     sample_counts,
 )
 from .fixedpoint import FixedPointFormat, Rounding, from_real, round_shift

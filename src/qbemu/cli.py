@@ -26,7 +26,7 @@ from .compiler import (
     write_program_files,
 )
 from .config import FLOAT_REFERENCE, ROUNDING_CHOICES, ConfigError, ExecConfig, load_config, quote
-from .engine import EngineError, FixedState, dump_state, run, sample_counts
+from .engine import EngineError, FixedState, dump_state, run, run_formats, sample_counts
 from .hostlink import FramingError, ProtocolError, VirtualBoard, encode_session
 from .qasm import QasmError, parse_file
 
@@ -50,6 +50,7 @@ COMPARE_COLUMNS = (
     "acd",
     "prob_sum_model",
     "prob_sum_reference",
+    "overflow",
 )
 
 SWEEP_COLUMNS = (
@@ -68,6 +69,7 @@ SWEEP_COLUMNS = (
     "kld",
     "mcd",
     "acd",
+    "overflow",
 )
 
 
@@ -169,6 +171,7 @@ def cmd_compare(args) -> int:
     row = (
         qasm_path.stem, circuit.qubit_count, len(circuit.gates), config.data_bits, config.rounding,
         quality.fidelity, quality.kld, quality.mcd, quality.acd, quality.prob_sum_model, quality.prob_sum_reference,
+        int(isinstance(model_state, FixedState) and model_state.overflow),
     )
     _write_text(args.out, _csv(COMPARE_COLUMNS, [row]))
     return EXIT_OK
@@ -202,24 +205,28 @@ def cmd_sweep(args) -> int:
     _inputs(*circuit_paths)
     values = _sweep_values(args.axis, args.values)
     configs = [replace(base, **{_OVERRIDES[args.axis]: value}) for value in values]
+    formats = {}  # the window changes only hwmodel, so each format compiles and runs once
+    for config in configs:
+        formats.setdefault((config.data_bits, config.rounding), config)
     rows = []
     for path in circuit_paths:
         circuit = parse_file(path)
         reference = _float_reference(circuit, base)
-        models = {}  # the window changes only hwmodel, so each format compiles and runs once
+        programs = [compile_circuit(circuit, config) for config in formats.values()]
+        states = run_formats(programs, list(formats.values()))
+        models = {
+            fmt: (program, metrics.report(state, reference), int(state.overflow))
+            for fmt, program, state in zip(formats, programs, states)
+        }
         for value, config in zip(values, configs):
-            fmt = (config.data_bits, config.rounding)
-            if fmt not in models:
-                program = compile_circuit(circuit, config)
-                models[fmt] = program, metrics.report(run(program, config), reference)
-            program, quality = models[fmt]
+            program, quality, overflow = models[config.data_bits, config.rounding]
             resources = hwmodel.estimate_resources(config)
             latency = hwmodel.program_latency(program, config)
             rows.append((
                 path.stem, circuit.qubit_count, len(circuit.gates), args.axis, value,
                 config.data_bits, config.rounding, config.window,
                 resources.datapaths, resources.state_regfile_bits, latency.total_cycles,
-                quality.fidelity, quality.kld, quality.mcd, quality.acd,
+                quality.fidelity, quality.kld, quality.mcd, quality.acd, overflow,
             ))
     _write_text(args.out, _csv(SWEEP_COLUMNS, rows))
     return EXIT_OK

@@ -8,7 +8,7 @@ from functools import reduce
 
 import numpy as np
 
-from qbemu.engine import EngineError
+from qbemu.engine import EngineError, FixedState
 from qbemu.fixedpoint import FixedPointFormat, Rounding
 from qbemu.gates import ROTATIONAL, GateApplication, GateKind, gate_matrix
 
@@ -247,6 +247,14 @@ def random_gates(rng: np.random.Generator, n_qubits: int, n_gates: int,
     return gates
 
 
+def edge_fixed_state(rng: np.random.Generator, n: int, fmt: FixedPointFormat) -> FixedState:
+    """Raw parts drawn from min_raw, max_raw, 0 and random in-range words."""
+    words = rng.integers(fmt.min_raw, fmt.max_raw + 1, size=(2, 1 << n))
+    pick = rng.integers(0, 4, size=(2, 1 << n))
+    raw = np.select([pick == 0, pick == 1, pick == 2], [fmt.min_raw, fmt.max_raw, 0], words)
+    return FixedState(n, fmt, raw[0], raw[1])
+
+
 def gates_as_circuit(gates: list[GateApplication], n_qubits: int):
     """Wrap a raw gate list in a SourceCircuit shell for oracle/compile use."""
     from qbemu.qasm import SourceCircuit
@@ -285,6 +293,23 @@ def oracle_compile(circuit, config):
                     f"more than 2^Q distinct angles: table needs {len(table)} entries, "
                     f"Q={config.imm_bits} allows {limit}"
                 )
+        control = gate.control if gate.control is not None else gate.target
+        instructions.append(Instruction(gate.kind, gate.target, control, imm))
+    return instructions, table
+
+
+def format_program(gates, fmt: FixedPointFormat):
+    """``(instructions, table)`` of native ``gates`` at any fixed-point format,
+    those under the 8 bits an ``ExecConfig`` allows too, interned gate by gate
+    as :func:`oracle_compile` does, with no 2^Q limit."""
+    from qbemu.compiler import AngleTable, Instruction
+
+    table = AngleTable(fmt)
+    instructions = []
+    for gate in gates:
+        imm = 0
+        if gate.kind in ROTATIONAL:
+            imm = table.intern(gate.angle if gate.kind is GateKind.U1 else gate.angle / 2.0)
         control = gate.control if gate.control is not None else gate.target
         instructions.append(Instruction(gate.kind, gate.target, control, imm))
     return instructions, table

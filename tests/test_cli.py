@@ -357,6 +357,43 @@ class TestCompare:
         assert float(cols["fidelity"]) >= 0.999
 
 
+# 200 H gates on one qubit: at 9 bits 1/sqrt(2) rounds up to 91/128, so each H pair grows the
+# amplitude by 2 (91/128)^2 > 1 until it saturates; at 8 and 10 bits it rounds down or stays inside
+SATURATING_QASM = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\n' + "h q[0];\n" * 200
+
+
+class TestOverflowColumn:
+    def test_compare_flags_a_saturated_model(self, tmp_path, capsys):
+        qasm = tmp_path / "hh.qasm"
+        qasm.write_text(SATURATING_QASM)
+        flags = []
+        for bits in ("8", "9"):
+            assert main(["compare", str(qasm), "--bits", bits]) == 0
+            header, row = capsys.readouterr().out.strip().splitlines()
+            assert header.split(",")[-1] == "overflow"
+            flags.append(row.split(",")[-1])
+        assert flags == ["0", "1"]
+        assert main(["compare", str(qasm), "--rounding", "float_reference"]) == 0
+        assert capsys.readouterr().out.strip().splitlines()[1].split(",")[-1] == "0"
+
+    def test_sweep_rows_flag_as_compare_does(self, tmp_path, capsys):
+        # the widths run as rows of one walk, each with its own sticky flag
+        qasm = tmp_path / "hh.qasm"
+        qasm.write_text(SATURATING_QASM)
+        assert main(["sweep", str(qasm), "bits", "8,9,10,9"]) == 0
+        header, *rows = capsys.readouterr().out.strip().splitlines()
+        header = header.split(",")
+        assert header[-1] == "overflow"
+        rows = [dict(zip(header, row.split(","))) for row in rows]
+        assert [row["overflow"] for row in rows] == ["0", "1", "0", "1"]
+        cells = ("fidelity", "kld", "mcd", "acd", "overflow")
+        for row in rows:
+            assert main(["compare", str(qasm), "--bits", row["value"]]) == 0
+            cmp_header, cmp_row = capsys.readouterr().out.strip().splitlines()
+            expected = dict(zip(cmp_header.split(","), cmp_row.split(",")))
+            assert [row[c] for c in cells] == [expected[c] for c in cells]
+
+
 class TestSweep:
     def test_bits_sweep_rows(self, tmp_path, bell_qasm, config_file, capsys):
         rc = main(
@@ -426,8 +463,8 @@ class TestSweep:
         assert (rc, capsys.readouterr().err) == (1, f"usage error: bits sweep expects integers, got {'9' * 40!r}...\n")
 
     def test_each_circuit_parsed_and_referenced_once(self, tmp_path, config_file, capsys, monkeypatch):
-        # one parse and one float reference per circuit, one compile and one
-        # model run per row; the figures of merit equal compare's, row by row
+        # one parse and one float reference per circuit, one compile per row
+        # and one ladder of the rows; the figures of merit equal compare's, row by row
         from qbemu import cli
 
         circuits = tmp_path / "circuits"
@@ -449,9 +486,11 @@ class TestSweep:
             patch.setattr(cli, "compile_circuit", counted("compile", cli.compile_circuit))
             backend = lambda program, config, *rest: f"run.{'float' if config.is_float_reference else 'fixed'}"  # noqa: E731
             patch.setattr(cli, "run", counted(backend, cli.run))
+            ladder = lambda programs, configs: f"run_formats.{len(programs)}"  # noqa: E731
+            patch.setattr(cli, "run_formats", counted(ladder, cli.run_formats))
             rc = main(["sweep", str(circuits), "bits", "8,12,16", "--config", str(config_file)])
         assert rc == 0
-        assert calls == {"parse": 2, "compile": 2 * (3 + 1), "run.fixed": 2 * 3, "run.float": 2}
+        assert calls == {"parse": 2, "compile": 2 * (3 + 1), "run_formats.3": 2, "run.float": 2}
         header, *rows = capsys.readouterr().out.strip().splitlines()
         foms = ("fidelity", "kld", "mcd", "acd")
         for row in rows:
@@ -462,6 +501,39 @@ class TestSweep:
             expected = dict(zip(cmp_header.split(","), cmp_row.split(",")))
             assert [cols[k] for k in foms] == [expected[k] for k in foms]
 
+
+    # Three angles that share one (sin, cos) pair at 8 bits and not at 20: Q = 1 allows two pairs.
+    SPREAD_QASM = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\n' + "".join(f"rz({a}) q[0];\n" for a in (0.002, 0.004, 0.006))
+
+    def test_second_width_compile_error_exits_3(self, tmp_path, capsys):
+        qasm, cfg = tmp_path / "spread.qasm", tmp_path / "q2.cfg"
+        qasm.write_text(self.SPREAD_QASM)
+        cfg.write_text("N = 2\nQ = 2\n")
+        assert main(["sweep", str(qasm), "bits", "8,20", "--config", str(cfg)]) == 0  # three pairs fit Q = 2
+        capsys.readouterr()
+        cfg.write_text("N = 2\nQ = 1\n")
+        rc = main(["sweep", str(qasm), "bits", "8,20", "--config", str(cfg)])
+        message = "error: more than 2^Q distinct angles: table needs 3 entries, Q=1 allows 2\n"
+        assert (rc, capsys.readouterr()) == (3, ("", message))
+
+    def test_second_width_table_over_limit_exits_4(self, tmp_path, capsys, monkeypatch):
+        # a table longer than 2**Q reaches the engine only past the compiler: here the 20-bit one gets extra entries
+        from qbemu import cli
+
+        qasm, cfg = tmp_path / "spread.qasm", tmp_path / "q2.cfg"
+        qasm.write_text(self.SPREAD_QASM)
+        cfg.write_text("N = 2\nQ = 2\n")
+        compile_circuit = cli.compile_circuit
+
+        def padded(circuit, config):
+            program = compile_circuit(circuit, config)
+            if not config.is_float_reference and config.data_bits == 20:
+                program.table.entries.extend([(0, 0)] * 2)
+            return program
+
+        monkeypatch.setattr(cli, "compile_circuit", padded)
+        rc = main(["sweep", str(qasm), "bits", "8,20", "--config", str(cfg)])
+        assert (rc, capsys.readouterr()) == (4, ("", "runtime error: 5 angle pairs, Q=2 allows 4\n"))
 
     def test_window_sweep_compiles_and_runs_each_format_once(self, tmp_path, config_file, capsys, monkeypatch):
         # a window changes only the hardware model, so each circuit compiles
@@ -485,9 +557,10 @@ class TestSweep:
             patch.setattr(cli, "parse_file", counted("parse", cli.parse_file))
             patch.setattr(cli, "compile_circuit", counted("compile", cli.compile_circuit))
             patch.setattr(cli, "run", counted("run", cli.run))
+            patch.setattr(cli, "run_formats", counted("run_formats", cli.run_formats))
             rc = main(["sweep", str(circuits), "window", "0,1,2,3", "--config", str(config_file)])
         assert rc == 0
-        assert calls == {"parse": 2, "compile": 2 * (1 + 1), "run": 2 * (1 + 1)}  # model and float reference
+        assert calls == {"parse": 2, "compile": 2 * (1 + 1), "run": 2, "run_formats": 2}  # float reference and model
         header, *rows = capsys.readouterr().out.splitlines()
         alone = []
         for window in (0, 1, 2, 3):

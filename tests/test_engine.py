@@ -9,6 +9,7 @@ import itertools
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from _helpers import (
     couple_pairs,
     dense_oracle,
     dense_unitary,
+    edge_fixed_state,
     gates_as_circuit,
     oracle_mul_raw,
     oracle_quantize,
@@ -443,14 +445,6 @@ class TestApplyGateFixed:
             apply_gate(state, Instruction(GateKind.RX, 0, 0, imm=0), AngleTable(config.fixed_format))
 
 
-def edge_fixed_state(rng: np.random.Generator, n: int, fmt: FixedPointFormat) -> FixedState:
-    """Raw parts drawn from min_raw, max_raw, 0 and random in-range words."""
-    words = rng.integers(fmt.min_raw, fmt.max_raw + 1, size=(2, 1 << n))
-    pick = rng.integers(0, 4, size=(2, 1 << n))
-    raw = np.select([pick == 0, pick == 1, pick == 2], [fmt.min_raw, fmt.max_raw, 0], words)
-    return FixedState(n, fmt, raw[0], raw[1])
-
-
 @functools.cache
 def couple_pair_array(n: int, target: int, control: int | None) -> np.ndarray:
     return np.array(couple_pairs(n, target, control))
@@ -597,7 +591,7 @@ class TestSaturationShortcut:
     def test_product_in_range_matches_brute_force(self, mode):
         fmt = FixedPointFormat(8, mode)
         words = range(fmt.min_raw, fmt.max_raw + 1)
-        safe = engine._FixedAlu(fmt, [(k, k) for k in words]).safe
+        safe = engine._FixedAlu([fmt], [[(k, k) for k in words]]).safe[0]
         for k in words:
             expect = all(fmt.min_raw <= oracle_mul_raw(x, k, fmt) <= fmt.max_raw for x in words)
             assert (k in safe) == expect, k
@@ -612,7 +606,7 @@ class TestSaturationShortcut:
         program = compile_circuit(gates_as_circuit([gate], 2), config)
         s, c = program.table.entries[program.instructions[0].imm]
         assert (s, c) == (0, -(1 << fmt.fractional_bits))
-        assert c not in engine._FixedAlu(fmt, program.table.entries).safe
+        assert c not in engine._FixedAlu([fmt], [program.table.entries]).safe[0]
         initial = FixedState(2, fmt, np.full(4, fmt.min_raw), np.full(4, fmt.min_raw))
         state = run(program, config, initial=initial)
         assert state.re.tolist() == state.im.tolist() == [fmt.max_raw] * 4
@@ -629,7 +623,7 @@ class TestSaturationShortcut:
         imm = table.intern(math.pi + 0.01)
         s, c = table.entries[imm]
         assert (s, c) == (-1, -(1 << fmt.fractional_bits))
-        assert c not in engine._FixedAlu(fmt, table.entries).safe
+        assert c not in engine._FixedAlu([fmt], [table.entries]).safe[0]
         k = oracle_quantize(INV_SQRT2, fmt)
         words = (fmt.min_raw, fmt.max_raw, 0, -1)
         for a, b in itertools.product(itertools.product(words, repeat=2), repeat=2):
@@ -650,7 +644,7 @@ class TestSaturationShortcut:
         table = AngleTable(fmt)
         imm = table.intern(1.1) if kind in ROTATIONAL else 0
         sincos = table.entries[imm] if kind in ROTATIONAL else None
-        safe = engine._FixedAlu(fmt, table.entries).safe
+        safe = engine._FixedAlu([fmt], [table.entries]).safe[0]
         for m in sincos or (k,):
             assert m in safe
         a = (fmt.min_raw, fmt.max_raw)
@@ -833,6 +827,96 @@ class TestRun:
         float_prog = compile_circuit(circuit, float_cfg)
         with pytest.raises(EngineError):
             run(float_prog, fixed_cfg)
+
+
+class TestRunFormats:
+    """Formats of one circuit as the rows of a ladder: each row is its own run."""
+
+    MIXED = [("nearest", 8), ("truncation", 20), ("nearest", 32), ("nearest_even", 13), ("nearest", 13)]
+
+    @pytest.mark.parametrize(
+        "block, walks",
+        [
+            (engine._BLOCK, [[8, 32, 13], [20], [13]]),
+            (2 << 5, [[8, 32], [13], [20], [13]]),  # two 5-qubit rows per walk
+            (2, [[8], [32], [13], [20], [13]]),
+        ],
+    )
+    def test_rows_equal_separate_runs_in_order(self, monkeypatch, block, walks):
+        # one walk per rounding mode, in first-seen order, each of at most block >> n rows
+        rng = np.random.default_rng(41)
+        seen = []
+        execute = engine._execute
+
+        def counted(states, rows, tables):
+            seen.append([state.fmt.total_bits for state in states])
+            return execute(states, rows, tables)
+
+        monkeypatch.setattr(engine, "_BLOCK", block)
+        monkeypatch.setattr(engine, "_execute", counted)
+        configs = [ExecConfig(n_qubits=5, imm_bits=6, data_bits=b, rounding=r) for r, b in self.MIXED]
+        for _ in range(3):
+            circuit = gates_as_circuit(random_gates(rng, 5, 60), 5)
+            programs = [compile_circuit(circuit, config) for config in configs]
+            seen.clear()
+            states = engine.run_formats(programs, configs)
+            assert seen == walks
+            for state, program, config in zip(states, programs, configs):
+                alone = run(program, config)
+                assert state.fmt == config.fixed_format
+                assert np.array_equal(state.raw, alone.raw) and state.overflow == alone.overflow
+
+    def test_each_row_keeps_its_own_flag(self):
+        # 200 H gates on one qubit saturate at 9 bits, where 1/sqrt(2) rounds up, and at 8 and 10 bits do not
+        configs = [ExecConfig(n_qubits=1, data_bits=b) for b in (8, 9, 10)]
+        circuit = gates_as_circuit([GateApplication(GateKind.H, 0)] * 200, 1)
+        programs = [compile_circuit(circuit, config) for config in configs]
+        states = engine.run_formats(programs, configs)
+        assert [state.overflow for state in states] == [False, True, False]
+        for state, program, config in zip(states, programs, configs):
+            assert np.array_equal(state.raw, run(program, config).raw)
+
+    @pytest.mark.parametrize("kind", sorted(ROTATIONAL), ids=lambda kind: kind.name)
+    def test_one_bias_only_where_every_row_has_one_sign(self, kind):
+        # row 0's (sin, cos) has one sign and row 1's two: row 1's sine product is a tie, which
+        # nearest rounding breaks away from zero by its own sign, so it takes its own bias
+        fmts = [FixedPointFormat(8), FixedPointFormat(12)]
+        tables = [AngleTable(fmts[0], [(3, 5)]), AngleTable(fmts[1], [(-3, 5)])]
+        t = tie_operand(-3, fmts[1])
+        states = [FixedState(1, fmts[0], [1, -2], [3, 4]), FixedState(1, fmts[1], [t, -t], [t, t])]
+        alone = [state.copy() for state in states]
+        engine._execute(states, [(kind, 0, 0, (0, 0))], tables)
+        for state, own, table in zip(states, alone, tables):
+            apply_gate(own, Instruction(kind, 0, 0, 0), table)
+            assert np.array_equal(state.raw, own.raw)
+
+    def test_refusals(self):
+        config = ExecConfig(n_qubits=2, imm_bits=2)
+        pair = [GateApplication(GateKind.H, 0), GateApplication(GateKind.X, 1, control=0)]
+        bell = compile_circuit(gates_as_circuit(pair, 2), config)
+        with pytest.raises(EngineError, match="^run_formats needs one configuration per program"):
+            engine.run_formats([bell], [config, config])
+        with pytest.raises(EngineError, match="^run_formats needs one configuration per program"):
+            engine.run_formats([], [])
+        float_config = replace(config, rounding="float_reference")
+        with pytest.raises(EngineError, match="^run_formats runs fixed-point formats"):
+            engine.run_formats([bell, compile_circuit(gates_as_circuit(pair, 2), float_config)],
+                               [config, float_config])
+        other = compile_circuit(gates_as_circuit([GateApplication(GateKind.H, 1)] * 2, 2), config)
+        wider = compile_circuit(gates_as_circuit([GateApplication(GateKind.H, 0)] * 2, 3), replace(config, n_qubits=3))
+        for program in (other, wider):
+            with pytest.raises(EngineError, match="^run_formats programs differ in qubits or in opcode"):
+                engine.run_formats([bell, program], [config, replace(config, data_bits=12, n_qubits=3)])
+
+    def test_second_program_refused_as_run_refuses_it(self):
+        config = ExecConfig(n_qubits=2, imm_bits=2)
+        circuit = gates_as_circuit([GateApplication(GateKind.RY, 0, angle=0.5)], 2)
+        good, long = (compile_circuit(circuit, config) for _ in range(2))
+        long.table.entries.extend([(0, 1 << 18)] * 4)
+        with pytest.raises(EngineError, match="^5 angle pairs, Q=2 allows 4$"):
+            run(long, config)
+        with pytest.raises(EngineError, match="^5 angle pairs, Q=2 allows 4$"):
+            engine.run_formats([good, long], [config, config])
 
 
 class TestInstructionFieldsFromTheApi:

@@ -37,8 +37,8 @@ def real(raw, fmt: FixedPointFormat) -> float:
 
 def mul(a: int, b: int, fmt: FixedPointFormat) -> tuple[int, bool]:
     """One kernel multiplier output ``a * b`` from the engine's ALU, and its flag."""
-    alu = _FixedAlu(fmt)
-    return int(alu.mul(np.array([a], dtype=np.int64), b)[0]), alu.overflow
+    alu = _FixedAlu([fmt])
+    return int(alu.mul(np.array([a], dtype=np.int64), (b,))[0]), alu.overflow
 
 
 class TestFormat:
@@ -104,19 +104,19 @@ class TestAdd:
     """Kernels add with numpy and saturate through ``_FixedAlu.sat``."""
 
     def test_simple(self):
-        alu = _FixedAlu(N20)
+        alu = _FixedAlu([N20])
         assert real(alu.sat(fx(0.5, N20) + fx(0.25, N20)), N20) == 0.75
         assert not alu.overflow
 
     def test_saturates_with_flag(self):
-        alu = _FixedAlu(N20)
+        alu = _FixedAlu([N20])
         r = alu.sat(fx(1.9, N20) + fx(1.9, N20))
         assert r[0] == N20.max_raw and alu.overflow
 
     def test_additive_inverse(self):
         rng = np.random.default_rng(3)
         a = rng.integers(N20.min_raw + 1, N20.max_raw, size=100)
-        alu = _FixedAlu(N20)
+        alu = _FixedAlu([N20])
         assert np.all(alu.sat(a + alu.neg(a.copy())) == 0)
         assert not alu.overflow
 
@@ -127,7 +127,7 @@ class TestAdd:
             apply_gate(FixedState(1, N20), Instruction(GateKind.RY, 0, 0, 0), table)
 
     def test_sticky_flag_propagates(self):
-        alu = _FixedAlu(N20)
+        alu = _FixedAlu([N20])
         bad = alu.sat(np.array([N20.max_raw + 1], dtype=np.int64))
         assert alu.overflow
         alu.sat(bad + fx(-1.0, N20))  # in range: the flag stays set
@@ -138,27 +138,27 @@ class TestAdd:
         assert state.overflow
 
     def test_sub_exact_and_at_min_edge(self):
-        alu = _FixedAlu(N20)
+        alu = _FixedAlu([N20])
         assert real(alu.sat(fx(0.5, N20) - fx(0.75, N20)), N20) == -0.25
         rng = np.random.default_rng(13)
         a = rng.integers(N20.min_raw, N20.max_raw + 1, size=100)
         b = rng.integers(N20.min_raw + 1, N20.max_raw + 1, size=100)
         assert np.array_equal(alu.sat(a - b), alu.sat(a + alu.neg(b.copy())))
         # direct subtraction handles b == min_raw, where negation alone saturates
-        alu = _FixedAlu(N20)
+        alu = _FixedAlu([N20])
         r = alu.sat(np.array([0], dtype=np.int64) - N20.min_raw)
         assert r[0] == N20.max_raw and alu.overflow
 
 
 class TestNegate:
     def test_simple(self):
-        alu = _FixedAlu(N20)
+        alu = _FixedAlu([N20])
         assert real(alu.neg(fx(0.75, N20)), N20) == -0.75
         assert alu.neg(fx(0.0, N20))[0] == 0
         assert not alu.overflow
 
     def test_min_raw_saturates(self):
-        alu = _FixedAlu(N20)
+        alu = _FixedAlu([N20])
         r = alu.neg(np.array([N20.min_raw], dtype=np.int64))
         assert r[0] == N20.max_raw and alu.overflow
 

@@ -53,10 +53,13 @@ from qbemu.qasm import QasmError, parse
 from _helpers import (
     OracleAlu,
     couple_pairs,
+    edge_fixed_state,
+    format_program,
     gates_as_circuit,
     oracle_compile,
     oracle_quantize,
     oracle_round,
+    random_gates,
     scalar_fixed_kernel,
 )
 
@@ -378,15 +381,9 @@ def kernel_cases(draw):
     return fmt, n, planes, kind, target, control, pair, block
 
 
-@settings(max_examples=400, deadline=None)
-@given(kernel_cases())
-def test_array_kernels_match_fraction_oracle(case):
-    fmt, n, (re, im), kind, target, control, pair, block = case
-    table = AngleTable(fmt)
-    table.entries.append(pair)
-    state = FixedState(n, fmt, re, im)
-    with mock.patch.object(engine, "_BLOCK", block):
-        apply_gate(state, Instruction(kind, target, target if control is None else control, 0), table)
+def assert_oracle_kernel(state: FixedState, case) -> None:
+    """``state`` is ``case``'s gate applied to its planes, couple by couple, by the Fraction oracle."""
+    fmt, n, (re, im), kind, target, control, pair, _ = case
     alu = OracleAlu(fmt)
     k = oracle_quantize(INV_SQRT2, fmt)
     expect_re, expect_im = list(re), list(im)
@@ -398,6 +395,81 @@ def test_array_kernels_match_fraction_oracle(case):
     assert state.re.tolist() == expect_re
     assert state.im.tolist() == expect_im
     assert state.overflow == alu.overflow
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_cases())
+def test_array_kernels_match_fraction_oracle(case):
+    fmt, n, (re, im), kind, target, control, pair, block = case
+    table = AngleTable(fmt)
+    table.entries.append(pair)
+    state = FixedState(n, fmt, re, im)
+    with mock.patch.object(engine, "_BLOCK", block):
+        apply_gate(state, Instruction(kind, target, target if control is None else control, 0), table)
+    assert_oracle_kernel(state, case)
+
+
+@st.composite
+def ladder_kernel_cases(draw):
+    """A kernel case as row 1 of a three-row ladder, whose rows 0 and 2 hold
+    random words and table pairs of widths from 3 to 32 bits in its mode."""
+    case = draw(kernel_cases())
+    fmt, n = case[0], case[1]
+    others = []
+    for _ in range(2):
+        other = FixedPointFormat(draw(st.integers(3, 32) | st.sampled_from([3, 32])), fmt.rounding)
+        words = st.integers(other.min_raw, other.max_raw)
+        planes = [draw(st.lists(words, min_size=1 << n, max_size=1 << n)) for _ in range(2)]
+        others.append((other, planes, (draw(words), draw(words))))
+    return case, others
+
+
+@settings(max_examples=300, deadline=None)
+@given(ladder_kernel_cases())
+def test_ladder_row_kernels_match_fraction_oracle(ladder_case):
+    # row 1's constants are scaled to the widest row's fraction, and still round as its own format
+    case, others = ladder_case
+    fmt, n, planes, kind, target, control, pair, block = case
+    rows = [others[0], (fmt, planes, pair), others[1]]
+    states = [FixedState(n, f, *p) for f, p, _ in rows]
+    tables = [AngleTable(f, [p]) for f, _, p in rows]
+    op = (kind, target, target if control is None else control, (0, 0, 0))
+    with mock.patch.object(engine, "_BLOCK", block):
+        engine._execute(states, [op], tables)
+    assert_oracle_kernel(states[1], case)
+
+
+@st.composite
+def ladders(draw):
+    """Rows of mixed widths from 3 to 32 bits in one rounding mode, each from
+    an edge state, and a seeded random circuit with controls."""
+    mode = draw(st.sampled_from(list(Rounding)))
+    widths = draw(st.lists(st.integers(3, 32) | st.sampled_from([3, 32]), min_size=2, max_size=5))
+    n, n_gates, seed = draw(st.integers(1, 4)), draw(st.integers(1, 30)), draw(st.integers(0, 2**32 - 1))
+    return mode, widths, n, n_gates, seed, draw(st.sampled_from([2, 4, engine._BLOCK]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ladders())
+def test_ladder_rows_equal_their_own_runs(case):
+    # edge words make some rows saturate while others do not; each row keeps its own flag
+    mode, widths, n, n_gates, seed, block = case
+    rng = np.random.default_rng(seed)
+    gates = random_gates(rng, n, n_gates)
+    fmts = [FixedPointFormat(w, mode) for w in widths]
+    programs = [format_program(gates, fmt) for fmt in fmts]
+    states = [edge_fixed_state(rng, n, fmt) for fmt in fmts]
+    alone = [state.copy() for state in states]
+    ops = [(i.opcode, i.target, i.control) for i in programs[0][0]]
+    imms = zip(*([i.imm for i in instructions] for instructions, _ in programs))
+    with mock.patch.object(engine, "_BLOCK", block):
+        engine._execute(states, [(*op, imm) for op, imm in zip(ops, imms)], [table for _, table in programs])
+        for state, (instructions, table) in zip(alone, programs):
+            for instr in instructions:
+                apply_gate(state, instr, table)
+    for row, own in zip(states, alone):
+        assert row.fmt == own.fmt
+        assert np.array_equal(row.raw, own.raw) and row.overflow == own.overflow
 
 
 # ---------------------------------------------------------------------------
