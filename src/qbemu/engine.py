@@ -17,9 +17,9 @@ Two interchangeable backends execute the same instruction streams:
   two-multiplier rotational) and round every multiplier output individually;
   no kernel performs a general 2x2 complex multiply.  Its real and imaginary
   parts are the two planes of its tensor, so each kernel step covers both.
-  A walk computes through one saturating ALU, which quantizes 1/sqrt(2) and
-  finds the products that need no range check once, for the whole table,
-  and keeps every kernel temporary in scratch that all its gates reuse.
+  A walk computes through one saturating ALU, which checks no product by a
+  constant in ``(-1, 1]``, as none can leave the range, and keeps every
+  kernel temporary in scratch that all its gates reuse.
 
 Measurement statistics can be sampled from either backend.
 
@@ -167,7 +167,7 @@ class FixedState:
     ``raw`` is one ``(2, 2**n)`` int64 array holding the real plane in row 0
     and the imaginary plane in row 1; ``re`` and ``im`` are views of those
     rows.  The constructor copies caller-supplied parts, whose raw values
-    must lie in the word's range ``[fmt.min_raw, fmt.max_raw]``.
+    must be integers in the word's range ``[fmt.min_raw, fmt.max_raw]``.
     ``overflow`` is the sticky saturation flag aggregated over all kernel
     arithmetic applied to this state.
     """
@@ -191,17 +191,14 @@ class FixedState:
             raw = np.zeros((2, size), dtype=np.int64)
             raw[0, 0] = 1 << fmt.fractional_bits
         else:
-            try:
-                re, im = np.asarray(re, dtype=np.int64), np.asarray(im, dtype=np.int64)
-            except OverflowError:  # past int64, so out of range: kept exact to be named
-                re, im = np.asarray(re, dtype=object), np.asarray(im, dtype=object)
+            re, im = _raw_plane(re), _raw_plane(im)
             if re.shape != (size,) or im.shape != (size,):
                 raise ValueError("amplitude count does not match qubit count")
             raw = np.stack((re, im))
             # The kernels' int64 headroom holds only for in-range words.
-            error = range_error(raw, fmt.total_bits)
-            if error:
+            if error := range_error(raw, fmt.total_bits):
                 raise EngineError(f"raw {error}")
+            raw = raw.astype(np.int64, copy=False)
         self.raw = raw
         self.overflow = False
 
@@ -235,6 +232,22 @@ class FixedState:
         return p
 
 
+def _raw_plane(values) -> np.ndarray:
+    """``values`` as an array of ints: a signed-int array as given, integral
+    floats below ``2**62`` as int64, else exact Python ints, which keep a value
+    past int64 to be named.  A value that no int equals (0.9, '3', a NaN),
+    which an int64 conversion would change, is refused."""
+    plane = np.asarray(values)
+    if plane.dtype.kind == "i":
+        return plane
+    if plane.dtype.kind == "f" and (plane == np.trunc(plane)).all() and (abs(plane) < 2.0**62).all():
+        return plane.astype(np.int64)
+    flat = plane.ravel().tolist()
+    if bad := [x for x in flat if not (isinstance(x, (int, np.integer)) or isinstance(x, float) and x.is_integer())]:
+        raise EngineError(f"raw value {bad[0]!r} is not an integer")
+    return np.array(list(map(int, flat)), dtype=object).reshape(plane.shape)
+
+
 State = FloatState | FixedState
 
 
@@ -261,13 +274,13 @@ class _FixedAlu:
     themselves.  A constant is one raw word per row, multiplied as a column
     scaled by ``2**(shift - f)``, where ``f`` is the row's fractional width,
     so that one bias and one ``>> shift`` round every row as its own format
-    would.  ``safe[i]`` holds row ``i``'s words -- its 1/sqrt(2),
-    ``inv_sqrt2[i]``, and the raw ``(sin, cos)`` entries of ``tables[i]`` --
-    whose product with any in-range word rounds into the range: rounding is
-    monotone, so the rounded products of ``min_raw`` and ``max_raw`` bound
-    all others.  A constant's range check is skipped when every row's word
-    is safe.  An entry that is no integer, or is outside its row's range,
-    is refused as a table file's is, before int64 holds it.
+    would.  With ``one = 2**f``, a word ``w`` is safe, its products with all
+    in-range words ``x`` rounding into the range, exactly when
+    ``-one < w <= one``: if ``|w| < one``, ``|x w| / one <= 2**(f+1) - 2``,
+    and ``w = one`` is exact; ``w = -one`` takes ``min_raw`` out of range,
+    and ``|w| > one`` takes ``max_raw`` or ``min_raw`` out under every
+    rounding.  So a row's 1/sqrt(2), ``inv_sqrt2[i]``, is never checked, nor
+    is a constant safe in every row: in a compiled table only -1.0 is not.
     """
 
     def __init__(self, fmts, tables=None):
@@ -275,11 +288,11 @@ class _FixedAlu:
         self.lo, self.hi = [fmt.min_raw for fmt in fmts], [fmt.max_raw for fmt in fmts]
         self.flags = [False] * len(fmts)
         self.tables = tables or [()] * len(fmts)
-        self.inv_sqrt2, self.safe = zip(*map(_row_words, fmts, self.tables))
+        self.inv_sqrt2 = tuple(map(_inv_sqrt2, fmts))
+        self._one = [1 << fmt.fractional_bits for fmt in fmts]
         self._scale = [1 << (self.shift - fmt.fractional_bits) for fmt in fmts]
         self._rows = range(len(fmts))
         self._flat = np.empty(0, dtype=np.int64)
-        self._inv_sqrt2_safe = self._all_safe(self.inv_sqrt2)
         self._columns, self._pairs = {}, {}
 
     @property
@@ -301,8 +314,8 @@ class _FixedAlu:
         return column
 
     def _all_safe(self, words: tuple) -> bool:
-        """Whether each row's word of ``words`` is in its ``safe`` set."""
-        return all(map(operator.contains, self.safe, words))
+        """Whether each row's word of ``words`` is safe: ``-one < w <= one``."""
+        return all(-one < w <= one for w, one in zip(words, self._one))
 
     def _pair(self, imm: tuple) -> tuple[tuple, tuple, bool, bool, bool]:
         """The rows' sines and cosines, row ``i`` reading entry ``imm[i]`` of its
@@ -375,8 +388,7 @@ class _FixedAlu:
         and left in ``out`` (or ``a``); ``bias``, if given, holds the rounding
         bias.  The range check is skipped for a constant safe in every row."""
         wide = round_shift(np.multiply(a, self._column(k, a.ndim), out=a), self.shift, self.mode, bias, out)
-        safe = self._inv_sqrt2_safe if k is self.inv_sqrt2 else self._all_safe(k)
-        return wide if safe else self.sat(wide)
+        return wide if k is self.inv_sqrt2 or self._all_safe(k) else self.sat(wide)
 
     def mul_pair(self, a: np.ndarray, imm: tuple) -> tuple[np.ndarray, np.ndarray]:
         """``a * c`` and ``a * s`` rounded, in stacked scratch, for the rows'
@@ -396,31 +408,10 @@ class _FixedAlu:
         return p, q
 
 
-def _safe_words(fmt: FixedPointFormat, words: list) -> set:
-    """The ``words`` whose products with every in-range word of ``fmt`` round into the range."""
-    lo, hi = fmt.min_raw, fmt.max_raw
-    k = np.array(words, dtype=np.int64)
-    ends = round_shift(k[:, None] * np.array([lo, hi]), fmt.fractional_bits, fmt.rounding)
-    return set(k[((lo <= ends) & (ends <= hi)).all(axis=1)].tolist())
-
-
 @functools.cache
-def _inv_sqrt2(fmt: FixedPointFormat) -> tuple[int, frozenset]:
-    """``fmt``'s 1/sqrt(2) word, and a set holding it if it is safe."""
-    k = from_real(INV_SQRT2, fmt)
-    return k, frozenset(_safe_words(fmt, [k]))
-
-
-def _row_words(fmt: FixedPointFormat, entries) -> tuple[int, set]:
-    """A row's 1/sqrt(2) and its safe words, once its table ``entries`` are checked."""
-    lo, hi = fmt.min_raw, fmt.max_raw
-    values = [x for pair in entries for x in pair]
-    if bad := [x for x in values if not isinstance(x, (int, np.integer))]:
-        raise EngineError(f"angle table value {bad[0]!r} is not an integer")
-    if values and not lo <= min(values) <= max(values) <= hi:
-        raise EngineError("angle table " + next(filter(None, (range_error(x, fmt.total_bits) for x in values))))
-    k, safe = _inv_sqrt2(fmt)
-    return k, safe | _safe_words(fmt, values) if values else safe
+def _inv_sqrt2(fmt: FixedPointFormat) -> int:
+    """``fmt``'s 1/sqrt(2) word."""
+    return from_real(INV_SQRT2, fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -581,13 +572,18 @@ def _fixed_block(v: np.ndarray, kind: GateKind, alu: _FixedAlu, imm: tuple) -> N
 
 def _alu(states: list, tables: list) -> _FixedAlu | None:
     """The one table check, of backend and format (an empty table is read by no
-    gate), then of every entry: the fixed states' ALU over their tables'
-    entries, or None for a float state."""
+    gate), then of every entry as a table file's, before int64 holds it: the
+    fixed states' ALU over their tables' entries, or None for a float state."""
     if isinstance(states[0], FixedState):
         for state, table in zip(states, tables):
             if table and table.fmt != state.fmt:
                 raise EngineError("fixed backend requires a fixed-point angle table" if table.fmt is None
                                   else "angle table format does not match state format")
+            values, fmt = [x for pair in table.entries for x in pair] if table else (), state.fmt
+            if bad := [x for x in values if not isinstance(x, (int, np.integer))]:
+                raise EngineError(f"angle table value {bad[0]!r} is not an integer")
+            if values and not fmt.min_raw <= min(values) <= max(values) <= fmt.max_raw:
+                raise EngineError("angle table " + next(filter(None, (range_error(x, fmt.total_bits) for x in values))))
         return _FixedAlu([state.fmt for state in states], [table.entries if table else () for table in tables])
     [table] = tables
     entries = table.entries if table else ()

@@ -43,7 +43,7 @@ from .columns import Columns
 from .compiler import _HEX_CHARS, _HEX_VALUES, _INTEGER, AngleTable, CompiledProgram, bad_line, decode_words, encode_words
 from .compiler import field_error, word_error, word_fields
 from .config import ExecConfig
-from .engine import FixedState, run
+from .engine import FixedState, dump_state, run
 from .fixedpoint import FixedPointFormat, range_error
 
 
@@ -245,11 +245,9 @@ def encode_session(program: CompiledProgram, config: ExecConfig) -> bytes:
 
 
 def encode_readback(state: FixedState) -> bytes:
-    """Amplitude stream: raw signed decimal, real then imaginary, per index."""
-    lines = []
-    for r, m in zip(state.re.tolist(), state.im.tolist()):
-        lines.append(f"{r}\n{m}\n")
-    return "".join(lines).encode("ascii")
+    """Amplitude stream: raw signed decimal, real then imaginary, per index:
+    :func:`~qbemu.engine.dump_state`'s lines with one value per line."""
+    return dump_state(state).replace(" ", "\n").encode("ascii")
 
 
 def decode_readback(data: bytes, fmt: FixedPointFormat, n_qubits: int) -> FixedState:

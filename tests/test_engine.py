@@ -280,6 +280,23 @@ class TestApplyGateFixed:
         state = FixedState(1, fmt, [127, -128], [-128, 127])
         assert state.re.tolist() == [127, -128]
 
+    @pytest.mark.parametrize("value", [0.9, -2.5, "3", math.nan, math.inf, 1 + 0j])
+    def test_raw_values_that_are_no_integers_rejected(self, value):
+        # an int64 conversion would truncate 0.9 and -2.5, parse '3' and fail on the rest;
+        # the state refuses each, as the table check refuses such entries
+        fmt = FixedPointFormat(8)
+        message = f"^raw value {re.escape(repr(value))} is not an integer$"
+        with pytest.raises(EngineError, match=message):
+            FixedState(1, fmt, [value, 0], [0, 0])
+        with pytest.raises(EngineError, match=message):
+            FixedState(1, fmt, [0, 0], [value, 0])
+        # nor is a uint64 word past int64 wrapped into the range
+        with pytest.raises(EngineError, match=rf"^raw value {1 << 63} outside the 8-bit range"):
+            FixedState(1, fmt, np.array([1 << 63, 0], dtype=np.uint64), [0, 0])
+        # integral values of any type are words, as a rounded float array's are
+        state = FixedState(1, fmt, np.array([3.0, -128.0]), np.array([5, 127], dtype=np.uint8))
+        assert state.raw.dtype == np.int64 and state.raw.tolist() == [[3, -128], [5, 127]]
+
     def test_copy_does_not_rescan(self):
         # run(..., initial=...) copies the state on every call; the copy trusts
         # the state it copies, so a word planted after construction survives it
@@ -585,16 +602,28 @@ MODES = ("truncation", "nearest", "nearest_even")
 
 
 class TestSaturationShortcut:
-    """A product's range check is skipped only for constants proven safe."""
+    """A product's range check is skipped only for constants proven safe: words in ``(-2**f, 2**f]``."""
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_product_in_range_matches_brute_force(self, mode):
-        fmt = FixedPointFormat(8, mode)
+    @pytest.mark.parametrize("bits", range(3, 11))
+    def test_product_in_range_matches_brute_force(self, bits, mode):
+        fmt = FixedPointFormat(bits, mode)
         words = range(fmt.min_raw, fmt.max_raw + 1)
-        safe = engine._FixedAlu([fmt], [[(k, k) for k in words]]).safe[0]
+        safe = engine._FixedAlu([fmt])._all_safe
         for k in words:
             expect = all(fmt.min_raw <= oracle_mul_raw(x, k, fmt) <= fmt.max_raw for x in words)
-            assert (k in safe) == expect, k
+            assert safe((k,)) == expect, k
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("bits", range(11, 33))
+    def test_edge_words_match_their_extreme_products(self, bits, mode):
+        # rounding is monotone, so the products of min_raw and max_raw bound every other word's
+        fmt = FixedPointFormat(bits, mode)
+        one = 1 << fmt.fractional_bits
+        safe = engine._FixedAlu([fmt])._all_safe
+        for k in (fmt.min_raw, -one - 1, -one, -one + 1, one - 1, one, one + 1, fmt.max_raw):
+            expect = all(fmt.min_raw <= oracle_mul_raw(x, k, fmt) <= fmt.max_raw for x in (fmt.min_raw, fmt.max_raw))
+            assert safe((k,)) == expect == (-one < k <= one), k
 
     @pytest.mark.parametrize("bits", [8, 24, 32])
     @pytest.mark.parametrize("mode", MODES)
@@ -606,7 +635,7 @@ class TestSaturationShortcut:
         program = compile_circuit(gates_as_circuit([gate], 2), config)
         s, c = program.table.entries[program.instructions[0].imm]
         assert (s, c) == (0, -(1 << fmt.fractional_bits))
-        assert c not in engine._FixedAlu([fmt], [program.table.entries]).safe[0]
+        assert not engine._FixedAlu([fmt])._all_safe((c,))
         initial = FixedState(2, fmt, np.full(4, fmt.min_raw), np.full(4, fmt.min_raw))
         state = run(program, config, initial=initial)
         assert state.re.tolist() == state.im.tolist() == [fmt.max_raw] * 4
@@ -623,7 +652,7 @@ class TestSaturationShortcut:
         imm = table.intern(math.pi + 0.01)
         s, c = table.entries[imm]
         assert (s, c) == (-1, -(1 << fmt.fractional_bits))
-        assert c not in engine._FixedAlu([fmt], [table.entries]).safe[0]
+        assert not engine._FixedAlu([fmt])._all_safe((c,))
         k = oracle_quantize(INV_SQRT2, fmt)
         words = (fmt.min_raw, fmt.max_raw, 0, -1)
         for a, b in itertools.product(itertools.product(words, repeat=2), repeat=2):
@@ -644,9 +673,9 @@ class TestSaturationShortcut:
         table = AngleTable(fmt)
         imm = table.intern(1.1) if kind in ROTATIONAL else 0
         sincos = table.entries[imm] if kind in ROTATIONAL else None
-        safe = engine._FixedAlu([fmt], [table.entries]).safe[0]
+        safe = engine._FixedAlu([fmt])._all_safe
         for m in sincos or (k,):
-            assert m in safe
+            assert safe((m,))
         a = (fmt.min_raw, fmt.max_raw)
         alu = OracleAlu(fmt)
         expect_a, expect_b = scalar_fixed_kernel(kind, a, (0, 0), k, sincos, alu)

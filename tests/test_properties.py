@@ -31,7 +31,7 @@ from qbemu.compiler import (
 )
 from qbemu.config import MAX_QUBITS, ExecConfig
 from qbemu.engine import FixedState, apply_gate
-from qbemu.fixedpoint import FixedPointFormat, Rounding, round_shift
+from qbemu.fixedpoint import FixedPointFormat, Rounding, from_real, round_shift
 from qbemu.gates import INV_SQRT2, ROTATIONAL, GateApplication, GateKind
 from qbemu.hostlink import (
     _FRAME_RUN,
@@ -347,6 +347,22 @@ def test_memoized_interning_equals_fresh_quantization(fmt, angles):
     assert len(table) == len(want_entries)
     # repr keeps the sign of a float-reference zero visible
     assert [tuple(map(repr, p)) for p in table.entries] == [tuple(map(repr, p)) for p in want_entries]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 32), st.sampled_from(list(Rounding)), angle_lists())
+def test_compiled_constants_lie_in_minus_one_to_one(bits, mode, angles):
+    # the ALU skips the range check of a product by a word in (-one, one], so of the constants
+    # a compiled program multiplies by, only -one, a sine or cosine of -1.0, keeps its check
+    fmt = FixedPointFormat(bits, mode)
+    one, table = 1 << fmt.fractional_bits, AngleTable(fmt)
+    for angle in angles:
+        table.intern(angle)
+    words = [w for pair in table.entries for w in pair] + [from_real(INV_SQRT2, fmt)]
+    assert all(-one <= w <= one for w in words)
+    safe = engine._FixedAlu([fmt])._all_safe
+    assert {w for w in words if not safe((w,))} <= {-one}
+    assert safe((from_real(INV_SQRT2, fmt),))
 
 
 # ---------------------------------------------------------------------------
