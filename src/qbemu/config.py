@@ -19,12 +19,14 @@ FLOAT_REFERENCE = "float_reference"
 
 ROUNDING_CHOICES = ("truncation", "nearest", "nearest_even", FLOAT_REFERENCE)
 
-# Widest data word: the engine's int64 arrays hold products of two such words
-# (at most 2**62) with room for rounding.
+# Widest data word: a fixed state's int32 planes hold such words exactly, and
+# the engine's int64 arithmetic holds products of two of them (at most 2**62)
+# with room for rounding.
 MAX_DATA_BITS = 32
 
-# Largest state either backend allocates: 2**N amplitudes of 16 bytes each
-# (one complex128, or one int64 in each of the two fixed-point planes).
+# Largest state either backend allocates: 2**N amplitudes of 16 bytes each, a
+# float state's complex128.  A fixed state's amplitude is one int32 in each of
+# its two planes, 8 bytes, but a run's float reference at the same N takes 16.
 MAX_STATE_BYTES = 1 << 32
 MAX_QUBITS = MAX_STATE_BYTES.bit_length() - 5
 

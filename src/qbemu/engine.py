@@ -51,7 +51,8 @@ row's words and table entries are in its range, at most ``2**(f+1)`` in
 magnitude, so a scaled product is at most ``2**(F+f+2) <= 2**(2F+2)`` --
 ``2**62`` at 32-bit words, ``F = 30`` -- and at most ``2**61`` for a
 quantized sine or cosine (at most ``2**f``); the bias adds less than
-``2**F``, inside int64.
+``2**F``, inside int64.  The states' planes are int32, which hold every
+word; the arithmetic that reads them is int64 (see :class:`_FixedAlu`).
 
 Element passes
 --------------
@@ -81,7 +82,8 @@ when every row's sine and cosine are nonzero with one sign (else each
 product takes its own: two passes and four calls more).  The counts in
 parentheses are for a couple tensor that is one contiguous array, an
 uncontrolled gate's on an unblocked state: H and the rotations leave their
-results straight in it, with no write-back.  What the counts leave out is
+results straight in it, with no write-back (the rotations only in a walk
+whose words have at most 31 bits).  What the counts leave out is
 the couple stride: a half-tensor operation whose target or lower control is
 qubit 1-3 walks 2-8-word runs and costs several passes.
 """
@@ -164,10 +166,12 @@ class FloatState:
 class FixedState:
     """Fixed-point state vector: raw integer real/imaginary parts.
 
-    ``raw`` is one ``(2, 2**n)`` int64 array holding the real plane in row 0
+    ``raw`` is one ``(2, 2**n)`` int32 array holding the real plane in row 0
     and the imaginary plane in row 1; ``re`` and ``im`` are views of those
-    rows.  The constructor copies caller-supplied parts, whose raw values
-    must be integers in the word's range ``[fmt.min_raw, fmt.max_raw]``.
+    rows.  A word of at most :data:`MAX_DATA_BITS` = 32 bits fits int32
+    exactly, so an amplitude takes 8 bytes; the kernels compute in int64.
+    The constructor copies caller-supplied parts, whose raw values must be
+    integers in the word's range ``[fmt.min_raw, fmt.max_raw]``.
     ``overflow`` is the sticky saturation flag aggregated over all kernel
     arithmetic applied to this state.
     """
@@ -188,17 +192,17 @@ class FixedState:
         self.fmt = fmt
         size = 1 << n_qubits
         if re is None:
-            raw = np.zeros((2, size), dtype=np.int64)
+            raw = np.zeros((2, size), dtype=np.int32)
             raw[0, 0] = 1 << fmt.fractional_bits
         else:
             re, im = _raw_plane(re), _raw_plane(im)
             if re.shape != (size,) or im.shape != (size,):
                 raise ValueError("amplitude count does not match qubit count")
             raw = np.stack((re, im))
-            # The kernels' int64 headroom holds only for in-range words.
+            # int32 holds, and the kernels' int64 headroom covers, only in-range words.
             if error := range_error(raw, fmt.total_bits):
                 raise EngineError(f"raw {error}")
-            raw = raw.astype(np.int64, copy=False)
+            raw = raw.astype(np.int32, copy=False)
         self.raw = raw
         self.overflow = False
 
@@ -281,10 +285,21 @@ class _FixedAlu:
     and ``|w| > one`` takes ``max_raw`` or ``min_raw`` out under every
     rounding.  So a row's 1/sqrt(2), ``inv_sqrt2[i]``, is never checked, nor
     is a constant safe in every row: in a compiled table only -1.0 is not.
+
+    The states' planes are int32 and the scratch is int64: every product,
+    every sum of two words and every negation reads the planes as int64
+    (``dtype=np.int64``), since int32 would wrap a product, and at 32 bits
+    a sum or ``-min_raw``.  A rotation's sums are of products in
+    ``[min_raw, max_raw]`` (a safe constant's product stays in the range, an
+    unsafe one's is clipped) or their negations, in ``[-max_raw, -min_raw]``;
+    so at ``b <= 31`` bits they lie in ``[-2**31, 2**31 - 1]`` and may go
+    straight to an int32 state (``narrow``), while a walk with a 32-bit row
+    sums in scratch.
     """
 
     def __init__(self, fmts, tables=None):
         self.mode, self.shift = fmts[0].rounding, max(fmt.fractional_bits for fmt in fmts)
+        self.narrow = max(fmt.total_bits for fmt in fmts) <= 31
         self.lo, self.hi = [fmt.min_raw for fmt in fmts], [fmt.max_raw for fmt in fmts]
         self.flags = [False] * len(fmts)
         self.tables = tables or [()] * len(fmts)
@@ -378,7 +393,7 @@ class _FixedAlu:
     def neg(self, raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``-raw`` into ``out``, or in place: an in-range word leaves the range
         only at ``-min_raw``, upward, so each row's largest word finds a clip."""
-        out = np.negative(raw, out=raw if out is None else out)
+        out = np.negative(raw, out=raw if out is None else out, dtype=np.int64)
         if self._outside(out, low=False):
             self._clip(out)
         return out
@@ -397,8 +412,8 @@ class _FixedAlu:
         s, c, s_safe, c_safe, one_bias = self._pair(imm)
         w = self.scratch(3, a.shape)
         (p, q, bias), pair = w, w[:2]
-        np.multiply(a, self._column(c, a.ndim), out=p)
-        np.multiply(a, self._column(s, a.ndim), out=q)
+        np.multiply(a, self._column(c, a.ndim), out=p, dtype=np.int64)
+        np.multiply(a, self._column(s, a.ndim), out=q, dtype=np.int64)
         for wide in (pair,) if one_bias else (p, q):
             round_shift(wide, self.shift, self.mode, bias)
         if not c_safe:
@@ -465,8 +480,10 @@ def _blocks(v: np.ndarray):
 
 def _float_block(v: np.ndarray, kind: GateKind, sincos, t: np.ndarray) -> None:
     """Apply one gate to a block ``v`` of the complex couple tensor via a scratch
-    ``t`` shaped like ``v``.  A complex scalar comes first in its product, which
-    never overwrites its operand: else numpy may round it apart."""
+    ``t`` shaped like ``v``.  Every product is by a scalar with a zero part or
+    with parts of +-1, so each of its parts rounds once and no fused
+    multiply-add, which numpy's SIMD loops may use, can change it: the
+    result is the same on every CPU, in place or not."""
     a, b, ta, tb = v[_LOW], v[_HIGH], t[_LOW], t[_HIGH]
     if kind is X:
         ta[...] = a
@@ -486,11 +503,15 @@ def _float_block(v: np.ndarray, kind: GateKind, sincos, t: np.ndarray) -> None:
     elif kind in (T, TDG):  # b' = k (1 +- i) b; products by +-1 are exact
         np.multiply(1 + 1j if kind is T else 1 - 1j, b, out=tb)
         np.multiply(tb, INV_SQRT2, out=b)
-    elif kind in (RZ, U1):  # a' = (c - i s) a (RZ only), b' = (c + i s) b
+    elif kind in (RZ, U1):  # a' = c a - (i s) a (RZ only), b' = c b + (i s) b
         s, c = sincos
         if kind is RZ:
-            a[...] = np.multiply(c - 1j * s, a, out=ta)
-        b[...] = np.multiply(c + 1j * s, b, out=tb)
+            np.multiply(1j * s, a, out=ta)
+            a *= c
+            a -= ta
+        np.multiply(1j * s, b, out=tb)
+        b *= c
+        b += tb
     else:  # RX: a' = c a - i s b, b' = c b - i s a; RY: a' = c a - s b, b' = c b + s a
         s, c = sincos
         np.multiply(1j * s if kind is RX else s, v[..., ::-1, :], out=t)
@@ -513,7 +534,7 @@ def _fixed_block(v: np.ndarray, kind: GateKind, alu: _FixedAlu, imm: tuple) -> N
         if kind is U1:
             v = v[_HIGH]
         p, q = alu.mul_pair(v, imm)
-        out = v if v.flags.c_contiguous else p  # sums go straight to a contiguous state
+        out = v if alu.narrow and v.flags.c_contiguous else p  # sums go straight to a contiguous state that holds them
         if kind is RX:  # a' = c a - i s b, b' = c b - i s a
             np.negative(q[_RE], out=q[_RE])
             np.add(p[_LOW], q[_SWAP_HIGH], out=out[_LOW])
@@ -553,8 +574,8 @@ def _fixed_block(v: np.ndarray, kind: GateKind, alu: _FixedAlu, imm: tuple) -> N
         planes[...] = t
     elif kind is H:
         t, bias = alu.scratch(2, v.shape)
-        np.add(a, b, out=t[_LOW])
-        np.subtract(a, b, out=t[_HIGH])
+        np.add(a, b, out=t[_LOW], dtype=np.int64)
+        np.subtract(a, b, out=t[_HIGH], dtype=np.int64)
         out = v if v.flags.c_contiguous else t  # the rounding's last shift writes a contiguous state
         alu.mul(alu.sat(t), alu.inv_sqrt2, bias, out=out)
         if out is t:
@@ -562,11 +583,11 @@ def _fixed_block(v: np.ndarray, kind: GateKind, alu: _FixedAlu, imm: tuple) -> N
     else:  # T, TDG
         (rb, ib), (t, bias) = b.swapaxes(0, 1), alu.scratch(2, b.shape)
         if kind is T:  # b' = k (rb - ib) + i k (rb + ib)
-            np.subtract(rb, ib, out=t[_RE])
-            np.add(rb, ib, out=t[_IM])
+            np.subtract(rb, ib, out=t[_RE], dtype=np.int64)
+            np.add(rb, ib, out=t[_IM], dtype=np.int64)
         else:  # b' = k (rb + ib) + i k (ib - rb)
-            np.add(rb, ib, out=t[_RE])
-            np.subtract(ib, rb, out=t[_IM])
+            np.add(rb, ib, out=t[_RE], dtype=np.int64)
+            np.subtract(ib, rb, out=t[_IM], dtype=np.int64)
         b[...] = alu.mul(alu.sat(t), alu.inv_sqrt2, bias)
 
 

@@ -65,8 +65,9 @@ def round_shift(wide, shift: int, mode: Rounding, bias=None, out=None):
     temporary.  Under nearest rounding it may be shaped like ``wide[0]``:
     then ``wide[0]``'s bias rounds every ``wide[i]``, which is exact when
     each has the signs of ``wide[0]``, as products of one operand by nonzero
-    constants of one sign do.  ``out``, an int64 array, receives the result in
-    place of ``wide``, so that the last shift also writes it where it goes.
+    constants of one sign do.  ``out``, an int64 array or an int32 one that
+    holds the result, receives the result in place of ``wide``, so that the
+    last shift also writes it where it goes.
     """
     if mode is Rounding.NEAREST:
         signs = wide if bias is None or bias.ndim == wide.ndim else wide[0]

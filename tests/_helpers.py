@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 
+import qbemu
 from qbemu.engine import EngineError, FixedState
 from qbemu.fixedpoint import FixedPointFormat, Rounding
 from qbemu.gates import ROTATIONAL, GateApplication, GateKind, gate_matrix
@@ -313,3 +318,20 @@ def format_program(gates, fmt: FixedPointFormat):
         control = gate.control if gate.control is not None else gate.target
         instructions.append(Instruction(gate.kind, gate.target, control, imm))
     return instructions, table
+
+
+# ---------------------------------------------------------------------------
+# SIMD dispatch
+# ---------------------------------------------------------------------------
+
+
+def outputs_under_both_dispatches(script: str) -> list[str]:
+    """Standard output of ``script`` under numpy's default SIMD dispatch, then under its baseline loops."""
+    src = str(Path(qbemu.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    baseline = dict(env, NPY_DISABLE_CPU_FEATURES="AVX2 FMA3 AVX512F AVX512_SKX X86_V3 X86_V4 AVX512_ICL AVX512_SPR")
+    return [
+        subprocess.run([sys.executable, "-c", script], env=e, capture_output=True, text=True, check=True).stdout
+        for e in (env, baseline)
+    ]

@@ -37,6 +37,7 @@ from qbemu.gates import (
     GateApplication,
     GateKind,
 )
+from qbemu.hostlink import decode_readback, encode_readback
 from _helpers import (
     OracleAlu,
     couple_pairs,
@@ -46,6 +47,7 @@ from _helpers import (
     gates_as_circuit,
     oracle_mul_raw,
     oracle_quantize,
+    outputs_under_both_dispatches,
     random_gates,
     scalar_fixed_kernel,
     tensordot_apply,
@@ -218,6 +220,36 @@ class TestApplyGateFloat:
             expected = dense_oracle(circuit)[:, 0]
             assert np.max(np.abs(state.amp - expected)) < 1e-12
 
+    def test_rotations_do_not_depend_on_simd_dispatch(self):
+        """200 seeded circuits rich in RZ and U1 give the same amplitudes, bit
+        for bit, under numpy's default SIMD dispatch and its baseline loops:
+        a fused multiply-add would round a product by ``c +- i s`` apart."""
+        default, base = (out.splitlines() for out in outputs_under_both_dispatches(FLOAT_DISPATCH_SCRIPT))
+        assert len(default) == 200
+        assert default == base
+
+
+FLOAT_DISPATCH_SCRIPT = """
+import hashlib, math
+import numpy as np
+from qbemu import AngleTable, FloatState, GateKind, Instruction, apply_gate
+from qbemu.gates import ROTATIONAL
+
+kinds = [GateKind.RZ, GateKind.U1] * 6 + list(GateKind)
+for seed in range(200):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 12))
+    amp = np.empty(1 << n, dtype=complex)  # no complex arithmetic: numpy may fuse its products
+    amp.real, amp.imag = rng.normal(size=(2, 1 << n)) / np.sqrt(2 << n)
+    state, table = FloatState(n, amp), AngleTable(None)
+    for _ in range(60):
+        kind = kinds[rng.integers(len(kinds))]
+        target, control = (int(q) for q in rng.integers(n, size=2))  # control == target: none
+        imm = table.intern(float(rng.uniform(-2 * math.pi, 2 * math.pi))) if kind in ROTATIONAL else 0
+        apply_gate(state, Instruction(kind, target, control, imm), table)
+    print(hashlib.sha256(state.amp.tobytes()).hexdigest())
+"""
+
 
 def kernel_inputs(rng, fmt, multipliers):
     """(ar, ai, br, bi) raw inputs: random values, every mix of min_raw /
@@ -295,13 +327,13 @@ class TestApplyGateFixed:
             FixedState(1, fmt, np.array([1 << 63, 0], dtype=np.uint64), [0, 0])
         # integral values of any type are words, as a rounded float array's are
         state = FixedState(1, fmt, np.array([3.0, -128.0]), np.array([5, 127], dtype=np.uint8))
-        assert state.raw.dtype == np.int64 and state.raw.tolist() == [[3, -128], [5, 127]]
+        assert state.raw.dtype == np.int32 and state.raw.tolist() == [[3, -128], [5, 127]]
 
     def test_copy_does_not_rescan(self):
         # run(..., initial=...) copies the state on every call; the copy trusts
         # the state it copies, so a word planted after construction survives it
         state = FixedState(1, FixedPointFormat(8))
-        state.re[1] = 1 << 40
+        state.re[1] = 1 << 20
         clone = state.copy()
         assert clone.re.tolist() == state.re.tolist()
         assert clone.re is not state.re and clone.im is not state.im
@@ -581,7 +613,7 @@ class TestBlockedKernels:
     @pytest.mark.parametrize("backend", ["float", "fixed"])
     @pytest.mark.parametrize("kind", list(GateKind), ids=lambda kind: kind.name)
     def test_gate_allocates_no_state_sized_temporary(self, kind, backend):
-        # the 18-qubit state holds 4 MiB; one gate's temporaries stay in blocks
+        # the 18-qubit state holds 2 MiB (fixed) or 4 MiB (float); one gate's temporaries stay in blocks
         n = 18
         config = ExecConfig(n_qubits=n, data_bits=24, rounding="float_reference" if backend == "float" else "nearest")
         table = AngleTable(None if backend == "float" else config.fixed_format)
@@ -690,7 +722,7 @@ class TestFixedStateLayout:
     def test_planes_are_rows_of_raw(self):
         fmt = FixedPointFormat(16)
         state = FixedState(2, fmt, [1, 2, 3, 4], [5, 6, 7, 8])
-        assert state.raw.shape == (2, 4) and state.raw.dtype == np.int64
+        assert state.raw.shape == (2, 4) and state.raw.dtype == np.int32
         assert state.raw.tolist() == [[1, 2, 3, 4], [5, 6, 7, 8]]
         state.re[1] = 9
         state.im[2] = -9
@@ -714,6 +746,18 @@ class TestFixedStateLayout:
         apply_gate(clone, Instruction(GateKind.H, 0, 0))
         clone.overflow = True
         assert state.raw.tolist() == [[1, 2, 3, 4], [5, 6, 7, 8]] and not state.overflow
+
+    @pytest.mark.parametrize("bits", [31, 32])
+    def test_edge_words_survive_int32_planes(self, bits):
+        # min_raw and max_raw are the int32 planes' extremes at 32 bits; they come back
+        # exactly through the constructor, a copy and a readback stream
+        fmt = FixedPointFormat(bits)
+        words = [fmt.min_raw, fmt.max_raw, 0, -1]
+        state = FixedState(2, fmt, words, words[::-1])
+        clone = state.copy()
+        again = decode_readback(encode_readback(clone), fmt, 2)
+        for got in (state, clone, again):
+            assert got.raw.dtype == np.int32 and got.raw.tolist() == [words, words[::-1]]
 
 
 class TestStateSizeLimit:

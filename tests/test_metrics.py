@@ -3,17 +3,12 @@
 from __future__ import annotations
 
 import math
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import qbemu
 from qbemu.compiler import compile_circuit
 from qbemu.config import ExecConfig
 from qbemu.engine import FixedState, FloatState, run
@@ -21,7 +16,7 @@ from qbemu.fixedpoint import FixedPointFormat
 from qbemu.gates import GateApplication, GateKind
 from qbemu.metrics import KLD_EPSILON, QualityReport, complex_distances, hellinger_fidelity, kld, report
 
-from _helpers import gates_as_circuit
+from _helpers import gates_as_circuit, outputs_under_both_dispatches
 
 BELL = [
     GateApplication(GateKind.H, 2),
@@ -300,23 +295,11 @@ for seed in range(12):
 """
 
 
-def _outputs_under_both_dispatches(script: str) -> list[str]:
-    """Standard output of ``script`` under numpy's default SIMD dispatch, then under its baseline loops."""
-    src = str(Path(qbemu.__file__).parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
-    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
-    baseline = dict(env, NPY_DISABLE_CPU_FEATURES="AVX2 FMA3 AVX512F AVX512_SKX X86_V3 X86_V4 AVX512_ICL AVX512_SPR")
-    return [
-        subprocess.run([sys.executable, "-c", script], env=e, capture_output=True, text=True, check=True).stdout
-        for e in (env, baseline)
-    ]
-
-
 def test_report_does_not_depend_on_simd_dispatch():
     """Under numpy's default SIMD dispatch and its baseline loops, ``report``
     gives the same figures, bit for bit, except ``kld``, whose ``log`` is
     dispatched."""
-    outputs = _outputs_under_both_dispatches(DISPATCH_SCRIPT)
+    outputs = outputs_under_both_dispatches(DISPATCH_SCRIPT)
     default, base = (re.sub(r"kld=[^,]*, ", "", out).splitlines() for out in outputs)
     assert len(default) == 24
     assert default == base
@@ -342,6 +325,6 @@ for seed in range(6):
 def test_probabilities_do_not_depend_on_simd_dispatch():
     """``probabilities``, and so ``sample_counts`` and ``qbemu run --seed``,
     give the same bytes under numpy's default SIMD dispatch and its baseline loops."""
-    default, base = (out.splitlines() for out in _outputs_under_both_dispatches(PROBABILITIES_SCRIPT))
+    default, base = (out.splitlines() for out in outputs_under_both_dispatches(PROBABILITIES_SCRIPT))
     assert len(default) == 12
     assert default == base
